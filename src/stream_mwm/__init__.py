@@ -17,10 +17,9 @@ from .core import (
     WeightedEdge,
     compute_params,
     is_heavy,
-    matching_weight,
     parse_epsilon,
 )
-from .engine import EdgeOutcome, StreamingState, run_stream
+from .engine import StreamingState, run_stream
 from .generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 from .monitors import (
     CheckVerdict,
@@ -44,7 +43,6 @@ __all__ = [
     "I64_MAX",
     "CapacityError",
     "CheckVerdict",
-    "EdgeOutcome",
     "EdgeStream",
     "EXACT_MAX_NODES",
     "GeneratorKind",
@@ -73,7 +71,6 @@ __all__ = [
     "greedy_sorted",
     "is_heavy",
     "load_trace",
-    "matching_weight",
     "mwm_simple",
     "parse_epsilon",
     "parse_stream",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import os
 import sys
@@ -298,7 +299,12 @@ def _bench_task(task: tuple[GeneratorSpec, str, int]) -> list:
 def _worker_count(tasks: int) -> int:
     env = os.environ.get("STREAM_MWM_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"STREAM_MWM_THREADS must be an integer, got {env!r}"
+            ) from None
     return max(1, min(tasks, os.cpu_count() or 1))
 
 
@@ -308,24 +314,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         eps = parse_epsilon(args.eps)
         tasks = []
         for n in ns:
+            if n < 2:
+                raise ValueError(f"--ns values must be at least 2, got {n}")
             spec = _spec_from_args(args, n=n)
             if spec.kind is GeneratorKind.ERDOS_RENYI and args.p is None:
-                spec = GeneratorSpec(
-                    kind=spec.kind,
-                    n=n,
-                    weight_max=spec.weight_max,
-                    seed=spec.seed,
-                    p=min(1.0, args.degree / (n - 1)),
-                    base=spec.base,
-                    order=spec.order,
-                    order_seed=spec.order_seed,
-                )
+                spec = dataclasses.replace(spec, p=min(1.0, args.degree / (n - 1)))
             for rep in range(args.reps):
                 tasks.append((spec, str(eps), rep))
+        workers = _worker_count(len(tasks))
     except (CapacityError, ValueError) as exc:
         return _fail(str(exc))
 
-    workers = _worker_count(len(tasks))
     try:
         if workers == 1:
             rows = [_bench_task(t) for t in tasks]

@@ -28,7 +28,6 @@ __all__ = [
     "parse_epsilon",
     "compute_params",
     "is_heavy",
-    "matching_weight",
 ]
 
 #: Largest representable edge weight / node potential (signed 64-bit).
@@ -189,8 +188,3 @@ def is_heavy(weight: int, potential_sum: int, params: Params) -> bool:
     p = params.alpha_sq.numerator
     q = params.alpha_sq.denominator
     return q * weight * weight > p * potential_sum * potential_sum
-
-
-def matching_weight(m: Matching) -> int:
-    """Total weight of a matching (the sum of its member edge weights)."""
-    return m.total_weight

@@ -4,9 +4,11 @@ One pass over the edge stream: each arriving edge is tested against the
 endpoint potentials (exact integer filter), heavy edges are pushed onto a
 stack with their reduced weight and both potentials grow by that amount,
 and per-node FIFO queues cap how many live stack entries any node may
-own. When a queue hits the cap its oldest entry is deleted from the
-stack; deletion is a tombstone flag plus amortized compaction, so the
-newest-to-oldest unwind order survives. After the pass the stack is
+own. A queue holds the stack entries themselves, in insertion order; when
+it hits the cap its oldest entry is tombstoned and dropped from both
+endpoint queues in O(1). The stack sheds tombstones by a list filter once
+they outnumber the live entries, so the newest-to-oldest unwind order
+survives at amortized O(1) cost per edge. After the pass the stack is
 unwound greedily into the matching.
 
 Node potentials never exceed the largest edge weight seen (a push sets
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -43,28 +44,17 @@ from .monitors import (
 )
 from .report import RunReport, TimingStats
 
-__all__ = ["EdgeOutcome", "LIGHT_OUTCOME", "StackEntry", "StreamingState", "run_stream"]
+__all__ = ["StackEntry", "StreamingState", "run_stream"]
 
 #: Sample every edge up to this stream length; every 64th beyond it.
 _TIMING_DENSE_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
-class EdgeOutcome:
-    """Result of processing one edge: dropped as light, or pushed."""
-
-    pushed: bool
-    reduced_weight: int | None = None
-    evictions: int = 0
-
-
-LIGHT_OUTCOME = EdgeOutcome(pushed=False)
-
-
 class StackEntry:
     """One stack slot: the edge, its reduced weight at push time, and a
     tombstone flag. The original weight stays around for the final
-    matching; the reduced weight is internal."""
+    matching; the reduced weight is internal. Entries hash by identity
+    (there is no ``__eq__``), so they key the per-node queues directly."""
 
     __slots__ = ("edge", "reduced_weight", "alive")
 
@@ -88,13 +78,15 @@ class StreamingState:
     def __init__(self, params: Params, trace: list[TraceEvent] | None = None) -> None:
         self.params = params
         self.phi: list[int] = [0] * params.n
-        self._queues: list[OrderedDict[int, None] | None] = [None] * params.n
+        self._queues: list[OrderedDict[StackEntry, None] | None] = [None] * params.n
         self._arena: list[StackEntry] = []
         self._live = 0
         self._dead = 0
         self._finalized = False
         self._trace = trace
-        self.stats = MonitorStats(heavy_count_per_node=[0] * params.n)
+        self._p = params.alpha_sq.numerator
+        self._q = params.alpha_sq.denominator
+        self.stats = MonitorStats()
 
     @property
     def live_entries(self) -> int:
@@ -108,8 +100,9 @@ class StreamingState:
         """Live stack edges, oldest first (diagnostics and tests)."""
         return [entry.edge for entry in self._arena if entry.alive]
 
-    def process_edge(self, edge: WeightedEdge) -> EdgeOutcome:
-        """Classify one arriving edge and update the state.
+    def process_edge(self, edge: WeightedEdge) -> bool:
+        """Classify one arriving edge, update the state, and return whether
+        the edge was pushed.
 
         Light edges (weight at or below alpha times the endpoint potential
         sum) leave the state untouched. A heavy edge is pushed with
@@ -132,18 +125,19 @@ class StreamingState:
 
         phi = self.phi
         pot_sum = phi[u] + phi[v]
-        p = self.params.alpha_sq.numerator
-        q = self.params.alpha_sq.denominator
+        p = self._p
+        q = self._q
         if q * w * w <= p * pot_sum * pot_sum:
             if self._trace is not None:
                 self._trace.append(TraceEvent(EV_LIGHT, edge, None, tuple(phi)))
-            return LIGHT_OUTCOME
+            return False
 
         reduced = w - pot_sum
-        handle = len(self._arena)
-        self._arena.append(StackEntry(edge, reduced))
+        entry = StackEntry(edge, reduced)
+        self._arena.append(entry)
         self._live += 1
         stats = self.stats
+        stats.heavy_edges_total += 1
         if self._live > stats.peak_live_entries:
             stats.peak_live_entries = self._live
 
@@ -156,14 +150,13 @@ class StreamingState:
                     f"potential at node {x} would reach {new_phi} > 2^63-1"
                 )
             phi[x] = new_phi
-            stats.heavy_count_per_node[x] += 1
             # Growth monitor: each push must scale phi(x) by at least alpha.
             if q * new_phi * new_phi < p * old_phi * old_phi:
                 stats.phi_growth_violations += 1
             queue = self._queues[x]
             if queue is None:
                 queue = self._queues[x] = OrderedDict()
-            queue[handle] = None
+            queue[entry] = None
             qlen = len(queue)
             if qlen > stats.max_queue_len:
                 stats.max_queue_len = qlen
@@ -173,71 +166,41 @@ class StreamingState:
         if self._trace is not None:
             self._trace.append(TraceEvent(PUSHED, edge, reduced, tuple(phi)))
 
-        evictions = 0
         for x in (u, v):
             queue = self._queues[x]
-            if queue is not None and len(queue) >= cap:
+            if len(queue) >= cap:
                 oldest, _ = queue.popitem(last=False)
                 self._kill(oldest)
-                evictions += 1
 
         if self._dead > self._live:
             self.compact()
-        return EdgeOutcome(pushed=True, reduced_weight=reduced, evictions=evictions)
+        return True
 
-    def _kill(self, handle: int) -> None:
-        """Tombstone a stack entry and drop its handle from both queues."""
-        entry = self._arena[handle]
+    def _kill(self, entry: StackEntry) -> None:
+        """Tombstone a stack entry and drop it from both endpoint queues."""
         entry.alive = False
         self._live -= 1
         self._dead += 1
         self.stats.evictions_total += 1
-        for x in (entry.edge.u, entry.edge.v):
-            queue = self._queues[x]
-            if queue is not None:
-                queue.pop(handle, None)
+        # A live entry sits in both endpoint queues; the caller may already
+        # have popped it from one of them.
+        self._queues[entry.edge.u].pop(entry, None)
+        self._queues[entry.edge.v].pop(entry, None)
         if self._trace is not None:
             self._trace.append(
                 TraceEvent(EVICTED, entry.edge, entry.reduced_weight, None)
             )
 
-    def force_evict_oldest(self, node: int) -> WeightedEdge | None:
-        """Evict the oldest live entry at ``node`` outside the cap rule.
-
-        Diagnostics/testing hook; returns the evicted edge, or None for an
-        empty queue.
-        """
-        queue = self._queues[node]
-        if not queue:
-            return None
-        handle, _ = queue.popitem(last=False)
-        edge = self._arena[handle].edge
-        self._kill(handle)
-        return edge
-
     def compact(self) -> None:
-        """Drop tombstoned slots, preserving live order and queue handles.
+        """Drop tombstoned slots from the stack, preserving live order.
 
         Runs automatically whenever dead entries outnumber live ones,
         which keeps per-edge work amortized O(1) and the arena within a
-        constant factor of the live size.
+        constant factor of the live size. Queues hold only live entries,
+        so they need no update.
         """
-        remap: dict[int, int] = {}
-        arena: list[StackEntry] = []
-        for handle, entry in enumerate(self._arena):
-            if entry.alive:
-                remap[handle] = len(arena)
-                arena.append(entry)
-        self._arena = arena
+        self._arena = [e for e in self._arena if e.alive]
         self._dead = 0
-        touched: set[int] = set()
-        for entry in arena:
-            touched.add(entry.edge.u)
-            touched.add(entry.edge.v)
-        for node in touched:
-            queue = self._queues[node]
-            if queue:
-                self._queues[node] = OrderedDict((remap[h], None) for h in queue)
 
     def finalize(self) -> tuple[Matching, MonitorStats]:
         """Unwind the live stack newest-first into a greedy matching.
@@ -284,22 +247,27 @@ def run_stream(
             f"tracing is limited to n <= {TRACE_MAX_NODES} and m <= {TRACE_MAX_EDGES}"
         )
     state = StreamingState(params, trace=trace_sink)
+    process = state.process_edge
 
     samples: list[int] | None = None
-    if collect_timing:
-        samples = []
-        stride = 1 if m <= _TIMING_DENSE_LIMIT else 64
-        clock = time.perf_counter_ns
-        for idx, edge in enumerate(stream.edges):
-            if idx % stride == 0:
-                t0 = clock()
-                _process_positioned(state, edge, idx)
-                samples.append(clock() - t0)
-            else:
-                _process_positioned(state, edge, idx)
-    else:
-        for idx, edge in enumerate(stream.edges):
-            _process_positioned(state, edge, idx)
+    try:
+        if collect_timing:
+            samples = []
+            stride = 1 if m <= _TIMING_DENSE_LIMIT else 64
+            clock = time.perf_counter_ns
+            for idx, edge in enumerate(stream.edges):
+                if idx % stride == 0:
+                    t0 = clock()
+                    process(edge)
+                    samples.append(clock() - t0)
+                else:
+                    process(edge)
+        else:
+            for idx, edge in enumerate(stream.edges):
+                process(edge)
+    except StreamFormatError as exc:
+        # Line 1 of the canonical file format is the header.
+        raise StreamFormatError(f"line {idx + 2}: {exc}") from None
 
     matching, stats = state.finalize()
     report = RunReport(
@@ -317,11 +285,3 @@ def run_stream(
         per_edge_ns=TimingStats.from_samples(samples) if samples else None,
     )
     return matching, report
-
-
-def _process_positioned(state: StreamingState, edge: WeightedEdge, idx: int) -> None:
-    try:
-        state.process_edge(edge)
-    except StreamFormatError as exc:
-        # Line 1 of the canonical file format is the header.
-        raise StreamFormatError(f"line {idx + 2}: {exc}") from None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .core import Params, WeightedEdge, is_heavy
@@ -54,23 +54,19 @@ _GAP_REL_TOL = 1e-6
 
 @dataclass
 class MonitorStats:
-    """Counters kept by the engine at any scale.
+    """O(1)-space counters kept by the engine at any scale.
 
-    ``heavy_count_per_node[v]`` counts the heavy (pushed) edges containing
-    ``v`` so far; it feeds no engine decision and exists for verification.
-    Both violation counters stay zero on a correct engine.
+    ``heavy_edges_total`` counts the heavy (pushed) edges so far; it feeds
+    no engine decision and is the ``k`` of the ratio-bound check. Both
+    violation counters stay zero on a correct engine.
     """
 
     peak_live_entries: int = 0
-    heavy_count_per_node: list[int] = field(default_factory=list)
+    heavy_edges_total: int = 0
     phi_growth_violations: int = 0
     queue_cap_violations: int = 0
     max_queue_len: int = 0
     evictions_total: int = 0
-
-    @property
-    def heavy_edges_total(self) -> int:
-        return sum(self.heavy_count_per_node) // 2
 
 
 @dataclass(frozen=True)

@@ -136,3 +136,15 @@ def test_bench_parallel_workers(tmp_path, monkeypatch):
 def test_gen_requires_n(capsys):
     assert main(["run", "--gen", "path"]) == 2
     capsys.readouterr()
+
+
+def test_bench_exit_2_on_node_count_below_two(capsys):
+    assert main(["bench", "--ns", "1"]) == 2
+    assert "stream-mwm: error: --ns values must be at least 2" in capsys.readouterr().err
+
+
+def test_bench_exit_2_on_non_integer_thread_count(monkeypatch, capsys):
+    monkeypatch.setenv("STREAM_MWM_THREADS", "abc")
+    assert main(["bench", "--ns", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "stream-mwm: error: STREAM_MWM_THREADS must be an integer" in err

@@ -11,7 +11,6 @@ from stream_mwm.core import (
     WeightedEdge,
     compute_params,
     is_heavy,
-    matching_weight,
     parse_epsilon,
 )
 
@@ -124,10 +123,10 @@ def test_is_heavy_agrees_with_floats_away_from_ties(w, s, eps):
 
 
 def test_matching_weight_examples():
-    assert matching_weight(Matching.of([])) == 0
-    assert matching_weight(Matching.of([WeightedEdge(0, 1, 3)])) == 3
+    assert Matching.of([]).total_weight == 0
+    assert Matching.of([WeightedEdge(0, 1, 3)]).total_weight == 3
     two = Matching.of([WeightedEdge(0, 1, 3), WeightedEdge(2, 3, 4)])
-    assert matching_weight(two) == 7
+    assert two.total_weight == 7
 
 
 def test_matching_rejects_shared_nodes():

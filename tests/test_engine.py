@@ -17,6 +17,7 @@ from stream_mwm.core import (
 )
 from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
+from stream_mwm.monitors import PUSHED
 
 
 def fresh(n=3, eps=2, trace=None):
@@ -33,24 +34,31 @@ def test_initial_state():
 
 
 def test_process_edge_hand_trace():
-    s = fresh()
-    out = s.process_edge(WeightedEdge(0, 1, 5))
-    assert out.pushed and out.reduced_weight == 5 and out.evictions == 0
+    trace = []
+    s = fresh(trace=trace)
+    assert s.process_edge(WeightedEdge(0, 1, 5)) is True
+    # Both potentials grow by the reduced weight 5 - (0 + 0).
     assert s.phi == [5, 5, 0]
 
-    out = s.process_edge(WeightedEdge(1, 2, 5))
-    assert not out.pushed
+    assert s.process_edge(WeightedEdge(1, 2, 5)) is False
     assert s.phi == [5, 5, 0]
 
-    out = s.process_edge(WeightedEdge(1, 2, 8))
-    assert out.pushed and out.reduced_weight == 3
+    assert s.process_edge(WeightedEdge(1, 2, 8)) is True
+    # Reduced weight 8 - (5 + 0) = 3: node 2 grows from 0 to 3.
     assert s.phi == [5, 8, 3]
 
     matching, stats = s.finalize()
     assert matching.sorted_edges() == [WeightedEdge(1, 2, 8)]
     assert matching.total_weight == 8
     assert stats.peak_live_entries == 2
-    assert stats.heavy_count_per_node == [1, 2, 1]
+    assert stats.evictions_total == 0
+    assert stats.heavy_edges_total == 2
+    heavy_per_node = [0, 0, 0]
+    for ev in trace:
+        if ev.kind == PUSHED:
+            heavy_per_node[ev.edge.u] += 1
+            heavy_per_node[ev.edge.v] += 1
+    assert heavy_per_node == [1, 2, 1]
 
 
 @pytest.mark.parametrize(
@@ -65,13 +73,13 @@ def test_process_edge_rejects_bad_edges(edge):
 
 def test_zero_weight_edges_are_light():
     s = fresh()
-    assert not s.process_edge(WeightedEdge(0, 1, 0)).pushed
+    assert not s.process_edge(WeightedEdge(0, 1, 0))
 
 
 def test_duplicate_arrival_sees_updated_potentials():
     s = fresh()
-    assert s.process_edge(WeightedEdge(0, 1, 5)).pushed
-    assert not s.process_edge(WeightedEdge(0, 1, 5)).pushed
+    assert s.process_edge(WeightedEdge(0, 1, 5))
+    assert not s.process_edge(WeightedEdge(0, 1, 5))
 
 
 def test_finalize_empty():
@@ -144,10 +152,10 @@ def test_queue_invariants_after_each_edge():
     for e in _chain(64).edges:
         s.process_edge(e)
         assert s.queue_len(0) < params.queue_cap
-    # White-box: every queued handle must point at a live arena entry.
+    # White-box: queues hold only live entries.
     for q in s._queues:
         if q:
-            assert all(s._arena[h].alive for h in q)
+            assert all(entry.alive for entry in q)
 
 
 def test_compact_preserves_finalize_result():
@@ -164,58 +172,6 @@ def test_compact_preserves_finalize_result():
     matching_a, _ = a.finalize()
     matching_b, _ = b.finalize()
     assert matching_a == matching_b
-
-
-def test_compact_empties_all_dead_arena():
-    s = fresh(6)
-    s.process_edge(WeightedEdge(0, 1, 5))
-    s.process_edge(WeightedEdge(2, 3, 5))
-    s.force_evict_oldest(0)
-    s.force_evict_oldest(2)
-    s.compact()
-    assert s._arena == [] and s.live_entries == 0
-
-
-def test_auto_compaction_triggers_when_dead_exceed_live():
-    s = fresh(10)
-    s.process_edge(WeightedEdge(0, 1, 5))
-    s.process_edge(WeightedEdge(2, 3, 5))
-    s.process_edge(WeightedEdge(4, 5, 5))
-    assert s.force_evict_oldest(0) == WeightedEdge(0, 1, 5)
-    s.force_evict_oldest(2)
-    assert s._dead == 2
-    s.process_edge(WeightedEdge(6, 7, 5))  # dead(2) > live(2) is false yet
-    assert s._dead == 2
-    s.force_evict_oldest(4)
-    s.force_evict_oldest(6)
-    s.process_edge(WeightedEdge(8, 9, 5))  # dead(4) > live(1) compacts
-    assert s._dead == 0
-    matching, _ = s.finalize()
-    assert matching.total_weight == 5
-
-
-def test_extra_evictions_of_doomed_entries_do_not_change_output():
-    edges = _chain(64).edges
-    trace = []
-    natural = StreamingState(compute_params(64, 2), trace=trace)
-    for e in edges:
-        natural.process_edge(e)
-    matching_natural, _ = natural.finalize()
-    naturally_evicted = {ev.edge for ev in trace if ev.kind == "evicted"}
-
-    injected = StreamingState(compute_params(64, 2))
-    kill_after = {5: 2, 12: 1, 20: 3}  # push index -> extra forced evictions
-    killed = []
-    for i, e in enumerate(edges):
-        injected.process_edge(e)
-        for _ in range(kill_after.get(i, 0)):
-            killed.append(injected.force_evict_oldest(0))
-    matching_injected, _ = injected.finalize()
-
-    # Premise: every injected kill targets an entry the cap rule evicts
-    # anyway; then the output must be unchanged.
-    assert set(killed) <= naturally_evicted
-    assert matching_injected == matching_natural
 
 
 def test_finalize_is_maximal_on_live_edges():
@@ -243,9 +199,10 @@ def test_engine_invariants_on_random_streams(seed, eps):
     s = StreamingState(params)
     prev_phi = list(s.phi)
     for e in stream.edges:
-        out = s.process_edge(e)
-        if out.pushed:
-            assert out.reduced_weight >= 1
+        if s.process_edge(e):
+            # Both endpoints grow by the same reduced weight, at least 1.
+            reduced = s.phi[e.u] - prev_phi[e.u]
+            assert reduced >= 1 and s.phi[e.v] - prev_phi[e.v] == reduced
         assert all(new >= old for new, old in zip(s.phi, prev_phi))
         prev_phi = list(s.phi)
     matching, stats = s.finalize()
@@ -319,22 +276,47 @@ def test_engine_matches_naive_simulation_under_eviction_churn():
     _assert_matches_naive(compute_params(64, 2), _chain(64).edges)
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_engine_matches_naive_on_contended_hubs(seed):
+def _contended_hub_edges(seed):
     # Few nodes, large epsilon (small cap) and fast-growing weights: many
     # evictions whose victims sit in two active queues at once.
     rng = random.Random(seed)
-    n = 4
     edges = []
     for i in range(40):
-        u, v = rng.sample(range(n), 2)
+        u, v = rng.sample(range(4), 2)
         edges.append(WeightedEdge(u, v, math.ceil(2.6**i)))
-    params = compute_params(n, Fraction(59, 10))
+    return edges
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_engine_matches_naive_on_contended_hubs(seed):
+    edges = _contended_hub_edges(seed)
+    params = compute_params(4, Fraction(59, 10))
     probe = StreamingState(params)
     for e in edges:
         probe.process_edge(e)
     assert probe.stats.evictions_total >= 1
+    _assert_matches_naive(params, edges)
+
+
+def test_auto_compaction_triggers_when_dead_exceed_live(monkeypatch):
+    calls = []
+    compact = StreamingState.compact
+
+    def counting(self):
+        calls.append((self._dead, self.live_entries))
+        compact(self)
+
+    monkeypatch.setattr(StreamingState, "compact", counting)
+    # Seed 1 evicts 18 of 34 pushed entries and compacts once.
+    params = compute_params(4, Fraction(59, 10))
+    edges = _contended_hub_edges(1)
+    s = StreamingState(params)
+    for e in edges:
+        s.process_edge(e)
+        assert s._dead <= s.live_entries
+    assert calls
+    assert all(dead > live for dead, live in calls)
     _assert_matches_naive(params, edges)
 
 
