@@ -300,17 +300,24 @@ def _worker_count(tasks: int) -> int:
     env = os.environ.get("STREAM_MWM_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ValueError(
                 f"STREAM_MWM_THREADS must be an integer, got {env!r}"
             ) from None
+        if workers < 1:
+            raise ValueError(f"STREAM_MWM_THREADS must be at least 1, got {workers}")
+        return workers
     return max(1, min(tasks, os.cpu_count() or 1))
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         ns = [int(part) for part in args.ns.split(",") if part]
+        if not ns:
+            raise ValueError(f"--ns lists no node count: {args.ns!r}")
+        if args.reps < 1:
+            raise ValueError(f"--reps must be at least 1, got {args.reps}")
         eps = parse_epsilon(args.eps)
         tasks = []
         for n in ns:

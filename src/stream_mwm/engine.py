@@ -3,13 +3,12 @@
 One pass over the edge stream: each arriving edge is tested against the
 endpoint potentials (exact integer filter), heavy edges are pushed onto a
 stack with their reduced weight and both potentials grow by that amount,
-and per-node FIFO queues cap how many live stack entries any node may
-own. A queue holds the stack entries themselves, in insertion order; when
-it hits the cap its oldest entry is tombstoned and dropped from both
-endpoint queues in O(1). The stack sheds tombstones by a list filter once
-they outnumber the live entries, so the newest-to-oldest unwind order
-survives at amortized O(1) cost per edge. After the pass the stack is
-unwound greedily into the matching.
+and per-node FIFO queues cap how many live stack edges any node may own.
+The stack is an insertion-ordered dict from each live edge to its reduced
+weight; a queue holds the edges of its node in push order. When a queue
+hits the cap its oldest edge leaves the stack and both endpoint queues at
+once, in O(1), so the stack never holds more than the live edges. After
+the pass the stack is unwound newest-first, greedily, into the matching.
 
 Node potentials never exceed the largest edge weight seen (a push sets
 ``phi(v)`` to ``weight - phi(other)``), so the 64-bit overflow guard on
@@ -44,28 +43,10 @@ from .monitors import (
 )
 from .report import RunReport, TimingStats
 
-__all__ = ["StackEntry", "StreamingState", "run_stream"]
+__all__ = ["StreamingState", "run_stream"]
 
 #: Sample every edge up to this stream length; every 64th beyond it.
 _TIMING_DENSE_LIMIT = 1_000_000
-
-
-class StackEntry:
-    """One stack slot: the edge, its reduced weight at push time, and a
-    tombstone flag. The original weight stays around for the final
-    matching; the reduced weight is internal. Entries hash by identity
-    (there is no ``__eq__``), so they key the per-node queues directly."""
-
-    __slots__ = ("edge", "reduced_weight", "alive")
-
-    def __init__(self, edge: WeightedEdge, reduced_weight: int) -> None:
-        self.edge = edge
-        self.reduced_weight = reduced_weight
-        self.alive = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "live" if self.alive else "dead"
-        return f"StackEntry({self.edge}, w'={self.reduced_weight}, {state})"
 
 
 class StreamingState:
@@ -78,10 +59,12 @@ class StreamingState:
     def __init__(self, params: Params, trace: list[TraceEvent] | None = None) -> None:
         self.params = params
         self.phi: list[int] = [0] * params.n
-        self._queues: list[OrderedDict[StackEntry, None] | None] = [None] * params.n
-        self._arena: list[StackEntry] = []
-        self._live = 0
-        self._dead = 0
+        self._queues: list[OrderedDict[WeightedEdge, None] | None] = [None] * params.n
+        # Live edge -> reduced weight, in push order. Keying by the edge
+        # value is safe because each value is pushed at most once: a push
+        # raises the endpoints' potential sum from s0 to 2w - s0 >= w, and
+        # potentials never fall, so an identical (u, v, w) is light ever after.
+        self._stack: dict[WeightedEdge, int] = {}
         self._finalized = False
         self._trace = trace
         self._p = params.alpha_sq.numerator
@@ -90,7 +73,7 @@ class StreamingState:
 
     @property
     def live_entries(self) -> int:
-        return self._live
+        return len(self._stack)
 
     def queue_len(self, node: int) -> int:
         q = self._queues[node]
@@ -98,7 +81,7 @@ class StreamingState:
 
     def live_edges(self) -> list[WeightedEdge]:
         """Live stack edges, oldest first (diagnostics and tests)."""
-        return [entry.edge for entry in self._arena if entry.alive]
+        return list(self._stack)
 
     def process_edge(self, edge: WeightedEdge) -> bool:
         """Classify one arriving edge, update the state, and return whether
@@ -110,7 +93,7 @@ class StreamingState:
         subtracts the plain potential sum while the filter compares
         against alpha times it. Both endpoint potentials then grow by the
         same reduced weight, and each endpoint queue that reached the cap
-        evicts its oldest entry.
+        evicts its oldest edge.
         """
         if self._finalized:
             raise RuntimeError("state already finalized")
@@ -133,13 +116,12 @@ class StreamingState:
             return False
 
         reduced = w - pot_sum
-        entry = StackEntry(edge, reduced)
-        self._arena.append(entry)
-        self._live += 1
+        stack = self._stack
+        stack[edge] = reduced
         stats = self.stats
         stats.heavy_edges_total += 1
-        if self._live > stats.peak_live_entries:
-            stats.peak_live_entries = self._live
+        if len(stack) > stats.peak_live_entries:
+            stats.peak_live_entries = len(stack)
 
         cap = self.params.queue_cap
         for x in (u, v):
@@ -156,7 +138,7 @@ class StreamingState:
             queue = self._queues[x]
             if queue is None:
                 queue = self._queues[x] = OrderedDict()
-            queue[entry] = None
+            queue[edge] = None
             qlen = len(queue)
             if qlen > stats.max_queue_len:
                 stats.max_queue_len = qlen
@@ -169,38 +151,24 @@ class StreamingState:
         for x in (u, v):
             queue = self._queues[x]
             if len(queue) >= cap:
-                oldest, _ = queue.popitem(last=False)
-                self._kill(oldest)
-
-        if self._dead > self._live:
-            self.compact()
+                victim, _ = queue.popitem(last=False)
+                victim_reduced = stack.pop(victim)
+                stats.evictions_total += 1
+                # The victim is live, so it also sits in its other
+                # endpoint's queue.
+                other = victim.v if victim.u == x else victim.u
+                del self._queues[other][victim]
+                if self._trace is not None:
+                    self._trace.append(TraceEvent(EVICTED, victim, victim_reduced, None))
         return True
 
-    def _kill(self, entry: StackEntry) -> None:
-        """Tombstone a stack entry and drop it from both endpoint queues."""
-        entry.alive = False
-        self._live -= 1
-        self._dead += 1
-        self.stats.evictions_total += 1
-        # A live entry sits in both endpoint queues; the caller may already
-        # have popped it from one of them.
-        self._queues[entry.edge.u].pop(entry, None)
-        self._queues[entry.edge.v].pop(entry, None)
-        if self._trace is not None:
-            self._trace.append(
-                TraceEvent(EVICTED, entry.edge, entry.reduced_weight, None)
-            )
-
     def compact(self) -> None:
-        """Drop tombstoned slots from the stack, preserving live order.
+        """Rebuild the stack dict to release the slots of evicted edges.
 
-        Runs automatically whenever dead entries outnumber live ones,
-        which keeps per-edge work amortized O(1) and the arena within a
-        constant factor of the live size. Queues hold only live entries,
-        so they need no update.
+        Evicted edges leave the stack at once, so this changes no output
+        and the engine never needs to call it.
         """
-        self._arena = [e for e in self._arena if e.alive]
-        self._dead = 0
+        self._stack = dict(self._stack)
 
     def finalize(self) -> tuple[Matching, MonitorStats]:
         """Unwind the live stack newest-first into a greedy matching.
@@ -213,15 +181,12 @@ class StreamingState:
         self._finalized = True
         matched = bytearray(self.params.n)
         chosen: list[WeightedEdge] = []
-        for entry in reversed(self._arena):
-            if not entry.alive:
-                continue
-            e = entry.edge
+        for e, reduced in reversed(self._stack.items()):
             if not matched[e.u] and not matched[e.v]:
                 matched[e.u] = matched[e.v] = 1
                 chosen.append(e)
                 if self._trace is not None:
-                    self._trace.append(TraceEvent(MATCHED, e, entry.reduced_weight, None))
+                    self._trace.append(TraceEvent(MATCHED, e, reduced, None))
         return Matching.of(chosen), self.stats
 
 

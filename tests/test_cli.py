@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from stream_mwm.cli import main
 from stream_mwm.report import RUN_CSV_HEADER
 
@@ -138,9 +140,25 @@ def test_gen_requires_n(capsys):
     capsys.readouterr()
 
 
-def test_bench_exit_2_on_node_count_below_two(capsys):
-    assert main(["bench", "--ns", "1"]) == 2
-    assert "stream-mwm: error: --ns values must be at least 2" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, threads, message",
+    [
+        (["--ns", "1"], "1", "--ns values must be at least 2"),
+        (["--ns", ","], "1", "--ns lists no node count"),
+        (["--ns", "10", "--reps", "0"], "1", "--reps must be at least 1, got 0"),
+        (["--ns", "10", "--reps", "-1"], "1", "--reps must be at least 1, got -1"),
+        (["--ns", "10"], "0", "STREAM_MWM_THREADS must be at least 1, got 0"),
+        (["--ns", "10"], "-2", "STREAM_MWM_THREADS must be at least 1, got -2"),
+    ],
+    ids=["ns-1", "ns-empty", "reps-0", "reps-negative", "threads-0", "threads-negative"],
+)
+def test_bench_exit_2_on_node_count_below_two(argv, threads, message, monkeypatch, capsys):
+    """An empty or degenerate sweep is an error, not a header-only CSV."""
+    monkeypatch.setenv("STREAM_MWM_THREADS", threads)
+    assert main(["bench"] + argv) == 2
+    captured = capsys.readouterr()
+    assert f"stream-mwm: error: {message}" in captured.err
+    assert captured.out == ""
 
 
 def test_bench_exit_2_on_non_integer_thread_count(monkeypatch, capsys):

@@ -152,10 +152,10 @@ def test_queue_invariants_after_each_edge():
     for e in _chain(64).edges:
         s.process_edge(e)
         assert s.queue_len(0) < params.queue_cap
-    # White-box: queues hold only live entries.
+    # White-box: queues hold only live stack edges.
     for q in s._queues:
         if q:
-            assert all(entry.alive for entry in q)
+            assert all(edge in s._stack for edge in q)
 
 
 def test_compact_preserves_finalize_result():
@@ -168,7 +168,7 @@ def test_compact_preserves_finalize_result():
         if i % 7 == 0:
             b.compact()
     b.compact()
-    assert b._dead == 0
+    assert a.live_edges() == b.live_edges()
     matching_a, _ = a.finalize()
     matching_b, _ = b.finalize()
     assert matching_a == matching_b
@@ -217,7 +217,7 @@ def test_engine_invariants_on_random_streams(seed, eps):
 
 
 def _naive_pass(params, edges):
-    """Textbook simulation of the pass: plain lists, no arena tricks."""
+    """Textbook simulation of the pass: plain lists keyed by stack index."""
     phi = [0] * params.n
     stack = []  # [edge, alive]
     queues = [[] for _ in range(params.n)]
@@ -299,24 +299,59 @@ def test_engine_matches_naive_on_contended_hubs(seed):
     _assert_matches_naive(params, edges)
 
 
-def test_auto_compaction_triggers_when_dead_exceed_live(monkeypatch):
-    calls = []
-    compact = StreamingState.compact
-
-    def counting(self):
-        calls.append((self._dead, self.live_entries))
-        compact(self)
-
-    monkeypatch.setattr(StreamingState, "compact", counting)
-    # Seed 1 evicts 18 of 34 pushed entries and compacts once.
-    params = compute_params(4, Fraction(59, 10))
-    edges = _contended_hub_edges(1)
+@pytest.mark.parametrize(
+    "params, edges",
+    [
+        (compute_params(64, 2), _chain(64).edges),
+        (compute_params(4, Fraction(59, 10)), _contended_hub_edges(1)),
+    ],
+    ids=["chain64", "hub1"],
+)
+def test_stack_holds_exactly_the_queued_edges(params, edges):
+    # Both streams evict; an evicted edge must leave the stack at once.
     s = StreamingState(params)
     for e in edges:
         s.process_edge(e)
-        assert s._dead <= s.live_entries
-    assert calls
-    assert all(dead > live for dead, live in calls)
+        queued = set().union(*(q for q in s._queues if q))
+        assert set(s._stack) == queued
+        for live in s._stack:
+            assert live in s._queues[live.u] and live in s._queues[live.v]
+        assert s.live_entries == len(s.live_edges()) <= params.n * params.queue_cap
+    assert s.stats.evictions_total >= 1
+    _assert_matches_naive(params, edges)
+
+
+@st.composite
+def _repeating_multigraph_streams(draw):
+    """Parallel edges with growing weights, each followed by up to two exact
+    repeats of earlier ``(u, v, w)`` tuples; the last edge is always a repeat."""
+    n = draw(st.integers(3, 4))
+    edges = []
+    for i in range(draw(st.integers(1, 40))):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        top = math.ceil(2.6**i)
+        edges.append(WeightedEdge(u, v, draw(st.integers(top // 2, top))))
+        edges.extend(draw(st.lists(st.sampled_from(edges), max_size=2)))
+    edges.append(draw(st.sampled_from(edges)))
+    return n, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stream=_repeating_multigraph_streams(),
+    eps=st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(59, 10)]),
+)
+def test_each_edge_value_is_pushed_at_most_once(stream, eps):
+    # The engine keys its stack by edge value; that is sound only if a
+    # pushed (u, v, w) is light on every later arrival.
+    n, edges = stream
+    params = compute_params(n, eps)
+    trace = []
+    s = StreamingState(params, trace=trace)
+    for e in edges:
+        s.process_edge(e)
+    pushed = [ev.edge for ev in trace if ev.kind == PUSHED]
+    assert len(pushed) == len(set(pushed))
     _assert_matches_naive(params, edges)
 
 
