@@ -35,7 +35,7 @@ from .monitors import (
 )
 from .reference import EXACT_MAX_NODES, Graph, exact_mwm, greedy_sorted, mwm_simple
 from .report import RunReport, TimingStats
-from .streamio import parse_stream, read_stream, serialize_stream
+from .streamio import LazyEdgeStream, parse_stream, read_stream, serialize_stream
 
 __version__ = "0.1.0"
 
@@ -48,6 +48,7 @@ __all__ = [
     "GeneratorKind",
     "GeneratorSpec",
     "Graph",
+    "LazyEdgeStream",
     "Matching",
     "MonitorFailure",
     "MonitorStats",

@@ -12,7 +12,6 @@ import dataclasses
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .core import (
@@ -37,7 +36,7 @@ from .monitors import (
 )
 from .reference import EXACT_MAX_NODES, Graph, exact_mwm, greedy_sorted, mwm_simple
 from .report import RUN_CSV_HEADER, RunReport
-from .streamio import read_stream
+from .streamio import LazyEdgeStream, read_stream
 
 __all__ = ["main", "cmd_run", "cmd_bench"]
 
@@ -144,8 +143,32 @@ def cmd_run(args: argparse.Namespace) -> int:
             stream = read_stream(args.input)
         else:
             stream = generate(_spec_from_args(args))
-        eps = parse_epsilon(args.eps)
     except (OSError, StreamFormatError, CapacityError, ValueError) as exc:
+        return _fail(str(exc))
+    try:
+        return _run_and_report(args, stream)
+    finally:
+        if isinstance(stream, LazyEdgeStream):
+            stream.close()
+
+
+def _needs_edge_list(args: argparse.Namespace, n: int) -> bool:
+    """Whether the run reads the edges more than once, in random order."""
+    return (
+        args.alg != "semi"
+        or (args.oracle and n <= EXACT_MAX_NODES)
+        or (args.monitors and n <= TRACE_MAX_NODES)
+    )
+
+
+def _run_and_report(
+    args: argparse.Namespace, stream: EdgeStream | LazyEdgeStream
+) -> int:
+    try:
+        if isinstance(stream, LazyEdgeStream) and _needs_edge_list(args, stream.n):
+            stream = stream.materialize()
+        eps = parse_epsilon(args.eps)
+    except (OSError, StreamFormatError, ValueError) as exc:
         return _fail(str(exc))
 
     monitor_verdicts: dict[str, str] = {}
@@ -154,7 +177,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             matching, report = _run_semi(args, stream, eps, monitor_verdicts)
         else:
             matching, report = _run_reference(args, stream, eps)
-    except (StreamFormatError, CapacityError, ValueError) as exc:
+    except (OSError, StreamFormatError, CapacityError, ValueError) as exc:
+        # A streamed input is read, and may fail, during the run.
         return _fail(str(exc))
 
     violation = False
@@ -192,13 +216,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _run_semi(
     args: argparse.Namespace,
-    stream: EdgeStream,
+    stream: EdgeStream | LazyEdgeStream,
     eps: Fraction,
     verdicts: dict[str, str],
 ) -> tuple[Matching, RunReport]:
-    traceable = stream.n <= TRACE_MAX_NODES and len(stream.edges) <= TRACE_MAX_EDGES
     trace: list[TraceEvent] | None = None
-    if args.monitors and traceable:
+    # A stream that --monitors can replay is materialized (_needs_edge_list).
+    if (
+        args.monitors
+        and stream.n <= TRACE_MAX_NODES
+        and len(stream.edges) <= TRACE_MAX_EDGES
+    ):
         trace = []
     matching, report = run_stream(
         stream, eps, trace_sink=trace, collect_timing=args.timing
@@ -336,6 +364,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if workers == 1:
             rows = [_bench_task(t) for t in tasks]
         else:
+            # Imported here: it is the costliest import of the module, and
+            # only a parallel sweep uses it.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_bench_task, tasks))
     except (StreamFormatError, CapacityError, ValueError) as exc:

@@ -10,6 +10,11 @@ hits the cap its oldest edge leaves the stack and both endpoint queues at
 once, in O(1), so the stack never holds more than the live edges. After
 the pass the stack is unwound newest-first, greedily, into the matching.
 
+Edges arrive as plain ``(u, v, w)`` triples, and only a pushed edge
+becomes a `WeightedEdge`: a light edge, most of a typical stream, leaves
+nothing behind. `run_stream` consumes the edges once, so a `LazyEdgeStream`
+from `read_stream` is parsed as the pass runs.
+
 Node potentials never exceed the largest edge weight seen (a push sets
 ``phi(v)`` to ``weight - phi(other)``), so the 64-bit overflow guard on
 potential updates is purely defensive.
@@ -42,10 +47,11 @@ from .monitors import (
     TraceEvent,
 )
 from .report import RunReport, TimingStats
+from .streamio import LazyEdgeStream
 
 __all__ = ["StreamingState", "run_stream"]
 
-#: Sample every edge up to this stream length; every 64th beyond it.
+#: ``collect_timing`` samples every edge up to this many; every 64th after.
 _TIMING_DENSE_LIMIT = 1_000_000
 
 
@@ -83,17 +89,18 @@ class StreamingState:
         """Live stack edges, oldest first (diagnostics and tests)."""
         return list(self._stack)
 
-    def process_edge(self, edge: WeightedEdge) -> bool:
+    def process_edge(self, edge: tuple[int, int, int]) -> bool:
         """Classify one arriving edge, update the state, and return whether
         the edge was pushed.
 
-        Light edges (weight at or below alpha times the endpoint potential
-        sum) leave the state untouched. A heavy edge is pushed with
-        reduced weight ``weight - (phi(u) + phi(v))``; note the reduction
-        subtracts the plain potential sum while the filter compares
-        against alpha times it. Both endpoint potentials then grow by the
-        same reduced weight, and each endpoint queue that reached the cap
-        evicts its oldest edge.
+        ``edge`` is any ``(u, v, w)`` triple; a pushed edge is stored as a
+        `WeightedEdge`. Light edges (weight at or below alpha times the
+        endpoint potential sum) leave the state untouched. A heavy edge is
+        pushed with reduced weight ``weight - (phi(u) + phi(v))``; note the
+        reduction subtracts the plain potential sum while the filter
+        compares against alpha times it. Both endpoint potentials then grow
+        by the same reduced weight, and each endpoint queue that reached the
+        cap evicts its oldest edge.
         """
         if self._finalized:
             raise RuntimeError("state already finalized")
@@ -112,9 +119,13 @@ class StreamingState:
         q = self._q
         if q * w * w <= p * pot_sum * pot_sum:
             if self._trace is not None:
-                self._trace.append(TraceEvent(EV_LIGHT, edge, None, tuple(phi)))
+                self._trace.append(
+                    TraceEvent(EV_LIGHT, WeightedEdge(u, v, w), None, tuple(phi))
+                )
             return False
 
+        if edge.__class__ is not WeightedEdge:
+            edge = WeightedEdge._make(edge)
         reduced = w - pot_sum
         stack = self._stack
         stack[edge] = reduced
@@ -191,7 +202,7 @@ class StreamingState:
 
 
 def run_stream(
-    stream: EdgeStream,
+    stream: EdgeStream | LazyEdgeStream,
     epsilon: Fraction | int | str,
     *,
     trace_sink: list[TraceEvent] | None = None,
@@ -199,40 +210,50 @@ def run_stream(
 ) -> tuple[Matching, RunReport]:
     """Run the full pass over ``stream`` and build the run report.
 
+    ``stream.edges`` is consumed once, in order, so a `LazyEdgeStream`
+    from `read_stream` is parsed as it runs and ``m`` is counted on the way.
     ``trace_sink`` receives the event trace and is limited to small
-    instances (n <= 64 and at most 100_000 edges); recording snapshots at
-    benchmark scale would defeat the space bound. With ``collect_timing``
-    each edge is timed with a monotonic clock (every 64th edge beyond one
-    million edges, to keep the observer cheap).
+    materialized streams (n <= 64 and at most 100_000 edges); recording
+    snapshots at benchmark scale would defeat the space bound. With
+    ``collect_timing`` each edge is timed with a monotonic clock (every
+    64th edge beyond the first million, to keep the observer cheap).
     """
     params = compute_params(stream.n, epsilon)
-    m = len(stream.edges)
-    if trace_sink is not None and (stream.n > TRACE_MAX_NODES or m > TRACE_MAX_EDGES):
+    if trace_sink is not None and (
+        stream.n > TRACE_MAX_NODES or len(stream.edges) > TRACE_MAX_EDGES
+    ):
         raise ValueError(
             f"tracing is limited to n <= {TRACE_MAX_NODES} and m <= {TRACE_MAX_EDGES}"
         )
     state = StreamingState(params, trace=trace_sink)
     process = state.process_edge
 
+    # A malformed edge is named by its line in the canonical file format,
+    # where line 1 is the header. Errors raised by the iteration itself
+    # (the parser's) already name their line and pass through as they are.
+    m = 0
     samples: list[int] | None = None
-    try:
-        if collect_timing:
-            samples = []
-            stride = 1 if m <= _TIMING_DENSE_LIMIT else 64
-            clock = time.perf_counter_ns
-            for idx, edge in enumerate(stream.edges):
-                if idx % stride == 0:
+    if collect_timing:
+        samples = []
+        clock = time.perf_counter_ns
+        for edge in stream.edges:
+            try:
+                if m < _TIMING_DENSE_LIMIT or not m % 64:
                     t0 = clock()
                     process(edge)
                     samples.append(clock() - t0)
                 else:
                     process(edge)
-        else:
-            for idx, edge in enumerate(stream.edges):
+            except StreamFormatError as exc:
+                raise StreamFormatError(f"line {m + 2}: {exc}") from None
+            m += 1
+    else:
+        for edge in stream.edges:
+            try:
                 process(edge)
-    except StreamFormatError as exc:
-        # Line 1 of the canonical file format is the header.
-        raise StreamFormatError(f"line {idx + 2}: {exc}") from None
+            except StreamFormatError as exc:
+                raise StreamFormatError(f"line {m + 2}: {exc}") from None
+            m += 1
 
     matching, stats = state.finalize()
     report = RunReport(

@@ -1,0 +1,171 @@
+"""`run --input` streams the file through the engine: memory does not grow
+with the edge count, every edge passes through `process_edge`, a read that
+fails mid-run is an input error, and the file is closed in every case."""
+
+import builtins
+import io
+import json
+import random
+import tracemalloc
+
+import pytest
+
+from stream_mwm import cli
+from stream_mwm.core import EdgeStream
+from stream_mwm.engine import StreamingState
+from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
+from stream_mwm.core import StreamFormatError
+from stream_mwm.streamio import read_stream, serialize_stream
+
+
+def _write_repeated(path, n, lines, repeats):
+    body = "".join(lines) * repeats
+    path.write_text(f"p mwm {n} {len(lines) * repeats}\n{body}", encoding="utf-8")
+
+
+def _traced_run(path, out):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = cli.main(["run", "--input", str(path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak, json.loads(out.read_text())
+
+
+def test_run_input_memory_is_flat_in_edge_count(tmp_path):
+    # Repeats of the first pass are light for good: a push raises its
+    # endpoints' potential sum to at least w, and potentials never fall. So
+    # every repeat leaves the engine state as it was, and any growth of the
+    # peak with the repeat count is the input held in memory.
+    n = 1000
+    rng = random.Random(2024)
+    lines = []
+    for _ in range(8000):  # more than one 64 KiB chunk
+        u, v = rng.sample(range(n), 2)
+        lines.append(f"{u} {v} {rng.randrange(1, 10**9)}\n")
+    peaks, reports = [], []
+    for repeats in (1, 8):
+        path = tmp_path / f"repeat{repeats}.mwm"
+        _write_repeated(path, n, lines, repeats)
+        peak, report = _traced_run(path, tmp_path / f"report{repeats}.json")
+        peaks.append(peak)
+        reports.append(report)
+
+    assert [r["m"] for r in reports] == [8000, 64000]
+    assert reports[0]["heavy_edges_k"] > 500
+    for r in reports:
+        del r["m"]
+    assert reports[0] == reports[1]
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def test_run_input_calls_process_edge_once_per_edge(tmp_path, monkeypatch):
+    # The per-layer light/push/evict figures of the benchmark's tracer come
+    # from wrapping StreamingState.process_edge like this.
+    counts = {"light": 0, "push": 0, "evict": 0}
+    evicted = 0
+    process_edge = StreamingState.process_edge
+
+    def bucketed(state, edge):
+        nonlocal evicted
+        live, before = state.live_entries, state.stats.evictions_total
+        outcome = process_edge(state, edge)
+        delta = state.stats.evictions_total - before
+        if delta:
+            evicted += delta
+            counts["evict"] += 1
+        elif state.live_entries != live:
+            counts["push"] += 1
+        else:
+            counts["light"] += 1
+        return outcome
+
+    monkeypatch.setattr(StreamingState, "process_edge", bucketed)
+    chain = generate(GeneratorSpec(kind=GeneratorKind.GEOMETRIC_CHAIN, n=64))
+    er = generate(GeneratorSpec(kind=GeneratorKind.ERDOS_RENYI, n=64, p=0.3, seed=4))
+    path = tmp_path / "mixed.mwm"
+    path.write_text(serialize_stream(EdgeStream(64, [*chain.edges, *er.edges])))
+    out = tmp_path / "report.json"
+
+    assert cli.main(["run", "--input", str(path), "--eps", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert min(counts.values()) > 0
+    assert sum(counts.values()) == report["m"] == len(chain.edges) + len(er.edges)
+    assert counts["push"] + counts["evict"] == report["heavy_edges_k"]
+    assert evicted == report["evictions_total"]
+
+
+class _FailingStdin(io.StringIO):
+    """Stdin whose second chunk read fails."""
+
+    reads = 0
+
+    def readlines(self, hint=-1):
+        self.reads += 1
+        if self.reads > 1:
+            raise OSError("device went away")
+        return super().readlines(hint)
+
+
+def test_run_exit_2_when_a_read_fails_mid_run(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", _FailingStdin("p mwm 3 2\n0 1 5\n1 2 8\n"))
+    assert cli.main(["run", "--input", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stream-mwm: error: device went away" in captured.err
+
+
+def test_run_exit_2_on_bad_utf8_past_the_first_chunk(tmp_path, capsys):
+    path = tmp_path / "bad.mwm"
+    body = b"0 1 5\n" * 20_000
+    path.write_bytes(b"p mwm 2 20001\n" + body + b"0 1 \xff\n")
+    assert cli.main(["run", "--input", str(path)]) == 2
+    assert "stream-mwm: error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The files opened through builtins.open during the test."""
+    files = []
+    real_open = builtins.open
+
+    def tracking_open(*args, **kwargs):
+        fp = real_open(*args, **kwargs)
+        files.append(fp)
+        return fp
+
+    monkeypatch.setattr(builtins, "open", tracking_open)
+    return files
+
+
+def test_lazy_stream_closes_its_file(tmp_path, opened):
+    path = tmp_path / "s.mwm"
+    path.write_text("p mwm 3 2\n0 1 5\n1 2 8\n")
+
+    exhausted = read_stream(str(path))
+    assert list(exhausted.edges) == [(0, 1, 5), (1, 2, 8)]
+    closed_early = read_stream(str(path))
+    closed_early.close()
+    assert len(opened) == 2 and all(fp.closed for fp in opened)
+
+    path.write_text("p mwm 3 2\n0 1 5\n1 1 8\n")
+    failing = read_stream(str(path))
+    with pytest.raises(StreamFormatError, match="self-loop at line 3"):
+        list(failing.edges)
+    path.write_text("q mwm 3 2\n")
+    with pytest.raises(StreamFormatError, match="expected header"):
+        read_stream(str(path))
+    assert len(opened) == 4 and all(fp.closed for fp in opened)
+
+
+def test_cli_closes_the_input_on_every_exit(tmp_path, opened):
+    path = tmp_path / "s.mwm"
+    path.write_text("p mwm 3 2\n0 1 5\n1 2 8\n")
+    out = str(tmp_path / "r.json")
+    assert cli.main(["run", "--input", str(path), "--out", out]) == 0
+    assert cli.main(["run", "--input", str(path), "--eps", "7", "--out", out]) == 2
+    inputs = [fp for fp in opened if fp.name == str(path)]
+    assert len(inputs) == 2 and all(fp.closed for fp in inputs)

@@ -105,6 +105,27 @@ def test_finalize_is_single_shot():
         s.process_edge(WeightedEdge(0, 1, 1))
 
 
+def test_process_edge_accepts_plain_triples_and_stores_weighted_edges():
+    s = fresh()
+    assert s.process_edge((0, 1, 5)) is True
+    assert s.process_edge([1, 2, 8]) is True
+    assert s.process_edge((0, 1, 5)) is False
+    assert all(type(e) is WeightedEdge for e in s.live_edges())
+    matching, _ = s.finalize()
+    assert matching.sorted_edges() == [WeightedEdge(1, 2, 8)]
+    assert all(type(e) is WeightedEdge for e in matching.edges)
+
+
+def test_run_stream_timing_is_dense_up_to_the_limit_then_every_64th(monkeypatch):
+    import stream_mwm.engine as engine
+
+    monkeypatch.setattr(engine, "_TIMING_DENSE_LIMIT", 10)
+    stream = EdgeStream(201, [WeightedEdge(0, v, v) for v in range(1, 201)])
+    _, report = run_stream(stream, 2, collect_timing=True)
+    # Edges 0..9, then 64, 128 and 192.
+    assert report.per_edge_ns.samples == 13
+
+
 def test_run_stream_path_example():
     stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5)])
     matching, report = run_stream(stream, 2)

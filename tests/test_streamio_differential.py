@@ -1,0 +1,253 @@
+"""Differential tests: the chunked parser against the line-by-line parser it
+replaced, on inputs that mix canonical edge lines with every line form that
+leaves the bulk path, with faults on both sides of chunk boundaries."""
+
+import io
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stream_mwm import streamio
+from stream_mwm.core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
+from stream_mwm.streamio import parse_stream, read_stream
+
+
+def reference_parse_stream(lines):
+    """The line-by-line parser that the chunked one replaced, kept verbatim."""
+    n: int | None = None
+    declared_m = 0
+    edges: list[WeightedEdge] = []
+    last_line = 0
+    for lineno, raw in enumerate(lines, start=1):
+        last_line = lineno
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if n is None:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "mwm":
+                raise StreamFormatError(
+                    f"expected header 'p mwm <n> <m>' at line {lineno}"
+                )
+            try:
+                n, declared_m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise StreamFormatError(f"malformed header at line {lineno}") from None
+            if n < 0 or declared_m < 0:
+                raise StreamFormatError(f"negative header counts at line {lineno}")
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise StreamFormatError(f"malformed edge line at line {lineno}")
+        try:
+            u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise StreamFormatError(f"malformed edge line at line {lineno}") from None
+        if len(edges) >= declared_m:
+            raise StreamFormatError(
+                f"more than the declared {declared_m} edges at line {lineno}"
+            )
+        if not (0 <= u < n and 0 <= v < n):
+            raise StreamFormatError(f"endpoint out of range at line {lineno}")
+        if u == v:
+            raise StreamFormatError(f"self-loop at line {lineno}")
+        if w < 0:
+            raise StreamFormatError(f"negative weight at line {lineno}")
+        if w > I64_MAX:
+            raise StreamFormatError(f"weight exceeds 2^63-1 at line {lineno}")
+        edges.append(WeightedEdge(u, v, w))
+    if n is None:
+        raise StreamFormatError("missing header 'p mwm <n> <m>'")
+    if len(edges) != declared_m:
+        raise StreamFormatError(
+            f"header declared {declared_m} edges but found {len(edges)} "
+            f"by line {last_line}"
+        )
+    return EdgeStream(n, edges)
+
+
+NODES = 40
+
+#: Lines the parser accepts that are not in canonical form: each sends its
+#: chunk down the line-by-line path.
+ACCEPTED = [
+    "c a comment",
+    "",
+    "   ",
+    "0\t1\t5",
+    "0 1 5\r",
+    "  2   3   7  ",
+    "+1 2 3",
+    "1_0 2 3",
+    "١ 2 3",  # ARABIC-INDIC DIGIT ONE
+    "0 1 -0",
+    "0 1 " + "0" * 30,
+    f"0 1 {I64_MAX}",
+]
+
+#: Lines the parser rejects. The canonical ones pass the bulk regex and
+#: fail a bulk check instead.
+FAULTS = [
+    f"0 {NODES} 1",
+    f"{NODES} 1 1",
+    f"{NODES + 7} 1 1",
+    "3 3 1",
+    f"0 1 {I64_MAX + 1}",
+    "0 1 -4",
+    "-1 1 4",
+    "0 1",
+    "0 1 2 3",
+    "x y z",
+    "0 1 1.5",
+    "p mwm 3 3",
+    "0 1 " + "9" * 5000,  # too many digits for int() on Python 3.11+
+]
+
+
+def _canonical_lines(rng, count):
+    out = []
+    for _ in range(count):
+        u, v = rng.sample(range(NODES), 2)
+        w = rng.choice((rng.randrange(1000), rng.randrange(I64_MAX + 1)))
+        out.append(f"{u} {v} {w}")
+    return out
+
+
+def _edge_attempts(body):
+    return sum(1 for line in body if line.strip() and not line.strip().startswith("c"))
+
+
+def _document(prefix, body, m_delta, trailing_newline):
+    m = max(0, _edge_attempts(body) + m_delta)
+    text = "\n".join(prefix + [f"p mwm {NODES} {m}"] + body)
+    return text + "\n" if trailing_newline else text
+
+
+def _outcome(parse):
+    try:
+        stream = parse()
+    except StreamFormatError as exc:
+        return "error", str(exc)
+    return stream.n, [tuple(e) for e in stream.edges]
+
+
+def _drain(lazy):
+    return EdgeStream(lazy.n, list(lazy.edges))
+
+
+def _assert_same_everywhere(text, path):
+    """Every input path of the new parser agrees with the reference."""
+    expected = _outcome(lambda: reference_parse_stream(text.splitlines(keepends=True)))
+    for lines in (text.splitlines(keepends=True), text.splitlines()):
+        assert _outcome(lambda: parse_stream(lines)) == expected
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        assert _outcome(lambda: _drain(read_stream("-"))) == expected
+
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as fp:
+        from_file = _outcome(lambda: reference_parse_stream(fp))
+    assert _outcome(lambda: _drain(read_stream(str(path)))) == from_file
+    return expected
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "stream.mwm"
+
+
+#: Filler lengths: a few lines; around the first boundary of a list of
+#: lines (4096 lines); or anywhere up to past the first boundary of a file
+#: (64 KiB, about 3,600 of these lines).
+_FILLER = st.one_of(
+    st.integers(0, 4),
+    st.integers(4088, 4100),
+    st.integers(0, 4600),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    prefix=st.lists(st.sampled_from(["c header comment", "", "  "]), max_size=3),
+    blocks=st.lists(
+        st.tuples(_FILLER, st.sampled_from(ACCEPTED + FAULTS)), max_size=3
+    ),
+    tail=st.integers(0, 50),
+    m_delta=st.sampled_from([-2, -1, 0, 0, 0, 0, 1, 2]),
+    trailing_newline=st.booleans(),
+)
+def test_chunked_parser_matches_line_by_line(
+    scratch_file, seed, prefix, blocks, tail, m_delta, trailing_newline
+):
+    rng = random.Random(seed)
+    body = []
+    for filler, special in blocks:
+        body += _canonical_lines(rng, filler)
+        body.append(special)
+    body += _canonical_lines(rng, tail)
+    _assert_same_everywhere(
+        _document(prefix, body, m_delta, trailing_newline), scratch_file
+    )
+
+
+def _file_chunk_lengths(path):
+    with open(path, encoding="utf-8") as fp:
+        return [len(c) for c in iter(lambda: fp.readlines(streamio._CHUNK_BYTES), [])]
+
+
+@pytest.mark.parametrize("special", ["0 1 -4", "3 3 1", "c comment", "0\t1\t5"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_special_line_at_each_side_of_a_chunk_boundary(scratch_file, special, offset):
+    rng = random.Random(7)
+    # The header is line 1; the body runs a few lines past both boundaries.
+    body = _canonical_lines(rng, streamio._CHUNK_LINES + 8)
+    scratch_file.write_text(_document([], body, 0, True), encoding="utf-8")
+    for boundary in (streamio._CHUNK_LINES, _file_chunk_lengths(scratch_file)[0]):
+        # Line numbers count from 1 and the header is line 1, so body index
+        # i is line i + 2; put the special line at line boundary + offset.
+        at = boundary + offset - 2
+        spliced = body[:at] + [special] + body[at + 1 :]
+        expected = _assert_same_everywhere(
+            _document([], spliced, 0, True), scratch_file
+        )
+        if special in FAULTS:
+            assert expected == ("error", expected[1])
+            assert expected[1].endswith(f"at line {boundary + offset}")
+
+
+@pytest.mark.parametrize("m_delta", [-1, 1])
+def test_declared_count_off_by_one_across_chunks(scratch_file, m_delta):
+    body = _canonical_lines(random.Random(3), streamio._CHUNK_LINES + 5)
+    expected = _assert_same_everywhere(_document([], body, m_delta, True), scratch_file)
+    assert expected[0] == "error"
+
+
+def test_header_after_a_full_chunk_of_comments(scratch_file):
+    prefix = ["c filler"] * (streamio._CHUNK_LINES + 1)
+    body = _canonical_lines(random.Random(5), 100)
+    n, edges = _assert_same_everywhere(_document(prefix, body, 0, True), scratch_file)
+    assert len(edges) == 100
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["p mwm 3 2\n", "0 1 5\n1 2 8\n"],
+        ["p mwm 3 2\n", "0 1 5\n1 2 8\n", ""],
+        ["p mwm 3 3\n", "0 1 5\n1 2 8\n", "", "0 2 4\n"],
+        ["p mwm 3 1\n", "0 1 ", "5\n"],
+        ["p mwm 3 2\n", "0 1 5", "1 2 8\n"],
+    ],
+)
+def test_list_elements_are_lines_even_when_they_hold_newlines(lines):
+    # Each element of the iterable is one line, whatever newlines it holds.
+    expected = _outcome(lambda: reference_parse_stream(lines))
+    assert _outcome(lambda: parse_stream(lines)) == expected
+
+
+def test_parse_stream_still_returns_weighted_edges():
+    stream = parse_stream(["p mwm 3 2\n", "0 1 5\n", "1 2 8\n"])
+    assert all(type(e) is WeightedEdge for e in stream.edges)
