@@ -1,5 +1,11 @@
 """Command-line surface: single runs and benchmark sweeps.
 
+``run`` is one pipeline: read or generate the stream, decide once whether
+the oracle (n <= 22) and the trace replay (n <= 64) apply, read a file
+input into memory only if some step needs random access, then run, check
+and emit the report. Any I/O, parse, capacity or epsilon error along the
+way ends it with exit code 2.
+
 Exit codes for ``run``: 0 success, 1 approximation-ratio violation (with
 --oracle), 2 input/IO errors, 3 monitor failure.
 """
@@ -14,19 +20,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import (
-    CapacityError,
-    EdgeStream,
-    Matching,
-    StreamFormatError,
-    compute_params,
-    parse_epsilon,
-)
+from .core import EdgeStream, Matching, compute_params, parse_epsilon
 from .engine import run_stream
 from .generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 from .monitors import (
     MonitorFailure,
-    TraceEvent,
     TRACE_MAX_EDGES,
     TRACE_MAX_NODES,
     check_eviction_gap,
@@ -138,77 +136,47 @@ def _fail(message: str) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    source: LazyEdgeStream | None = None
     try:
         if args.input is not None:
-            stream = read_stream(args.input)
+            stream = source = read_stream(args.input)
         else:
             stream = generate(_spec_from_args(args))
-    except (OSError, StreamFormatError, CapacityError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        return _run_and_report(args, stream)
-    finally:
-        if isinstance(stream, LazyEdgeStream):
-            stream.close()
-
-
-def _needs_edge_list(args: argparse.Namespace, n: int) -> bool:
-    """Whether the run reads the edges more than once, in random order."""
-    return (
-        args.alg != "semi"
-        or (args.oracle and n <= EXACT_MAX_NODES)
-        or (args.monitors and n <= TRACE_MAX_NODES)
-    )
-
-
-def _run_and_report(
-    args: argparse.Namespace, stream: EdgeStream | LazyEdgeStream
-) -> int:
-    try:
-        if isinstance(stream, LazyEdgeStream) and _needs_edge_list(args, stream.n):
-            stream = stream.materialize()
+        oracle = args.oracle and stream.n <= EXACT_MAX_NODES
+        replay = args.monitors and stream.n <= TRACE_MAX_NODES
+        if source is not None and (args.alg != "semi" or oracle or replay):
+            stream = source.materialize()
         eps = parse_epsilon(args.eps)
-    except (OSError, StreamFormatError, ValueError) as exc:
-        return _fail(str(exc))
-
-    monitor_verdicts: dict[str, str] = {}
-    try:
         if args.alg == "semi":
-            matching, report = _run_semi(args, stream, eps, monitor_verdicts)
+            matching, report = _run_semi(args, stream, eps, replay)
         else:
             matching, report = _run_reference(args, stream, eps)
-    except (OSError, StreamFormatError, CapacityError, ValueError) as exc:
-        # A streamed input is read, and may fail, during the run.
-        return _fail(str(exc))
-
-    violation = False
-    if args.oracle and stream.n <= EXACT_MAX_NODES:
-        oracle = exact_mwm(Graph.from_stream(stream))
-        report.oracle_weight = oracle.total_weight
-        if matching.total_weight == 0:
-            report.ratio = 1.0 if oracle.total_weight == 0 else float("inf")
+        violation = False
+        if oracle:
+            best = exact_mwm(Graph.from_stream(stream)).total_weight
+            got = matching.total_weight
+            report.oracle_weight = best
+            if got == 0:
+                report.ratio = 1.0 if best == 0 else float("inf")
+            else:
+                report.ratio = best / got
+            violation = best > got * Fraction(report.ratio_bound)
+        if args.report == "json":
+            _emit(args, report.to_json())
         else:
-            report.ratio = oracle.total_weight / matching.total_weight
-        bound = Fraction(report.ratio_bound)
-        violation = (
-            oracle.total_weight * bound.denominator
-            > matching.total_weight * bound.numerator
-        )
-
-    text = (
-        report.to_json()
-        if args.report == "json"
-        else _as_csv([RUN_CSV_HEADER, report.to_csv_row()])
-    )
-    try:
-        _emit(args, text)
-    except OSError as exc:
+            _emit(args, _as_csv([RUN_CSV_HEADER, report.to_csv_row()]))
+    except (OSError, ValueError) as exc:
+        # Parse, capacity and decode errors are all ValueErrors; a streamed
+        # input is read, and may fail, during the run.
         return _fail(str(exc))
+    finally:
+        if source is not None:
+            source.close()
 
     if violation:
         print("stream-mwm: approximation ratio violated", file=sys.stderr)
         return 1
-    if any(v == "fail" for v in monitor_verdicts.values()):
+    if "fail" in report.monitor_verdicts.values():
         print("stream-mwm: monitor failure", file=sys.stderr)
         return 3
     return 0
@@ -218,38 +186,34 @@ def _run_semi(
     args: argparse.Namespace,
     stream: EdgeStream | LazyEdgeStream,
     eps: Fraction,
-    verdicts: dict[str, str],
+    replay: bool,
 ) -> tuple[Matching, RunReport]:
-    trace: list[TraceEvent] | None = None
-    # A stream that --monitors can replay is materialized (_needs_edge_list).
-    if (
-        args.monitors
-        and stream.n <= TRACE_MAX_NODES
-        and len(stream.edges) <= TRACE_MAX_EDGES
-    ):
-        trace = []
+    # A stream to replay is materialized, so it has a length.
+    trace = [] if replay and len(stream.edges) <= TRACE_MAX_EDGES else None
     matching, report = run_stream(
         stream, eps, trace_sink=trace, collect_timing=args.timing
     )
     if args.monitors:
         params = compute_params(stream.n, eps)
-        if trace is not None:
-            g = Graph.from_stream(stream)
-            verdicts["phi_growth"] = _verdict(check_phi_growth(trace, params).ok)
-            verdicts["eviction_gap"] = _verdict(check_eviction_gap(trace, params).ok)
-            verdicts["terminal_weights"] = _verdict(
-                check_terminal_weights(g, trace, params).ok
+        if trace is None:
+            verdicts = dict.fromkeys(
+                ("phi_growth", "eviction_gap", "terminal_weights"), "skipped"
             )
         else:
-            verdicts["phi_growth"] = "skipped"
-            verdicts["eviction_gap"] = "skipped"
-            verdicts["terminal_weights"] = "skipped"
+            g = Graph.from_stream(stream)
+            verdicts = {
+                "phi_growth": _verdict(check_phi_growth(trace, params).ok),
+                "eviction_gap": _verdict(check_eviction_gap(trace, params).ok),
+                "terminal_weights": _verdict(
+                    check_terminal_weights(g, trace, params).ok
+                ),
+            }
         try:
             check_ratio_bound(params, report.heavy_edges_k or 0)
             verdicts["ratio_bound"] = "pass"
         except MonitorFailure:
             verdicts["ratio_bound"] = "fail"
-        report.monitor_verdicts = dict(verdicts)
+        report.monitor_verdicts = verdicts
     return matching, report
 
 
@@ -301,27 +265,14 @@ BENCH_CSV_HEADER = [
 ]
 
 
-def _bench_task(task: tuple[GeneratorSpec, str, int]) -> list:
+def _bench_task(task: tuple[GeneratorSpec, str, int]) -> dict[str, str]:
+    """One `bench` row, keyed by column name."""
     spec, eps, rep = task
-    stream = generate(spec)
-    _, report = run_stream(stream, eps, collect_timing=True)
-    t = report.per_edge_ns
-    return [
-        spec.n,
-        report.m,
-        rep,
-        report.epsilon,
-        t.p50 if t else "",
-        t.p99 if t else "",
-        t.max if t else "",
-        report.peak_live_entries,
-        report.queue_cap,
-        spec.n * (report.queue_cap or 0),
-        report.max_queue_len,
-        report.heavy_edges_k,
-        report.evictions_total,
-        report.output_weight,
-    ]
+    _, report = run_stream(generate(spec), eps, collect_timing=True)
+    row = dict(zip(RUN_CSV_HEADER, report.to_csv_row()))
+    row["rep"] = str(rep)
+    row["n_times_queue_cap"] = str(spec.n * (report.queue_cap or 0))
+    return row
 
 
 def _worker_count(tasks: int) -> int:
@@ -357,7 +308,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for rep in range(args.reps):
                 tasks.append((spec, str(eps), rep))
         workers = _worker_count(len(tasks))
-    except (CapacityError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
 
     try:
@@ -370,11 +321,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_bench_task, tasks))
-    except (StreamFormatError, CapacityError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
 
-    rows.sort(key=lambda r: (r[0], r[2]))
-    text = _as_csv([BENCH_CSV_HEADER] + [[str(c) for c in row] for row in rows])
+    rows.sort(key=lambda r: (int(r["n"]), int(r["rep"])))
+    text = _as_csv([BENCH_CSV_HEADER] + [[r[c] for c in BENCH_CSV_HEADER] for r in rows])
     try:
         _emit(args, text)
     except OSError as exc:

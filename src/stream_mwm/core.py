@@ -142,7 +142,9 @@ def compute_params(n: int, epsilon: Fraction | int | str) -> Params:
     Requires ``n >= 2`` and ``0 < epsilon < 6``. Values of epsilon at or
     above 6 are rejected rather than clamped: the queue-cap bound needs
     epsilon < 6 and such a coarse setting is worse than plain greedy
-    anyway.
+    anyway. An epsilon so small (below about 6.7e-16) that alpha rounds to 1
+    in double precision is rejected too, since gamma divides by
+    ``log(alpha)``.
 
     The queue cap is the smallest ``s >= 2`` with
     ``(alpha - 1) * alpha**(s - 2) > 2 * alpha * gamma``, found by an
@@ -158,6 +160,10 @@ def compute_params(n: int, epsilon: Fraction | int | str) -> Params:
 
     alpha_sq = 1 + epsilon / 2
     alpha = math.sqrt(alpha_sq.numerator / alpha_sq.denominator)
+    if alpha == 1.0:
+        raise ValueError(
+            f"epsilon {epsilon} is too small: sqrt(1 + epsilon/2) rounds to 1"
+        )
     gamma = (n * n) / math.log(alpha)
 
     threshold = 2.0 * alpha * gamma

@@ -213,18 +213,21 @@ def run_stream(
     ``stream.edges`` is consumed once, in order, so a `LazyEdgeStream`
     from `read_stream` is parsed as it runs and ``m`` is counted on the way.
     ``trace_sink`` receives the event trace and is limited to small
-    materialized streams (n <= 64 and at most 100_000 edges); recording
-    snapshots at benchmark scale would defeat the space bound. With
+    streams (n <= 64 and at most 100_000 edges); a traced `LazyEdgeStream`
+    is read into memory first to count its edges. Recording snapshots at
+    benchmark scale would defeat the space bound. With
     ``collect_timing`` each edge is timed with a monotonic clock (every
     64th edge beyond the first million, to keep the observer cheap).
     """
     params = compute_params(stream.n, epsilon)
-    if trace_sink is not None and (
-        stream.n > TRACE_MAX_NODES or len(stream.edges) > TRACE_MAX_EDGES
-    ):
-        raise ValueError(
-            f"tracing is limited to n <= {TRACE_MAX_NODES} and m <= {TRACE_MAX_EDGES}"
-        )
+    if trace_sink is not None:
+        if isinstance(stream, LazyEdgeStream) and stream.n <= TRACE_MAX_NODES:
+            # The trace holds O(m) events anyway; the edge count needs a list.
+            stream = stream.materialize()
+        if stream.n > TRACE_MAX_NODES or len(stream.edges) > TRACE_MAX_EDGES:
+            raise ValueError(
+                f"tracing is limited to n <= {TRACE_MAX_NODES} and m <= {TRACE_MAX_EDGES}"
+            )
     state = StreamingState(params, trace=trace_sink)
     process = state.process_edge
 

@@ -8,6 +8,32 @@ from dataclasses import dataclass, field
 
 __all__ = ["TimingStats", "RunReport", "RUN_CSV_HEADER"]
 
+# The CSV columns of a run: these report fields, then the per-edge timing
+# percentiles, then the monitor verdicts.
+_FIELDS = (
+    "algorithm",
+    "n",
+    "m",
+    "epsilon",
+    "output_weight",
+    "oracle_weight",
+    "ratio",
+    "ratio_bound",
+    "peak_live_entries",
+    "queue_cap",
+    "heavy_edges_k",
+    "max_queue_len",
+    "evictions_total",
+)
+_TIMING = ("p50", "p99", "max")
+_MONITORS = ("phi_growth", "eviction_gap", "terminal_weights", "ratio_bound")
+
+RUN_CSV_HEADER = [
+    *_FIELDS,
+    *(f"{name}_ns" for name in _TIMING),
+    *(f"monitor_{name}" for name in _MONITORS),
+]
+
 
 @dataclass(frozen=True)
 class TimingStats:
@@ -65,52 +91,9 @@ class RunReport:
         return json.dumps(self.to_dict(), sort_keys=True) + "\n"
 
     def to_csv_row(self) -> list[str]:
+        """One CSV row, in the order of `RUN_CSV_HEADER`."""
         t = self.per_edge_ns
-        verdict = lambda name: self.monitor_verdicts.get(name, "")
-        cells = [
-            self.algorithm,
-            self.n,
-            self.m,
-            self.epsilon,
-            self.output_weight,
-            self.oracle_weight,
-            self.ratio,
-            self.ratio_bound,
-            self.peak_live_entries,
-            self.queue_cap,
-            self.heavy_edges_k,
-            self.max_queue_len,
-            self.evictions_total,
-            t.p50 if t else None,
-            t.p99 if t else None,
-            t.max if t else None,
-            verdict("phi_growth"),
-            verdict("eviction_gap"),
-            verdict("terminal_weights"),
-            verdict("ratio_bound"),
-        ]
+        cells = [getattr(self, name) for name in _FIELDS]
+        cells += [getattr(t, name) if t else None for name in _TIMING]
+        cells += [self.monitor_verdicts.get(name) for name in _MONITORS]
         return ["" if c is None else str(c) for c in cells]
-
-
-RUN_CSV_HEADER = [
-    "algorithm",
-    "n",
-    "m",
-    "epsilon",
-    "output_weight",
-    "oracle_weight",
-    "ratio",
-    "ratio_bound",
-    "peak_live_entries",
-    "queue_cap",
-    "heavy_edges_k",
-    "max_queue_len",
-    "evictions_total",
-    "p50_ns",
-    "p99_ns",
-    "max_ns",
-    "monitor_phi_growth",
-    "monitor_eviction_gap",
-    "monitor_terminal_weights",
-    "monitor_ratio_bound",
-]

@@ -61,6 +61,16 @@ def test_params_rejects_bad_inputs(n, eps):
         compute_params(n, eps)
 
 
+@pytest.mark.parametrize(
+    "eps", [Fraction(1, 10**17), Fraction(6, 10**16), Fraction(1, 10**300)]
+)
+def test_params_rejects_epsilon_that_rounds_alpha_to_one(eps):
+    # alpha = sqrt(1 + eps/2) would be 1.0 in double precision, and
+    # gamma = n^2 / log(alpha) a division by zero.
+    with pytest.raises(ValueError, match="epsilon .* is too small"):
+        compute_params(10, eps)
+
+
 def test_params_deterministic():
     assert compute_params(37, Fraction(3, 7)) == compute_params(37, Fraction(3, 7))
 

@@ -17,7 +17,8 @@ from stream_mwm.core import (
 )
 from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
-from stream_mwm.monitors import PUSHED
+from stream_mwm.monitors import EVICTED, PUSHED
+from stream_mwm.streamio import parse_stream, read_stream, serialize_stream
 
 
 def fresh(n=3, eps=2, trace=None):
@@ -151,6 +152,32 @@ def test_run_stream_trace_rejected_beyond_small_instances():
     stream = EdgeStream(65, [WeightedEdge(0, 1, 5)])
     with pytest.raises(ValueError, match="trac"):
         run_stream(stream, 2, trace_sink=[])
+
+
+def test_traced_run_over_a_lazy_stream_matches_the_parsed_stream(tmp_path):
+    text = "c chain of 40 with evictions\n" + serialize_stream(_chain(40))
+    path = tmp_path / "chain.mwm"
+    path.write_text(text, encoding="utf-8")
+    lazy_trace, parsed_trace = [], []
+    lazy = run_stream(read_stream(str(path)), 2, trace_sink=lazy_trace)
+    parsed = run_stream(
+        parse_stream(text.splitlines(keepends=True)), 2, trace_sink=parsed_trace
+    )
+    assert lazy_trace == parsed_trace
+    assert any(ev.kind == EVICTED for ev in lazy_trace)
+    assert lazy == parsed
+
+
+@pytest.mark.parametrize("n, m", [(65, 1), (4, 100_001)], ids=["n65", "m100001"])
+def test_traced_run_over_a_lazy_stream_keeps_the_limits(tmp_path, n, m):
+    path = tmp_path / "big.mwm"
+    path.write_text(f"p mwm {n} {m}\n" + "0 1 0\n" * m, encoding="utf-8")
+    stream = read_stream(str(path))
+    try:
+        with pytest.raises(ValueError, match="tracing is limited"):
+            run_stream(stream, 2, trace_sink=[])
+    finally:
+        stream.close()
 
 
 def _chain(n, base=1.9):
