@@ -12,7 +12,6 @@ from .core import (
     EdgeStream,
     Matching,
     Params,
-    PotentialOverflowError,
     StreamFormatError,
     WeightedEdge,
     compute_params,
@@ -53,7 +52,6 @@ __all__ = [
     "MonitorFailure",
     "MonitorStats",
     "Params",
-    "PotentialOverflowError",
     "RunReport",
     "StreamFormatError",
     "StreamOrder",

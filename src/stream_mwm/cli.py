@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -265,6 +266,15 @@ BENCH_CSV_HEADER = [
 ]
 
 
+def _rep_spec(spec: GeneratorSpec, rep: int) -> GeneratorSpec:
+    """Give repetition ``rep`` its own stream; rep 0 keeps ``--seed``."""
+    if rep == 0:
+        return spec
+    return dataclasses.replace(
+        spec, seed=random.Random(f"{spec.seed}/rep/{rep}").getrandbits(63)
+    )
+
+
 def _bench_task(task: tuple[GeneratorSpec, str, int]) -> dict[str, str]:
     """One `bench` row, keyed by column name."""
     spec, eps, rep = task
@@ -306,7 +316,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if spec.kind is GeneratorKind.ERDOS_RENYI and args.p is None:
                 spec = dataclasses.replace(spec, p=min(1.0, args.degree / (n - 1)))
             for rep in range(args.reps):
-                tasks.append((spec, str(eps), rep))
+                tasks.append((_rep_spec(spec, rep), str(eps), rep))
         workers = _worker_count(len(tasks))
     except ValueError as exc:
         return _fail(str(exc))

@@ -19,7 +19,6 @@ from typing import NamedTuple, Sequence
 __all__ = [
     "I64_MAX",
     "CapacityError",
-    "PotentialOverflowError",
     "StreamFormatError",
     "WeightedEdge",
     "EdgeStream",
@@ -40,10 +39,6 @@ class StreamFormatError(ValueError):
 
 class CapacityError(ValueError):
     """An input exceeds a documented size limit of the requested operation."""
-
-
-class PotentialOverflowError(RuntimeError):
-    """A node potential update would leave the 64-bit envelope."""
 
 
 class WeightedEdge(NamedTuple):
@@ -82,7 +77,7 @@ class Params:
     ``alpha_sq`` and ``ratio_bound`` are exact rationals; ``gamma`` and
     ``queue_cap`` are the only double-precision derivations (``gamma`` is
     transcendental). ``queue_cap`` carries a +1 guard over the threshold
-    scan: evicting one arrival later costs O(1) extra space per node and
+    solution: evicting one arrival later costs O(1) extra space per node and
     never weakens the weight-gap precondition of an eviction.
     """
 
@@ -147,8 +142,10 @@ def compute_params(n: int, epsilon: Fraction | int | str) -> Params:
     ``log(alpha)``.
 
     The queue cap is the smallest ``s >= 2`` with
-    ``(alpha - 1) * alpha**(s - 2) > 2 * alpha * gamma``, found by an
-    upward scan in double precision, plus one as a conservative guard.
+    ``(alpha - 1) * alpha**(s - 2) > 2 * alpha * gamma``, plus one as a
+    conservative guard. It is solved for in log space and then fixed up
+    against ``alpha**(s - 2)`` in double precision: at most a few dozen
+    steps, for any epsilon (an upward scan would take ~1/epsilon).
     """
     if n < 2:
         raise ValueError(f"node count must be at least 2, got {n}")
@@ -167,17 +164,19 @@ def compute_params(n: int, epsilon: Fraction | int | str) -> Params:
     gamma = (n * n) / math.log(alpha)
 
     threshold = 2.0 * alpha * gamma
-    s = 2
-    power = 1.0  # alpha**(s - 2)
-    while (alpha - 1.0) * power <= threshold:
-        s += 1
-        power *= alpha
+    # k = s - 2: estimate it from logarithms, then step to the smallest k.
+    # threshold > 1 > alpha - 1, so k = 0 never solves and k stays positive.
+    k = math.floor(math.log(threshold / (alpha - 1.0)) / math.log(alpha))
+    while (alpha - 1.0) * alpha ** (k - 1) > threshold:
+        k -= 1
+    while (alpha - 1.0) * alpha**k <= threshold:
+        k += 1
     return Params(
         n=n,
         epsilon=epsilon,
         alpha_sq=alpha_sq,
         gamma=gamma,
-        queue_cap=s + 1,
+        queue_cap=k + 3,
         ratio_bound=2 + epsilon,
     )
 

@@ -5,25 +5,26 @@ endpoint potentials (exact integer filter), heavy edges are pushed onto a
 stack with their reduced weight and both potentials grow by that amount,
 and per-node FIFO queues cap how many live stack edges any node may own.
 The stack is an insertion-ordered dict from each live edge to its reduced
-weight; a queue holds the edges of its node in push order. When a queue
-hits the cap its oldest edge leaves the stack and both endpoint queues at
-once, in O(1), so the stack never holds more than the live edges. After
-the pass the stack is unwound newest-first, greedily, into the matching.
+weight; a queue is a plain list of the edges of its node in push order.
+When a queue hits the cap its oldest edge leaves the stack and both
+endpoint queues at once (a ``pop(0)`` and a ``remove``, each linear in the
+queue length but done in C), so the stack never holds more than the live
+edges. After the pass the stack is unwound newest-first, greedily, into
+the matching.
 
 Edges arrive as plain ``(u, v, w)`` triples, and only a pushed edge
 becomes a `WeightedEdge`: a light edge, most of a typical stream, leaves
 nothing behind. `run_stream` consumes the edges once, so a `LazyEdgeStream`
 from `read_stream` is parsed as the pass runs.
 
-Node potentials never exceed the largest edge weight seen (a push sets
-``phi(v)`` to ``weight - phi(other)``), so the 64-bit overflow guard on
-potential updates is purely defensive.
+Node potentials never exceed the largest edge weight seen, so they stay in
+64 bits: a push sets ``phi(x)`` to ``w - phi(other) <= w <= 2^63 - 1``, as
+potentials are never negative.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from fractions import Fraction
 
 from .core import (
@@ -31,7 +32,6 @@ from .core import (
     EdgeStream,
     Matching,
     Params,
-    PotentialOverflowError,
     StreamFormatError,
     WeightedEdge,
     compute_params,
@@ -65,11 +65,12 @@ class StreamingState:
     def __init__(self, params: Params, trace: list[TraceEvent] | None = None) -> None:
         self.params = params
         self.phi: list[int] = [0] * params.n
-        self._queues: list[OrderedDict[WeightedEdge, None] | None] = [None] * params.n
+        self._queues: list[list[WeightedEdge] | None] = [None] * params.n
         # Live edge -> reduced weight, in push order. Keying by the edge
-        # value is safe because each value is pushed at most once: a push
-        # raises the endpoints' potential sum from s0 to 2w - s0 >= w, and
-        # potentials never fall, so an identical (u, v, w) is light ever after.
+        # value here, and finding it by value in a queue, is safe because
+        # each value is pushed at most once: a push raises the endpoints'
+        # potential sum from s0 to 2w - s0 >= w, and potentials never fall,
+        # so an identical (u, v, w) is light ever after.
         self._stack: dict[WeightedEdge, int] = {}
         self._finalized = False
         self._trace = trace
@@ -137,19 +138,14 @@ class StreamingState:
         cap = self.params.queue_cap
         for x in (u, v):
             old_phi = phi[x]
-            new_phi = old_phi + reduced
-            if new_phi > I64_MAX:
-                raise PotentialOverflowError(
-                    f"potential at node {x} would reach {new_phi} > 2^63-1"
-                )
-            phi[x] = new_phi
+            phi[x] = new_phi = old_phi + reduced
             # Growth monitor: each push must scale phi(x) by at least alpha.
             if q * new_phi * new_phi < p * old_phi * old_phi:
                 stats.phi_growth_violations += 1
             queue = self._queues[x]
             if queue is None:
-                queue = self._queues[x] = OrderedDict()
-            queue[edge] = None
+                queue = self._queues[x] = []
+            queue.append(edge)
             qlen = len(queue)
             if qlen > stats.max_queue_len:
                 stats.max_queue_len = qlen
@@ -162,13 +158,13 @@ class StreamingState:
         for x in (u, v):
             queue = self._queues[x]
             if len(queue) >= cap:
-                victim, _ = queue.popitem(last=False)
+                victim = queue.pop(0)
                 victim_reduced = stack.pop(victim)
                 stats.evictions_total += 1
                 # The victim is live, so it also sits in its other
                 # endpoint's queue.
                 other = victim.v if victim.u == x else victim.u
-                del self._queues[other][victim]
+                self._queues[other].remove(victim)
                 if self._trace is not None:
                     self._trace.append(TraceEvent(EVICTED, victim, victim_reduced, None))
         return True

@@ -23,8 +23,8 @@ EXACT_MAX_NODES = 22
 class Graph:
     """Materialized, random-access view of an edge list.
 
-    The edge list may contain repeated node pairs; `exact_mwm` works on a
-    simple-graph view that keeps only the first occurrence of each pair.
+    The edge list may contain repeated node pairs, in either orientation;
+    every solver, `exact_mwm` included, takes them as parallel edges.
     """
 
     n: int
@@ -101,34 +101,23 @@ def _unwind(g: Graph, stack: list[int]) -> Matching:
     return Matching.of(chosen)
 
 
-def _dedup_first(edges: Sequence[WeightedEdge]) -> list[WeightedEdge]:
-    seen: set[tuple[int, int]] = set()
-    out: list[WeightedEdge] = []
-    for e in edges:
-        key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-        if key not in seen:
-            seen.add(key)
-            out.append(e)
-    return out
-
-
 def exact_mwm(g: Graph) -> Matching:
     """Maximum weight matching by dynamic programming over node subsets.
 
     Rejects graphs with more than `EXACT_MAX_NODES` nodes. States are
     memoized on demand, so sparse instances stay far below the 2**n worst
-    case. Among all optimum matchings the one whose sorted edge-index
-    sequence is lexicographically smallest is returned, which makes the
-    oracle reproducible.
+    case. Parallel edges are kept as they are, so the optimum is exact on
+    multigraphs too. Among all optimum matchings the one whose sorted
+    edge-index sequence is lexicographically smallest is returned, which
+    makes the oracle reproducible.
     """
     if g.n > EXACT_MAX_NODES:
         raise CapacityError(
             f"exact solver handles at most {EXACT_MAX_NODES} nodes, got {g.n}"
         )
 
-    edges = _dedup_first(g.edges)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in edges:
+    for e in g.edges:
         adj[e.u].append((e.v, e.weight))
         adj[e.v].append((e.u, e.weight))
 
@@ -158,7 +147,7 @@ def exact_mwm(g: Graph) -> Matching:
     # through which an optimum of the remaining subproblem still passes.
     # Stop once the optimum weight is reached; a shorter index tuple beats
     # any extension by free zero-weight edges.
-    for e in edges:
+    for e in g.edges:
         if remaining == 0:
             break
         bits = (1 << e.u) | (1 << e.v)

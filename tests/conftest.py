@@ -62,3 +62,21 @@ def random_simple_stream(
     ]
     rng.shuffle(edges)
     return EdgeStream(n, edges)
+
+
+def random_multigraph_stream(
+    seed: int, max_n: int = 10, max_weight: int = 100, p: float = 0.5
+) -> EdgeStream:
+    """Seeded random multigraph in random arrival order: a simple graph plus
+    up to two repeats of each pair, in either orientation, each repeat with
+    the pair's weight or a fresh one."""
+    base = random_simple_stream(seed, max_n, max_weight, p)
+    rng = random.Random(f"{seed}/multi")
+    edges = list(base.edges)
+    for u, v, w in base.edges:
+        for _ in range(rng.randint(0, 2)):
+            a, b = (u, v) if rng.random() < 0.5 else (v, u)
+            weight = w if rng.random() < 0.5 else rng.randint(0, max_weight)
+            edges.append(WeightedEdge(a, b, weight))
+    rng.shuffle(edges)
+    return EdgeStream(base.n, edges)

@@ -22,6 +22,16 @@ def test_run_exact_on_stdin_example(monkeypatch, capsys):
     assert report["algorithm"] == "exact"
 
 
+def test_oracle_is_exact_on_parallel_edges(monkeypatch, capsys):
+    # The heavier copy of pair (0, 1) arrives second; the optimum takes it.
+    monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 4 3\n0 1 1\n0 1 100\n2 3 5\n"))
+    assert main(["run", "--input", "-", "--oracle"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["output_weight"] == 105
+    assert report["oracle_weight"] == 105
+    assert report["ratio"] == 1.0
+
+
 def test_run_path_greedy_single_edge(capsys):
     assert main(["run", "--gen", "path", "--n", "2", "--alg", "greedy"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -117,12 +127,21 @@ def test_bench_csv_shape_and_determinism(tmp_path, monkeypatch):
         assert int(row[cols["peak_live_entries"]]) <= int(row[cols["n_times_queue_cap"]])
         assert int(row[cols["max_queue_len"]]) <= int(row[cols["queue_cap"]])
         assert int(row[cols["n_times_queue_cap"]]) == n * int(row[cols["queue_cap"]])
-    # Same seed: non-timing columns identical across repetitions.
-    timing = [cols["p50_ns"], cols["p99_ns"], cols["max_ns"], cols["rep"]]
-    def strip(row):
-        return [c for i, c in enumerate(row) if i not in timing]
-    assert strip(body[0]) == strip(body[1])
-    assert strip(body[2]) == strip(body[3])
+    # The same command gives the same non-timing columns; each repetition
+    # runs its own stream, and rep 0 is the stream of a --reps 1 sweep.
+    def strip(text):
+        return [
+            {k: v for k, v in row.items() if not k.endswith("_ns")}
+            for row in csv.DictReader(io.StringIO(text))
+        ]
+    stripped = strip(text)
+    assert strip(run_to_file(tmp_path, "again.csv", argv)[1]) == stripped
+    assert stripped[0]["output_weight"] != stripped[1]["output_weight"]
+    assert stripped[2]["output_weight"] != stripped[3]["output_weight"]
+    single = list(argv)
+    single[argv.index("--reps") + 1] = "1"
+    one_rep = strip(run_to_file(tmp_path, "single.csv", single)[1])
+    assert one_rep == [stripped[0], stripped[2]]
 
 
 def test_bench_parallel_workers(tmp_path, monkeypatch):

@@ -1,5 +1,10 @@
 """An epsilon too small for double precision is an input error (exit 2),
-for `run` and for `bench`, not a traceback."""
+for `run` and for `bench`, not a traceback; a tiny epsilon that double
+precision can still tell from zero runs, and promptly."""
+
+import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -22,3 +27,16 @@ def test_bench_exit_2_on_tiny_epsilon(threads, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(MESSAGE)
+
+
+@pytest.mark.parametrize("eps", ["1e-8", "1e-12"])
+def test_run_tiny_epsilon_returns_within_a_second(eps, capsys):
+    # The queue cap grows like 1/eps; finding it must not take 1/eps steps.
+    start = time.perf_counter()
+    assert main(["run", "--gen", "path", "--n", "4", "--eps", eps]) == 0
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["epsilon"] == str(Fraction(eps))
+    assert report["queue_cap"] > 10**8

@@ -199,15 +199,17 @@ def test_unwritable_out_exits_2(paths):
 
 TIMING = ("p50_ns", "p99_ns", "max_ns")
 
+# Rep 0 replays --seed; rep 1 gets its own stream, seeded from (seed, rep).
 BENCH_ROWS = [
     {"n": n, "m": m, "rep": rep, "epsilon": "1/2", "peak_live_entries": k,
-     "queue_cap": cap, "n_times_queue_cap": ncap, "max_queue_len": "6",
+     "queue_cap": cap, "n_times_queue_cap": ncap, "max_queue_len": qlen,
      "heavy_edges_k": k, "evictions_total": "0", "output_weight": weight}
-    for n, m, k, cap, ncap, weight in [
-        ("200", "1647", "261", "144", "28800", "81956"),
-        ("1000", "7951", "1246", "173", "173000", "391658"),
+    for n, rep, m, k, cap, ncap, qlen, weight in [
+        ("200", "0", "1647", "261", "144", "28800", "6", "81956"),
+        ("200", "1", "1596", "255", "144", "28800", "5", "77586"),
+        ("1000", "0", "7951", "1246", "173", "173000", "6", "391658"),
+        ("1000", "1", "7985", "1264", "173", "173000", "7", "394795"),
     ]
-    for rep in ("0", "1")
 ]
 
 

@@ -25,6 +25,45 @@ def brute_force_queue_cap(n: int, epsilon) -> int:
     return s + 1
 
 
+def scan_queue_cap(n: int, epsilon) -> int:
+    """Reference for the closed form: scan upward, one multiplication per step."""
+    alpha_sq = 1 + Fraction(epsilon) / 2
+    alpha = math.sqrt(alpha_sq.numerator / alpha_sq.denominator)
+    threshold = 2.0 * alpha * ((n * n) / math.log(alpha))
+    s = 2
+    power = 1.0  # alpha**(s - 2)
+    while (alpha - 1.0) * power <= threshold:
+        s += 1
+        power *= alpha
+    return s + 1
+
+
+SCAN_NS = [2, 3, 5, 10, 64, 100, 1000, 10**4, 10**5, 10**6, 10**7, 10**8, 10**9]
+SCAN_EPS = (
+    [Fraction(1, 10**4), Fraction(3, 10**4)]
+    + [Fraction(k, 1000) for k in (1, 2, 3, 5, 7, 10, 13, 20, 30, 50, 77, 100)]
+    + [Fraction(k, 10) for k in (2, 3, 5, 7, 10, 13, 15, 20, 25, 30, 37, 40, 45, 50, 55, 59)]
+)
+
+
+@pytest.mark.parametrize("eps", SCAN_EPS, ids=str)
+def test_params_queue_cap_matches_upward_scan(eps):
+    for n in SCAN_NS:
+        assert compute_params(n, eps).queue_cap == scan_queue_cap(n, eps), n
+
+
+@pytest.mark.parametrize("eps", ["1e-5", "1e-8", "1e-12", "1e-15", Fraction(7, 10**16)])
+def test_params_queue_cap_is_the_smallest_solution_at_tiny_epsilon(eps):
+    # Too many steps for the scan: check the defining inequality instead.
+    n = 1000
+    p = compute_params(n, eps)
+    alpha = p.alpha
+    threshold = 2.0 * alpha * p.gamma
+    k = p.queue_cap - 3  # s - 2
+    assert (alpha - 1.0) * alpha**k > threshold
+    assert (alpha - 1.0) * alpha ** (k - 1) <= threshold
+
+
 def test_params_exact_fields_n10_eps2():
     p = compute_params(10, 2)
     assert p.alpha_sq == Fraction(2)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,44 @@ def test_chain_run_evicts_and_respects_space_bounds():
     assert report.peak_live_entries <= 64 * report.queue_cap
     # Newest chain edge survives every eviction and wins the unwind.
     assert matching.total_weight == stream.edges[-1].weight
+
+
+def _heavy_chain_stars(stars, eps):
+    """Disjoint stars, each fed the minimal heavy chain with fresh leaves:
+    every edge is heavy, and each centre passes the queue cap and evicts."""
+    alpha_sq = compute_params(2, eps).alpha_sq
+    p, q = alpha_sq.numerator, alpha_sq.denominator
+    chain = [1]
+    while True:
+        prev = chain[-1]
+        w = math.isqrt(p * prev * prev // q)
+        while q * w * w <= p * prev * prev:
+            w += 1
+        if w > I64_MAX:
+            break
+        chain.append(w)
+    size = len(chain) + 1
+    edges = [
+        WeightedEdge(s * size, s * size + 1 + i, w)
+        for i, w in enumerate(chain)
+        for s in range(stars)
+    ]
+    return EdgeStream(stars * size, edges)
+
+
+def test_engine_state_is_small_per_live_entry():
+    stream = _heavy_chain_stars(20, "1/2")
+    tracemalloc.start()
+    try:
+        _, report = run_stream(stream, "1/2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.evictions_total > 0
+    assert report.heavy_edges_k == len(stream.edges)
+    # The stack dict, plain-list queues and potentials take about 330 B
+    # per live entry on CPython 3.10-3.12.
+    assert peak / report.peak_live_entries <= 600
 
 
 def test_queue_invariants_after_each_edge():

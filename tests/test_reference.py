@@ -3,6 +3,7 @@ import pytest
 from conftest import (
     enumerate_best_edge_sets,
     enumerate_best_weight,
+    random_multigraph_stream,
     random_simple_stream,
 )
 from stream_mwm.core import CapacityError, WeightedEdge
@@ -84,26 +85,41 @@ def test_exact_lexicographic_tie_break():
     assert m.edges == frozenset({WeightedEdge(0, 1, 5), WeightedEdge(2, 3, 5)})
 
 
-def test_exact_keeps_first_duplicate_occurrence():
+def test_exact_takes_heaviest_parallel_edge_first_by_index():
     g = Graph(2, [WeightedEdge(0, 1, 3), WeightedEdge(0, 1, 9), WeightedEdge(1, 0, 9)])
-    assert exact_mwm(g).total_weight == 3
+    m = exact_mwm(g)
+    assert m.total_weight == 9
+    assert m.edges == frozenset({g.edges[1]})
 
 
-@pytest.mark.parametrize("seed", range(120))
-def test_exact_agrees_with_enumeration(seed):
-    stream = random_simple_stream(seed, max_n=8)
+def _streams(simple_seeds, simple_max_n, multi_seeds, multi_max_n):
+    """Simple graphs (ids are their seeds) and multigraphs with repeated
+    pairs in both orientations (ids ``multi-<seed>``)."""
+    return [
+        pytest.param(random_simple_stream(seed, max_n=simple_max_n), id=str(i))
+        for i, seed in enumerate(simple_seeds)
+    ] + [
+        pytest.param(random_multigraph_stream(seed, max_n=multi_max_n), id=f"multi-{i}")
+        for i, seed in enumerate(multi_seeds)
+    ]
+
+
+@pytest.mark.parametrize("stream", _streams(range(120), 8, range(60), 8))
+def test_exact_agrees_with_enumeration(stream):
     g = Graph(stream.n, list(stream.edges))
     assert exact_mwm(g).total_weight == enumerate_best_weight(g.n, list(g.edges))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_exact_edge_set_is_lex_minimal_optimum(seed):
-    stream = random_simple_stream(seed + 900, max_n=6)
+@pytest.mark.parametrize("stream", _streams(range(900, 940), 6, range(900, 960), 5))
+def test_exact_edge_set_is_lex_minimal_optimum(stream):
     g = Graph(stream.n, list(stream.edges))
     if len(g.edges) > 12:
         pytest.skip("enumeration fixture kept small")
     got = exact_mwm(g)
-    index_of = {e: i for i, e in enumerate(g.edges)}
+    # An edge value repeated in the stream stands for its first index.
+    index_of: dict[WeightedEdge, int] = {}
+    for i, e in enumerate(g.edges):
+        index_of.setdefault(e, i)
     got_indices = tuple(sorted(index_of[e] for e in got.edges))
     assert got_indices == min(enumerate_best_edge_sets(g.n, list(g.edges)))
 
