@@ -12,10 +12,13 @@ queue length but done in C), so the stack never holds more than the live
 edges. After the pass the stack is unwound newest-first, greedily, into
 the matching.
 
-Edges arrive as plain ``(u, v, w)`` triples, and only a pushed edge
-becomes a `WeightedEdge`: a light edge, most of a typical stream, leaves
-nothing behind. `run_stream` consumes the edges once, so a `LazyEdgeStream`
-from `read_stream` is parsed as the pass runs.
+Edges arrive as plain ``(u, v, w)`` triples and are stored as such: a
+light edge, most of a typical stream, leaves nothing behind, a pushed edge
+is one tuple shared by the stack and both queues, and only a matched edge
+becomes a `WeightedEdge` (as do the edges of a trace and of
+`StreamingState.live_edges`). `run_stream` consumes the edges once, so a
+`LazyEdgeStream` from `read_stream` is parsed as the pass runs, and it
+pauses the cyclic garbage collector for the pass, which makes no cycles.
 
 Node potentials never exceed the largest edge weight seen, so they stay in
 64 bits: a push sets ``phi(x)`` to ``w - phi(other) <= w <= 2^63 - 1``, as
@@ -24,6 +27,7 @@ potentials are never negative.
 
 from __future__ import annotations
 
+import gc
 import time
 from fractions import Fraction
 
@@ -47,7 +51,7 @@ from .monitors import (
     TraceEvent,
 )
 from .report import RunReport, TimingStats
-from .streamio import LazyEdgeStream
+from .streamio import LazyEdgeStream, Triple
 
 __all__ = ["StreamingState", "run_stream"]
 
@@ -65,13 +69,15 @@ class StreamingState:
     def __init__(self, params: Params, trace: list[TraceEvent] | None = None) -> None:
         self.params = params
         self.phi: list[int] = [0] * params.n
-        self._queues: list[list[WeightedEdge] | None] = [None] * params.n
+        self._n = params.n
+        self._cap = params.queue_cap
+        self._queues: list[list[Triple] | None] = [None] * params.n
         # Live edge -> reduced weight, in push order. Keying by the edge
         # value here, and finding it by value in a queue, is safe because
         # each value is pushed at most once: a push raises the endpoints'
         # potential sum from s0 to 2w - s0 >= w, and potentials never fall,
         # so an identical (u, v, w) is light ever after.
-        self._stack: dict[WeightedEdge, int] = {}
+        self._stack: dict[Triple, int] = {}
         self._finalized = False
         self._trace = trace
         self._p = params.alpha_sq.numerator
@@ -88,25 +94,25 @@ class StreamingState:
 
     def live_edges(self) -> list[WeightedEdge]:
         """Live stack edges, oldest first (diagnostics and tests)."""
-        return list(self._stack)
+        return list(map(WeightedEdge._make, self._stack))
 
     def process_edge(self, edge: tuple[int, int, int]) -> bool:
         """Classify one arriving edge, update the state, and return whether
         the edge was pushed.
 
-        ``edge`` is any ``(u, v, w)`` triple; a pushed edge is stored as a
-        `WeightedEdge`. Light edges (weight at or below alpha times the
-        endpoint potential sum) leave the state untouched. A heavy edge is
-        pushed with reduced weight ``weight - (phi(u) + phi(v))``; note the
-        reduction subtracts the plain potential sum while the filter
-        compares against alpha times it. Both endpoint potentials then grow
-        by the same reduced weight, and each endpoint queue that reached the
-        cap evicts its oldest edge.
+        ``edge`` is any ``(u, v, w)`` triple; a pushed edge is stored as the
+        plain tuple ``(u, v, w)``. Light edges (weight at or below alpha
+        times the endpoint potential sum) leave the state untouched. A heavy
+        edge is pushed with reduced weight ``weight - (phi(u) + phi(v))``;
+        note the reduction subtracts the plain potential sum while the
+        filter compares against alpha times it. Both endpoint potentials
+        then grow by the same reduced weight, and each endpoint queue that
+        reached the cap evicts its oldest edge.
         """
         if self._finalized:
             raise RuntimeError("state already finalized")
         u, v, w = edge
-        n = self.params.n
+        n = self._n
         if not (0 <= u < n and 0 <= v < n):
             raise StreamFormatError(f"endpoint out of range for n={n}: ({u}, {v})")
         if u == v:
@@ -115,7 +121,9 @@ class StreamingState:
             raise StreamFormatError(f"weight {w} outside [0, 2^63-1]")
 
         phi = self.phi
-        pot_sum = phi[u] + phi[v]
+        phi_u = phi[u]
+        phi_v = phi[v]
+        pot_sum = phi_u + phi_v
         p = self._p
         q = self._q
         if q * w * w <= p * pot_sum * pot_sum:
@@ -125,8 +133,7 @@ class StreamingState:
                 )
             return False
 
-        if edge.__class__ is not WeightedEdge:
-            edge = WeightedEdge._make(edge)
+        edge = (u, v, w)
         reduced = w - pot_sum
         stack = self._stack
         stack[edge] = reduced
@@ -135,38 +142,52 @@ class StreamingState:
         if len(stack) > stats.peak_live_entries:
             stats.peak_live_entries = len(stack)
 
-        cap = self.params.queue_cap
-        for x in (u, v):
-            old_phi = phi[x]
-            phi[x] = new_phi = old_phi + reduced
-            # Growth monitor: each push must scale phi(x) by at least alpha.
-            if q * new_phi * new_phi < p * old_phi * old_phi:
-                stats.phi_growth_violations += 1
-            queue = self._queues[x]
-            if queue is None:
-                queue = self._queues[x] = []
-            queue.append(edge)
-            qlen = len(queue)
-            if qlen > stats.max_queue_len:
-                stats.max_queue_len = qlen
-            if qlen > cap:
-                stats.queue_cap_violations += 1
+        phi[u] = new_u = phi_u + reduced
+        phi[v] = new_v = phi_v + reduced
+        # Growth monitor: each push must scale phi(x) by at least alpha.
+        if q * new_u * new_u < p * phi_u * phi_u:
+            stats.phi_growth_violations += 1
+        if q * new_v * new_v < p * phi_v * phi_v:
+            stats.phi_growth_violations += 1
+        queues = self._queues
+        queue_u = queues[u]
+        if queue_u is None:
+            queue_u = queues[u] = []
+        queue_u.append(edge)
+        queue_v = queues[v]
+        if queue_v is None:
+            queue_v = queues[v] = []
+        queue_v.append(edge)
+        len_u = len(queue_u)
+        len_v = len(queue_v)
+        longest = len_u if len_u > len_v else len_v
+        if longest > stats.max_queue_len:
+            stats.max_queue_len = longest
 
         if self._trace is not None:
-            self._trace.append(TraceEvent(PUSHED, edge, reduced, tuple(phi)))
+            self._trace.append(
+                TraceEvent(PUSHED, WeightedEdge(u, v, w), reduced, tuple(phi))
+            )
 
-        for x in (u, v):
-            queue = self._queues[x]
-            if len(queue) >= cap:
-                victim = queue.pop(0)
-                victim_reduced = stack.pop(victim)
-                stats.evictions_total += 1
-                # The victim is live, so it also sits in its other
-                # endpoint's queue.
-                other = victim.v if victim.u == x else victim.u
-                self._queues[other].remove(victim)
-                if self._trace is not None:
-                    self._trace.append(TraceEvent(EVICTED, victim, victim_reduced, None))
+        cap = self._cap
+        if longest >= cap:
+            # Queue-cap monitor: a queue may reach the cap, never pass it.
+            stats.queue_cap_violations += (len_u > cap) + (len_v > cap)
+            # Evicting at u may shorten v's queue (a parallel edge), so each
+            # length is read again just before its test.
+            for x, queue in ((u, queue_u), (v, queue_v)):
+                if len(queue) >= cap:
+                    victim = queue.pop(0)
+                    victim_reduced = stack.pop(victim)
+                    stats.evictions_total += 1
+                    # The victim is live, so it also sits in its other
+                    # endpoint's queue.
+                    vu, vv, vw = victim
+                    queues[vv if vu == x else vu].remove(victim)
+                    if self._trace is not None:
+                        self._trace.append(TraceEvent(
+                            EVICTED, WeightedEdge(vu, vv, vw), victim_reduced, None
+                        ))
         return True
 
     def compact(self) -> None:
@@ -188,9 +209,10 @@ class StreamingState:
         self._finalized = True
         matched = bytearray(self.params.n)
         chosen: list[WeightedEdge] = []
-        for e, reduced in reversed(self._stack.items()):
-            if not matched[e.u] and not matched[e.v]:
-                matched[e.u] = matched[e.v] = 1
+        for (u, v, w), reduced in reversed(self._stack.items()):
+            if not matched[u] and not matched[v]:
+                matched[u] = matched[v] = 1
+                e = WeightedEdge(u, v, w)
                 chosen.append(e)
                 if self._trace is not None:
                     self._trace.append(TraceEvent(MATCHED, e, reduced, None))
@@ -232,29 +254,42 @@ def run_stream(
     # (the parser's) already name their line and pass through as they are.
     m = 0
     samples: list[int] | None = None
-    if collect_timing:
-        samples = []
-        clock = time.perf_counter_ns
-        for edge in stream.edges:
-            try:
-                if m < _TIMING_DENSE_LIMIT or not m % 64:
-                    t0 = clock()
+    # A pass makes no reference cycles (the state is ints, int tuples, lists
+    # of tuples and one dict), so the cyclic collector could only rescan the
+    # live stack edges again and again. It is paused for the pass and left
+    # as it was found.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if collect_timing:
+            samples = []
+            clock = time.perf_counter_ns
+            for edge in stream.edges:
+                try:
+                    if m < _TIMING_DENSE_LIMIT or not m % 64:
+                        t0 = clock()
+                        process(edge)
+                        samples.append(clock() - t0)
+                    else:
+                        process(edge)
+                except StreamFormatError as exc:
+                    raise StreamFormatError(f"line {m + 2}: {exc}") from None
+                m += 1
+        else:
+            for edge in stream.edges:
+                try:
                     process(edge)
-                    samples.append(clock() - t0)
-                else:
-                    process(edge)
-            except StreamFormatError as exc:
-                raise StreamFormatError(f"line {m + 2}: {exc}") from None
-            m += 1
-    else:
-        for edge in stream.edges:
-            try:
-                process(edge)
-            except StreamFormatError as exc:
-                raise StreamFormatError(f"line {m + 2}: {exc}") from None
-            m += 1
+                except StreamFormatError as exc:
+                    raise StreamFormatError(f"line {m + 2}: {exc}") from None
+                m += 1
+        matching, stats = state.finalize()
+        # Freed while the collector is paused, the state is not rescanned
+        # when it resumes.
+        del state, process
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
-    matching, stats = state.finalize()
     report = RunReport(
         algorithm="semi",
         n=stream.n,

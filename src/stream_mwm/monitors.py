@@ -52,7 +52,7 @@ MATCHED = "matched"
 _GAP_REL_TOL = 1e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class MonitorStats:
     """O(1)-space counters kept by the engine at any scale.
 

@@ -13,14 +13,18 @@ starting with ``c`` are ignored. Line order is arrival order.
 `read_stream` parses as the edges are consumed: it reads the header, then
 the body a chunk of lines at a time, so a run holds one chunk of input, not
 all m edges. A chunk made only of canonical lines (``<u> <v> <w>`` in ASCII
-digits, one space apart, newline-terminated) is tokenized and checked in
-bulk; any other chunk, or one that fails a bulk check, is parsed line by
-line, so every accepted input and every error message is the same either
-way. `parse_stream` materializes the same parse into an `EdgeStream`.
+digits, one space apart, newline-terminated) is converted to ints in one C
+call (a JSON array) and checked in bulk; any other chunk, or one that fails
+a bulk check (a number with a leading zero, say), is parsed line by line,
+so every accepted input and every error message is the same either way.
+`read_stream` yields plain int triples, so on a run only the engine's
+matched edges become `WeightedEdge`s; `parse_stream` materializes the same
+parse into an `EdgeStream` of them.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from functools import partial
@@ -166,9 +170,11 @@ def _bulk_columns(
         text.count("\n") == len(chunk) and all(map(str.endswith, chunk, repeat("\n")))
     ):
         return None
+    # One C call turns the chunk into ints. JSON rejects a leading zero,
+    # and int() more digits than it accepts: both leave it to the line path.
     try:
-        ints = list(map(int, text.split()))
-    except ValueError:  # more digits than int() accepts
+        ints = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:
         return None
     us, vs, ws = ints[0::3], ints[1::3], ints[2::3]
     if (

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -18,7 +19,7 @@ from stream_mwm.core import (
 )
 from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
-from stream_mwm.monitors import EVICTED, PUSHED
+from stream_mwm.monitors import EVICTED, PUSHED, check_ratio_bound
 from stream_mwm.streamio import parse_stream, read_stream, serialize_stream
 
 
@@ -402,7 +403,7 @@ def test_stack_holds_exactly_the_queued_edges(params, edges):
         queued = set().union(*(q for q in s._queues if q))
         assert set(s._stack) == queued
         for live in s._stack:
-            assert live in s._queues[live.u] and live in s._queues[live.v]
+            assert live in s._queues[live[0]] and live in s._queues[live[1]]
         assert s.live_entries == len(s.live_edges()) <= params.n * params.queue_cap
     assert s.stats.evictions_total >= 1
     _assert_matches_naive(params, edges)
@@ -459,3 +460,98 @@ def test_ratio_holds_under_any_arrival_order(seed):
         assert matching.total_weight * params.ratio_bound.numerator >= (
             opt * params.ratio_bound.denominator
         )
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's on/off state after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_stream_leaves_the_collector_as_it_found_it(gc_state, tmp_path, enabled):
+    good = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 8)])
+    path = tmp_path / "bad.mwm"
+    # The bad line sits in the second 64 KiB chunk, so it fails mid-pass.
+    path.write_text("p mwm 3 12001\n" + "0 1 5\n" * 12000 + "0 1 x\n", encoding="utf-8")
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    run_stream(good, 2)
+    assert gc.isenabled() is enabled
+    stream = read_stream(str(path))
+    with pytest.raises(StreamFormatError, match="line 12002"):
+        run_stream(stream, 2)
+    assert gc.isenabled() is enabled
+    with pytest.raises(StreamFormatError, match="line 3"):
+        run_stream(EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(2, 2, 1)]), 2)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("source", ["stars", "er-file"])
+def test_a_pass_leaves_no_cyclic_garbage(gc_state, tmp_path, source):
+    # This is what makes pausing the collector for the pass safe.
+    if source == "stars":
+        stream = _heavy_chain_stars(20, "1/2")
+    else:
+        spec = GeneratorSpec(kind=GeneratorKind.ERDOS_RENYI, n=2000, p=0.01, seed=3)
+        path = tmp_path / "er.mwm"
+        path.write_text(serialize_stream(generate(spec)), encoding="utf-8")
+        stream = read_stream(str(path))
+    gc.collect()
+    gc.disable()
+    _, report = run_stream(stream, "1/2")
+    assert gc.collect() == 0
+    assert report.heavy_edges_k > 0
+    if source == "stars":
+        assert report.evictions_total > 0
+
+
+def _path_gadgets(copies, w, z):
+    """Disjoint 3-edge paths: the middle edge (weight ``w``) arrives first,
+    then the two outer edges (weight ``z`` each)."""
+    edges = []
+    for c in range(copies):
+        a, b, x, y = 4 * c, 4 * c + 1, 4 * c + 2, 4 * c + 3
+        edges += [WeightedEdge(a, b, w), WeightedEdge(a, x, z), WeightedEdge(b, y, z)]
+    return EdgeStream(4 * copies, edges)
+
+
+_COPIES = 5_000
+_MIDDLE = 10**9
+
+
+def test_tight_gadgets_reach_two_alpha():
+    # Each outer edge takes the largest z that is still light against the
+    # potential sum w: q*z^2 <= p*w^2. The engine keeps only the middle
+    # edges, the optimum takes the outer ones, and OPT/output is 2z/w.
+    params = compute_params(4 * _COPIES, "1/2")
+    p, q = params.alpha_sq.numerator, params.alpha_sq.denominator
+    z = math.isqrt(p * _MIDDLE * _MIDDLE // q)
+    matching, report = run_stream(_path_gadgets(_COPIES, _MIDDLE, z), "1/2")
+    opt = _COPIES * 2 * z
+    assert matching.total_weight == _COPIES * _MIDDLE
+    beta1 = check_ratio_bound(params, report.heavy_edges_k)
+    assert opt <= beta1 * matching.total_weight
+    assert abs(opt / matching.total_weight - 2 * params.alpha) <= 1e-6
+
+
+def test_gadgets_just_past_alpha_are_pushed_and_matched():
+    # Each outer edge takes the largest z that a filter loosened to alpha^2
+    # would call light: q*z <= p*w. Such a filter would output w per copy,
+    # a ratio of 2*alpha^2 = 2 + eps, above beta1; the engine pushes the
+    # outer edges and matches them.
+    params = compute_params(4 * _COPIES, "1/2")
+    p, q = params.alpha_sq.numerator, params.alpha_sq.denominator
+    z = p * _MIDDLE // q
+    matching, report = run_stream(_path_gadgets(_COPIES, _MIDDLE, z), "1/2")
+    opt = _COPIES * 2 * z
+    assert matching.total_weight == opt
+    beta1 = check_ratio_bound(params, report.heavy_edges_k)
+    assert opt <= beta1 * matching.total_weight

@@ -71,8 +71,9 @@ def reference_parse_stream(lines):
 
 NODES = 40
 
-#: Lines the parser accepts that are not in canonical form: each sends its
-#: chunk down the line-by-line path.
+#: Lines the parser accepts that are not in canonical form, or are canonical
+#: with a leading zero, which the bulk path's JSON conversion rejects: each
+#: sends its chunk down the line-by-line path.
 ACCEPTED = [
     "c a comment",
     "",
@@ -86,6 +87,9 @@ ACCEPTED = [
     "0 1 -0",
     "0 1 " + "0" * 30,
     f"0 1 {I64_MAX}",
+    "01 2 3",
+    "0 1 007",
+    f"0 1 000{I64_MAX}",
 ]
 
 #: Lines the parser rejects. The canonical ones pass the bulk regex and
@@ -198,7 +202,9 @@ def _file_chunk_lengths(path):
         return [len(c) for c in iter(lambda: fp.readlines(streamio._CHUNK_BYTES), [])]
 
 
-@pytest.mark.parametrize("special", ["0 1 -4", "3 3 1", "c comment", "0\t1\t5"])
+@pytest.mark.parametrize(
+    "special", ["0 1 -4", "3 3 1", "c comment", "0\t1\t5", "0 1 007"]
+)
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_special_line_at_each_side_of_a_chunk_boundary(scratch_file, special, offset):
     rng = random.Random(7)
