@@ -130,9 +130,12 @@ def _geometric_chain(spec: GeneratorSpec) -> list[WeightedEdge]:
     churns through the cap. Weights follow the geometric schedule rather
     than weight_max.
     """
-    if spec.base <= 1.0:
+    if not spec.base > 1.0:  # also rejects NaN
         raise ValueError(f"chain base must exceed 1, got {spec.base}")
-    top = math.ceil(spec.base ** (spec.n - 1))
+    try:
+        top = math.ceil(spec.base ** (spec.n - 1))
+    except OverflowError:  # the power overflows a float, or base is inf
+        top = math.inf
     if top > I64_MAX:
         raise CapacityError(
             f"chain weight {spec.base}**{spec.n - 1} exceeds 2^63-1; reduce n or base"

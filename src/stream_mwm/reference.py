@@ -3,7 +3,10 @@
 These run with the whole edge list in memory and exist to check the
 streaming engine: `mwm_simple` is the unfiltered weight-reduction
 baseline, `greedy_sorted` the sort-then-greedy baseline, and `exact_mwm`
-a subset dynamic program that is feasible up to 22 nodes.
+a subset dynamic program that is feasible up to 22 nodes. The DP matches
+the lowest node of a subset only to higher-numbered neighbours, and looks
+each sub-state up in its memo before it recurses. Every input boundary
+rejects self-loops, and the solvers assume there are none.
 """
 
 from __future__ import annotations
@@ -104,45 +107,61 @@ def _unwind(g: Graph, stack: list[int]) -> Matching:
 def exact_mwm(g: Graph) -> Matching:
     """Maximum weight matching by dynamic programming over node subsets.
 
-    Rejects graphs with more than `EXACT_MAX_NODES` nodes. States are
-    memoized on demand, so sparse instances stay far below the 2**n worst
-    case. Parallel edges are kept as they are, so the optimum is exact on
-    multigraphs too. Among all optimum matchings the one whose sorted
-    edge-index sequence is lexicographically smallest is returned, which
-    makes the oracle reproducible.
+    Rejects graphs with more than `EXACT_MAX_NODES` nodes. The value of a
+    node set is found from its lowest node v: either v stays unmatched, or
+    it is matched to a neighbour in the set. The adjacency keeps only each
+    node's edges to higher-numbered nodes, as the lowest node of a set has
+    no lower neighbour in it. States are memoized on demand, and every
+    sub-state is looked up in the memo before the DP recurses on it, so
+    sparse instances stay far below the 2**n worst case. Parallel edges
+    are kept as they are, so the optimum is exact on multigraphs too. The
+    edges must have no self-loops, which every input boundary guarantees.
+    Among all optimum matchings the one whose sorted edge-index sequence
+    is lexicographically smallest is returned, which makes the oracle
+    reproducible.
     """
     if g.n > EXACT_MAX_NODES:
         raise CapacityError(
             f"exact solver handles at most {EXACT_MAX_NODES} nodes, got {g.n}"
         )
 
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        adj[e.u].append((e.v, e.weight))
-        adj[e.v].append((e.u, e.weight))
+    # up[lo] holds (bit of hi, weight) for each edge {lo, hi} with lo < hi.
+    up: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        if u < v:
+            up[u].append((1 << v, w))
+        else:
+            up[v].append((1 << u, w))
 
     memo: dict[int, int] = {0: 0}
+    lookup = memo.get
 
     def best(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        v = (mask & -mask).bit_length() - 1
+        # Called only on a memo miss, so mask is non-empty.
         rest = mask & (mask - 1)  # mask without its lowest node
-        value = best(rest)
-        for u, w in adj[v]:
-            bit = 1 << u
-            if mask & bit:
-                cand = w + best(rest & ~bit)
+        value = lookup(rest)
+        if value is None:
+            value = best(rest)
+        for bit, w in up[(mask & -mask).bit_length() - 1]:
+            if rest & bit:
+                sub = rest ^ bit
+                cand = lookup(sub)
+                if cand is None:
+                    cand = best(sub)
+                cand += w
                 if cand > value:
                     value = cand
         memo[mask] = value
         return value
 
+    def solve(mask: int) -> int:
+        value = lookup(mask)
+        return best(mask) if value is None else value
+
     full = (1 << g.n) - 1
     chosen: list[WeightedEdge] = []
     mask = full
-    remaining = best(full)
+    remaining = solve(full)
     # Greedy lexicographic reconstruction: commit the smallest edge index
     # through which an optimum of the remaining subproblem still passes.
     # Stop once the optimum weight is reached; a shorter index tuple beats
@@ -151,7 +170,7 @@ def exact_mwm(g: Graph) -> Matching:
         if remaining == 0:
             break
         bits = (1 << e.u) | (1 << e.v)
-        if mask & bits == bits and e.weight + best(mask & ~bits) == remaining:
+        if mask & bits == bits and e.weight + solve(mask & ~bits) == remaining:
             chosen.append(e)
             mask &= ~bits
             remaining -= e.weight

@@ -113,6 +113,28 @@ def test_run_exit_2_on_bad_epsilon(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, weight",
+    [
+        (["run", "--gen", "chain", "--n", "2000"], "1.9**1999"),
+        (["run", "--gen", "chain", "--n", "30", "--base", "1e300"], "1e+300**29"),
+        (["run", "--gen", "chain", "--n", "30", "--base", "inf"], "inf**29"),
+        (["bench", "--gen", "chain", "--ns", "2000"], "1.9**1999"),
+    ],
+    ids=["run-long", "run-huge-base", "run-inf-base", "bench-long"],
+)
+def test_chain_past_float_range_exits_2(argv, weight, monkeypatch, capsys):
+    """A chain whose top weight overflows a float is a capacity error, not a
+    traceback with the ratio-violated exit code."""
+    monkeypatch.setenv("STREAM_MWM_THREADS", "1")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"stream-mwm: error: chain weight {weight} exceeds 2^63-1; reduce n or base\n"
+    )
+    assert captured.out == ""
+
+
 def test_bench_csv_shape_and_determinism(tmp_path, monkeypatch):
     monkeypatch.setenv("STREAM_MWM_THREADS", "1")
     argv = ["bench", "--ns", "100,200", "--reps", "2", "--seed", "5", "--eps", "1/2"]

@@ -51,6 +51,21 @@ def test_chain_capacity_error_past_63_bits():
         generate(spec("chain", n=65, base=2.0))
 
 
+@pytest.mark.parametrize(
+    "n, base",
+    [(2000, 1.9), (30, 1e300), (2, 1e300), (30, math.inf)],
+    ids=["long", "huge-base", "huge-single-edge", "inf-base"],
+)
+def test_chain_capacity_error_past_float_range(n, base):
+    with pytest.raises(CapacityError, match="exceeds 2\\^63-1"):
+        generate(spec("chain", n=n, base=base))
+
+
+def test_chain_rejects_nan_base():
+    with pytest.raises(ValueError, match="chain base must exceed 1, got nan"):
+        generate(spec("chain", n=5, base=math.nan))
+
+
 def test_complete_structure():
     stream = generate(spec("complete", n=5, seed=9))
     assert len(stream.edges) == 10
