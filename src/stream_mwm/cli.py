@@ -4,7 +4,7 @@
 the oracle (n <= 22) and the trace replay (n <= 64) apply, read a file
 input into memory only if some step needs random access, then run, check
 and emit the report. Any I/O, parse, capacity or epsilon error along the
-way ends it with exit code 2.
+way, or a node count too large to allocate, ends it with exit code 2.
 
 Exit codes for ``run``: 0 success, 1 approximation-ratio violation (with
 --oracle), 2 input/IO errors, 3 monitor failure.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import os
 import random
@@ -33,7 +34,7 @@ from .monitors import (
     check_ratio_bound,
     check_terminal_weights,
 )
-from .reference import EXACT_MAX_NODES, Graph, exact_mwm, greedy_sorted, mwm_simple
+from .reference import EXACT_MAX_NODES, exact_mwm, greedy_sorted, mwm_simple
 from .report import RUN_CSV_HEADER, RunReport
 from .streamio import LazyEdgeStream, read_stream
 
@@ -42,7 +43,9 @@ __all__ = ["main", "cmd_run", "cmd_bench"]
 _GUARANTEE = {"simple": Fraction(2), "greedy": Fraction(2), "exact": Fraction(1)}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="stream-mwm",
         description="Single-pass bounded-memory maximum weight matching",
@@ -138,11 +141,13 @@ def _fail(message: str) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     source: LazyEdgeStream | None = None
+    n = args.n
     try:
         if args.input is not None:
             stream = source = read_stream(args.input)
         else:
             stream = generate(_spec_from_args(args))
+        n = stream.n
         oracle = args.oracle and stream.n <= EXACT_MAX_NODES
         replay = args.monitors and stream.n <= TRACE_MAX_NODES
         if source is not None and (args.alg != "semi" or oracle or replay):
@@ -154,7 +159,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             matching, report = _run_reference(args, stream, eps)
         violation = False
         if oracle:
-            best = exact_mwm(Graph.from_stream(stream)).total_weight
+            best = exact_mwm(stream).total_weight
             got = matching.total_weight
             report.oracle_weight = best
             if got == 0:
@@ -170,6 +175,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Parse, capacity and decode errors are all ValueErrors; a streamed
         # input is read, and may fail, during the run.
         return _fail(str(exc))
+    except MemoryError:
+        # A MemoryError carries no message: name the size that did not fit.
+        size = "the input" if n is None else f"a graph of {n} nodes"
+        return _fail(f"out of memory for {size}")
     finally:
         if source is not None:
             source.close()
@@ -201,12 +210,11 @@ def _run_semi(
                 ("phi_growth", "eviction_gap", "terminal_weights"), "skipped"
             )
         else:
-            g = Graph.from_stream(stream)
             verdicts = {
                 "phi_growth": _verdict(check_phi_growth(trace, params).ok),
                 "eviction_gap": _verdict(check_eviction_gap(trace, params).ok),
                 "terminal_weights": _verdict(
-                    check_terminal_weights(g, trace, params).ok
+                    check_terminal_weights(stream, trace, params).ok
                 ),
             }
         try:
@@ -221,11 +229,10 @@ def _run_semi(
 def _run_reference(
     args: argparse.Namespace, stream: EdgeStream, eps: Fraction
 ) -> tuple[Matching, RunReport]:
-    g = Graph.from_stream(stream)
     solver = {"simple": mwm_simple, "greedy": greedy_sorted, "exact": exact_mwm}[
         args.alg
     ]
-    matching = solver(g)
+    matching = solver(stream)
     report = RunReport(
         algorithm=args.alg,
         n=stream.n,
@@ -344,8 +351,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     return args.func(args)
 
 

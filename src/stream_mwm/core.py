@@ -1,5 +1,8 @@
 """Shared domain types and exact parameter arithmetic.
 
+`EdgeStream` is the one edge-list type: the engine consumes it in arrival
+order, and the reference solvers take it as their graph.
+
 Edge weights are non-negative 64-bit integers throughout. The accuracy
 parameter ``epsilon`` is an exact rational, so the squared charge
 multiplier ``alpha_sq = 1 + epsilon/2`` is rational as well and the
@@ -60,14 +63,19 @@ class EdgeStream:
     """A finite edge sequence plus the declared node count.
 
     The list order is the arrival order. Every endpoint must be a valid
-    index below ``n``; consumers reject out-of-range endpoints.
+    index below ``n``; consumers reject out-of-range endpoints. A node pair
+    may repeat, in either orientation, as parallel edges. The sequential
+    reference solvers take an `EdgeStream` as their graph
+    (`reference.Graph` is another name for this class).
     """
 
     n: int
     edges: Sequence[WeightedEdge]
 
-    def __len__(self) -> int:
-        return len(self.edges)
+    @classmethod
+    def from_stream(cls, stream: "EdgeStream") -> "EdgeStream":
+        """A copy of ``stream`` whose edges are read into a list."""
+        return cls(stream.n, list(stream.edges))
 
 
 @dataclass(frozen=True)

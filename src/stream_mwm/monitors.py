@@ -16,8 +16,7 @@ import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .core import Params, WeightedEdge, is_heavy
-from .reference import Graph
+from .core import EdgeStream, Params, WeightedEdge, is_heavy
 
 __all__ = [
     "TRACE_MAX_NODES",
@@ -180,7 +179,7 @@ def check_eviction_gap(trace: Sequence[TraceEvent], params: Params) -> CheckVerd
 
 
 def check_terminal_weights(
-    g: Graph, trace: Sequence[TraceEvent], params: Params
+    g: EdgeStream, trace: Sequence[TraceEvent], params: Params
 ) -> CheckVerdict:
     """Verify that no edge retains positive implicit weight after the pass.
 

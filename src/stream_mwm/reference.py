@@ -5,14 +5,16 @@ streaming engine: `mwm_simple` is the unfiltered weight-reduction
 baseline, `greedy_sorted` the sort-then-greedy baseline, and `exact_mwm`
 a subset dynamic program that is feasible up to 22 nodes. The DP matches
 the lowest node of a subset only to higher-numbered neighbours, and looks
-each sub-state up in its memo before it recurses. Every input boundary
-rejects self-loops, and the solvers assume there are none.
+each sub-state up in its memo before it recurses. Every solver takes an
+`EdgeStream` whose ``edges`` are in memory (`Graph` is another name for
+it) and treats repeated node pairs, in either orientation, as parallel
+edges. Every input boundary rejects self-loops, and the solvers assume
+there are none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 from .core import CapacityError, EdgeStream, Matching, WeightedEdge
 
@@ -21,90 +23,61 @@ __all__ = ["Graph", "EXACT_MAX_NODES", "mwm_simple", "greedy_sorted", "exact_mwm
 #: Node-count ceiling for the exact subset DP.
 EXACT_MAX_NODES = 22
 
-
-@dataclass(frozen=True)
-class Graph:
-    """Materialized, random-access view of an edge list.
-
-    The edge list may contain repeated node pairs, in either orientation;
-    every solver, `exact_mwm` included, takes them as parallel edges.
-    """
-
-    n: int
-    edges: Sequence[WeightedEdge]
-
-    @classmethod
-    def from_stream(cls, stream: EdgeStream) -> "Graph":
-        return cls(stream.n, list(stream.edges))
+#: The reference solvers' graph: an edge list held in memory.
+Graph = EdgeStream
 
 
-def mwm_simple(g: Graph) -> Matching:
+def mwm_simple(g: EdgeStream) -> Matching:
     """Weight-reduction 2-approximation over the full edge list.
 
-    Processes edges in input order. An edge with positive residual weight
-    has that residual subtracted from itself and from every edge sharing
-    exactly one node with it, and goes onto a stack; edges whose residual
-    has been driven to zero or below are skipped. Unwinding the stack
-    newest-first and adding node-disjoint edges yields a matching whose
-    doubled weight is at least the optimum.
-
-    A single pass suffices: once an edge is processed its residual is
-    fixed, and later reductions only lower the residuals of unprocessed
-    edges, never raise them.
+    Processes edges in input order, in one pass over node potentials. An
+    edge with positive residual weight goes onto a stack, and its residual
+    is added to the potential of each endpoint; an edge whose residual is
+    zero or below is skipped. The residual of edge {u, v} is its weight
+    minus the residuals of the stacked edges that share exactly one node
+    with it: ``w - phi[u] - phi[v]``, plus twice what was stacked on the
+    pair {u, v} itself, since a parallel edge is not reduced by its own
+    earlier copies. Unwinding the stack newest-first and adding
+    node-disjoint edges yields a matching whose doubled weight is at least
+    the optimum.
     """
-    residual = [e.weight for e in g.edges]
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for idx, e in enumerate(g.edges):
-        incident[e.u].append(idx)
-        incident[e.v].append(idx)
-
-    stack: list[int] = []
-    for idx, e in enumerate(g.edges):
-        r = residual[idx]
-        if r <= 0:
-            continue
-        stack.append(idx)
-        for jdx in set(incident[e.u]) | set(incident[e.v]):
-            if jdx == idx:
-                continue
-            other = g.edges[jdx]
-            shared = (other.u in (e.u, e.v)) + (other.v in (e.u, e.v))
-            if shared == 1:
-                residual[jdx] -= r
-        residual[idx] = 0
-
-    return _unwind(g, stack)
+    phi = [0] * g.n
+    on_pair: dict[tuple[int, int], int] = {}
+    stack: list[WeightedEdge] = []
+    for e in g.edges:
+        u, v, w = e
+        pair = (u, v) if u < v else (v, u)
+        stacked = on_pair.get(pair, 0)
+        r = w - phi[u] - phi[v] + 2 * stacked
+        if r > 0:
+            phi[u] += r
+            phi[v] += r
+            on_pair[pair] = stacked + r
+            stack.append(e)
+    return _pick(g.n, reversed(stack))
 
 
-def greedy_sorted(g: Graph) -> Matching:
+def greedy_sorted(g: EdgeStream) -> Matching:
     """Heaviest-first greedy 2-approximation.
 
     Sorts edges by weight descending (ties keep input order) and adds each
     edge whose endpoints are both still free.
     """
-    order = sorted(range(len(g.edges)), key=lambda i: -g.edges[i].weight)
-    matched = bytearray(g.n)
+    return _pick(g.n, sorted(g.edges, key=lambda e: -e.weight))
+
+
+def _pick(n: int, order: Iterable[WeightedEdge]) -> Matching:
+    """Add each edge of ``order`` whose endpoints are both still free."""
+    matched = bytearray(n)
     chosen: list[WeightedEdge] = []
-    for idx in order:
-        e = g.edges[idx]
+    for e in order:
         if not matched[e.u] and not matched[e.v]:
             matched[e.u] = matched[e.v] = 1
             chosen.append(e)
     return Matching.of(chosen)
 
 
-def _unwind(g: Graph, stack: list[int]) -> Matching:
-    matched = bytearray(g.n)
-    chosen: list[WeightedEdge] = []
-    for idx in reversed(stack):
-        e = g.edges[idx]
-        if not matched[e.u] and not matched[e.v]:
-            matched[e.u] = matched[e.v] = 1
-            chosen.append(e)
-    return Matching.of(chosen)
-
-
-def exact_mwm(g: Graph) -> Matching:
+def exact_mwm(g: EdgeStream) -> Matching:
     """Maximum weight matching by dynamic programming over node subsets.
 
     Rejects graphs with more than `EXACT_MAX_NODES` nodes. The value of a
@@ -174,4 +147,7 @@ def exact_mwm(g: Graph) -> Matching:
             chosen.append(e)
             mask &= ~bits
             remaining -= e.weight
+    # `best` reaches itself through its closure. Breaking that cycle frees
+    # the memo on return instead of at some later cyclic collection.
+    del best
     return Matching.of(chosen)

@@ -1,10 +1,15 @@
 import csv
+import gc
 import io
 import json
+import time
 
 import pytest
 
+from stream_mwm import cli
 from stream_mwm.cli import main
+from stream_mwm.core import I64_MAX, Matching, WeightedEdge
+from stream_mwm.monitors import CheckVerdict, MonitorFailure
 from stream_mwm.report import RUN_CSV_HEADER
 
 
@@ -106,6 +111,84 @@ def test_run_exit_2_on_malformed_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 2 1\n0 0 3\n"))
     assert main(["run", "--input", "-"]) == 2
     assert "self-loop at line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alg", ["semi", "greedy", "simple"])
+def test_run_exit_2_on_a_node_count_too_large_to_allocate(alg, monkeypatch, capsys):
+    """Each solver's per-node array fails its allocation at once for 2**62
+    nodes, without allocating anything; the run reports it, no traceback."""
+    n = 2**62
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"p mwm {n} 1\n0 1 5\n"))
+    start = time.monotonic()
+    assert main(["run", "--input", "-", "--alg", alg]) == 2
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == f"stream-mwm: error: out of memory for a graph of {n} nodes\n"
+    assert captured.out == ""
+
+
+ER_10 = ["run", "--gen", "er", "--n", "10", "--p", "0.5", "--seed", "7"]
+
+
+def test_run_exit_1_when_the_oracle_beats_the_bound(monkeypatch, capsys):
+    heavy = Matching.of([WeightedEdge(0, 1, I64_MAX)])
+    monkeypatch.setattr(cli, "exact_mwm", lambda g: heavy)
+    assert main(ER_10 + ["--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "stream-mwm: approximation ratio violated\n"
+    report = json.loads(captured.out)
+    assert report["oracle_weight"] == I64_MAX
+    assert report["ratio"] > 2.5
+
+
+@pytest.mark.parametrize(
+    "check", ["check_phi_growth", "check_eviction_gap", "check_terminal_weights"]
+)
+def test_run_exit_3_when_a_replayed_check_fails(check, monkeypatch, capsys):
+    monkeypatch.setattr(cli, check, lambda *args: CheckVerdict(ok=False))
+    assert main(ER_10 + ["--monitors"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "stream-mwm: monitor failure\n"
+    verdicts = json.loads(captured.out)["monitor_verdicts"]
+    name = check.removeprefix("check_")
+    assert verdicts[name] == "fail"
+    assert {v for k, v in verdicts.items() if k != name} == {"pass"}
+
+
+def test_run_exit_3_when_the_ratio_bound_monitor_fails(monkeypatch, capsys):
+    def fail(params, k):
+        raise MonitorFailure("bound exceeded")
+
+    monkeypatch.setattr(cli, "check_ratio_bound", fail)
+    assert main(ER_10 + ["--monitors"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "stream-mwm: monitor failure\n"
+    assert json.loads(captured.out)["monitor_verdicts"]["ratio_bound"] == "fail"
+
+
+def test_an_oracle_and_monitor_run_leaves_no_cyclic_garbage(capsys):
+    """Each run's oracle memo is freed when the run returns, so a batch of
+    in-process runs does not hold memos until the next cyclic collection."""
+    argv = ["run", "--gen", "er", "--n", "20", "--p", "0.5", "--oracle", "--monitors"]
+    assert main(argv) == 0  # builds the cached parser
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    capsys.readouterr()
+
+
+def test_oracle_ratio_is_one_on_all_zero_weights(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 3 2\n0 1 0\n1 2 0\n"))
+    assert main(["run", "--input", "-", "--oracle"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["output_weight"] == report["oracle_weight"] == 0
+    assert report["ratio"] == 1.0
 
 
 def test_run_exit_2_on_bad_epsilon(capsys):

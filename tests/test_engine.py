@@ -129,6 +129,14 @@ def test_run_stream_timing_is_dense_up_to_the_limit_then_every_64th(monkeypatch)
     assert report.per_edge_ns.samples == 13
 
 
+def test_run_stream_timing_of_a_single_edge():
+    stream = EdgeStream(2, [WeightedEdge(0, 1, 9)])
+    _, report = run_stream(stream, 2, collect_timing=True)
+    t = report.per_edge_ns
+    assert t.samples == 1
+    assert t.p50 == t.p99 == t.max >= 0
+
+
 def test_run_stream_path_example():
     stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5)])
     matching, report = run_stream(stream, 2)
@@ -144,10 +152,11 @@ def test_run_stream_single_edge():
         assert matching.sorted_edges() == [WeightedEdge(0, 1, 9)]
 
 
-def test_run_stream_reports_offending_line():
+@pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+def test_run_stream_reports_offending_line(timed):
     stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(0, 7, 5)])
     with pytest.raises(StreamFormatError, match="line 3"):
-        run_stream(stream, 2)
+        run_stream(stream, 2, collect_timing=timed)
 
 
 def test_run_stream_trace_rejected_beyond_small_instances():

@@ -31,6 +31,8 @@ def test_parse_skips_comments_and_blanks():
         ("p mwm 2 1\n0 1 1\n0 1 2\n", "more than the declared 1 edges at line 3"),
         ("q mwm 2 1\n", "expected header"),
         ("p mwm 2\n", "expected header"),
+        ("p mwm x 3\n", "malformed header at line 1"),
+        ("p mwm -1 0\n", "negative header counts at line 1"),
         ("", "missing header"),
     ],
 )
