@@ -29,8 +29,6 @@ from .monitors import (
     check_phi_growth,
     check_ratio_bound,
     check_terminal_weights,
-    dump_trace,
-    load_trace,
 )
 from .reference import EXACT_MAX_NODES, Graph, exact_mwm, greedy_sorted, mwm_simple
 from .report import RunReport, TimingStats
@@ -64,12 +62,10 @@ __all__ = [
     "check_ratio_bound",
     "check_terminal_weights",
     "compute_params",
-    "dump_trace",
     "exact_mwm",
     "generate",
     "greedy_sorted",
     "is_heavy",
-    "load_trace",
     "mwm_simple",
     "parse_epsilon",
     "parse_stream",

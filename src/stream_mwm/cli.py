@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import functools
 import io
+import math
 import os
 import random
 import sys
@@ -321,6 +322,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 raise ValueError(f"--ns values must be at least 2, got {n}")
             spec = _spec_from_args(args, n=n)
             if spec.kind is GeneratorKind.ERDOS_RENYI and args.p is None:
+                # min(1.0, nan) is 1.0: a NaN degree would sweep complete graphs.
+                if math.isnan(args.degree):
+                    raise ValueError(f"--degree must be a number, got {args.degree}")
                 spec = dataclasses.replace(spec, p=min(1.0, args.degree / (n - 1)))
             for rep in range(args.reps):
                 tasks.append((_rep_spec(spec, rep), str(eps), rep))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "I64_MAX",
@@ -122,6 +122,19 @@ class Matching:
     @classmethod
     def of(cls, edges: Sequence[WeightedEdge]) -> "Matching":
         return cls(frozenset(edges), sum(e.weight for e in edges))
+
+    @classmethod
+    def greedy(cls, n: int, order: Iterable[tuple[int, int, int]]) -> "Matching":
+        """Take each ``(u, v, w)`` of ``order`` whose endpoints ``u, v < n``
+        are both still free: the unwind of the engine's stack and of the
+        reference solvers."""
+        matched = bytearray(n)
+        chosen: list[WeightedEdge] = []
+        for u, v, w in order:
+            if not matched[u] and not matched[v]:
+                matched[u] = matched[v] = 1
+                chosen.append(WeightedEdge(u, v, w))
+        return cls.of(chosen)
 
     def sorted_edges(self) -> list[WeightedEdge]:
         """Edges in a deterministic order, for reports and tests."""

@@ -9,8 +9,9 @@ weight; a queue is a plain list of the edges of its node in push order.
 When a queue hits the cap its oldest edge leaves the stack and both
 endpoint queues at once (a ``pop(0)`` and a ``remove``, each linear in the
 queue length but done in C), so the stack never holds more than the live
-edges. After the pass the stack is unwound newest-first, greedily, into
-the matching.
+edges. After the pass `Matching.greedy` unwinds the stack newest-first
+into the matching. A trace records the pass only: one ``light`` or
+``pushed`` event per edge and one ``evicted`` event per eviction.
 
 Edges arrive as plain ``(u, v, w)`` triples and are stored as such: a
 light edge, most of a typical stream, leaves nothing behind, a pushed edge
@@ -43,7 +44,6 @@ from .core import (
 from .monitors import (
     EVICTED,
     LIGHT as EV_LIGHT,
-    MATCHED,
     PUSHED,
     TRACE_MAX_EDGES,
     TRACE_MAX_NODES,
@@ -207,16 +207,7 @@ class StreamingState:
         if self._finalized:
             raise RuntimeError("state already finalized")
         self._finalized = True
-        matched = bytearray(self.params.n)
-        chosen: list[WeightedEdge] = []
-        for (u, v, w), reduced in reversed(self._stack.items()):
-            if not matched[u] and not matched[v]:
-                matched[u] = matched[v] = 1
-                e = WeightedEdge(u, v, w)
-                chosen.append(e)
-                if self._trace is not None:
-                    self._trace.append(TraceEvent(MATCHED, e, reduced, None))
-        return Matching.of(chosen), self.stats
+        return Matching.greedy(self._n, reversed(self._stack)), self.stats
 
 
 def run_stream(

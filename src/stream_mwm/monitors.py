@@ -3,18 +3,18 @@
 The engine always maintains the cheap integer counters in `MonitorStats`.
 Full event traces with potential snapshots are reserved for small
 instances (node count <= 64, stream length <= 100_000); recording them at
-benchmark scale would break the very space bound under test. The
-`check_*` functions are pure functions of a recorded trace and can be
-replayed offline, e.g. from a JSONL dump.
+benchmark scale would break the very space bound under test. A trace
+records the pass only, in ``light``, ``pushed`` and ``evicted`` events;
+the matching that `StreamingState.finalize` returns is not traced. The
+`check_*` functions are pure functions of a recorded trace.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 from .core import EdgeStream, Params, WeightedEdge, is_heavy
 
@@ -24,7 +24,6 @@ __all__ = [
     "LIGHT",
     "PUSHED",
     "EVICTED",
-    "MATCHED",
     "MonitorStats",
     "TraceEvent",
     "CheckVerdict",
@@ -33,8 +32,6 @@ __all__ = [
     "check_eviction_gap",
     "check_terminal_weights",
     "check_ratio_bound",
-    "dump_trace",
-    "load_trace",
 ]
 
 #: Limits below which full traces with potential snapshots may be recorded.
@@ -45,7 +42,6 @@ TRACE_MAX_EDGES = 100_000
 LIGHT = "light"
 PUSHED = "pushed"
 EVICTED = "evicted"
-MATCHED = "matched"
 
 #: Relative tolerance for checks that involve the real factor 2*alpha*gamma.
 _GAP_REL_TOL = 1e-6
@@ -70,7 +66,7 @@ class MonitorStats:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One engine event: an edge classified, evicted, or matched.
+    """One engine event: an edge classified (light or pushed) or evicted.
 
     ``potentials`` is the full potential vector after the event took
     effect (present only in small-instance mode); ``reduced_weight`` is
@@ -258,34 +254,3 @@ def check_ratio_bound(params: Params, k: int) -> float:
             f"approximation factor {beta1!r} exceeds {params.ratio_bound} + 1e-9"
         )
     return beta1
-
-
-def dump_trace(trace: Iterable[TraceEvent], fp: IO[str]) -> None:
-    """Write a trace as JSON objects, one per line."""
-    for ev in trace:
-        rec: dict = {"kind": ev.kind, "u": ev.edge.u, "v": ev.edge.v, "w": ev.edge.weight}
-        if ev.reduced_weight is not None:
-            rec["w_reduced"] = ev.reduced_weight
-        if ev.potentials is not None:
-            rec["phi"] = list(ev.potentials)
-        fp.write(json.dumps(rec, sort_keys=True))
-        fp.write("\n")
-
-
-def load_trace(fp: IO[str]) -> list[TraceEvent]:
-    """Read a trace written by `dump_trace`."""
-    out: list[TraceEvent] = []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        out.append(
-            TraceEvent(
-                kind=rec["kind"],
-                edge=WeightedEdge(rec["u"], rec["v"], rec["w"]),
-                reduced_weight=rec.get("w_reduced"),
-                potentials=tuple(rec["phi"]) if "phi" in rec else None,
-            )
-        )
-    return out

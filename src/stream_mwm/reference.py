@@ -3,7 +3,8 @@
 These run with the whole edge list in memory and exist to check the
 streaming engine: `mwm_simple` is the unfiltered weight-reduction
 baseline, `greedy_sorted` the sort-then-greedy baseline, and `exact_mwm`
-a subset dynamic program that is feasible up to 22 nodes. The DP matches
+a subset dynamic program that is feasible up to 22 nodes. Both
+baselines end in `Matching.greedy`, the engine's unwind. The DP matches
 the lowest node of a subset only to higher-numbered neighbours, and looks
 each sub-state up in its memo before it recurses. Every solver takes an
 `EdgeStream` whose ``edges`` are in memory (`Graph` is another name for
@@ -13,8 +14,6 @@ there are none.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from .core import CapacityError, EdgeStream, Matching, WeightedEdge
 
@@ -37,9 +36,8 @@ def mwm_simple(g: EdgeStream) -> Matching:
     minus the residuals of the stacked edges that share exactly one node
     with it: ``w - phi[u] - phi[v]``, plus twice what was stacked on the
     pair {u, v} itself, since a parallel edge is not reduced by its own
-    earlier copies. Unwinding the stack newest-first and adding
-    node-disjoint edges yields a matching whose doubled weight is at least
-    the optimum.
+    earlier copies. Unwinding the stack newest-first with `Matching.greedy`
+    yields a matching whose doubled weight is at least the optimum.
     """
     phi = [0] * g.n
     on_pair: dict[tuple[int, int], int] = {}
@@ -54,27 +52,16 @@ def mwm_simple(g: EdgeStream) -> Matching:
             phi[v] += r
             on_pair[pair] = stacked + r
             stack.append(e)
-    return _pick(g.n, reversed(stack))
+    return Matching.greedy(g.n, reversed(stack))
 
 
 def greedy_sorted(g: EdgeStream) -> Matching:
     """Heaviest-first greedy 2-approximation.
 
-    Sorts edges by weight descending (ties keep input order) and adds each
-    edge whose endpoints are both still free.
+    Sorts edges by weight descending (ties keep input order) and picks
+    from them with `Matching.greedy`.
     """
-    return _pick(g.n, sorted(g.edges, key=lambda e: -e.weight))
-
-
-def _pick(n: int, order: Iterable[WeightedEdge]) -> Matching:
-    """Add each edge of ``order`` whose endpoints are both still free."""
-    matched = bytearray(n)
-    chosen: list[WeightedEdge] = []
-    for e in order:
-        if not matched[e.u] and not matched[e.v]:
-            matched[e.u] = matched[e.v] = 1
-            chosen.append(e)
-    return Matching.of(chosen)
+    return Matching.greedy(g.n, sorted(g.edges, key=lambda e: -e.weight))
 
 
 def exact_mwm(g: EdgeStream) -> Matching:

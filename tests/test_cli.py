@@ -273,8 +273,12 @@ def test_gen_requires_n(capsys):
         (["--ns", "10", "--reps", "-1"], "1", "--reps must be at least 1, got -1"),
         (["--ns", "10"], "0", "STREAM_MWM_THREADS must be at least 1, got 0"),
         (["--ns", "10"], "-2", "STREAM_MWM_THREADS must be at least 1, got -2"),
+        (["--ns", "50", "--degree", "nan"], "1", "--degree must be a number, got nan"),
     ],
-    ids=["ns-1", "ns-empty", "reps-0", "reps-negative", "threads-0", "threads-negative"],
+    ids=[
+        "ns-1", "ns-empty", "reps-0", "reps-negative", "threads-0", "threads-negative",
+        "degree-nan",
+    ],
 )
 def test_bench_exit_2_on_node_count_below_two(argv, threads, message, monkeypatch, capsys):
     """An empty or degenerate sweep is an error, not a header-only CSV."""

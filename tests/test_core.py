@@ -178,6 +178,15 @@ def test_matching_weight_examples():
     assert two.total_weight == 7
 
 
+def test_matching_greedy_takes_each_edge_whose_endpoints_are_free():
+    order = [(0, 1, 5), (1, 2, 9), (2, 3, 1), (0, 3, 7), (2, 3, 8)]
+    m = Matching.greedy(4, order)
+    assert m.sorted_edges() == [WeightedEdge(0, 1, 5), WeightedEdge(2, 3, 1)]
+    assert m.total_weight == 6
+    assert all(type(e) is WeightedEdge for e in m.edges)
+    assert Matching.greedy(3, iter([])) == Matching.of([])
+
+
 def test_matching_rejects_shared_nodes():
     with pytest.raises(ValueError):
         Matching.of([WeightedEdge(0, 1, 3), WeightedEdge(1, 2, 4)])

@@ -1,4 +1,3 @@
-import io
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -18,10 +17,9 @@ from stream_mwm.monitors import (
     check_phi_growth,
     check_ratio_bound,
     check_terminal_weights,
-    dump_trace,
-    load_trace,
 )
 from stream_mwm.reference import Graph
+from test_trace_golden import _inputs
 
 
 def _traced_run(stream: EdgeStream, eps):
@@ -42,6 +40,15 @@ def test_phi_growth_two_push_example():
     trace, params = _traced_run(_two_push_stream(), 2)
     verdict = check_phi_growth(trace, params)
     assert verdict.ok and verdict.checked == 1  # node 1 goes 5 -> 8
+
+
+def test_trace_holds_only_pass_events():
+    """One light or pushed event per edge, one evicted event per eviction."""
+    for _, stream, eps in _inputs():
+        trace = []
+        _, report = run_stream(stream, eps, trace_sink=trace)
+        assert {ev.kind for ev in trace} <= {LIGHT, PUSHED, EVICTED}
+        assert len(trace) == report.m + report.evictions_total
 
 
 def test_phi_growth_vacuous_with_one_push_per_node():
@@ -182,14 +189,3 @@ def test_ratio_bound_raises_on_corrupt_params():
     )
     with pytest.raises(MonitorFailure):
         check_ratio_bound(bad, 100)
-
-
-def test_trace_dump_load_roundtrip():
-    trace, _ = _traced_run(_chain_stream(16), 2)
-    buf = io.StringIO()
-    dump_trace(trace, buf)
-    buf.seek(0)
-    assert load_trace(buf) == trace
-    # One JSON object per line, no blank padding.
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == len(trace)
