@@ -126,7 +126,10 @@ class StreamingState:
         pot_sum = phi_u + phi_v
         p = self._p
         q = self._q
-        if q * w * w <= p * pot_sum * pot_sum:
+        # 0 < epsilon < 6 gives 1 < alpha < 2: a weight up to the potential
+        # sum is light and one above twice the sum is heavy, so only the
+        # band between needs the exact squares.
+        if w <= pot_sum or (w <= 2 * pot_sum and q * w * w <= p * pot_sum * pot_sum):
             if self._trace is not None:
                 self._trace.append(
                     TraceEvent(EV_LIGHT, WeightedEdge(u, v, w), None, tuple(phi))
@@ -144,10 +147,11 @@ class StreamingState:
 
         phi[u] = new_u = phi_u + reduced
         phi[v] = new_v = phi_v + reduced
-        # Growth monitor: each push must scale phi(x) by at least alpha.
-        if q * new_u * new_u < p * phi_u * phi_u:
+        # Growth monitor: each push must scale phi(x) by at least alpha. A
+        # potential that at least doubles (from 0, say) passes, as alpha < 2.
+        if new_u < 2 * phi_u and q * new_u * new_u < p * phi_u * phi_u:
             stats.phi_growth_violations += 1
-        if q * new_v * new_v < p * phi_v * phi_v:
+        if new_v < 2 * phi_v and q * new_v * new_v < p * phi_v * phi_v:
             stats.phi_growth_violations += 1
         queues = self._queues
         queue_u = queues[u]

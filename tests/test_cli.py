@@ -2,15 +2,18 @@ import csv
 import gc
 import io
 import json
+import random
 import time
 
 import pytest
 
 from stream_mwm import cli
 from stream_mwm.cli import main
-from stream_mwm.core import I64_MAX, Matching, WeightedEdge
+from stream_mwm.core import I64_MAX, EdgeStream, Matching, WeightedEdge
 from stream_mwm.monitors import CheckVerdict, MonitorFailure
+from stream_mwm.reference import EXACT_MAX_NODES, Graph, exact_mwm
 from stream_mwm.report import RUN_CSV_HEADER
+from stream_mwm.streamio import serialize_stream
 
 
 def run_to_file(tmp_path, name, argv):
@@ -35,6 +38,35 @@ def test_oracle_is_exact_on_parallel_edges(monkeypatch, capsys):
     assert report["output_weight"] == 105
     assert report["oracle_weight"] == 105
     assert report["ratio"] == 1.0
+
+
+def test_oracle_on_a_large_multigraph_at_capacity(tmp_path, capsys):
+    # 43,200 copies over the 231 pairs of 22 nodes: the oracle's cost must
+    # not grow with the copies, and its optimum is that of the graph that
+    # keeps only the heaviest copy of each pair.
+    rng = random.Random(22)
+    n = EXACT_MAX_NODES
+    edges = []
+    for _ in range(43_200):
+        u, v = rng.sample(range(n), 2)
+        edges.append(WeightedEdge(u, v, rng.randint(0, 10**6)))
+    path = tmp_path / "multi.txt"
+    path.write_text(serialize_stream(EdgeStream(n, edges)))
+    assert main(["run", "--input", str(path), "--oracle"]) == 0
+    report = json.loads(capsys.readouterr().out)
+
+    heaviest: dict[tuple[int, int], int] = {}
+    for u, v, w in edges:
+        pair = (min(u, v), max(u, v))
+        heaviest[pair] = max(w, heaviest.get(pair, 0))
+    collapsed = [WeightedEdge(u, v, w) for (u, v), w in heaviest.items()]
+    assert report["oracle_weight"] == exact_mwm(Graph(n, collapsed)).total_weight
+
+    nx = pytest.importorskip("networkx")
+    nxg = nx.Graph()
+    nxg.add_weighted_edges_from(collapsed)
+    want = sum(nxg[u][v]["weight"] for u, v in nx.max_weight_matching(nxg))
+    assert report["oracle_weight"] == want
 
 
 def test_run_path_greedy_single_edge(capsys):

@@ -16,6 +16,7 @@ from stream_mwm.core import (
     StreamFormatError,
     WeightedEdge,
     compute_params,
+    is_heavy,
 )
 from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
@@ -83,6 +84,29 @@ def test_duplicate_arrival_sees_updated_potentials():
     s = fresh()
     assert s.process_edge(WeightedEdge(0, 1, 5))
     assert not s.process_edge(WeightedEdge(0, 1, 5))
+
+
+@pytest.mark.parametrize("eps", ["1/10", "1/2", "2", "59/10"])
+@pytest.mark.parametrize(
+    "pot_sum", [0, 1, 2, 7, 10**6, 2**40 + 1, I64_MAX // 2, I64_MAX, 2 * I64_MAX]
+)
+def test_filter_shortcuts_agree_with_the_exact_test(eps, pot_sum):
+    # The engine decides w <= s and w > 2s without squaring; the band
+    # between, and both sides of ceil(alpha * s) in it, must still agree
+    # with core.is_heavy. Nodes 0 and 2 get potentials summing to s.
+    params = compute_params(4, eps)
+    p, q = params.alpha_sq.numerator, params.alpha_sq.denominator
+    last_light = math.isqrt(p * pot_sum * pot_sum // q)
+    weights = {0, pot_sum - 1, pot_sum, pot_sum + 1, 2 * pot_sum - 1, 2 * pot_sum,
+               2 * pot_sum + 1, I64_MAX, *range(last_light - 1, last_light + 3)}
+    half = pot_sum // 2
+    for w in sorted(x for x in weights if 0 <= x <= I64_MAX):
+        state = StreamingState(params)
+        state.process_edge((0, 1, pot_sum - half))
+        state.process_edge((2, 3, half))
+        assert state.phi[0] + state.phi[2] == pot_sum
+        assert state.process_edge((0, 2, w)) == is_heavy(w, pot_sum, params), w
+        assert state.stats.phi_growth_violations == 0, w
 
 
 def test_finalize_empty():

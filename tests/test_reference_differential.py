@@ -13,8 +13,8 @@ import random
 import pytest
 
 from conftest import random_multigraph_stream, random_simple_stream
-from stream_mwm.core import CapacityError, Matching, WeightedEdge
-from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
+from stream_mwm.core import I64_MAX, CapacityError, EdgeStream, Matching, WeightedEdge
+from stream_mwm.generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 from stream_mwm.reference import EXACT_MAX_NODES, Graph, exact_mwm
 
 
@@ -90,6 +90,56 @@ def test_uniform_weights_stress_the_tie_break(seed, weight):
     stream = maker(seed + 3000, max_n=12, p=0.6)
     edges = [WeightedEdge(e.u, e.v, weight) for e in stream.edges]
     assert_same(Graph(stream.n, edges))
+
+
+def parallel_copies_stream(seed: int, weight) -> EdgeStream:
+    """Seeded multigraph of up to four copies per pair, in either
+    orientation, interleaved at random. The copies of a pair arrive
+    lightest first, so a later copy is never lighter than an earlier one
+    and copies of equal weight are common."""
+    rng = random.Random(f"{seed}/copies")
+    n = rng.randint(2, 12)
+    copies = [
+        (u, v) if rng.random() < 0.5 else (v, u)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.5
+        for _ in range(rng.randint(1, 4))
+    ]
+    rng.shuffle(copies)
+    weights: dict[frozenset[int], list[int]] = {}
+    for pair in copies:
+        weights.setdefault(frozenset(pair), []).append(weight(rng))
+    for ws in weights.values():
+        ws.sort(reverse=True)
+    edges = [WeightedEdge(u, v, weights[frozenset((u, v))].pop()) for u, v in copies]
+    return EdgeStream(n, edges)
+
+
+_COPY_WEIGHTS = {
+    "ties": lambda rng: rng.randint(0, 3),
+    "mostly-zero": lambda rng: rng.choice([0, 0, 0, 5]),
+    "63-bit": lambda rng: rng.choice([I64_MAX, I64_MAX - 1, rng.getrandbits(63)]),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(_COPY_WEIGHTS))
+@pytest.mark.parametrize("seed", range(40))
+def test_parallel_copies_lightest_first(seed, weights):
+    assert_same(parallel_copies_stream(seed, _COPY_WEIGHTS[weights]))
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(20, seed) for seed in range(8)] + [(22, seed) for seed in range(4)]
+)
+def test_shuffled_er_instances(n, seed):
+    """Shuffled arrival order: edge indices follow neither node numbers nor
+    the DP's node labels."""
+    spec = GeneratorSpec(
+        kind=GeneratorKind.ERDOS_RENYI, n=n, p=0.5, seed=seed + 500,
+        order=StreamOrder.SHUFFLED,
+    )
+    assert_same(Graph.from_stream(generate(spec)))
 
 
 @pytest.mark.parametrize(
