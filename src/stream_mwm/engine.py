@@ -5,13 +5,18 @@ endpoint potentials (exact integer filter), heavy edges are pushed onto a
 stack with their reduced weight and both potentials grow by that amount,
 and per-node FIFO queues cap how many live stack edges any node may own.
 The stack is an insertion-ordered dict from each live edge to its reduced
-weight; a queue is a plain list of the edges of its node in push order.
-When a queue hits the cap its oldest edge leaves the stack and both
-endpoint queues at once (a ``pop(0)`` and a ``remove``, each linear in the
-queue length but done in C), so the stack never holds more than the live
-edges. After the pass `Matching.greedy` unwinds the stack newest-first
-into the matching. A trace records the pass only: one ``light`` or
-``pushed`` event per edge and one ``evicted`` event per eviction.
+weight. A node's queue slot is ``None``, the bare tuple of the node's one
+live edge, or, once a second edge arrives, a list of its edges in push order
+that grows by ``append``; a node that never owns two live edges at once,
+such as a star's leaf, never gets a list. When a queue hits the cap
+(only a list can: the cap is at least 4) its oldest edge leaves the stack
+and both endpoint queues at once (a ``pop(0)`` and, unless the victim sits
+alone in its other endpoint's slot, which is then emptied, a ``remove``;
+each linear in the queue length but done in C), so the stack never holds
+more than the live edges. After the pass `Matching.greedy` unwinds the stack
+newest-first into the matching. A trace records the pass only: one
+``light`` or ``pushed`` event per edge and one ``evicted`` event per
+eviction.
 
 Edges arrive as plain ``(u, v, w)`` triples and are stored as such: a
 light edge, most of a typical stream, leaves nothing behind, a pushed edge
@@ -23,13 +28,15 @@ pauses the cyclic garbage collector for the pass, which makes no cycles.
 
 Node potentials never exceed the largest edge weight seen, so they stay in
 64 bits: a push sets ``phi(x)`` to ``w - phi(other) <= w <= 2^63 - 1``, as
-potentials are never negative.
+potentials are never negative. ``phi`` is therefore an ``array('q')``: 8
+bytes a node and no int object per potential.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+from array import array
 from fractions import Fraction
 
 from .core import (
@@ -68,10 +75,12 @@ class StreamingState:
 
     def __init__(self, params: Params, trace: list[TraceEvent] | None = None) -> None:
         self.params = params
-        self.phi: list[int] = [0] * params.n
+        # Signed 64-bit slots hold every potential (see the module notes);
+        # repeating a one-item array fails with MemoryError for a huge n.
+        self.phi = array("q", [0]) * params.n
         self._n = params.n
         self._cap = params.queue_cap
-        self._queues: list[list[Triple] | None] = [None] * params.n
+        self._queues: list[Triple | list[Triple] | None] = [None] * params.n
         # Live edge -> reduced weight, in push order. Keying by the edge
         # value here, and finding it by value in a queue, is safe because
         # each value is pushed at most once: a push raises the endpoints'
@@ -89,8 +98,14 @@ class StreamingState:
         return len(self._stack)
 
     def queue_len(self, node: int) -> int:
+        return len(self._queue(node))
+
+    def _queue(self, node: int) -> list[Triple]:
+        """The node's queued edges, oldest first, whatever its slot holds."""
         q = self._queues[node]
-        return 0 if q is None else len(q)
+        if q is None:
+            return []
+        return q if type(q) is list else [q]
 
     def live_edges(self) -> list[WeightedEdge]:
         """Live stack edges, oldest first (diagnostics and tests)."""
@@ -153,17 +168,29 @@ class StreamingState:
             stats.phi_growth_violations += 1
         if new_v < 2 * phi_v and q * new_v * new_v < p * phi_v * phi_v:
             stats.phi_growth_violations += 1
+        # A slot holds nothing, the bare tuple of the node's one live edge,
+        # or, from the second edge on, a list of its edges in push order.
         queues = self._queues
         queue_u = queues[u]
         if queue_u is None:
-            queue_u = queues[u] = []
-        queue_u.append(edge)
+            queues[u] = edge
+            len_u = 1
+        elif type(queue_u) is tuple:
+            queues[u] = [queue_u, edge]
+            len_u = 2
+        else:
+            queue_u.append(edge)
+            len_u = len(queue_u)
         queue_v = queues[v]
         if queue_v is None:
-            queue_v = queues[v] = []
-        queue_v.append(edge)
-        len_u = len(queue_u)
-        len_v = len(queue_v)
+            queues[v] = edge
+            len_v = 1
+        elif type(queue_v) is tuple:
+            queues[v] = [queue_v, edge]
+            len_v = 2
+        else:
+            queue_v.append(edge)
+            len_v = len(queue_v)
         longest = len_u if len_u > len_v else len_v
         if longest > stats.max_queue_len:
             stats.max_queue_len = longest
@@ -178,16 +205,23 @@ class StreamingState:
             # Queue-cap monitor: a queue may reach the cap, never pass it.
             stats.queue_cap_violations += (len_u > cap) + (len_v > cap)
             # Evicting at u may shorten v's queue (a parallel edge), so each
-            # length is read again just before its test.
-            for x, queue in ((u, queue_u), (v, queue_v)):
-                if len(queue) >= cap:
+            # slot is read again just before its test. Only a list can reach
+            # the cap, which is at least 4.
+            for x in (u, v):
+                queue = queues[x]
+                if type(queue) is list and len(queue) >= cap:
                     victim = queue.pop(0)
                     victim_reduced = stack.pop(victim)
                     stats.evictions_total += 1
                     # The victim is live, so it also sits in its other
-                    # endpoint's queue.
+                    # endpoint's slot: alone there, or in a list.
                     vu, vv, vw = victim
-                    queues[vv if vu == x else vu].remove(victim)
+                    y = vv if vu == x else vu
+                    other = queues[y]
+                    if type(other) is list:
+                        other.remove(victim)
+                    else:
+                        queues[y] = None
                     if self._trace is not None:
                         self._trace.append(TraceEvent(
                             EVICTED, WeightedEdge(vu, vv, vw), victim_reduced, None
@@ -249,10 +283,10 @@ def run_stream(
     # (the parser's) already name their line and pass through as they are.
     m = 0
     samples: list[int] | None = None
-    # A pass makes no reference cycles (the state is ints, int tuples, lists
-    # of tuples and one dict), so the cyclic collector could only rescan the
-    # live stack edges again and again. It is paused for the pass and left
-    # as it was found.
+    # A pass makes no reference cycles (the state is an int array, int
+    # tuples, lists of tuples and one dict), so the cyclic collector could
+    # only rescan the live stack edges again and again. It is paused for the
+    # pass and left as it was found.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

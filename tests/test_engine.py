@@ -21,6 +21,7 @@ from stream_mwm.core import (
 from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
 from stream_mwm.monitors import EVICTED, PUSHED, check_ratio_bound
+from stream_mwm.report import RunReport
 from stream_mwm.streamio import parse_stream, read_stream, serialize_stream
 
 
@@ -30,11 +31,11 @@ def fresh(n=3, eps=2, trace=None):
 
 def test_initial_state():
     st4 = fresh(4)
-    assert st4.phi == [0, 0, 0, 0]
+    assert list(st4.phi) == [0, 0, 0, 0]
     assert st4.live_entries == 0
     assert st4.stats.peak_live_entries == 0
     st2 = fresh(2, Fraction(1, 2))
-    assert st2.phi == [0, 0]
+    assert list(st2.phi) == [0, 0]
 
 
 def test_process_edge_hand_trace():
@@ -42,14 +43,14 @@ def test_process_edge_hand_trace():
     s = fresh(trace=trace)
     assert s.process_edge(WeightedEdge(0, 1, 5)) is True
     # Both potentials grow by the reduced weight 5 - (0 + 0).
-    assert s.phi == [5, 5, 0]
+    assert list(s.phi) == [5, 5, 0]
 
     assert s.process_edge(WeightedEdge(1, 2, 5)) is False
-    assert s.phi == [5, 5, 0]
+    assert list(s.phi) == [5, 5, 0]
 
     assert s.process_edge(WeightedEdge(1, 2, 8)) is True
     # Reduced weight 8 - (5 + 0) = 3: node 2 grows from 0 to 3.
-    assert s.phi == [5, 8, 3]
+    assert list(s.phi) == [5, 8, 3]
 
     matching, stats = s.finalize()
     assert matching.sorted_edges() == [WeightedEdge(1, 2, 8)]
@@ -262,9 +263,24 @@ def test_engine_state_is_small_per_live_entry():
         tracemalloc.stop()
     assert report.evictions_total > 0
     assert report.heavy_edges_k == len(stream.edges)
-    # The stack dict, plain-list queues and potentials take about 330 B
+    # The stack dict, the queue slots and the potentials take about 240 B
     # per live entry on CPython 3.10-3.12.
     assert peak / report.peak_live_entries <= 600
+
+
+def test_a_star_needs_no_list_per_leaf_nor_an_int_per_potential():
+    # A leaf holds its one edge in its slot, and potentials are packed into
+    # 8 bytes each; with a list per leaf and an int object per potential
+    # the same run takes about 390 B per live entry.
+    stream = _heavy_chain_stars(20, "1/2")
+    tracemalloc.start()
+    try:
+        _, report = run_stream(stream, "1/2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.evictions_total > 0
+    assert peak / report.peak_live_entries <= 300
 
 
 def test_queue_invariants_after_each_edge():
@@ -274,9 +290,8 @@ def test_queue_invariants_after_each_edge():
         s.process_edge(e)
         assert s.queue_len(0) < params.queue_cap
     # White-box: queues hold only live stack edges.
-    for q in s._queues:
-        if q:
-            assert all(edge in s._stack for edge in q)
+    for x in range(params.n):
+        assert all(edge in s._stack for edge in s._queue(x))
 
 
 def test_compact_preserves_finalize_result():
@@ -368,7 +383,8 @@ def _naive_pass(params, edges):
             matched.update((e.u, e.v))
             chosen.append(e)
     live = [e for e, alive in stack if alive]
-    return phi, live, sorted(chosen)
+    queued = [[stack[i][0] for i in queue] for queue in queues]
+    return phi, live, sorted(chosen), queued
 
 
 def _assert_matches_naive(params, edges):
@@ -376,10 +392,14 @@ def _assert_matches_naive(params, edges):
     for e in edges:
         s.process_edge(e)
     live = s.live_edges()
+    queued = [list(s._queue(x)) for x in range(params.n)]
+    lengths = [s.queue_len(x) for x in range(params.n)]
     matching, _ = s.finalize()
-    phi, naive_live, naive_chosen = _naive_pass(params, edges)
-    assert s.phi == phi
+    phi, naive_live, naive_chosen, naive_queued = _naive_pass(params, edges)
+    assert list(s.phi) == phi
     assert live == naive_live
+    assert queued == naive_queued
+    assert lengths == [len(q) for q in naive_queued]
     assert matching.sorted_edges() == naive_chosen
 
 
@@ -433,13 +453,141 @@ def test_stack_holds_exactly_the_queued_edges(params, edges):
     s = StreamingState(params)
     for e in edges:
         s.process_edge(e)
-        queued = set().union(*(q for q in s._queues if q))
+        queued = set().union(*(s._queue(x) for x in range(params.n)))
         assert set(s._stack) == queued
         for live in s._stack:
-            assert live in s._queues[live[0]] and live in s._queues[live[1]]
+            assert live in s._queue(live[0]) and live in s._queue(live[1])
         assert s.live_entries == len(s.live_edges()) <= params.n * params.queue_cap
     assert s.stats.evictions_total >= 1
     _assert_matches_naive(params, edges)
+
+
+def _doubling_edges(pairs):
+    """Edges on ``pairs`` with weights 4^i. Potentials never exceed the
+    largest weight seen, so each edge is more than alpha < 2 times the
+    potential sum of its endpoints: every edge is heavy, at any epsilon."""
+    assert len(pairs) <= 31  # 4^31 <= 2^63 - 1
+    return [WeightedEdge(u, v, 4**i) for i, (u, v) in enumerate(pairs)]
+
+
+def _slot_kind(state, node):
+    return type(state._queues[node]).__name__
+
+
+def _assert_queues_match_naive_after_each_edge(params, edges):
+    s = StreamingState(params)
+    for i, e in enumerate(edges):
+        assert s.process_edge(e)
+        naive_queued = _naive_pass(params, edges[: i + 1])[3]
+        assert [s._queue(x) for x in range(params.n)] == naive_queued
+        assert [s.queue_len(x) for x in range(params.n)] == [len(q) for q in naive_queued]
+    _assert_matches_naive(params, edges)
+
+
+_SLOTS = compute_params(16, Fraction(59, 10))
+
+
+def test_a_slot_goes_from_empty_to_one_edge_to_a_list_that_evicts():
+    cap = _SLOTS.queue_cap
+    edges = _doubling_edges([(0, leaf) for leaf in range(1, cap + 1)])
+    s = StreamingState(_SLOTS)
+    kinds, lengths = [_slot_kind(s, 0)], [s.queue_len(0)]
+    for e in edges:
+        s.process_edge(e)
+        kinds.append(_slot_kind(s, 0))
+        lengths.append(s.queue_len(0))
+    assert kinds == ["NoneType", "tuple"] + ["list"] * (cap - 1)
+    # The cap-th push fills the queue, and its oldest edge is evicted.
+    assert lengths == [*range(cap), cap - 1]
+    assert s.stats.evictions_total == 1
+    assert s.stats.max_queue_len == cap
+    _assert_queues_match_naive_after_each_edge(_SLOTS, edges)
+
+
+def test_a_leaf_edge_evicted_from_the_centre_empties_the_leaf_slot():
+    cap = _SLOTS.queue_cap
+    star = [(0, leaf) for leaf in range(1, cap + 1)]
+    # Leaf 1 is pushed again: on a fresh node, then back at the centre.
+    edges = _doubling_edges(star + [(1, cap + 1), (1, 0)])
+    s = StreamingState(_SLOTS)
+    for e in edges[:cap]:
+        s.process_edge(e)
+    assert s.stats.evictions_total == 1
+    assert _slot_kind(s, 1) == "NoneType" and s.queue_len(1) == 0
+    assert _slot_kind(s, 2) == "tuple" and s.queue_len(2) == 1
+    s.process_edge(edges[cap])
+    assert _slot_kind(s, 1) == "tuple" and s.queue_len(1) == 1
+    s.process_edge(edges[cap + 1])
+    assert _slot_kind(s, 1) == "list" and s.queue_len(1) == 2
+    # The centre is full again and evicts leaf 2's edge, emptying its slot.
+    assert s.stats.evictions_total == 2
+    assert _slot_kind(s, 2) == "NoneType" and s.queue_len(0) == cap - 1
+    _assert_queues_match_naive_after_each_edge(_SLOTS, edges)
+
+
+@pytest.mark.parametrize("v_holds", ["alone", "list"])
+def test_an_eviction_at_u_shortens_the_queue_of_a_parallel_copy_at_v(v_holds):
+    # Copy 1 of (0, 1), then fillers at 0 until its queue is one short of
+    # the cap, then copy 2: node 0 evicts copy 1, which also leaves node 1's
+    # queue. With "alone", node 1 held copy 1 in its slot and copy 2 makes
+    # that a list; with "list", node 1 has its own fillers and reaches the
+    # cap with copy 2 too, but the eviction at 0 takes it back below.
+    cap = _SLOTS.queue_cap
+    fillers = range(2, cap)
+    pairs = [(0, 1)] + [(0, a) for a in fillers]
+    if v_holds == "list":
+        pairs += [(1, a) for a in fillers]
+    edges = _doubling_edges(pairs + [(0, 1)])
+    s = StreamingState(_SLOTS)
+    for e in edges[:-1]:
+        s.process_edge(e)
+    assert _slot_kind(s, 1) == ("tuple" if v_holds == "alone" else "list")
+    assert s.queue_len(0) == cap - 1
+    assert s.queue_len(1) == (1 if v_holds == "alone" else cap - 1)
+    s.process_edge(edges[-1])
+    assert s.stats.evictions_total == 1
+    assert _slot_kind(s, 1) == "list"
+    assert s._queue(1)[-1] == edges[-1] and edges[0] not in s._queue(1)
+    assert s.queue_len(0) == cap - 1
+    assert s.queue_len(1) == (1 if v_holds == "alone" else cap - 1)
+    _assert_queues_match_naive_after_each_edge(_SLOTS, edges)
+
+
+def _heavy_chain_down_from(top, eps):
+    """Weights ending at ``top``, each just heavy against the one before:
+    the largest w with p*w^2 < q*next^2."""
+    alpha_sq = compute_params(2, eps).alpha_sq
+    p, q = alpha_sq.numerator, alpha_sq.denominator
+    chain = [top]
+    while (prev := math.isqrt((q * chain[-1] ** 2 - 1) // p)) > 0:
+        chain.append(prev)
+    return chain[::-1]
+
+
+def test_potentials_reach_exactly_two_to_the_63_minus_1():
+    # Nodes 0 and 1 take one edge of weight 2^63 - 1; centre 2 takes a heavy
+    # chain ending at 2^63 - 1 on fresh leaves 3, 4, ..., and evicts.
+    chain = _heavy_chain_down_from(I64_MAX, "1/2")
+    edges = [WeightedEdge(0, 1, I64_MAX)]
+    edges += [WeightedEdge(2, 3 + i, w) for i, w in enumerate(chain)]
+    stream = EdgeStream(3 + len(chain), edges)
+    params = compute_params(stream.n, "1/2")
+    s = StreamingState(params)
+    assert all(s.process_edge(e) for e in edges)
+    assert s.phi.typecode == "q"
+    assert s.phi[0] == s.phi[1] == s.phi[2] == I64_MAX
+    assert s.phi[-1] == I64_MAX - chain[-2]
+    matching, report = run_stream(stream, "1/2")
+    assert matching.sorted_edges() == [
+        WeightedEdge(0, 1, I64_MAX), WeightedEdge(2, 2 + len(chain), I64_MAX)
+    ]
+    # The report of the engine that kept potentials as a list of ints.
+    assert report == RunReport(
+        algorithm="semi", n=379, m=377, epsilon="1/2",
+        output_weight=2 * I64_MAX, ratio_bound="5/2",
+        peak_live_entries=157, queue_cap=156, heavy_edges_k=377,
+        max_queue_len=156, evictions_total=221,
+    )
 
 
 @st.composite
