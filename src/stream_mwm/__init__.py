@@ -1,6 +1,6 @@
 """Single-pass bounded-memory maximum weight matching.
 
-A streaming engine that keeps O(n * queue_cap) stack entries while
+A streaming engine that keeps O(n * queue_cap) pushed edges while
 guaranteeing a (2 + epsilon)-approximation, plus sequential reference
 solvers, an exact small-instance oracle, runtime monitors, seeded stream
 generators, and a benchmark CLI.

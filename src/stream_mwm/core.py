@@ -126,7 +126,7 @@ class Matching:
     @classmethod
     def greedy(cls, n: int, order: Iterable[tuple[int, int, int]]) -> "Matching":
         """Take each ``(u, v, w)`` of ``order`` whose endpoints ``u, v < n``
-        are both still free: the unwind of the engine's stack and of the
+        are both still free: the unwind of the engine's push arena and of the
         reference solvers."""
         matched = bytearray(n)
         chosen: list[WeightedEdge] = []

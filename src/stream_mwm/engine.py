@@ -1,27 +1,40 @@
 """Single-pass bounded-memory matching engine.
 
 One pass over the edge stream: each arriving edge is tested against the
-endpoint potentials (exact integer filter), heavy edges are pushed onto a
-stack with their reduced weight and both potentials grow by that amount,
-and per-node FIFO queues cap how many live stack edges any node may own.
-The stack is an insertion-ordered dict from each live edge to its reduced
-weight. A node's queue slot is ``None``, the bare tuple of the node's one
-live edge, or, once a second edge arrives, a list of its edges in push order
-that grows by ``append``; a node that never owns two live edges at once,
-such as a star's leaf, never gets a list. When a queue hits the cap
-(only a list can: the cap is at least 4) its oldest edge leaves the stack
-and both endpoint queues at once (a ``pop(0)`` and, unless the victim sits
-alone in its other endpoint's slot, which is then emptied, a ``remove``;
-each linear in the queue length but done in C), so the stack never holds
-more than the live edges. After the pass `Matching.greedy` unwinds the stack
-newest-first into the matching. A trace records the pass only: one
-``light`` or ``pushed`` event per edge and one ``evicted`` event per
-eviction.
+endpoint potentials (exact integer filter), heavy edges are pushed with
+their reduced weight and both potentials grow by that amount, and per-node
+FIFO queues cap how many live pushed edges any node may own. After the
+pass `Matching.greedy` unwinds the live pushed edges newest-first into the
+matching. A trace records the pass only: one ``light`` or ``pushed`` event
+per edge and one ``evicted`` event per eviction.
 
-Edges arrive as plain ``(u, v, w)`` triples and are stored as such: a
-light edge, most of a typical stream, leaves nothing behind, a pushed edge
-is one tuple shared by the stack and both queues, and only a matched edge
-becomes a `WeightedEdge` (as do the edges of a trace and of
+The push arena. Pushed edges live in an append-only arena of four unsigned
+64-bit ``array`` columns: row r holds the r-th pushed edge's u, v, w and
+reduced weight, and no Python object. An evicted row stays where it is and
+gets reduced weight 0, a safe mark because every push reduces by at least
+1 (heavy means w > alpha * (phi(u) + phi(v)) >= phi(u) + phi(v)). A node's
+queue slot is ``None``, the bare row number of its one live edge, or, once
+a second edge arrives, an ``array`` of its row numbers in push order; a
+node that never owns two live edges at once, such as a star's leaf, never
+gets an array. When a queue hits the cap (only an array can: the cap is at
+least 4) its oldest row is zeroed and leaves both endpoint queues (a
+``pop(0)`` and, unless the row sits alone in its other endpoint's slot,
+which is then emptied, a ``remove``; each linear in the queue length). The
+unwind reads the rows with a nonzero reduced weight, newest first.
+
+The push budget bounds the arena without compaction. A push at x sets
+``phi(x)`` to ``w - phi(other) > alpha * phi(x)``, so every push multiplies
+the node's potential by more than alpha; the first leaves it at least 1,
+and it never exceeds ``2^63 - 1`` (below). So a node is pushed at most
+``B = 1 + floor(63 * ln 2 / ln alpha)`` times (392 at epsilon = 1/2), and
+the arena never holds more than ``min(m, n * B / 2)`` rows. ``B`` is at
+most ``8 * queue_cap`` for every n from 2 to 10^6 and epsilon from 1/1000
+to 59/10 (the worst case is 64 against 8, at n = 2 and epsilon = 59/10),
+so the arena is at most ``4 * n * queue_cap`` rows of 32 bytes.
+
+Edges arrive as plain ``(u, v, w)`` triples: a light edge, most of a
+typical stream, leaves nothing behind, and only a matched edge becomes a
+`WeightedEdge` (as do the edges of a trace and of
 `StreamingState.live_edges`). `run_stream` consumes the edges once, so a
 `LazyEdgeStream` from `read_stream` is parsed as the pass runs, and it
 pauses the cyclic garbage collector for the pass, which makes no cycles.
@@ -29,7 +42,8 @@ pauses the cyclic garbage collector for the pass, which makes no cycles.
 Node potentials never exceed the largest edge weight seen, so they stay in
 64 bits: a push sets ``phi(x)`` to ``w - phi(other) <= w <= 2^63 - 1``, as
 potentials are never negative. ``phi`` is therefore an ``array('q')``: 8
-bytes a node and no int object per potential.
+bytes a node and no int object per potential. A trace snapshots it as an
+array copy.
 """
 
 from __future__ import annotations
@@ -38,6 +52,7 @@ import gc
 import time
 from array import array
 from fractions import Fraction
+from itertools import compress
 
 from .core import (
     I64_MAX,
@@ -65,6 +80,10 @@ __all__ = ["StreamingState", "run_stream"]
 #: ``collect_timing`` samples every edge up to this many; every 64th after.
 _TIMING_DENSE_LIMIT = 1_000_000
 
+#: Arena and queue items are never negative, and an unsigned array stores
+#: an int faster than ``'q'`` does; ``'L'`` is the fastest where it is 64 bits.
+_ROW_TYPECODE = "L" if array("L").itemsize == 8 else "Q"
+
 
 class StreamingState:
     """Mutable single-writer engine state for one pass.
@@ -80,13 +99,16 @@ class StreamingState:
         self.phi = array("q", [0]) * params.n
         self._n = params.n
         self._cap = params.queue_cap
-        self._queues: list[Triple | list[Triple] | None] = [None] * params.n
-        # Live edge -> reduced weight, in push order. Keying by the edge
-        # value here, and finding it by value in a queue, is safe because
-        # each value is pushed at most once: a push raises the endpoints'
-        # potential sum from s0 to 2w - s0 >= w, and potentials never fall,
-        # so an identical (u, v, w) is light ever after.
-        self._stack: dict[Triple, int] = {}
+        # A slot holds nothing, the bare row number of the node's one live
+        # edge, or, from the second edge on, an array of its row numbers in
+        # push order.
+        self._queues: list[int | array | None] = [None] * params.n
+        # The push arena: row r is the r-th pushed edge, in four columns.
+        # An evicted row keeps its place and gets reduced weight 0.
+        self._us = array(_ROW_TYPECODE)
+        self._vs = array(_ROW_TYPECODE)
+        self._ws = array(_ROW_TYPECODE)
+        self._reduced = array(_ROW_TYPECODE)
         self._finalized = False
         self._trace = trace
         self._p = params.alpha_sq.numerator
@@ -95,34 +117,34 @@ class StreamingState:
 
     @property
     def live_entries(self) -> int:
-        return len(self._stack)
+        return self.stats.heavy_edges_total - self.stats.evictions_total
 
     def queue_len(self, node: int) -> int:
         return len(self._queue(node))
 
     def _queue(self, node: int) -> list[Triple]:
-        """The node's queued edges, oldest first, whatever its slot holds."""
+        """The node's queued edges as ``(u, v, w)``, oldest first."""
         q = self._queues[node]
-        if q is None:
-            return []
-        return q if type(q) is list else [q]
+        rows = () if q is None else (q,) if type(q) is int else q
+        return [(self._us[r], self._vs[r], self._ws[r]) for r in rows]
 
     def live_edges(self) -> list[WeightedEdge]:
-        """Live stack edges, oldest first (diagnostics and tests)."""
-        return list(map(WeightedEdge._make, self._stack))
+        """Live arena edges, oldest first (diagnostics and tests)."""
+        rows = zip(self._us, self._vs, self._ws)
+        return list(map(WeightedEdge._make, compress(rows, self._reduced)))
 
     def process_edge(self, edge: tuple[int, int, int]) -> bool:
         """Classify one arriving edge, update the state, and return whether
         the edge was pushed.
 
-        ``edge`` is any ``(u, v, w)`` triple; a pushed edge is stored as the
-        plain tuple ``(u, v, w)``. Light edges (weight at or below alpha
-        times the endpoint potential sum) leave the state untouched. A heavy
-        edge is pushed with reduced weight ``weight - (phi(u) + phi(v))``;
-        note the reduction subtracts the plain potential sum while the
-        filter compares against alpha times it. Both endpoint potentials
-        then grow by the same reduced weight, and each endpoint queue that
-        reached the cap evicts its oldest edge.
+        ``edge`` is any ``(u, v, w)`` triple; a pushed edge becomes the next
+        arena row. Light edges (weight at or below alpha times the endpoint
+        potential sum) leave the state untouched. A heavy edge is pushed
+        with reduced weight ``weight - (phi(u) + phi(v))``; note the
+        reduction subtracts the plain potential sum while the filter
+        compares against alpha times it. Both endpoint potentials then grow
+        by the same reduced weight, and each endpoint queue that reached
+        the cap evicts its oldest edge.
         """
         if self._finalized:
             raise RuntimeError("state already finalized")
@@ -147,18 +169,23 @@ class StreamingState:
         if w <= pot_sum or (w <= 2 * pot_sum and q * w * w <= p * pot_sum * pot_sum):
             if self._trace is not None:
                 self._trace.append(
-                    TraceEvent(EV_LIGHT, WeightedEdge(u, v, w), None, tuple(phi))
+                    TraceEvent(EV_LIGHT, WeightedEdge(u, v, w), None, phi[:])
                 )
             return False
 
-        edge = (u, v, w)
+        # Heavy means w > alpha * pot_sum >= pot_sum, so the reduced weight
+        # is at least 1 and 0 can mark an evicted row.
         reduced = w - pot_sum
-        stack = self._stack
-        stack[edge] = reduced
         stats = self.stats
-        stats.heavy_edges_total += 1
-        if len(stack) > stats.peak_live_entries:
-            stats.peak_live_entries = len(stack)
+        row = stats.heavy_edges_total
+        stats.heavy_edges_total = row + 1
+        live = row + 1 - stats.evictions_total
+        if live > stats.peak_live_entries:
+            stats.peak_live_entries = live
+        self._us.append(u)
+        self._vs.append(v)
+        self._ws.append(w)
+        self._reduced.append(reduced)
 
         phi[u] = new_u = phi_u + reduced
         phi[v] = new_v = phi_v + reduced
@@ -168,28 +195,26 @@ class StreamingState:
             stats.phi_growth_violations += 1
         if new_v < 2 * phi_v and q * new_v * new_v < p * phi_v * phi_v:
             stats.phi_growth_violations += 1
-        # A slot holds nothing, the bare tuple of the node's one live edge,
-        # or, from the second edge on, a list of its edges in push order.
         queues = self._queues
         queue_u = queues[u]
         if queue_u is None:
-            queues[u] = edge
+            queues[u] = row
             len_u = 1
-        elif type(queue_u) is tuple:
-            queues[u] = [queue_u, edge]
+        elif type(queue_u) is int:
+            queues[u] = array(_ROW_TYPECODE, (queue_u, row))
             len_u = 2
         else:
-            queue_u.append(edge)
+            queue_u.append(row)
             len_u = len(queue_u)
         queue_v = queues[v]
         if queue_v is None:
-            queues[v] = edge
+            queues[v] = row
             len_v = 1
-        elif type(queue_v) is tuple:
-            queues[v] = [queue_v, edge]
+        elif type(queue_v) is int:
+            queues[v] = array(_ROW_TYPECODE, (queue_v, row))
             len_v = 2
         else:
-            queue_v.append(edge)
+            queue_v.append(row)
             len_v = len(queue_v)
         longest = len_u if len_u > len_v else len_v
         if longest > stats.max_queue_len:
@@ -197,7 +222,7 @@ class StreamingState:
 
         if self._trace is not None:
             self._trace.append(
-                TraceEvent(PUSHED, WeightedEdge(u, v, w), reduced, tuple(phi))
+                TraceEvent(PUSHED, WeightedEdge(u, v, w), reduced, phi[:])
             )
 
         cap = self._cap
@@ -205,39 +230,38 @@ class StreamingState:
             # Queue-cap monitor: a queue may reach the cap, never pass it.
             stats.queue_cap_violations += (len_u > cap) + (len_v > cap)
             # Evicting at u may shorten v's queue (a parallel edge), so each
-            # slot is read again just before its test. Only a list can reach
-            # the cap, which is at least 4.
+            # slot is read again just before its test. Only an array can
+            # reach the cap, which is at least 4.
             for x in (u, v):
                 queue = queues[x]
-                if type(queue) is list and len(queue) >= cap:
+                if type(queue) is array and len(queue) >= cap:
                     victim = queue.pop(0)
-                    victim_reduced = stack.pop(victim)
+                    victim_reduced = self._reduced[victim]
+                    self._reduced[victim] = 0
                     stats.evictions_total += 1
                     # The victim is live, so it also sits in its other
-                    # endpoint's slot: alone there, or in a list.
-                    vu, vv, vw = victim
+                    # endpoint's slot: alone there, or in an array.
+                    vu = self._us[victim]
+                    vv = self._vs[victim]
                     y = vv if vu == x else vu
                     other = queues[y]
-                    if type(other) is list:
+                    if type(other) is array:
                         other.remove(victim)
                     else:
                         queues[y] = None
                     if self._trace is not None:
                         self._trace.append(TraceEvent(
-                            EVICTED, WeightedEdge(vu, vv, vw), victim_reduced, None
+                            EVICTED, WeightedEdge(vu, vv, self._ws[victim]),
+                            victim_reduced, None,
                         ))
         return True
 
     def compact(self) -> None:
-        """Rebuild the stack dict to release the slots of evicted edges.
-
-        Evicted edges leave the stack at once, so this changes no output
-        and the engine never needs to call it.
-        """
-        self._stack = dict(self._stack)
+        """Do nothing: the arena is append-only and the push budget bounds
+        its rows (see the module notes), so there is nothing to release."""
 
     def finalize(self) -> tuple[Matching, MonitorStats]:
-        """Unwind the live stack newest-first into a greedy matching.
+        """Unwind the live arena rows newest-first into a greedy matching.
 
         Single-shot: the state is consumed. The matching carries original
         input weights.
@@ -245,7 +269,9 @@ class StreamingState:
         if self._finalized:
             raise RuntimeError("state already finalized")
         self._finalized = True
-        return Matching.greedy(self._n, reversed(self._stack)), self.stats
+        rows = zip(reversed(self._us), reversed(self._vs), reversed(self._ws))
+        live = compress(rows, reversed(self._reduced))
+        return Matching.greedy(self._n, live), self.stats
 
 
 def run_stream(
@@ -283,10 +309,10 @@ def run_stream(
     # (the parser's) already name their line and pass through as they are.
     m = 0
     samples: list[int] | None = None
-    # A pass makes no reference cycles (the state is an int array, int
-    # tuples, lists of tuples and one dict), so the cyclic collector could
-    # only rescan the live stack edges again and again. It is paused for the
-    # pass and left as it was found.
+    # A pass makes no reference cycles (the state is int arrays, ints and
+    # one list of queue slots), so the cyclic collector could free nothing
+    # and would only rescan the pass's short-lived containers. It is paused
+    # for the pass and left as it was found.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

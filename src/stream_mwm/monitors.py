@@ -69,14 +69,14 @@ class TraceEvent:
     """One engine event: an edge classified (light or pushed) or evicted.
 
     ``potentials`` is the full potential vector after the event took
-    effect (present only in small-instance mode); ``reduced_weight`` is
-    set for pushes and evictions.
+    effect, a copy of the engine's array (present only in small-instance
+    mode); ``reduced_weight`` is set for pushes and evictions.
     """
 
     kind: str
     edge: WeightedEdge
     reduced_weight: int | None = None
-    potentials: tuple[int, ...] | None = None
+    potentials: Sequence[int] | None = None
 
 
 @dataclass(frozen=True)

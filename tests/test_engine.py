@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_best_weight, random_simple_stream
+from test_golden import HUB_EPS, _hub
 from stream_mwm.core import (
     I64_MAX,
     EdgeStream,
@@ -253,7 +254,8 @@ def _heavy_chain_stars(stars, eps):
     return EdgeStream(stars * size, edges)
 
 
-def test_engine_state_is_small_per_live_entry():
+def _stars_bytes_per_live_entry():
+    """The tracemalloc peak of a pass over 20 evicting stars, per live entry."""
     stream = _heavy_chain_stars(20, "1/2")
     tracemalloc.start()
     try:
@@ -263,24 +265,41 @@ def test_engine_state_is_small_per_live_entry():
         tracemalloc.stop()
     assert report.evictions_total > 0
     assert report.heavy_edges_k == len(stream.edges)
-    # The stack dict, the queue slots and the potentials take about 240 B
-    # per live entry on CPython 3.10-3.12.
-    assert peak / report.peak_live_entries <= 600
+    return peak / report.peak_live_entries
+
+
+def test_engine_state_is_small_per_live_entry():
+    # The push arena, the queue slots and the potentials take about 135 B
+    # per live entry on CPython 3.10-3.13.
+    assert _stars_bytes_per_live_entry() <= 600
 
 
 def test_a_star_needs_no_list_per_leaf_nor_an_int_per_potential():
-    # A leaf holds its one edge in its slot, and potentials are packed into
-    # 8 bytes each; with a list per leaf and an int object per potential
-    # the same run takes about 390 B per live entry.
-    stream = _heavy_chain_stars(20, "1/2")
-    tracemalloc.start()
-    try:
-        _, report = run_stream(stream, "1/2")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.evictions_total > 0
-    assert peak / report.peak_live_entries <= 300
+    # A leaf holds its one row number in its slot, and potentials are packed
+    # into 8 bytes each; with a list per leaf and an int object per
+    # potential the same run takes about 390 B per live entry.
+    assert _stars_bytes_per_live_entry() <= 300
+
+
+def test_a_pushed_edge_is_an_arena_row_with_no_objects_of_its_own():
+    # Each pushed edge is one row of four 64-bit ints; a stack dict from
+    # (u, v, w) tuples to int reduced weights takes about 240 B per live
+    # entry on the same run.
+    assert _stars_bytes_per_live_entry() <= 160
+
+
+def _push_budget(params):
+    """Pushes one node can take: each multiplies its potential by more than
+    alpha, the first leaves it at least 1, and it never passes 2^63 - 1."""
+    return 1 + math.floor(63 * math.log(2) / math.log(params.alpha))
+
+
+@pytest.mark.parametrize("n", [2, 20, 10**3, 3 * 10**4, 94_250, 10**6])
+def test_the_push_budget_is_at_most_eight_queue_caps(n):
+    # So the arena, at most n * budget / 2 rows, is O(n * queue_cap).
+    for eps in ["1/1000", "1/100", "1/10", "1/2", "1", "2", "4", "59/10"]:
+        params = compute_params(n, eps)
+        assert _push_budget(params) <= 8 * params.queue_cap, eps
 
 
 def test_queue_invariants_after_each_edge():
@@ -289,9 +308,10 @@ def test_queue_invariants_after_each_edge():
     for e in _chain(64).edges:
         s.process_edge(e)
         assert s.queue_len(0) < params.queue_cap
-    # White-box: queues hold only live stack edges.
+    # White-box: queues hold only live edges.
+    live = set(s.live_edges())
     for x in range(params.n):
-        assert all(edge in s._stack for edge in s._queue(x))
+        assert all(edge in live for edge in s._queue(x))
 
 
 def test_compact_preserves_finalize_result():
@@ -449,17 +469,42 @@ def test_engine_matches_naive_on_contended_hubs(seed):
     ids=["chain64", "hub1"],
 )
 def test_stack_holds_exactly_the_queued_edges(params, edges):
-    # Both streams evict; an evicted edge must leave the stack at once.
+    # Both streams evict; an evicted edge must stop being live at once.
     s = StreamingState(params)
     for e in edges:
         s.process_edge(e)
         queued = set().union(*(s._queue(x) for x in range(params.n)))
-        assert set(s._stack) == queued
-        for live in s._stack:
+        assert set(s.live_edges()) == queued
+        for live in s.live_edges():
             assert live in s._queue(live[0]) and live in s._queue(live[1])
         assert s.live_entries == len(s.live_edges()) <= params.n * params.queue_cap
     assert s.stats.evictions_total >= 1
     _assert_matches_naive(params, edges)
+
+
+@pytest.mark.parametrize(
+    "stream, eps",
+    [
+        (_chain(64), 2),
+        *((_hub(seed), HUB_EPS) for seed in range(10)),
+        (_heavy_chain_stars(20, "1/2"), "1/2"),
+    ],
+    ids=["chain64", *(f"hub{seed}" for seed in range(10)), "stars20"],
+)
+def test_no_node_is_pushed_past_the_push_budget(stream, eps):
+    # The budget bounds the append-only arena: each row is a push at two
+    # nodes, so there are at most n * budget / 2 rows, evicted ones included.
+    params = compute_params(stream.n, eps)
+    budget = _push_budget(params)
+    s = StreamingState(params)
+    pushes = [0] * params.n
+    for e in stream.edges:
+        if s.process_edge(e):
+            pushes[e[0]] += 1
+            pushes[e[1]] += 1
+    assert s.stats.evictions_total >= 1
+    assert max(pushes) <= budget
+    assert s.stats.heavy_edges_total <= params.n * budget / 2
 
 
 def _doubling_edges(pairs):
@@ -496,7 +541,7 @@ def test_a_slot_goes_from_empty_to_one_edge_to_a_list_that_evicts():
         s.process_edge(e)
         kinds.append(_slot_kind(s, 0))
         lengths.append(s.queue_len(0))
-    assert kinds == ["NoneType", "tuple"] + ["list"] * (cap - 1)
+    assert kinds == ["NoneType", "int"] + ["array"] * (cap - 1)
     # The cap-th push fills the queue, and its oldest edge is evicted.
     assert lengths == [*range(cap), cap - 1]
     assert s.stats.evictions_total == 1
@@ -514,11 +559,11 @@ def test_a_leaf_edge_evicted_from_the_centre_empties_the_leaf_slot():
         s.process_edge(e)
     assert s.stats.evictions_total == 1
     assert _slot_kind(s, 1) == "NoneType" and s.queue_len(1) == 0
-    assert _slot_kind(s, 2) == "tuple" and s.queue_len(2) == 1
+    assert _slot_kind(s, 2) == "int" and s.queue_len(2) == 1
     s.process_edge(edges[cap])
-    assert _slot_kind(s, 1) == "tuple" and s.queue_len(1) == 1
+    assert _slot_kind(s, 1) == "int" and s.queue_len(1) == 1
     s.process_edge(edges[cap + 1])
-    assert _slot_kind(s, 1) == "list" and s.queue_len(1) == 2
+    assert _slot_kind(s, 1) == "array" and s.queue_len(1) == 2
     # The centre is full again and evicts leaf 2's edge, emptying its slot.
     assert s.stats.evictions_total == 2
     assert _slot_kind(s, 2) == "NoneType" and s.queue_len(0) == cap - 1
@@ -530,7 +575,7 @@ def test_an_eviction_at_u_shortens_the_queue_of_a_parallel_copy_at_v(v_holds):
     # Copy 1 of (0, 1), then fillers at 0 until its queue is one short of
     # the cap, then copy 2: node 0 evicts copy 1, which also leaves node 1's
     # queue. With "alone", node 1 held copy 1 in its slot and copy 2 makes
-    # that a list; with "list", node 1 has its own fillers and reaches the
+    # that an array; with "list", node 1 has its own fillers and reaches the
     # cap with copy 2 too, but the eviction at 0 takes it back below.
     cap = _SLOTS.queue_cap
     fillers = range(2, cap)
@@ -541,12 +586,12 @@ def test_an_eviction_at_u_shortens_the_queue_of_a_parallel_copy_at_v(v_holds):
     s = StreamingState(_SLOTS)
     for e in edges[:-1]:
         s.process_edge(e)
-    assert _slot_kind(s, 1) == ("tuple" if v_holds == "alone" else "list")
+    assert _slot_kind(s, 1) == ("int" if v_holds == "alone" else "array")
     assert s.queue_len(0) == cap - 1
     assert s.queue_len(1) == (1 if v_holds == "alone" else cap - 1)
     s.process_edge(edges[-1])
     assert s.stats.evictions_total == 1
-    assert _slot_kind(s, 1) == "list"
+    assert _slot_kind(s, 1) == "array"
     assert s._queue(1)[-1] == edges[-1] and edges[0] not in s._queue(1)
     assert s.queue_len(0) == cap - 1
     assert s.queue_len(1) == (1 if v_holds == "alone" else cap - 1)
@@ -611,8 +656,8 @@ def _repeating_multigraph_streams(draw):
     eps=st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(59, 10)]),
 )
 def test_each_edge_value_is_pushed_at_most_once(stream, eps):
-    # The engine keys its stack by edge value; that is sound only if a
-    # pushed (u, v, w) is light on every later arrival.
+    # A pushed (u, v, w) is light on every later arrival: the push raised
+    # its endpoints' potential sum to at least w, and potentials never fall.
     n, edges = stream
     params = compute_params(n, eps)
     trace = []
