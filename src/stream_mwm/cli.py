@@ -5,6 +5,8 @@ the oracle (n <= 22) and the trace replay (n <= 64) apply, read a file
 input into memory only if some step needs random access, then run, check
 and emit the report. Any I/O, parse, capacity or epsilon error along the
 way, or a node count too large to allocate, ends it with exit code 2.
+``bench`` runs each row as its own pass, in up to min(rows, CPUs) worker
+processes, and ends with exit code 2 on the same errors.
 
 Exit codes for ``run``: 0 success, 1 approximation-ratio violation (with
 --oracle), 2 input/IO errors, 3 monitor failure.
@@ -283,29 +285,18 @@ def _rep_spec(spec: GeneratorSpec, rep: int) -> GeneratorSpec:
     )
 
 
-def _bench_task(task: tuple[GeneratorSpec, str, int]) -> dict[str, str]:
+def _bench_task(eps: Fraction, spec: GeneratorSpec, rep: int) -> dict[str, str]:
     """One `bench` row, keyed by column name."""
-    spec, eps, rep = task
-    _, report = run_stream(generate(spec), eps, collect_timing=True)
+    try:
+        _, report = run_stream(generate(spec), eps, collect_timing=True)
+    except MemoryError:
+        # A MemoryError carries no message; as a ValueError it names the n
+        # that did not fit and comes back from a worker like any other.
+        raise ValueError(f"out of memory for a graph of {spec.n} nodes") from None
     row = dict(zip(RUN_CSV_HEADER, report.to_csv_row()))
     row["rep"] = str(rep)
     row["n_times_queue_cap"] = str(spec.n * (report.queue_cap or 0))
     return row
-
-
-def _worker_count(tasks: int) -> int:
-    env = os.environ.get("STREAM_MWM_THREADS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(
-                f"STREAM_MWM_THREADS must be an integer, got {env!r}"
-            ) from None
-        if workers < 1:
-            raise ValueError(f"STREAM_MWM_THREADS must be at least 1, got {workers}")
-        return workers
-    return max(1, min(tasks, os.cpu_count() or 1))
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -315,8 +306,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"--ns lists no node count: {args.ns!r}")
         if args.reps < 1:
             raise ValueError(f"--reps must be at least 1, got {args.reps}")
-        eps = parse_epsilon(args.eps)
-        tasks = []
+        task = functools.partial(_bench_task, parse_epsilon(args.eps))
+        specs, reps = [], []
         for n in ns:
             if n < 2:
                 raise ValueError(f"--ns values must be at least 2, got {n}")
@@ -327,29 +318,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     raise ValueError(f"--degree must be a number, got {args.degree}")
                 spec = dataclasses.replace(spec, p=min(1.0, args.degree / (n - 1)))
             for rep in range(args.reps):
-                tasks.append((_rep_spec(spec, rep), str(eps), rep))
-        workers = _worker_count(len(tasks))
-    except ValueError as exc:
-        return _fail(str(exc))
-
-    try:
+                specs.append(_rep_spec(spec, rep))
+                reps.append(rep)
+        # Each row is an independent pass, so rows run in parallel on every
+        # CPU there is; one row or one CPU skips the pool's start-up cost.
+        workers = min(len(specs), os.cpu_count() or 1)
         if workers == 1:
-            rows = [_bench_task(t) for t in tasks]
+            rows = list(map(task, specs, reps))
         else:
             # Imported here: it is the costliest import of the module, and
             # only a parallel sweep uses it.
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_bench_task, tasks))
-    except ValueError as exc:
-        return _fail(str(exc))
-
-    rows.sort(key=lambda r: (int(r["n"]), int(r["rep"])))
-    text = _as_csv([BENCH_CSV_HEADER] + [[r[c] for c in BENCH_CSV_HEADER] for r in rows])
-    try:
-        _emit(args, text)
-    except OSError as exc:
+                rows = list(pool.map(task, specs, reps))
+        rows.sort(key=lambda r: (int(r["n"]), int(r["rep"])))
+        lines = [[r[c] for c in BENCH_CSV_HEADER] for r in rows]
+        _emit(args, _as_csv([BENCH_CSV_HEADER] + lines))
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     return 0
 

@@ -173,6 +173,13 @@ class StreamingState:
                 )
             return False
 
+        # The weight column is the first thing a push touches: a heavy
+        # weight that is not an int (7.0, say) fails here and leaves the
+        # state as it was. A light one is never stored and goes unchecked.
+        try:
+            self._ws.append(w)
+        except TypeError:
+            raise StreamFormatError(f"weight {w!r} is not an int") from None
         # Heavy means w > alpha * pot_sum >= pot_sum, so the reduced weight
         # is at least 1 and 0 can mark an evicted row.
         reduced = w - pot_sum
@@ -184,7 +191,6 @@ class StreamingState:
             stats.peak_live_entries = live
         self._us.append(u)
         self._vs.append(v)
-        self._ws.append(w)
         self._reduced.append(reduced)
 
         phi[u] = new_u = phi_u + reduced

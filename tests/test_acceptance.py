@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from stream_mwm import cli
 from stream_mwm.cli import main
 from stream_mwm.core import EdgeStream, WeightedEdge, compute_params
 from stream_mwm.engine import StreamingState, run_stream
@@ -235,7 +236,7 @@ def test_criterion_5_ratio_bound_arithmetic():
 
 
 def test_criterion_6_flat_processing_time(tmp_path, monkeypatch):
-    monkeypatch.setenv("STREAM_MWM_THREADS", "1")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     started = time.perf_counter()
     out = tmp_path / "bench.csv"
     code = main(

@@ -241,7 +241,7 @@ def test_run_exit_2_on_bad_epsilon(capsys):
 def test_chain_past_float_range_exits_2(argv, weight, monkeypatch, capsys):
     """A chain whose top weight overflows a float is a capacity error, not a
     traceback with the ratio-violated exit code."""
-    monkeypatch.setenv("STREAM_MWM_THREADS", "1")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == (
@@ -251,7 +251,7 @@ def test_chain_past_float_range_exits_2(argv, weight, monkeypatch, capsys):
 
 
 def test_bench_csv_shape_and_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("STREAM_MWM_THREADS", "1")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     argv = ["bench", "--ns", "100,200", "--reps", "2", "--seed", "5", "--eps", "1/2"]
     code, text = run_to_file(tmp_path, "bench.csv", argv)
     assert code == 0
@@ -282,13 +282,23 @@ def test_bench_csv_shape_and_determinism(tmp_path, monkeypatch):
 
 
 def test_bench_parallel_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv("STREAM_MWM_THREADS", "2")
-    code, text = run_to_file(
-        tmp_path, "bench2.csv",
-        ["bench", "--ns", "100,200", "--reps", "1", "--seed", "5"],
-    )
-    assert code == 0
-    assert len(text.strip().split("\n")) == 3
+    """One CPU runs the rows in process, two run them in a worker pool; the
+    rows, sorted by (n, rep), agree in every column but the timings."""
+    argv = ["bench", "--ns", "200,100", "--reps", "2", "--seed", "5"]
+    sweeps = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, text = run_to_file(tmp_path, f"bench{cpus}.csv", argv)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        for row in rows:
+            for column in ("p50_ns", "p99_ns", "max_ns"):
+                assert float(row.pop(column)) >= 0
+        sweeps.append(rows)
+    assert [(r["n"], r["rep"]) for r in sweeps[0]] == [
+        ("100", "0"), ("100", "1"), ("200", "0"), ("200", "1")
+    ]
+    assert sweeps[1] == sweeps[0]
 
 
 def test_gen_requires_n(capsys):
@@ -297,32 +307,34 @@ def test_gen_requires_n(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, threads, message",
+    "argv, message",
     [
-        (["--ns", "1"], "1", "--ns values must be at least 2"),
-        (["--ns", ","], "1", "--ns lists no node count"),
-        (["--ns", "10", "--reps", "0"], "1", "--reps must be at least 1, got 0"),
-        (["--ns", "10", "--reps", "-1"], "1", "--reps must be at least 1, got -1"),
-        (["--ns", "10"], "0", "STREAM_MWM_THREADS must be at least 1, got 0"),
-        (["--ns", "10"], "-2", "STREAM_MWM_THREADS must be at least 1, got -2"),
-        (["--ns", "50", "--degree", "nan"], "1", "--degree must be a number, got nan"),
+        (["--ns", "1"], "--ns values must be at least 2"),
+        (["--ns", ","], "--ns lists no node count"),
+        (["--ns", "10", "--reps", "0"], "--reps must be at least 1, got 0"),
+        (["--ns", "10", "--reps", "-1"], "--reps must be at least 1, got -1"),
+        (["--ns", "50", "--degree", "nan"], "--degree must be a number, got nan"),
     ],
-    ids=[
-        "ns-1", "ns-empty", "reps-0", "reps-negative", "threads-0", "threads-negative",
-        "degree-nan",
-    ],
+    ids=["ns-1", "ns-empty", "reps-0", "reps-negative", "degree-nan"],
 )
-def test_bench_exit_2_on_node_count_below_two(argv, threads, message, monkeypatch, capsys):
+def test_bench_exit_2_on_node_count_below_two(argv, message, monkeypatch, capsys):
     """An empty or degenerate sweep is an error, not a header-only CSV."""
-    monkeypatch.setenv("STREAM_MWM_THREADS", threads)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     assert main(["bench"] + argv) == 2
     captured = capsys.readouterr()
     assert f"stream-mwm: error: {message}" in captured.err
     assert captured.out == ""
 
 
-def test_bench_exit_2_on_non_integer_thread_count(monkeypatch, capsys):
-    monkeypatch.setenv("STREAM_MWM_THREADS", "abc")
-    assert main(["bench", "--ns", "100"]) == 2
-    err = capsys.readouterr().err
-    assert "stream-mwm: error: STREAM_MWM_THREADS must be an integer" in err
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_bench_exit_2_on_a_node_count_too_large_to_allocate(cpus, monkeypatch, capsys):
+    """The engine's per-node array fails its allocation at once for 2**62
+    nodes, in process or in a worker; the sweep reports it, no traceback."""
+    n = 2**62
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    start = time.monotonic()
+    assert main(["bench", "--ns", f"{n},{n}", "--p", "0"]) == 2
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == f"stream-mwm: error: out of memory for a graph of {n} nodes\n"
+    assert captured.out == ""

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from stream_mwm import cli
 from stream_mwm.cli import main
 
 MESSAGE = "stream-mwm: error: epsilon 1/100000000000000000 is too small"
@@ -20,9 +21,9 @@ def test_run_exit_2_on_tiny_epsilon(capsys):
     assert captured.err.startswith(MESSAGE)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_bench_exit_2_on_tiny_epsilon(threads, monkeypatch, capsys):
-    monkeypatch.setenv("STREAM_MWM_THREADS", threads)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_bench_exit_2_on_tiny_epsilon(cpus, monkeypatch, capsys):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert main(["bench", "--ns", "10,20", "--eps", "1e-17"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

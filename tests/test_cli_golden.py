@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from stream_mwm import cli
 from stream_mwm.cli import main
 
 FILES = {
@@ -214,7 +215,7 @@ BENCH_ROWS = [
 
 
 def test_bench_rows_sort_by_numeric_n(monkeypatch):
-    monkeypatch.setenv("STREAM_MWM_THREADS", "1")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     code, out, err = run_cli(
         ["bench", "--ns", "1000,200", "--reps", "2", "--seed", "4"]
     )

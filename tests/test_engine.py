@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -75,6 +76,28 @@ def test_process_edge_hand_trace():
 def test_process_edge_rejects_bad_edges(edge):
     with pytest.raises(StreamFormatError):
         fresh().process_edge(edge)
+
+
+@pytest.mark.parametrize("weight", [7.0, Fraction(7)], ids=["float", "fraction"])
+def test_a_heavy_weight_that_is_not_an_int_leaves_the_state_as_it_was(weight):
+    # The bad edge is heavy (its endpoints' potentials are 0) and inside
+    # [0, 2^63-1], so only the arena's int columns can refuse it.
+    good = [(0, 1, 5), (2, 3, 9), (1, 2, 40)]
+    state, clean = fresh(4), fresh(4)
+    state.process_edge(good[0])
+    with pytest.raises(StreamFormatError, match=re.escape(f"weight {weight!r} is not")):
+        state.process_edge((2, 3, weight))
+    for edge in good[1:]:
+        state.process_edge(edge)
+    for edge in good:
+        clean.process_edge(edge)
+    assert state.stats == clean.stats
+    assert list(state.phi) == list(clean.phi)
+    assert state.live_edges() == clean.live_edges() == [WeightedEdge(*e) for e in good]
+    assert state.finalize() == clean.finalize()
+    stream = EdgeStream(4, [WeightedEdge(0, 1, 5), WeightedEdge(2, 3, weight)])
+    with pytest.raises(StreamFormatError, match="^line 3: weight "):
+        run_stream(stream, 2)
 
 
 def test_zero_weight_edges_are_light():
