@@ -150,16 +150,23 @@ class StreamingState:
             raise RuntimeError("state already finalized")
         u, v, w = edge
         n = self._n
-        if not (0 <= u < n and 0 <= v < n):
-            raise StreamFormatError(f"endpoint out of range for n={n}: ({u}, {v})")
-        if u == v:
-            raise StreamFormatError(f"self-loop at node {u}")
-        if not (0 <= w <= I64_MAX):
-            raise StreamFormatError(f"weight {w} outside [0, 2^63-1]")
-
         phi = self.phi
-        phi_u = phi[u]
-        phi_v = phi[v]
+        # A weight that does not compare with ints ('5') fails a range test,
+        # and an endpoint that is not an index (1.0) fails a potential read,
+        # both before the state changes.
+        try:
+            if not (0 <= u < n and 0 <= v < n):
+                raise StreamFormatError(f"endpoint out of range for n={n}: ({u}, {v})")
+            if u == v:
+                raise StreamFormatError(f"self-loop at node {u}")
+            if not (0 <= w <= I64_MAX):
+                raise StreamFormatError(f"weight {w} outside [0, 2^63-1]")
+            phi_u = phi[u]
+            phi_v = phi[v]
+        except TypeError:
+            raise StreamFormatError(
+                f"edge ({u!r}, {v!r}, {w!r}) is not made of ints"
+            ) from None
         pot_sum = phi_u + phi_v
         p = self._p
         q = self._q

@@ -199,8 +199,8 @@ def test_run_exit_3_when_the_ratio_bound_monitor_fails(monkeypatch, capsys):
 
 
 def test_an_oracle_and_monitor_run_leaves_no_cyclic_garbage(capsys):
-    """Each run's oracle memo is freed when the run returns, so a batch of
-    in-process runs does not hold memos until the next cyclic collection."""
+    """Each run's oracle state is freed when the run returns, so a batch of
+    in-process runs does not hold it until the next cyclic collection."""
     argv = ["run", "--gen", "er", "--n", "20", "--p", "0.5", "--oracle", "--monitors"]
     assert main(argv) == 0  # builds the cached parser
     was_enabled = gc.isenabled()

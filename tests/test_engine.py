@@ -71,11 +71,17 @@ def test_process_edge_hand_trace():
 @pytest.mark.parametrize(
     "edge",
     [WeightedEdge(0, 0, 7), WeightedEdge(0, 3, 1), WeightedEdge(-1, 1, 1),
-     WeightedEdge(0, 1, -2), WeightedEdge(0, 1, I64_MAX + 1)],
+     WeightedEdge(0, 1, -2), WeightedEdge(0, 1, I64_MAX + 1),
+     (0, 1.0, 5), (0, 1, "5")],
 )
 def test_process_edge_rejects_bad_edges(edge):
+    state = fresh()
     with pytest.raises(StreamFormatError):
-        fresh().process_edge(edge)
+        state.process_edge(edge)
+    assert list(state.phi) == [0, 0, 0]
+    assert state.live_entries == 0
+    with pytest.raises(StreamFormatError, match="^line 3: "):
+        run_stream(EdgeStream(3, [WeightedEdge(0, 2, 5), edge]), 2)
 
 
 @pytest.mark.parametrize("weight", [7.0, Fraction(7)], ids=["float", "fraction"])
