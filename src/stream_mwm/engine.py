@@ -32,12 +32,28 @@ most ``8 * queue_cap`` for every n from 2 to 10^6 and epsilon from 1/1000
 to 59/10 (the worst case is 64 against 8, at n = 2 and epsilon = 59/10),
 so the arena is at most ``4 * n * queue_cap`` rows of 32 bytes.
 
-Edges arrive as plain ``(u, v, w)`` triples: a light edge, most of a
-typical stream, leaves nothing behind, and only a matched edge becomes a
-`WeightedEdge` (as do the edges of a trace and of
+The pass is one loop, `StreamingState.process_columns`, over a chunk of
+edges given as three columns ``(us, vs, ws)``: it holds the light filter,
+the push, the queue upkeep and the eviction, with the state bound to
+locals for the chunk, and takes the per-edge time samples and trace events
+itself. It checks nothing: every edge it gets has passed its checks
+(ints, endpoints distinct and below n, weight in ``[0, 2^63-1]``) where it
+was made. `run_stream` feeds it
+
+- a `LazyEdgeStream` from `read_stream` as the parser's own columns,
+  which `streamio` has checked against the header (a malformed line is
+  named there, by its line);
+- an in-memory `EdgeStream` in chunks of ``_CHUNK_EDGES`` edges, each
+  transposed and given one bulk check (`_checked_columns`) that implies
+  every check of `process_edge`. A chunk that fails it goes through
+  `process_edge` edge by edge, which checks the edge and runs the loop on
+  a chunk of one; a bad edge is named by its line in the file format.
+
+A light edge, most of a typical stream, leaves nothing behind, and only a
+matched edge becomes a `WeightedEdge` (as do the edges of a trace and of
 `StreamingState.live_edges`). `run_stream` consumes the edges once, so a
-`LazyEdgeStream` from `read_stream` is parsed as the pass runs, and it
-pauses the cyclic garbage collector for the pass, which makes no cycles.
+`LazyEdgeStream` is parsed as the pass runs, and it pauses the cyclic
+garbage collector for the pass, which makes no cycles.
 
 Node potentials never exceed the largest edge weight seen, so they stay in
 64 bits: a push sets ``phi(x)`` to ``w - phi(other) <= w <= 2^63 - 1``, as
@@ -52,7 +68,9 @@ import gc
 import time
 from array import array
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, islice
+from operator import eq
+from typing import Iterable, Sequence
 
 from .core import (
     I64_MAX,
@@ -79,6 +97,8 @@ __all__ = ["StreamingState", "run_stream"]
 
 #: ``collect_timing`` samples every edge up to this many; every 64th after.
 _TIMING_DENSE_LIMIT = 1_000_000
+#: Edges per chunk taken from an in-memory stream.
+_CHUNK_EDGES = 1 << 9
 
 #: Arena and queue items are never negative, and an unsigned array stores
 #: an int faster than ``'q'`` does; ``'L'`` is the fastest where it is 64 bits.
@@ -88,11 +108,19 @@ _ROW_TYPECODE = "L" if array("L").itemsize == 8 else "Q"
 class StreamingState:
     """Mutable single-writer engine state for one pass.
 
-    ``process_edge`` calls must arrive in stream order; ``finalize``
-    consumes the state. Independent states are safe to run in parallel.
+    ``process_edge`` and ``process_columns`` calls must arrive in stream
+    order; ``finalize`` consumes the state. Independent states are safe to
+    run in parallel. ``trace`` receives one event per edge and eviction;
+    ``samples`` receives the nanoseconds each edge took, for every edge up
+    to the millionth and every 64th after.
     """
 
-    def __init__(self, params: Params, trace: list[TraceEvent] | None = None) -> None:
+    def __init__(
+        self,
+        params: Params,
+        trace: list[TraceEvent] | None = None,
+        samples: list[int] | None = None,
+    ) -> None:
         self.params = params
         # Signed 64-bit slots hold every potential (see the module notes);
         # repeating a one-item array fails with MemoryError for a huge n.
@@ -111,6 +139,9 @@ class StreamingState:
         self._reduced = array(_ROW_TYPECODE)
         self._finalized = False
         self._trace = trace
+        self._samples = samples
+        # The stream index of the next edge, counted only when timing.
+        self._timed_edges = 0
         self._p = params.alpha_sq.numerator
         self._q = params.alpha_sq.denominator
         self.stats = MonitorStats()
@@ -134,17 +165,14 @@ class StreamingState:
         return list(map(WeightedEdge._make, compress(rows, self._reduced)))
 
     def process_edge(self, edge: tuple[int, int, int]) -> bool:
-        """Classify one arriving edge, update the state, and return whether
-        the edge was pushed.
+        """Check one arriving edge, run the pass over it, and return whether
+        it was pushed.
 
-        ``edge`` is any ``(u, v, w)`` triple; a pushed edge becomes the next
-        arena row. Light edges (weight at or below alpha times the endpoint
-        potential sum) leave the state untouched. A heavy edge is pushed
-        with reduced weight ``weight - (phi(u) + phi(v))``; note the
-        reduction subtracts the plain potential sum while the filter
-        compares against alpha times it. Both endpoint potentials then grow
-        by the same reduced weight, and each endpoint queue that reached
-        the cap evicts its oldest edge.
+        ``edge`` is any ``(u, v, w)`` triple. An edge that is not made of
+        ints, has an endpoint outside ``[0, n)``, is a self-loop, or has a
+        weight outside ``[0, 2^63-1]`` raises `StreamFormatError` and
+        leaves the state untouched; otherwise the edge goes through
+        `process_columns` as a chunk of one.
         """
         if self._finalized:
             raise RuntimeError("state already finalized")
@@ -161,113 +189,178 @@ class StreamingState:
                 raise StreamFormatError(f"self-loop at node {u}")
             if not (0 <= w <= I64_MAX):
                 raise StreamFormatError(f"weight {w} outside [0, 2^63-1]")
-            phi_u = phi[u]
-            phi_v = phi[v]
+            phi[u] + phi[v]
         except TypeError:
             raise StreamFormatError(
                 f"edge ({u!r}, {v!r}, {w!r}) is not made of ints"
             ) from None
-        pot_sum = phi_u + phi_v
-        p = self._p
-        q = self._q
-        # 0 < epsilon < 6 gives 1 < alpha < 2: a weight up to the potential
-        # sum is light and one above twice the sum is heavy, so only the
-        # band between needs the exact squares.
-        if w <= pot_sum or (w <= 2 * pot_sum and q * w * w <= p * pot_sum * pot_sum):
-            if self._trace is not None:
-                self._trace.append(
-                    TraceEvent(EV_LIGHT, WeightedEdge(u, v, w), None, phi[:])
-                )
-            return False
-
         # The weight column is the first thing a push touches: a heavy
-        # weight that is not an int (7.0, say) fails here and leaves the
+        # weight that is not an int (7.0, say) fails there and leaves the
         # state as it was. A light one is never stored and goes unchecked.
         try:
-            self._ws.append(w)
+            return self.process_columns((u,), (v,), (w,)) == 1
         except TypeError:
             raise StreamFormatError(f"weight {w!r} is not an int") from None
-        # Heavy means w > alpha * pot_sum >= pot_sum, so the reduced weight
-        # is at least 1 and 0 can mark an evicted row.
-        reduced = w - pot_sum
-        stats = self.stats
-        row = stats.heavy_edges_total
-        stats.heavy_edges_total = row + 1
-        live = row + 1 - stats.evictions_total
-        if live > stats.peak_live_entries:
-            stats.peak_live_entries = live
-        self._us.append(u)
-        self._vs.append(v)
-        self._reduced.append(reduced)
 
-        phi[u] = new_u = phi_u + reduced
-        phi[v] = new_v = phi_v + reduced
-        # Growth monitor: each push must scale phi(x) by at least alpha. A
-        # potential that at least doubles (from 0, say) passes, as alpha < 2.
-        if new_u < 2 * phi_u and q * new_u * new_u < p * phi_u * phi_u:
-            stats.phi_growth_violations += 1
-        if new_v < 2 * phi_v and q * new_v * new_v < p * phi_v * phi_v:
-            stats.phi_growth_violations += 1
+    def process_columns(
+        self, us: Sequence[int], vs: Sequence[int], ws: Sequence[int]
+    ) -> int:
+        """Run the pass over a chunk of checked edges, given as columns, and
+        return how many of them were pushed.
+
+        Edge i of the chunk is ``(us[i], vs[i], ws[i])``; edges arrive in
+        stream order. Every edge must already pass the checks of
+        `process_edge`: nothing here checks it again. An edge is light when
+        its weight is at or below alpha times the endpoint potential sum,
+        and leaves the state untouched. A heavy edge becomes the next arena
+        row with reduced weight ``weight - (phi(u) + phi(v))``; note the
+        reduction subtracts the plain potential sum while the filter
+        compares against alpha times it. Both endpoint potentials then grow
+        by the same reduced weight, and each endpoint queue that reached
+        the cap evicts its oldest edge.
+        """
+        if self._finalized:
+            raise RuntimeError("state already finalized")
+        phi = self.phi
         queues = self._queues
-        queue_u = queues[u]
-        if queue_u is None:
-            queues[u] = row
-            len_u = 1
-        elif type(queue_u) is int:
-            queues[u] = array(_ROW_TYPECODE, (queue_u, row))
-            len_u = 2
-        else:
-            queue_u.append(row)
-            len_u = len(queue_u)
-        queue_v = queues[v]
-        if queue_v is None:
-            queues[v] = row
-            len_v = 1
-        elif type(queue_v) is int:
-            queues[v] = array(_ROW_TYPECODE, (queue_v, row))
-            len_v = 2
-        else:
-            queue_v.append(row)
-            len_v = len(queue_v)
-        longest = len_u if len_u > len_v else len_v
-        if longest > stats.max_queue_len:
-            stats.max_queue_len = longest
+        arena_u, arena_v, arena_w, arena_r = self._us, self._vs, self._ws, self._reduced
+        push_u, push_v = arena_u.append, arena_v.append
+        push_w, push_r = arena_w.append, arena_r.append
+        p, q, cap = self._p, self._q, self._cap
+        trace = self._trace
+        samples = self._samples
+        timed = samples is not None
+        if timed:
+            clock = time.perf_counter_ns
+            dense = _TIMING_DENSE_LIMIT
+            index = self._timed_edges
+            start = 0
+        # The counters live in locals for the chunk and go back to the
+        # stats object however the loop ends.
+        stats = self.stats
+        heavy = first_heavy = stats.heavy_edges_total
+        evicted = stats.evictions_total
+        peak = stats.peak_live_entries
+        longest_queue = stats.max_queue_len
+        growth_violations = stats.phi_growth_violations
+        cap_violations = stats.queue_cap_violations
+        try:
+            for u, v, w in zip(us, vs, ws):
+                if timed:
+                    # A sample runs from the start of its edge to the start
+                    # of the next one, or to the end of the chunk.
+                    now = clock()
+                    if start:
+                        samples.append(now - start)
+                    start = now if index < dense or not index % 64 else 0
+                    index += 1
+                phi_u = phi[u]
+                phi_v = phi[v]
+                pot_sum = phi_u + phi_v
+                # 0 < epsilon < 6 gives 1 < alpha < 2: a weight up to the
+                # potential sum is light and one above twice the sum is
+                # heavy, so only the band between needs the exact squares.
+                if w <= pot_sum or (
+                    w <= 2 * pot_sum and q * w * w <= p * pot_sum * pot_sum
+                ):
+                    if trace is not None:
+                        trace.append(
+                            TraceEvent(EV_LIGHT, WeightedEdge(u, v, w), None, phi[:])
+                        )
+                    continue
 
-        if self._trace is not None:
-            self._trace.append(
-                TraceEvent(PUSHED, WeightedEdge(u, v, w), reduced, phi[:])
-            )
+                push_w(w)
+                # Heavy means w > alpha * pot_sum >= pot_sum, so the reduced
+                # weight is at least 1 and 0 can mark an evicted row.
+                reduced = w - pot_sum
+                row = heavy
+                heavy += 1
+                if heavy - evicted > peak:
+                    peak = heavy - evicted
+                push_u(u)
+                push_v(v)
+                push_r(reduced)
 
-        cap = self._cap
-        if longest >= cap:
-            # Queue-cap monitor: a queue may reach the cap, never pass it.
-            stats.queue_cap_violations += (len_u > cap) + (len_v > cap)
-            # Evicting at u may shorten v's queue (a parallel edge), so each
-            # slot is read again just before its test. Only an array can
-            # reach the cap, which is at least 4.
-            for x in (u, v):
-                queue = queues[x]
-                if type(queue) is array and len(queue) >= cap:
-                    victim = queue.pop(0)
-                    victim_reduced = self._reduced[victim]
-                    self._reduced[victim] = 0
-                    stats.evictions_total += 1
-                    # The victim is live, so it also sits in its other
-                    # endpoint's slot: alone there, or in an array.
-                    vu = self._us[victim]
-                    vv = self._vs[victim]
-                    y = vv if vu == x else vu
-                    other = queues[y]
-                    if type(other) is array:
-                        other.remove(victim)
-                    else:
-                        queues[y] = None
-                    if self._trace is not None:
-                        self._trace.append(TraceEvent(
-                            EVICTED, WeightedEdge(vu, vv, self._ws[victim]),
-                            victim_reduced, None,
-                        ))
-        return True
+                phi[u] = new_u = phi_u + reduced
+                phi[v] = new_v = phi_v + reduced
+                # Growth monitor: each push must scale phi(x) by at least
+                # alpha. A potential that at least doubles (from 0, say)
+                # passes, as alpha < 2.
+                if new_u < 2 * phi_u and q * new_u * new_u < p * phi_u * phi_u:
+                    growth_violations += 1
+                if new_v < 2 * phi_v and q * new_v * new_v < p * phi_v * phi_v:
+                    growth_violations += 1
+                queue_u = queues[u]
+                if queue_u is None:
+                    queues[u] = row
+                    len_u = 1
+                elif type(queue_u) is int:
+                    queues[u] = array(_ROW_TYPECODE, (queue_u, row))
+                    len_u = 2
+                else:
+                    queue_u.append(row)
+                    len_u = len(queue_u)
+                queue_v = queues[v]
+                if queue_v is None:
+                    queues[v] = row
+                    len_v = 1
+                elif type(queue_v) is int:
+                    queues[v] = array(_ROW_TYPECODE, (queue_v, row))
+                    len_v = 2
+                else:
+                    queue_v.append(row)
+                    len_v = len(queue_v)
+                longest = len_u if len_u > len_v else len_v
+                if longest > longest_queue:
+                    longest_queue = longest
+
+                if trace is not None:
+                    trace.append(
+                        TraceEvent(PUSHED, WeightedEdge(u, v, w), reduced, phi[:])
+                    )
+
+                if longest >= cap:
+                    # Queue-cap monitor: a queue may reach the cap, never
+                    # pass it.
+                    cap_violations += (len_u > cap) + (len_v > cap)
+                    # Evicting at u may shorten v's queue (a parallel edge),
+                    # so each slot is read again just before its test. Only
+                    # an array can reach the cap, which is at least 4.
+                    for x in (u, v):
+                        queue = queues[x]
+                        if type(queue) is array and len(queue) >= cap:
+                            victim = queue.pop(0)
+                            victim_reduced = arena_r[victim]
+                            arena_r[victim] = 0
+                            evicted += 1
+                            # The victim is live, so it also sits in its
+                            # other endpoint's slot: alone there, or in an
+                            # array.
+                            vu = arena_u[victim]
+                            vv = arena_v[victim]
+                            y = vv if vu == x else vu
+                            other = queues[y]
+                            if type(other) is array:
+                                other.remove(victim)
+                            else:
+                                queues[y] = None
+                            if trace is not None:
+                                trace.append(TraceEvent(
+                                    EVICTED, WeightedEdge(vu, vv, arena_w[victim]),
+                                    victim_reduced, None,
+                                ))
+        finally:
+            if timed:
+                if start:
+                    samples.append(clock() - start)
+                self._timed_edges = index
+            stats.heavy_edges_total = heavy
+            stats.evictions_total = evicted
+            stats.peak_live_entries = peak
+            stats.max_queue_len = longest_queue
+            stats.phi_growth_violations = growth_violations
+            stats.queue_cap_violations = cap_violations
+        return heavy - first_heavy
 
     def compact(self) -> None:
         """Do nothing: the arena is append-only and the push budget bounds
@@ -302,8 +395,9 @@ def run_stream(
     streams (n <= 64 and at most 100_000 edges); a traced `LazyEdgeStream`
     is read into memory first to count its edges. Recording snapshots at
     benchmark scale would defeat the space bound. With
-    ``collect_timing`` each edge is timed with a monotonic clock (every
-    64th edge beyond the first million, to keep the observer cheap).
+    ``collect_timing`` each edge is timed with a monotonic clock inside the
+    pass (every 64th edge beyond the first million, to keep the observer
+    cheap).
     """
     params = compute_params(stream.n, epsilon)
     if trace_sink is not None:
@@ -314,14 +408,9 @@ def run_stream(
             raise ValueError(
                 f"tracing is limited to n <= {TRACE_MAX_NODES} and m <= {TRACE_MAX_EDGES}"
             )
-    state = StreamingState(params, trace=trace_sink)
-    process = state.process_edge
+    samples: list[int] | None = [] if collect_timing else None
+    state = StreamingState(params, trace=trace_sink, samples=samples)
 
-    # A malformed edge is named by its line in the canonical file format,
-    # where line 1 is the header. Errors raised by the iteration itself
-    # (the parser's) already name their line and pass through as they are.
-    m = 0
-    samples: list[int] | None = None
     # A pass makes no reference cycles (the state is int arrays, ints and
     # one list of queue slots), so the cyclic collector could free nothing
     # and would only rescan the pass's short-lived containers. It is paused
@@ -329,31 +418,19 @@ def run_stream(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if collect_timing:
-            samples = []
-            clock = time.perf_counter_ns
-            for edge in stream.edges:
-                try:
-                    if m < _TIMING_DENSE_LIMIT or not m % 64:
-                        t0 = clock()
-                        process(edge)
-                        samples.append(clock() - t0)
-                    else:
-                        process(edge)
-                except StreamFormatError as exc:
-                    raise StreamFormatError(f"line {m + 2}: {exc}") from None
-                m += 1
+        if isinstance(stream, LazyEdgeStream):
+            # The parser has checked every edge of its columns, and names
+            # the line of a malformed one itself.
+            m = 0
+            for us, vs, ws in stream.columns:
+                state.process_columns(us, vs, ws)
+                m += len(us)
         else:
-            for edge in stream.edges:
-                try:
-                    process(edge)
-                except StreamFormatError as exc:
-                    raise StreamFormatError(f"line {m + 2}: {exc}") from None
-                m += 1
+            m = _feed_edges(state, stream.edges)
         matching, stats = state.finalize()
         # Freed while the collector is paused, the state is not rescanned
         # when it resumes.
-        del state, process
+        del state
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -373,3 +450,59 @@ def run_stream(
         per_edge_ns=TimingStats.from_samples(samples) if samples else None,
     )
     return matching, report
+
+
+def _feed_edges(state: StreamingState, edges: Iterable[Triple]) -> int:
+    """Run ``state`` over in-memory edges a chunk at a time; return their count.
+
+    A chunk that passes `_checked_columns` goes through the column loop in
+    one call. Any other chunk goes through `process_edge` edge by edge, so
+    a malformed edge is named by its line in the canonical file format,
+    where line 1 is the header.
+    """
+    m = 0
+    it = iter(edges)
+    for chunk in iter(lambda: list(islice(it, _CHUNK_EDGES)), []):
+        columns = _checked_columns(chunk, state.params.n)
+        if columns is not None:
+            state.process_columns(*columns)
+            m += len(chunk)
+            continue
+        for edge in chunk:
+            try:
+                state.process_edge(edge)
+            except StreamFormatError as exc:
+                raise StreamFormatError(f"line {m + 2}: {exc}") from None
+            m += 1
+    return m
+
+
+def _checked_columns(
+    chunk: list[Triple], n: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
+    """The ``(us, vs, ws)`` columns of a chunk whose every edge is three
+    ints that pass the checks of `process_edge`, or None.
+
+    The test is stricter than `process_edge` (a bool, say, fails it), so
+    a chunk it refuses may still be accepted edge by edge.
+    """
+    try:
+        columns = tuple(zip(*chunk, strict=True))
+    except (TypeError, ValueError):
+        return None
+    if len(columns) != 3:
+        return None
+    us, vs, ws = columns
+    if set(map(type, chain(us, vs, ws))) != {int}:
+        return None
+    if (
+        min(us) < 0
+        or min(vs) < 0
+        or max(us) >= n
+        or max(vs) >= n
+        or min(ws) < 0
+        or max(ws) > I64_MAX
+        or any(map(eq, us, vs))
+    ):
+        return None
+    return us, vs, ws

@@ -11,15 +11,24 @@ edge count, which must match the body exactly. Blank lines and lines
 starting with ``c`` are ignored. Line order is arrival order.
 
 `read_stream` parses as the edges are consumed: it reads the header, then
-the body a chunk of lines at a time, so a run holds one chunk of input, not
-all m edges. A chunk made only of canonical lines (``<u> <v> <w>`` in ASCII
+the body a block at a time (``_CHUNK_BYTES`` characters and the rest of
+the line they end in), so a run holds one block of input, not all m
+edges. A block made only of canonical lines (``<u> <v> <w>`` in ASCII
 digits, one space apart, newline-terminated) is converted to ints in one C
-call (a JSON array) and checked in bulk; any other chunk, or one that fails
-a bulk check (a number with a leading zero, say), is parsed line by line,
-so every accepted input and every error message is the same either way.
-`read_stream` yields plain int triples, so on a run only the engine's
-matched edges become `WeightedEdge`s; `parse_stream` materializes the same
-parse into an `EdgeStream` of them.
+call (a JSON array) and checked in bulk; any other block, or one that fails
+a bulk check (a number with a leading zero, say), is split after each
+``"\n"`` and parsed line by line, so every accepted input and every error
+message is the same either way. `parse_stream` cuts any iterable of lines
+into chunks of ``_CHUNK_LINES`` lines and parses them the same way.
+
+Every check of an edge lives here, against the header: endpoints below n
+and distinct, weight in ``[0, 2^63-1]``, no more edges than declared. What
+passes is handed on as the ``(us, vs, ws)`` int columns each chunk was
+parsed into (`LazyEdgeStream.columns`), and the engine's pass runs over
+them without checking them again. Only the engine's matched edges become
+`WeightedEdge`s; `LazyEdgeStream.edges` reads the same columns as plain
+``(u, v, w)`` triples, and `parse_stream` materializes the same parse into
+an `EdgeStream` of `WeightedEdge`s.
 """
 
 from __future__ import annotations
@@ -28,51 +37,56 @@ import json
 import re
 import sys
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, starmap
+from operator import eq
 from typing import Iterable, Iterator
 
 from .core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
 
 __all__ = ["LazyEdgeStream", "parse_stream", "serialize_stream", "read_stream"]
 
-#: Bytes of input per chunk read from a file (a size hint to ``readlines``).
+#: Characters of input per block read from a file or stdin.
 _CHUNK_BYTES = 1 << 16
 #: Lines per chunk taken from any other iterable of lines.
 _CHUNK_LINES = 1 << 12
 _CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
 
 Triple = tuple[int, int, int]
+#: A chunk of edges as ``(us, vs, ws)``: edge i is ``(us[i], vs[i], ws[i])``.
+Columns = tuple[list[int], list[int], list[int]]
 
 
 class LazyEdgeStream:
     """A stream parsed as it is consumed.
 
     ``n`` comes from the header, which is read when the stream is opened.
-    ``edges`` is a one-shot iterator of plain ``(u, v, w)`` int triples, each
-    checked against the header before it comes out; a malformed body line
-    raises `StreamFormatError` from the iteration, with the message
-    `parse_stream` gives for it. The input file is closed when ``edges`` is
-    exhausted or fails, or by `close`.
+    ``columns`` is a one-shot iterator of `Columns`, one per chunk of the
+    body, whose every edge is three ints already checked against the
+    header; ``edges`` reads the same chunks as plain ``(u, v, w)`` int
+    triples. Consume one or the other. A malformed body line raises
+    `StreamFormatError` from the iteration, with the message `parse_stream`
+    gives for it. The input file is closed when the chunks are exhausted
+    or fail, or by `close`.
     """
 
-    def __init__(self, n: int, chunks: Iterator[Iterable[Triple]]) -> None:
+    def __init__(self, n: int, columns: Iterator[Columns]) -> None:
         self.n = n
-        self._chunks = chunks
-        self.edges: Iterator[Triple] = chain.from_iterable(chunks)
+        self.columns = columns
+        self.edges: Iterator[Triple] = chain.from_iterable(starmap(zip, columns))
 
     def materialize(self) -> EdgeStream:
         """Read the rest of the input into an `EdgeStream` of `WeightedEdge`s."""
         return EdgeStream(self.n, list(map(WeightedEdge._make, self.edges)))
 
     def close(self) -> None:
-        self._chunks.close()
+        self.columns.close()
 
 
 def parse_stream(lines: Iterable[str]) -> EdgeStream:
     """Parse the edge-list format; every error names the offending line."""
     it = iter(lines)
     chunks = iter(lambda: list(islice(it, _CHUNK_LINES)), [])
-    return _open(_parse(chunks, check_lines=True)).materialize()
+    return _open(_parse(chunks)).materialize()
 
 
 def serialize_stream(stream: EdgeStream) -> str:
@@ -85,22 +99,38 @@ def serialize_stream(stream: EdgeStream) -> str:
 def read_stream(path: str) -> LazyEdgeStream:
     """Open a stream from a file path, or stdin when path is '-'.
 
-    The header is read now; the body is read as ``edges`` is consumed.
+    The header is read now; the body is read as the stream is consumed.
     """
     if path == "-":
-        return _open(_parse(_file_chunks(sys.stdin), check_lines=False))
+        return _open(_parse(_blocks(sys.stdin)))
     return _open(_read_file(path))
 
 
 def _read_file(path: str) -> Iterator:
     with open(path, "r", encoding="utf-8") as fp:
-        yield from _parse(_file_chunks(fp), check_lines=False)
+        yield from _parse(_blocks(fp))
 
 
-def _file_chunks(fp) -> Iterator[list[str]]:
+def _blocks(fp) -> Iterator[str]:
+    """Read a text stream in blocks of whole lines: ``_CHUNK_BYTES``
+    characters, then the rest of the line they end in."""
     # A text stream with the default newline handling (our files, stdin)
-    # ends each line at its one newline, so each element is one whole line.
-    return iter(partial(fp.readlines, _CHUNK_BYTES), [])
+    # ends each line at its one "\n", as readlines does.
+    for block in iter(partial(fp.read, _CHUNK_BYTES), ""):
+        if block[-1] != "\n":
+            block += fp.readline()
+        yield block
+
+
+def _lines(chunk: str | list[str]) -> list[str]:
+    """A chunk's lines: a list is one line per element, and a block is
+    split after each "\n" only (str.splitlines splits on more)."""
+    if type(chunk) is list:
+        return chunk
+    lines = chunk.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def _open(parser: Iterator) -> LazyEdgeStream:
@@ -108,36 +138,40 @@ def _open(parser: Iterator) -> LazyEdgeStream:
     return LazyEdgeStream(next(parser), parser)
 
 
-def _parse(chunks: Iterator[list[str]], check_lines: bool) -> Iterator:
-    """Yield the node count from the header, then one iterable of validated
-    triples per chunk of body lines. ``check_lines`` makes the bulk path
-    first check that each chunk element is one newline-terminated line."""
+def _parse(chunks: Iterator[str | list[str]]) -> Iterator:
+    """Yield the node count from the header, then the checked `Columns` of
+    each chunk of body lines. A chunk is a block of whole lines read from
+    a text stream, or a list whose every element counts as one line."""
     n, declared_m, rest, lineno = _read_header(chunks)
     yield n
     count = 0
     for chunk in chain([rest], chunks):
         if not chunk:
             continue
-        columns = _bulk_columns(chunk, n, declared_m - count, check_lines)
+        columns = _bulk_columns(chunk, n, declared_m - count)
         if columns is None:
-            edges: Iterable[Triple] = _parse_lines(chunk, n, declared_m, count, lineno)
-            count += len(edges)
+            lines = _lines(chunk)
+            columns = _parse_lines(lines, n, declared_m, count, lineno)
+            lineno += len(lines)
         else:
-            edges = zip(*columns)
-            count += len(columns[0])
-        lineno += len(chunk)
-        yield edges
+            # A canonical chunk is one edge per line.
+            lineno += len(columns[0])
+        count += len(columns[0])
+        yield columns
     if count != declared_m:
         raise StreamFormatError(
             f"header declared {declared_m} edges but found {count} by line {lineno}"
         )
 
 
-def _read_header(chunks: Iterator[list[str]]) -> tuple[int, int, list[str], int]:
+def _read_header(
+    chunks: Iterator[str | list[str]],
+) -> tuple[int, int, str | list[str], int]:
     """Find the header; return ``(n, m, rest of its chunk, its line number)``."""
     lineno = 0
     for chunk in chunks:
-        for i, raw in enumerate(chunk):
+        lines = _lines(chunk)
+        for i, raw in enumerate(lines):
             line = raw.strip()
             if not line or line.startswith("c"):
                 continue
@@ -153,22 +187,27 @@ def _read_header(chunks: Iterator[list[str]]) -> tuple[int, int, list[str], int]
                 raise StreamFormatError(f"malformed header at line {lineno}") from None
             if n < 0 or declared_m < 0:
                 raise StreamFormatError(f"negative header counts at line {lineno}")
-            return n, declared_m, chunk[i + 1 :], lineno
-        lineno += len(chunk)
+            if lines is chunk:
+                return n, declared_m, chunk[i + 1 :], lineno
+            # A block resumes after the header's newline.
+            return n, declared_m, chunk[sum(map(len, lines[: i + 1])) + i + 1 :], lineno
+        lineno += len(lines)
     raise StreamFormatError("missing header 'p mwm <n> <m>'")
 
 
-def _bulk_columns(
-    chunk: list[str], n: int, room: int, check_lines: bool
-) -> tuple[list[int], list[int], list[int]] | None:
-    """The ``(us, vs, ws)`` columns of a chunk of canonical edge lines that
-    pass every check, or None when the chunk needs the line-by-line parse."""
-    text = "".join(chunk)
+def _bulk_columns(chunk: str | list[str], n: int, room: int) -> Columns | None:
+    """The `Columns` of a chunk of canonical edge lines that pass every
+    check, or None when the chunk needs the line-by-line parse."""
+    if type(chunk) is list:
+        text = "".join(chunk)
+        # Each element must be one newline-terminated line.
+        if text.count("\n") != len(chunk) or not all(
+            map(str.endswith, chunk, repeat("\n"))
+        ):
+            return None
+    else:
+        text = chunk
     if not _CANONICAL.fullmatch(text):
-        return None
-    if check_lines and not (
-        text.count("\n") == len(chunk) and all(map(str.endswith, chunk, repeat("\n")))
-    ):
         return None
     # One C call turns the chunk into ints. JSON rejects a leading zero,
     # and int() more digits than it accepts: both leave it to the line path.
@@ -182,19 +221,21 @@ def _bulk_columns(
         or max(us) >= n
         or max(vs) >= n
         or max(ws) > I64_MAX
-        or not all(map(int.__ne__, us, vs))
+        or any(map(eq, us, vs))
     ):
         return None
     return us, vs, ws
 
 
 def _parse_lines(
-    chunk: list[str], n: int, declared_m: int, count: int, lineno: int
-) -> list[Triple]:
+    lines: list[str], n: int, declared_m: int, count: int, lineno: int
+) -> Columns:
     """Parse body lines one by one; ``count`` edges and ``lineno`` lines
-    precede the chunk."""
-    edges: list[Triple] = []
-    for lineno, raw in enumerate(chunk, start=lineno + 1):
+    precede them."""
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[int] = []
+    for lineno, raw in enumerate(lines, start=lineno + 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -205,7 +246,7 @@ def _parse_lines(
             u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise StreamFormatError(f"malformed edge line at line {lineno}") from None
-        if count + len(edges) >= declared_m:
+        if count + len(us) >= declared_m:
             raise StreamFormatError(
                 f"more than the declared {declared_m} edges at line {lineno}"
             )
@@ -217,5 +258,7 @@ def _parse_lines(
             raise StreamFormatError(f"negative weight at line {lineno}")
         if w > I64_MAX:
             raise StreamFormatError(f"weight exceeds 2^63-1 at line {lineno}")
-        edges.append((u, v, w))
-    return edges
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    return us, vs, ws

@@ -1,5 +1,5 @@
 """`run --input` streams the file through the engine: memory does not grow
-with the edge count, every edge passes through `process_edge`, a read that
+with the edge count, every edge passes through `process_columns`, a read that
 fails mid-run is an input error, and the file is closed in every case."""
 
 import builtins
@@ -62,28 +62,24 @@ def test_run_input_memory_is_flat_in_edge_count(tmp_path):
     assert peaks[1] < 1.25 * peaks[0], peaks
 
 
-def test_run_input_calls_process_edge_once_per_edge(tmp_path, monkeypatch):
-    # The per-layer light/push/evict figures of the benchmark's tracer come
-    # from wrapping StreamingState.process_edge like this.
-    counts = {"light": 0, "push": 0, "evict": 0}
+def test_run_input_passes_every_edge_once_through_process_columns(tmp_path, monkeypatch):
+    # The per-layer light/push/evict figures of the benchmark's tracer must
+    # come from wrapping StreamingState.process_columns, the one entry into
+    # the pass, like this: one call per chunk.
+    counts = {"light": 0, "push": 0}
     evicted = 0
-    process_edge = StreamingState.process_edge
+    process_columns = StreamingState.process_columns
 
-    def bucketed(state, edge):
+    def bucketed(state, us, vs, ws):
         nonlocal evicted
-        live, before = state.live_entries, state.stats.evictions_total
-        outcome = process_edge(state, edge)
-        delta = state.stats.evictions_total - before
-        if delta:
-            evicted += delta
-            counts["evict"] += 1
-        elif state.live_entries != live:
-            counts["push"] += 1
-        else:
-            counts["light"] += 1
-        return outcome
+        before = state.stats.evictions_total
+        pushed = process_columns(state, us, vs, ws)
+        evicted += state.stats.evictions_total - before
+        counts["push"] += pushed
+        counts["light"] += len(us) - pushed
+        return pushed
 
-    monkeypatch.setattr(StreamingState, "process_edge", bucketed)
+    monkeypatch.setattr(StreamingState, "process_columns", bucketed)
     chain = generate(GeneratorSpec(kind=GeneratorKind.GEOMETRIC_CHAIN, n=64))
     er = generate(GeneratorSpec(kind=GeneratorKind.ERDOS_RENYI, n=64, p=0.3, seed=4))
     path = tmp_path / "mixed.mwm"
@@ -92,22 +88,22 @@ def test_run_input_calls_process_edge_once_per_edge(tmp_path, monkeypatch):
 
     assert cli.main(["run", "--input", str(path), "--eps", "2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert min(counts.values()) > 0
+    assert min(counts.values()) > 0 and evicted > 0
     assert sum(counts.values()) == report["m"] == len(chain.edges) + len(er.edges)
-    assert counts["push"] + counts["evict"] == report["heavy_edges_k"]
+    assert counts["push"] == report["heavy_edges_k"]
     assert evicted == report["evictions_total"]
 
 
 class _FailingStdin(io.StringIO):
-    """Stdin whose second chunk read fails."""
+    """Stdin whose second block read fails."""
 
     reads = 0
 
-    def readlines(self, hint=-1):
+    def read(self, size=-1):
         self.reads += 1
         if self.reads > 1:
             raise OSError("device went away")
-        return super().readlines(hint)
+        return super().read(size)
 
 
 def test_run_exit_2_when_a_read_fails_mid_run(monkeypatch, capsys):

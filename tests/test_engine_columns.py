@@ -1,0 +1,191 @@
+"""Differential tests of the column loop: `StreamingState.process_columns`,
+fed a stream in chunks of any size, agrees with a textbook simulation of the
+pass on every counter, live edge, matching and trace event; and an in-memory
+stream whose bad edge sits in a later chunk fails with the message and line
+number of the edge-by-edge path."""
+
+import dataclasses
+import re
+from fractions import Fraction
+
+import pytest
+
+from conftest import random_multigraph_stream
+from test_engine import _SLOTS, _chain, _doubling_edges, _heavy_chain_stars, _naive_pass
+from test_golden import HUB_EPS, _hub
+from stream_mwm import engine
+from stream_mwm.core import (
+    I64_MAX,
+    EdgeStream,
+    StreamFormatError,
+    WeightedEdge,
+    compute_params,
+)
+from stream_mwm.engine import StreamingState, run_stream
+from stream_mwm.monitors import EVICTED, LIGHT, PUSHED, TRACE_MAX_NODES, MonitorStats
+
+CHUNK_SIZES = [1, 2, 3, 7, 4096]
+
+
+def _parallel_eviction_edges(v_holds):
+    """Copy 1 of (0, 1), fillers until node 0's queue is one short of the
+    cap, then copy 2: evicting copy 1 at node 0 shortens node 1's queue."""
+    fillers = range(2, _SLOTS.queue_cap)
+    pairs = [(0, 1)] + [(0, a) for a in fillers]
+    if v_holds == "list":
+        pairs += [(1, a) for a in fillers]
+    return _doubling_edges(pairs + [(0, 1)])
+
+
+def _streams():
+    for seed in range(40):
+        eps = [Fraction(1, 10), Fraction(1, 2), Fraction(2)][seed % 3]
+        yield f"multi{seed}", random_multigraph_stream(seed), eps
+    yield "chain64", _chain(64), Fraction(2)
+    yield "stars", _heavy_chain_stars(3, "1/2"), Fraction(1, 2)
+    for seed in range(3):
+        yield f"hub{seed}", _hub(seed), HUB_EPS
+    for v_holds in ("alone", "list"):
+        stream = EdgeStream(_SLOTS.n, _parallel_eviction_edges(v_holds))
+        yield f"parallel-{v_holds}", stream, _SLOTS.epsilon
+
+
+STREAMS = list(_streams())
+
+
+def _naive_counters_and_events(params, edges):
+    """The `MonitorStats` counters and the pass events of a textbook pass
+    over plain lists; an event is ``(kind, edge, reduced, potentials)``."""
+    n, cap = params.n, params.queue_cap
+    p, q = params.alpha_sq.numerator, params.alpha_sq.denominator
+    phi = [0] * n
+    stack = []  # [edge, reduced, alive]
+    queues = [[] for _ in range(n)]
+    counters = dict.fromkeys((f.name for f in dataclasses.fields(MonitorStats)), 0)
+    events = []
+    for e in edges:
+        s = phi[e.u] + phi[e.v]
+        if q * e.weight * e.weight <= p * s * s:
+            events.append((LIGHT, e, None, list(phi)))
+            continue
+        reduced = e.weight - s
+        idx = len(stack)
+        stack.append([e, reduced, True])
+        for x in (e.u, e.v):
+            new = phi[x] + reduced
+            counters["phi_growth_violations"] += q * new * new < p * phi[x] * phi[x]
+            phi[x] = new
+            queues[x].append(idx)
+        counters["heavy_edges_total"] += 1
+        live = sum(alive for _, _, alive in stack)
+        counters["peak_live_entries"] = max(counters["peak_live_entries"], live)
+        lengths = [len(queues[e.u]), len(queues[e.v])]
+        counters["max_queue_len"] = max(counters["max_queue_len"], *lengths)
+        counters["queue_cap_violations"] += sum(length > cap for length in lengths)
+        events.append((PUSHED, e, reduced, list(phi)))
+        for x in (e.u, e.v):
+            if len(queues[x]) >= cap:
+                victim = queues[x].pop(0)
+                stack[victim][2] = False
+                counters["evictions_total"] += 1
+                ve, vr, _ = stack[victim]
+                for y in (ve.u, ve.v):
+                    if victim in queues[y]:
+                        queues[y].remove(victim)
+                events.append((EVICTED, ve, vr, None))
+    return counters, events
+
+
+def _events(trace):
+    return [
+        (ev.kind, ev.edge, ev.reduced_weight,
+         None if ev.potentials is None else list(ev.potentials))
+        for ev in trace
+    ]
+
+
+def _run_in_chunks(params, edges, size):
+    trace = []
+    state = StreamingState(params, trace=trace)
+    pushed = 0
+    for start in range(0, len(edges), size):
+        us, vs, ws = (list(column) for column in zip(*edges[start : start + size]))
+        pushed += state.process_columns(us, vs, ws)
+    return state, trace, pushed
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("tag, stream, eps", STREAMS, ids=[t for t, _, _ in STREAMS])
+def test_column_loop_matches_the_naive_pass_at_any_chunk_size(tag, stream, eps, size):
+    params = compute_params(stream.n, eps)
+    edges = list(stream.edges)
+    phi, live, chosen, _ = _naive_pass(params, edges)
+    counters, events = _naive_counters_and_events(params, edges)
+
+    state, trace, pushed = _run_in_chunks(params, edges, size)
+    assert dataclasses.asdict(state.stats) == counters
+    assert pushed == counters["heavy_edges_total"]
+    assert list(state.phi) == phi
+    assert state.live_edges() == live
+    assert _events(trace) == events
+    matching, stats = state.finalize()
+    assert matching.sorted_edges() == chosen
+    assert stats is state.stats
+
+    # run_stream cuts an in-memory stream into chunks of the same size.
+    run_trace = [] if stream.n <= TRACE_MAX_NODES else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CHUNK_EDGES", size)
+        run_matching, report = run_stream(stream, eps, trace_sink=run_trace)
+    if run_trace is not None:
+        assert _events(run_trace) == events
+    assert run_matching == matching
+    assert report.m == len(edges)
+    assert report.heavy_edges_k == counters["heavy_edges_total"]
+    assert report.evictions_total == counters["evictions_total"]
+
+
+def test_the_corpus_evicts_in_many_streams():
+    evicting = 0
+    for _, stream, eps in STREAMS:
+        params = compute_params(stream.n, eps)
+        counters, _ = _naive_counters_and_events(params, stream.edges)
+        evicting += counters["evictions_total"] > 0
+    assert evicting >= 7
+
+
+# The exact messages of the edge-by-edge path, after its "line N: ".
+BAD_EDGES = {
+    "self-loop": (WeightedEdge(0, 0, 7), "self-loop at node 0"),
+    "range-high": (WeightedEdge(0, 3, 1), "endpoint out of range for n=3: (0, 3)"),
+    "range-low": (WeightedEdge(-1, 1, 1), "endpoint out of range for n=3: (-1, 1)"),
+    "negative": (WeightedEdge(0, 1, -2), "weight -2 outside [0, 2^63-1]"),
+    "too-heavy": (WeightedEdge(0, 1, I64_MAX + 1),
+                  "weight 9223372036854775808 outside [0, 2^63-1]"),
+    "float-endpoint": ((0, 1.0, 5), "edge (0, 1.0, 5) is not made of ints"),
+    "str-weight": ((0, 1, "5"), "edge (0, 1, '5') is not made of ints"),
+    "heavy-float": ((1, 2, 7.0), "weight 7.0 is not an int"),
+}
+
+
+@pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+@pytest.mark.parametrize("kind", list(BAD_EDGES))
+def test_a_bad_edge_in_a_later_chunk_is_named_by_its_line(kind, timed):
+    # Zero-weight edges are light and leave every potential at 0, so the
+    # bad edge is the first heavy one; it sits in the second chunk.
+    bad, message = BAD_EDGES[kind]
+    good = [WeightedEdge(0, 1, 0)] * (engine._CHUNK_EDGES + 5)
+    stream = EdgeStream(3, [*good, bad, *good])
+    expected = f"line {len(good) + 2}: {message}"
+    with pytest.raises(StreamFormatError, match=f"^{re.escape(expected)}$"):
+        run_stream(stream, 2, collect_timing=timed)
+
+
+def test_a_chunk_that_fails_the_bulk_check_may_still_be_valid():
+    # A light float weight, a bool endpoint and a list for an edge pass
+    # process_edge, so their chunks run edge by edge to the same result.
+    ints = [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5), WeightedEdge(1, 2, 9)]
+    odd = [WeightedEdge(0, True, 5), (1, 2, 5.0), [1, 2, 9]]
+    _, want = run_stream(EdgeStream(3, ints), 2)
+    _, got = run_stream(EdgeStream(3, odd), 2)
+    assert got == want

@@ -1,9 +1,12 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stream_mwm import streamio
 from stream_mwm.core import EdgeStream, StreamFormatError, WeightedEdge
-from stream_mwm.streamio import parse_stream, serialize_stream
+from stream_mwm.streamio import parse_stream, read_stream, serialize_stream
 
 
 def test_parse_example():
@@ -66,3 +69,41 @@ def test_serialize_parse_roundtrip(n, data):
     assert parsed.n == stream.n
     assert list(parsed.edges) == list(stream.edges)
     assert serialize_stream(parsed) == text
+
+
+@pytest.mark.parametrize(
+    "mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+@pytest.mark.parametrize("where", ["first block", "block boundary", "later block"])
+def test_file_and_stdin_lines_end_at_newline_only(tmp_path, monkeypatch, mark, where):
+    # str.splitlines ends a line at each of these marks too; readlines, and
+    # so every line number the parser gives, does not. A comment holding a
+    # mark comes just before a self-loop.
+    at = {"first block": 10, "block boundary": None, "later block": 9000}[where]
+    edge = "0 1 5\n"
+    if at is None:
+        # The comment straddles the first block boundary.
+        at = (streamio._CHUNK_BYTES - len("p mwm 2 0\n")) // len(edge) - 1
+    lines = [edge] * at + [f"c a{mark}b\n", "1 1 7\n"] + [edge] * 20
+    text = f"p mwm 2 {at + 21}\n" + "".join(lines)
+    path = tmp_path / "marks.mwm"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8") as fp:
+        bad = 1 + fp.readlines().index("1 1 7\n")
+    assert bad == at + 3
+
+    with pytest.raises(StreamFormatError, match=f"^self-loop at line {bad}$"):
+        list(read_stream(str(path)).edges)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    with pytest.raises(StreamFormatError, match=f"^self-loop at line {bad}$"):
+        list(read_stream("-").edges)
+
+
+def test_a_line_longer_than_a_block_is_one_line(tmp_path):
+    path = tmp_path / "long.mwm"
+    comment = "c " + "x" * (3 * streamio._CHUNK_BYTES) + "\n"
+    path.write_text(f"p mwm 3 2\n0 1 5\n{comment}1 2 8\n", encoding="utf-8")
+    assert list(read_stream(str(path)).edges) == [(0, 1, 5), (1, 2, 8)]
+    path.write_text(f"p mwm 3 2\n0 1 5\n{comment}1 1 8\n", encoding="utf-8")
+    with pytest.raises(StreamFormatError, match="^self-loop at line 4$"):
+        list(read_stream(str(path)).edges)
