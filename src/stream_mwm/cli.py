@@ -1,10 +1,11 @@
 """Command-line surface: single runs and benchmark sweeps.
 
 ``run`` is one pipeline: read or generate the stream, decide once whether
-the oracle (n <= 22) and the trace replay (n <= 64) apply, read a file
-input into memory only if some step needs random access, then run, check
-and emit the report. Any I/O, parse, capacity or epsilon error along the
-way, or a node count too large to allocate, ends it with exit code 2.
+the oracle (n <= 22) and the trace replay (m <= 100_000, a file's m taken
+from its header) apply, read a file input into memory only if some step
+needs random access, then run, check and emit the report. Any I/O, parse,
+capacity or epsilon error along the way, or a node count too large to
+allocate, ends it with exit code 2.
 ``bench`` runs each row as its own pass, in up to min(rows, CPUs) worker
 processes, and ends with exit code 2 on the same errors.
 
@@ -31,7 +32,6 @@ from .generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 from .monitors import (
     MonitorFailure,
     TRACE_MAX_EDGES,
-    TRACE_MAX_NODES,
     check_eviction_gap,
     check_phi_growth,
     check_ratio_bound,
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--monitors",
         action="store_true",
-        help="replay the runtime checks on a recorded trace (small instances)",
+        help=f"replay the runtime checks on a recorded trace (m <= {TRACE_MAX_EDGES})",
     )
     run.add_argument("--timing", action="store_true", help="collect per-edge timings")
     run.add_argument("--report", choices=["json", "csv"], default="json")
@@ -152,7 +152,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             stream = generate(_spec_from_args(args))
         n = stream.n
         oracle = args.oracle and stream.n <= EXACT_MAX_NODES
-        replay = args.monitors and stream.n <= TRACE_MAX_NODES
+        m = len(stream.edges) if source is None else source.m
+        replay = args.monitors and m <= TRACE_MAX_EDGES
         if source is not None and (args.alg != "semi" or oracle or replay):
             stream = source.materialize()
         eps = parse_epsilon(args.eps)
@@ -201,8 +202,7 @@ def _run_semi(
     eps: Fraction,
     replay: bool,
 ) -> tuple[Matching, RunReport]:
-    # A stream to replay is materialized, so it has a length.
-    trace = [] if replay and len(stream.edges) <= TRACE_MAX_EDGES else None
+    trace = [] if replay else None
     matching, report = run_stream(
         stream, eps, trace_sink=trace, collect_timing=args.timing
     )

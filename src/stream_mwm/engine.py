@@ -58,8 +58,8 @@ garbage collector for the pass, which makes no cycles.
 Node potentials never exceed the largest edge weight seen, so they stay in
 64 bits: a push sets ``phi(x)`` to ``w - phi(other) <= w <= 2^63 - 1``, as
 potentials are never negative. ``phi`` is therefore an ``array('q')``: 8
-bytes a node and no int object per potential. A trace snapshots it as an
-array copy.
+bytes a node and no int object per potential. A trace event keeps only its
+edge's two endpoint potentials, so tracing costs O(1) per event at any n.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from .monitors import (
     LIGHT as EV_LIGHT,
     PUSHED,
     TRACE_MAX_EDGES,
-    TRACE_MAX_NODES,
     MonitorStats,
     TraceEvent,
 )
@@ -264,9 +263,9 @@ class StreamingState:
                     w <= 2 * pot_sum and q * w * w <= p * pot_sum * pot_sum
                 ):
                     if trace is not None:
-                        trace.append(
-                            TraceEvent(EV_LIGHT, WeightedEdge(u, v, w), None, phi[:])
-                        )
+                        trace.append(TraceEvent(
+                            EV_LIGHT, WeightedEdge(u, v, w), None, phi_u, phi_v
+                        ))
                     continue
 
                 push_w(w)
@@ -315,9 +314,10 @@ class StreamingState:
                     longest_queue = longest
 
                 if trace is not None:
-                    trace.append(
-                        TraceEvent(PUSHED, WeightedEdge(u, v, w), reduced, phi[:])
-                    )
+                    # Read back from the array: the event shows what was stored.
+                    trace.append(TraceEvent(
+                        PUSHED, WeightedEdge(u, v, w), reduced, phi[u], phi[v]
+                    ))
 
                 if longest >= cap:
                     # Queue-cap monitor: a queue may reach the cap, never
@@ -347,7 +347,7 @@ class StreamingState:
                             if trace is not None:
                                 trace.append(TraceEvent(
                                     EVICTED, WeightedEdge(vu, vv, arena_w[victim]),
-                                    victim_reduced, None,
+                                    victim_reduced,
                                 ))
         finally:
             if timed:
@@ -391,23 +391,19 @@ def run_stream(
 
     ``stream.edges`` is consumed once, in order, so a `LazyEdgeStream`
     from `read_stream` is parsed as it runs and ``m`` is counted on the way.
-    ``trace_sink`` receives the event trace and is limited to small
-    streams (n <= 64 and at most 100_000 edges); a traced `LazyEdgeStream`
-    is read into memory first to count its edges. Recording snapshots at
-    benchmark scale would defeat the space bound. With
+    ``trace_sink`` receives the event trace, O(1) per event, and is limited
+    to streams of at most ``TRACE_MAX_EDGES`` edges; a `LazyEdgeStream` is
+    checked against the edge count its header declares, before its body is
+    read. With
     ``collect_timing`` each edge is timed with a monotonic clock inside the
     pass (every 64th edge beyond the first million, to keep the observer
     cheap).
     """
     params = compute_params(stream.n, epsilon)
     if trace_sink is not None:
-        if isinstance(stream, LazyEdgeStream) and stream.n <= TRACE_MAX_NODES:
-            # The trace holds O(m) events anyway; the edge count needs a list.
-            stream = stream.materialize()
-        if stream.n > TRACE_MAX_NODES or len(stream.edges) > TRACE_MAX_EDGES:
-            raise ValueError(
-                f"tracing is limited to n <= {TRACE_MAX_NODES} and m <= {TRACE_MAX_EDGES}"
-            )
+        m = stream.m if isinstance(stream, LazyEdgeStream) else len(stream.edges)
+        if m > TRACE_MAX_EDGES:
+            raise ValueError(f"tracing is limited to m <= {TRACE_MAX_EDGES}")
     samples: list[int] | None = [] if collect_timing else None
     state = StreamingState(params, trace=trace_sink, samples=samples)
 

@@ -1,12 +1,12 @@
 """Runtime monitors: per-run counters and trace-replay checks.
 
 The engine always maintains the cheap integer counters in `MonitorStats`.
-Full event traces with potential snapshots are reserved for small
-instances (node count <= 64, stream length <= 100_000); recording them at
-benchmark scale would break the very space bound under test. A trace
-records the pass only, in ``light``, ``pushed`` and ``evicted`` events;
-the matching that `StreamingState.finalize` returns is not traced. The
-`check_*` functions are pure functions of a recorded trace.
+A trace is O(1) per event, as each event keeps only its edge's two
+endpoint potentials, so it may be recorded at any n for a stream of at
+most ``TRACE_MAX_EDGES`` edges. A trace records the pass only, in
+``light``, ``pushed`` and ``evicted`` events; the matching that
+`StreamingState.finalize` returns is not traced. The `check_*` functions
+are pure functions of a recorded trace.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Sequence
 from .core import EdgeStream, Params, WeightedEdge, is_heavy
 
 __all__ = [
-    "TRACE_MAX_NODES",
     "TRACE_MAX_EDGES",
     "LIGHT",
     "PUSHED",
@@ -34,8 +33,8 @@ __all__ = [
     "check_ratio_bound",
 ]
 
-#: Limits below which full traces with potential snapshots may be recorded.
-TRACE_MAX_NODES = 64
+#: The longest stream that may be traced: a trace holds one event per edge
+#: and eviction.
 TRACE_MAX_EDGES = 100_000
 
 # Trace event kinds.
@@ -64,19 +63,20 @@ class MonitorStats:
     evictions_total: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One engine event: an edge classified (light or pushed) or evicted.
 
-    ``potentials`` is the full potential vector after the event took
-    effect, a copy of the engine's array (present only in small-instance
-    mode); ``reduced_weight`` is set for pushes and evictions.
+    ``phi_u`` and ``phi_v`` are the potentials of ``edge.u`` and ``edge.v``
+    after the event took effect (None for an eviction); ``reduced_weight``
+    is set for pushes and evictions.
     """
 
     kind: str
     edge: WeightedEdge
     reduced_weight: int | None = None
-    potentials: Sequence[int] | None = None
+    phi_u: int | None = None
+    phi_v: int | None = None
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,8 @@ class MonitorFailure(RuntimeError):
 
 def _require_snapshots(trace: Sequence[TraceEvent]) -> None:
     for ev in trace:
-        if ev.kind in (LIGHT, PUSHED) and ev.potentials is None:
-            raise ValueError(
-                "trace lacks potential snapshots; record it in small-instance mode"
-            )
+        if ev.kind in (LIGHT, PUSHED) and (ev.phi_u is None or ev.phi_v is None):
+            raise ValueError("trace lacks the endpoint potentials of an edge")
 
 
 def check_phi_growth(trace: Sequence[TraceEvent], params: Params) -> CheckVerdict:
@@ -109,8 +107,8 @@ def check_phi_growth(trace: Sequence[TraceEvent], params: Params) -> CheckVerdic
 
     Every push at a node must multiply that node's potential by at least
     alpha. With ``alpha_sq = p/q`` this is the exact integer comparison
-    ``q * phi_new**2 >= p * phi_old**2``, applied to the snapshots of each
-    consecutive pair of pushes per node; chaining the per-push factor
+    ``q * phi_new**2 >= p * phi_old**2``, applied to the potentials recorded
+    at each consecutive pair of pushes per node; chaining the per-push factor
     covers arbitrary pairs of heavy edges at the node.
     """
     _require_snapshots(trace)
@@ -121,9 +119,7 @@ def check_phi_growth(trace: Sequence[TraceEvent], params: Params) -> CheckVerdic
     for i, ev in enumerate(trace):
         if ev.kind != PUSHED:
             continue
-        assert ev.potentials is not None
-        for node in (ev.edge.u, ev.edge.v):
-            new = ev.potentials[node]
+        for node, new in ((ev.edge.u, ev.phi_u), (ev.edge.v, ev.phi_v)):
             old = last_phi.get(node)
             if old is not None:
                 checked += 1
@@ -200,11 +196,10 @@ def check_terminal_weights(
                 ok=False, checked=checked, event_index=i,
                 detail=f"trace edge {ev.edge} does not match stream edge {edge}",
             )
-        assert ev.potentials is not None
         checked += 1
         if ev.kind == LIGHT:
-            # State was unchanged, so the snapshot is the classifying state.
-            pot = ev.potentials[edge.u] + ev.potentials[edge.v]
+            # State was unchanged, so the recorded potentials classified it.
+            pot = ev.phi_u + ev.phi_v
             if is_heavy(edge.weight, pot, params):
                 return CheckVerdict(
                     ok=False, checked=checked, event_index=i,
@@ -213,8 +208,8 @@ def check_terminal_weights(
                 )
         else:
             assert ev.reduced_weight is not None
-            before_u = ev.potentials[edge.u] - ev.reduced_weight
-            before_v = ev.potentials[edge.v] - ev.reduced_weight
+            before_u = ev.phi_u - ev.reduced_weight
+            before_v = ev.phi_v - ev.reduced_weight
             ok = (
                 ev.reduced_weight >= 1
                 and before_u >= 0

@@ -59,7 +59,9 @@ Columns = tuple[list[int], list[int], list[int]]
 class LazyEdgeStream:
     """A stream parsed as it is consumed.
 
-    ``n`` comes from the header, which is read when the stream is opened.
+    ``n`` and ``m``, the node and edge counts, come from the header, which
+    is read when the stream is opened; the body must hold exactly ``m``
+    edges.
     ``columns`` is a one-shot iterator of `Columns`, one per chunk of the
     body, whose every edge is three ints already checked against the
     header; ``edges`` reads the same chunks as plain ``(u, v, w)`` int
@@ -69,8 +71,9 @@ class LazyEdgeStream:
     or fail, or by `close`.
     """
 
-    def __init__(self, n: int, columns: Iterator[Columns]) -> None:
+    def __init__(self, n: int, m: int, columns: Iterator[Columns]) -> None:
         self.n = n
+        self.m = m
         self.columns = columns
         self.edges: Iterator[Triple] = chain.from_iterable(starmap(zip, columns))
 
@@ -134,16 +137,16 @@ def _lines(chunk: str | list[str]) -> list[str]:
 
 
 def _open(parser: Iterator) -> LazyEdgeStream:
-    # The parser's first item is the node count from the header.
-    return LazyEdgeStream(next(parser), parser)
+    # The parser's first item is the header's ``(n, m)``.
+    return LazyEdgeStream(*next(parser), parser)
 
 
 def _parse(chunks: Iterator[str | list[str]]) -> Iterator:
-    """Yield the node count from the header, then the checked `Columns` of
+    """Yield the header's ``(n, m)``, then the checked `Columns` of
     each chunk of body lines. A chunk is a block of whole lines read from
     a text stream, or a list whose every element counts as one line."""
     n, declared_m, rest, lineno = _read_header(chunks)
-    yield n
+    yield n, declared_m
     count = 0
     for chunk in chain([rest], chunks):
         if not chunk:

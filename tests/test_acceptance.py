@@ -192,11 +192,13 @@ def test_criterion_4_runtime_monitors():
     trace = []
     run_stream(stream, 2, trace_sink=trace)
     params = compute_params(3, 2)
+    # The push of (1, 2) records node 1 at 5 and node 2 at 0, as before it.
     frozen = [
-        replace(ev, potentials=trace[0].potentials) if i == 1 else ev
+        replace(ev, phi_u=trace[0].phi_v, phi_v=0) if i == 1 else ev
         for i, ev in enumerate(trace)
     ]
-    assert not check_phi_growth(frozen, params).ok
+    verdict = check_phi_growth(frozen, params)
+    assert not verdict.ok and verdict.event_index == 1
 
     chain = generate(GeneratorSpec(kind=GeneratorKind.GEOMETRIC_CHAIN, n=64))
     chain_trace = []

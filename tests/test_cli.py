@@ -10,10 +10,10 @@ import pytest
 from stream_mwm import cli
 from stream_mwm.cli import main
 from stream_mwm.core import I64_MAX, EdgeStream, Matching, WeightedEdge
-from stream_mwm.monitors import CheckVerdict, MonitorFailure
+from stream_mwm.monitors import TRACE_MAX_EDGES, CheckVerdict, MonitorFailure
 from stream_mwm.reference import EXACT_MAX_NODES, Graph, exact_mwm
 from stream_mwm.report import RUN_CSV_HEADER
-from stream_mwm.streamio import serialize_stream
+from stream_mwm.streamio import LazyEdgeStream, serialize_stream
 
 
 def run_to_file(tmp_path, name, argv):
@@ -103,15 +103,38 @@ def test_run_oracle_silently_off_beyond_capacity(capsys):
     assert report["oracle_weight"] is None and report["ratio"] is None
 
 
-def test_run_monitors_skipped_beyond_trace_limits(capsys):
-    code = main(
-        ["run", "--gen", "er", "--n", "100", "--p", "0.1", "--seed", "2",
-         "--alg", "semi", "--monitors"]
-    )
+def test_run_monitors_skipped_beyond_trace_limits(tmp_path, monkeypatch, capsys):
+    # One edge more than a trace may hold: the run streams the file and
+    # never reads it into memory.
+    m = TRACE_MAX_EDGES + 1
+    rng = random.Random(2)
+    lines = [f"p mwm 100 {m}\n"]
+    for _ in range(m):
+        u, v = rng.sample(range(100), 2)
+        lines.append(f"{u} {v} {rng.randint(0, 1000)}\n")
+    path = tmp_path / "long.mwm"
+    path.write_text("".join(lines), encoding="utf-8")
+
+    def refuse(self):
+        raise AssertionError("the input was read into memory")
+
+    monkeypatch.setattr(LazyEdgeStream, "materialize", refuse)
+    code = main(["run", "--input", str(path), "--alg", "semi", "--monitors"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["monitor_verdicts"]["phi_growth"] == "skipped"
     assert report["monitor_verdicts"]["ratio_bound"] == "pass"
+
+
+def test_run_monitors_give_every_verdict_at_n200(capsys):
+    code = main(
+        ["run", "--gen", "er", "--n", "200", "--p", "0.1", "--seed", "2", "--monitors"]
+    )
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["monitor_verdicts"] == dict.fromkeys(
+        ("phi_growth", "eviction_gap", "terminal_weights", "ratio_bound"), "pass"
+    )
 
 
 def test_run_csv_report(tmp_path):

@@ -52,7 +52,7 @@ def _random_file(n, m, seed):
     return "\n".join(lines) + "\n"
 
 
-# n = 30 is above the oracle limit (22); n = 80 is above the replay limit (64).
+# n = 30 and n = 80 are above the oracle limit (22).
 FILES["n30"] = _random_file(30, 90, 1)
 FILES["n80"] = _random_file(80, 240, 2)
 
@@ -105,7 +105,7 @@ def matrix(paths):
         yield ["run"] + portable + flags, *run_cli(["run"] + real + flags)
 
 
-MATRIX_DIGEST = "305dcbd7be328be1058f52bdba3b05c9985456e04606941e9c20bbf29a7a6bc7"
+MATRIX_DIGEST = "d6b274ba788e8882ffd50cf24c6fd896eca3f4d95443453d9e60b1bf39e3afd3"
 
 
 def test_run_matrix_digest(paths):
@@ -162,7 +162,7 @@ NAMED = {
         "peak_live_entries,queue_cap,heavy_edges_k,max_queue_len,evictions_total,"
         "p50_ns,p99_ns,max_ns,monitor_phi_growth,monitor_eviction_gap,"
         "monitor_terminal_weights,monitor_ratio_bound\n"
-        "semi,80,240,2,24605,,,4,46,37,46,3,0,,,,skipped,skipped,skipped,pass\n",
+        "semi,80,240,2,24605,,,4,46,37,46,3,0,,,,pass,pass,pass,pass\n",
         "",
     ),
     "n80-eps-7": (

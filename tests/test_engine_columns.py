@@ -22,7 +22,7 @@ from stream_mwm.core import (
     compute_params,
 )
 from stream_mwm.engine import StreamingState, run_stream
-from stream_mwm.monitors import EVICTED, LIGHT, PUSHED, TRACE_MAX_NODES, MonitorStats
+from stream_mwm.monitors import EVICTED, LIGHT, PUSHED, MonitorStats
 
 CHUNK_SIZES = [1, 2, 3, 7, 4096]
 
@@ -55,7 +55,8 @@ STREAMS = list(_streams())
 
 def _naive_counters_and_events(params, edges):
     """The `MonitorStats` counters and the pass events of a textbook pass
-    over plain lists; an event is ``(kind, edge, reduced, potentials)``."""
+    over plain lists; an event is ``(kind, edge, reduced, phi_u, phi_v)``,
+    with the endpoint potentials after the event."""
     n, cap = params.n, params.queue_cap
     p, q = params.alpha_sq.numerator, params.alpha_sq.denominator
     phi = [0] * n
@@ -66,7 +67,7 @@ def _naive_counters_and_events(params, edges):
     for e in edges:
         s = phi[e.u] + phi[e.v]
         if q * e.weight * e.weight <= p * s * s:
-            events.append((LIGHT, e, None, list(phi)))
+            events.append((LIGHT, e, None, phi[e.u], phi[e.v]))
             continue
         reduced = e.weight - s
         idx = len(stack)
@@ -82,7 +83,7 @@ def _naive_counters_and_events(params, edges):
         lengths = [len(queues[e.u]), len(queues[e.v])]
         counters["max_queue_len"] = max(counters["max_queue_len"], *lengths)
         counters["queue_cap_violations"] += sum(length > cap for length in lengths)
-        events.append((PUSHED, e, reduced, list(phi)))
+        events.append((PUSHED, e, reduced, phi[e.u], phi[e.v]))
         for x in (e.u, e.v):
             if len(queues[x]) >= cap:
                 victim = queues[x].pop(0)
@@ -92,15 +93,13 @@ def _naive_counters_and_events(params, edges):
                 for y in (ve.u, ve.v):
                     if victim in queues[y]:
                         queues[y].remove(victim)
-                events.append((EVICTED, ve, vr, None))
+                events.append((EVICTED, ve, vr, None, None))
     return counters, events
 
 
 def _events(trace):
     return [
-        (ev.kind, ev.edge, ev.reduced_weight,
-         None if ev.potentials is None else list(ev.potentials))
-        for ev in trace
+        (ev.kind, ev.edge, ev.reduced_weight, ev.phi_u, ev.phi_v) for ev in trace
     ]
 
 
@@ -133,12 +132,11 @@ def test_column_loop_matches_the_naive_pass_at_any_chunk_size(tag, stream, eps, 
     assert stats is state.stats
 
     # run_stream cuts an in-memory stream into chunks of the same size.
-    run_trace = [] if stream.n <= TRACE_MAX_NODES else None
+    run_trace = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK_EDGES", size)
         run_matching, report = run_stream(stream, eps, trace_sink=run_trace)
-    if run_trace is not None:
-        assert _events(run_trace) == events
+    assert _events(run_trace) == events
     assert run_matching == matching
     assert report.m == len(edges)
     assert report.heavy_edges_k == counters["heavy_edges_total"]

@@ -61,8 +61,10 @@ def test_phi_growth_vacuous_with_one_push_per_node():
 
 def test_phi_growth_detects_frozen_potential():
     trace, params = _traced_run(_two_push_stream(), 2)
+    # The push of (1, 2) records its endpoints as they were before it: node
+    # 1 at 5, where the push of (0, 1) left it, and node 2 at 0.
     frozen = [
-        replace(ev, potentials=trace[0].potentials) if i == 1 else ev
+        replace(ev, phi_u=trace[0].phi_v, phi_v=0) if i == 1 else ev
         for i, ev in enumerate(trace)
     ]
     verdict = check_phi_growth(frozen, params)
@@ -71,7 +73,7 @@ def test_phi_growth_detects_frozen_potential():
 
 def test_phi_growth_requires_snapshots():
     trace, params = _traced_run(_two_push_stream(), 2)
-    stripped = [replace(ev, potentials=None) for ev in trace]
+    stripped = [replace(ev, phi_u=None, phi_v=None) for ev in trace]
     with pytest.raises(ValueError):
         check_phi_growth(stripped, params)
 

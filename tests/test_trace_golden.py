@@ -1,7 +1,8 @@
 """Golden differential test: pinned engine traces.
 
 A SHA-256 digest pins every light, pushed and evicted event of a traced
-`run_stream` (its kind, edge, reduced weight and potential snapshot) on
+`run_stream` (its kind, edge, reduced weight and, for a light or pushed
+event, the potentials of the edge's two endpoints after the event) on
 Erdos-Renyi streams at three epsilons, an evicting geometric chain, the
 contended hubs of `test_golden` and a seeded multigraph corpus. Events are
 selected by their kind string, so any change to what the pass records, or
@@ -44,13 +45,13 @@ def trace_digest():
             if ev.kind in PASS_KINDS:
                 line = json.dumps([
                     tag, ev.kind, list(ev.edge), ev.reduced_weight,
-                    None if ev.potentials is None else list(ev.potentials),
+                    None if ev.kind == "evicted" else [ev.phi_u, ev.phi_v],
                 ])
                 h.update(line.encode() + b"\n")
     return h.hexdigest()
 
 
-TRACE_DIGEST = "001bdc4369be59c632a541d01588c9cae39888264206c3733a965cddb0c9a8e4"
+TRACE_DIGEST = "5e79c72debc5f0e56f643e5ef5f606b1b59faa42b8a8aa4d163c6d229ba294d5"
 
 
 def test_trace_digest():
