@@ -1,15 +1,21 @@
 """Seeded stream generators for tests and benchmarks.
 
 Identical specs produce byte-identical streams: all randomness flows
-through `random.Random` instances seeded from the spec.
+through `random.Random` instances seeded from the spec. The streams are
+also the same bytes as those of the earlier generators that drew each
+weight with ``rng.randint(0, weight_max)``, on every supported Python:
+`_weights` runs randint's own rejection loop on the same RNG, and a test
+pins a digest of the streams.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .core import I64_MAX, CapacityError, EdgeStream, WeightedEdge
 
@@ -84,19 +90,40 @@ def _erdos_renyi(spec: GeneratorSpec) -> list[WeightedEdge]:
     if p <= 0.0:
         return edges
     # Skip-sampling: jump over non-edges geometrically instead of rolling
-    # every pair, so sparse graphs cost O(m) rather than O(n^2).
-    log_1p = math.log(1.0 - p)
+    # every pair, so sparse graphs cost O(m) rather than O(n^2). Each edge's
+    # weight is drawn right after the skip that found it.
+    n, cap = spec.n, MAX_EDGES
+    log, log_1p = math.log, math.log(1.0 - p)
+    uniform = rng.random
+    weight = _weights(rng, spec.weight_max).__next__
+    new, append = tuple.__new__, edges.append
     v, w = 1, -1
-    while v < spec.n:
-        w += 1 + int(math.log(1.0 - rng.random()) / log_1p)
-        while w >= v and v < spec.n:
+    while v < n:
+        w += 1 + int(log(1.0 - uniform()) / log_1p)
+        while w >= v and v < n:
             w -= v
             v += 1
-        if v < spec.n:
-            edges.append(WeightedEdge(w, v, rng.randint(0, spec.weight_max)))
-            if len(edges) > MAX_EDGES:
-                raise CapacityError(f"stream exceeds {MAX_EDGES} edges")
+        if v < n:
+            append(new(WeightedEdge, (w, v, weight())))
+            if len(edges) > cap:
+                raise CapacityError(f"stream exceeds {cap} edges")
     return edges
+
+
+def _weights(rng: random.Random, weight_max: int) -> Iterator[int]:
+    """Endless ``rng.randint(0, weight_max)`` draws, one generator step each.
+
+    randint reaches ``_randbelow_with_getrandbits`` through three Python
+    calls; this is that function's rejection loop, so the same RNG state
+    gives the same values and leaves the same state.
+    """
+    bound = weight_max + 1
+    bits = bound.bit_length()
+    getrandbits = rng.getrandbits
+    while True:
+        r = getrandbits(bits)
+        if r < bound:
+            yield r
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
@@ -107,18 +134,17 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def _complete(spec: GeneratorSpec) -> list[WeightedEdge]:
-    rng = random.Random(spec.seed)
-    return [
-        WeightedEdge(u, v, rng.randint(0, spec.weight_max))
-        for u, v in _all_pairs(spec.n)
-    ]
+    weights = _weights(random.Random(spec.seed), spec.weight_max)
+    new = tuple.__new__
+    pairs = _all_pairs(spec.n)
+    return [new(WeightedEdge, (u, v, w)) for (u, v), w in zip(pairs, weights)]
 
 
 def _path(spec: GeneratorSpec) -> list[WeightedEdge]:
-    rng = random.Random(spec.seed)
+    weights = _weights(random.Random(spec.seed), spec.weight_max)
+    new = tuple.__new__
     return [
-        WeightedEdge(i, i + 1, rng.randint(0, spec.weight_max))
-        for i in range(spec.n - 1)
+        new(WeightedEdge, (i, i + 1, w)) for i, w in zip(range(spec.n - 1), weights)
     ]
 
 
@@ -179,8 +205,6 @@ def _apply_order(spec: GeneratorSpec, edges: list[WeightedEdge]) -> list[Weighte
         seed = spec.order_seed if spec.order_seed is not None else f"{spec.seed}/order"
         random.Random(seed).shuffle(edges)
         return edges
-    if order is StreamOrder.INCREASING_WEIGHT:
-        edges.sort(key=lambda e: e.weight)
-        return edges
-    edges.sort(key=lambda e: -e.weight)
+    # Both sorts are stable, reverse=True included: ties keep generated order.
+    edges.sort(key=itemgetter(2), reverse=order is StreamOrder.DECREASING_WEIGHT)
     return edges

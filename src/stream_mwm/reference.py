@@ -21,6 +21,7 @@ and the solvers assume there are none.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import itemgetter
 
 from .core import CapacityError, EdgeStream, Matching, WeightedEdge
 
@@ -68,7 +69,7 @@ def greedy_sorted(g: EdgeStream) -> Matching:
     Sorts edges by weight descending (ties keep input order) and picks
     from them with `Matching.greedy`.
     """
-    return Matching.greedy(g.n, sorted(g.edges, key=lambda e: -e.weight))
+    return Matching.greedy(g.n, sorted(g.edges, key=itemgetter(2), reverse=True))
 
 
 def exact_mwm(g: EdgeStream) -> Matching:

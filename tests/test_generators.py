@@ -1,7 +1,10 @@
+import hashlib
 import math
+import random
 
 import pytest
 
+from stream_mwm import generators
 from stream_mwm.core import CapacityError
 from stream_mwm.generators import (
     GeneratorKind,
@@ -121,3 +124,101 @@ def test_generator_input_validation():
         generate(spec("chain", n=5, base=1.0))
     with pytest.raises(ValueError):
         generate(spec("path", n=4, weight_max=0))
+
+
+# Sizes keep each stream small; adversarial needs weight_max >= n(n-1)/2, so
+# its small weight_max cases pin the CapacityError message instead.
+DIGEST_NODES = {
+    GeneratorKind.ERDOS_RENYI: 40,
+    GeneratorKind.COMPLETE: 12,
+    GeneratorKind.PATH: 30,
+    GeneratorKind.GEOMETRIC_CHAIN: 12,
+    GeneratorKind.ADVERSARIAL_INCREASING: 12,
+}
+DIGEST_WEIGHT_MAXES = (1, 2, 7, 8, 1000, 2**31, 2**63 - 1)
+DIGEST_SEEDS = (0, 12345)
+
+
+def generator_digest() -> str:
+    """SHA-256 over the serialized streams of every kind, order, weight_max
+    and seed in the tables above."""
+    h = hashlib.sha256()
+    for kind, n in DIGEST_NODES.items():
+        for order in StreamOrder:
+            for weight_max in DIGEST_WEIGHT_MAXES:
+                for seed in DIGEST_SEEDS:
+                    s = GeneratorSpec(
+                        kind=kind, n=n, weight_max=weight_max, seed=seed, p=0.3,
+                        order=order,
+                    )
+                    try:
+                        text = serialize_stream(generate(s))
+                    except CapacityError as exc:
+                        text = f"CapacityError: {exc}\n"
+                    h.update(text.encode())
+    return h.hexdigest()
+
+
+#: Recorded on the randint-based generators; byte identity is the contract.
+GENERATOR_DIGEST = "c87e357bc6e9ca06e4a977b94e21bba5d4874245409ab739f1aa751e518ee8f5"
+
+
+def test_generator_digest_pinned():
+    assert generator_digest() == GENERATOR_DIGEST
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_er_edge_cap_is_exact(monkeypatch, seed):
+    s = spec("er", n=60, p=0.2, seed=seed)
+    full = generate(s)
+    m = len(full.edges)
+    monkeypatch.setattr(generators, "MAX_EDGES", m)
+    assert serialize_stream(generate(s)) == serialize_stream(full)
+    monkeypatch.setattr(generators, "MAX_EDGES", m - 1)
+    with pytest.raises(CapacityError, match=f"stream exceeds {m - 1} edges"):
+        generate(s)
+
+
+@pytest.mark.parametrize("kind", ["complete", "adversarial"])
+def test_all_pairs_edge_cap(monkeypatch, kind):
+    s = spec(kind, n=10, weight_max=1000)
+    monkeypatch.setattr(generators, "MAX_EDGES", 45)
+    assert len(generate(s).edges) == 45
+    monkeypatch.setattr(generators, "MAX_EDGES", 44)
+    with pytest.raises(CapacityError, match="10 nodes has 45 > 44 edges"):
+        generate(s)
+
+
+def test_er_at_probability_one_keeps_the_complete_cap(monkeypatch):
+    monkeypatch.setattr(generators, "MAX_EDGES", 44)
+    with pytest.raises(CapacityError, match="45 > 44"):
+        generate(spec("er", n=10, p=1.0))
+
+
+@pytest.mark.parametrize("weight_max", [1, 2])
+@pytest.mark.parametrize("kind", ["er", "complete", "path"])
+def test_weight_orders_match_the_lambda_sorts(kind, weight_max):
+    """Tie-heavy streams: the sort keys keep ties in generated order."""
+    base = dict(n=30, p=0.3, weight_max=weight_max, seed=weight_max)
+    edges = generate(spec(kind, **base)).edges
+    inc = generate(spec(kind, order=StreamOrder.INCREASING_WEIGHT, **base)).edges
+    dec = generate(spec(kind, order=StreamOrder.DECREASING_WEIGHT, **base)).edges
+    assert inc == sorted(edges, key=lambda e: e.weight)
+    assert dec == sorted(edges, key=lambda e: -e.weight)
+
+
+@pytest.mark.parametrize("weight_max", DIGEST_WEIGHT_MAXES + (3, 2**32, 2**62))
+@pytest.mark.parametrize("seed", [0, 7])
+def test_weights_replay_randint(seed, weight_max):
+    """A twin RNG: _weights gives randint's values and leaves randint's state,
+    with and without random() calls between the draws."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    draws = generators._weights(ours, weight_max)
+    assert [next(draws) for _ in range(300)] == [
+        theirs.randint(0, weight_max) for _ in range(300)
+    ]
+    for i in range(300):
+        if i % 3:
+            assert ours.random() == theirs.random()
+        assert next(draws) == theirs.randint(0, weight_max)
+    assert ours.getstate() == theirs.getstate()

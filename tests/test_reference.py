@@ -1,3 +1,5 @@
+from operator import itemgetter
+
 import pytest
 
 from conftest import (
@@ -6,7 +8,8 @@ from conftest import (
     random_multigraph_stream,
     random_simple_stream,
 )
-from stream_mwm.core import CapacityError, WeightedEdge
+from stream_mwm.core import CapacityError, Matching, WeightedEdge
+from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
 from stream_mwm.reference import Graph, exact_mwm, greedy_sorted, mwm_simple
 
 
@@ -138,3 +141,17 @@ def test_two_approximations_meet_their_guarantee(seed):
     assert exact.total_weight == opt
     assert exact.total_weight >= simple.total_weight
     assert exact.total_weight >= greedy.total_weight
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("weight_max", [1, 2])
+def test_greedy_matches_the_lambda_sort_on_ties(weight_max, seed):
+    """Tie-heavy streams: greedy_sorted breaks ties by input order."""
+    kind = GeneratorKind.ERDOS_RENYI
+    g = generate(GeneratorSpec(kind, n=40, p=0.3, weight_max=weight_max, seed=seed))
+    old_order = sorted(g.edges, key=lambda e: -e.weight)
+    assert sorted(g.edges, key=itemgetter(2), reverse=True) == old_order
+    expected = Matching.greedy(g.n, old_order)
+    got = greedy_sorted(g)
+    assert got.sorted_edges() == expected.sorted_edges()
+    assert got.total_weight == expected.total_weight
