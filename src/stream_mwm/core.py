@@ -14,10 +14,13 @@ evaluated in double precision, and only for quantities that tolerate it
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "I64_MAX",
@@ -30,10 +33,30 @@ __all__ = [
     "parse_epsilon",
     "compute_params",
     "is_heavy",
+    "gc_paused",
 ]
 
 #: Largest representable edge weight / node potential (signed 64-bit).
 I64_MAX = 2**63 - 1
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, then leave it on or
+    off as it was found, whether the block returns or raises.
+
+    For code that builds many tracked objects (tuples, lists, dicts) that
+    form no reference cycles: the collector could free none of them and
+    would only rescan them while they pile up. When it resumes, they are
+    scanned once.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class StreamFormatError(ValueError):
@@ -110,30 +133,40 @@ class Matching:
     total_weight: int = 0
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for e in self.edges:
-            if e.u in seen or e.v in seen or e.u == e.v:
-                raise ValueError(f"edges share a node: {e}")
-            seen.add(e.u)
-            seen.add(e.v)
-        if sum(e.weight for e in self.edges) != self.total_weight:
+        # 2k distinct endpoints for k edges: no shared node and no self-loop.
+        nodes = set(map(itemgetter(0), self.edges))
+        nodes.update(map(itemgetter(1), self.edges))
+        if len(nodes) != 2 * len(self.edges):
+            seen: set[int] = set()
+            for e in self.edges:
+                if e.u in seen or e.v in seen or e.u == e.v:
+                    raise ValueError(f"edges share a node: {e}")
+                seen.add(e.u)
+                seen.add(e.v)
+        if sum(map(itemgetter(2), self.edges)) != self.total_weight:
             raise ValueError("total_weight does not match the edge weights")
 
     @classmethod
     def of(cls, edges: Sequence[WeightedEdge]) -> "Matching":
-        return cls(frozenset(edges), sum(e.weight for e in edges))
+        return cls(frozenset(edges), sum(map(itemgetter(2), edges)))
 
     @classmethod
     def greedy(cls, n: int, order: Iterable[tuple[int, int, int]]) -> "Matching":
         """Take each ``(u, v, w)`` of ``order`` whose endpoints ``u, v < n``
         are both still free: the unwind of the engine's push arena and of the
-        reference solvers."""
+        reference solvers.
+
+        A taken triple is copied into a `WeightedEdge` at once, so ``order``
+        may reuse its tuples (as ``zip`` does) and none is kept alive.
+        """
         matched = bytearray(n)
         chosen: list[WeightedEdge] = []
-        for u, v, w in order:
+        append, new = chosen.append, tuple.__new__
+        for edge in order:
+            u, v, _ = edge
             if not matched[u] and not matched[v]:
                 matched[u] = matched[v] = 1
-                chosen.append(WeightedEdge(u, v, w))
+                append(new(WeightedEdge, edge))
         return cls.of(chosen)
 
     def sorted_edges(self) -> list[WeightedEdge]:

@@ -64,7 +64,6 @@ edge's two endpoint potentials, so tracing costs O(1) per event at any n.
 
 from __future__ import annotations
 
-import gc
 import time
 from array import array
 from fractions import Fraction
@@ -80,6 +79,7 @@ from .core import (
     StreamFormatError,
     WeightedEdge,
     compute_params,
+    gc_paused,
 )
 from .monitors import (
     EVICTED,
@@ -409,11 +409,8 @@ def run_stream(
 
     # A pass makes no reference cycles (the state is int arrays, ints and
     # one list of queue slots), so the cyclic collector could free nothing
-    # and would only rescan the pass's short-lived containers. It is paused
-    # for the pass and left as it was found.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    # and would only rescan the pass's short-lived containers.
+    with gc_paused():
         if isinstance(stream, LazyEdgeStream):
             # The parser has checked every edge of its columns, and names
             # the line of a malformed one itself.
@@ -427,9 +424,6 @@ def run_stream(
         # Freed while the collector is paused, the state is not rescanned
         # when it resumes.
         del state
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
     report = RunReport(
         algorithm="semi",

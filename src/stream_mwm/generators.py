@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
-from .core import I64_MAX, CapacityError, EdgeStream, WeightedEdge
+from .core import I64_MAX, CapacityError, EdgeStream, WeightedEdge, gc_paused
 
 __all__ = ["GeneratorKind", "StreamOrder", "GeneratorSpec", "generate"]
 
@@ -60,23 +60,29 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> EdgeStream:
-    """Produce the stream described by ``spec``."""
+    """Produce the stream described by ``spec``.
+
+    The edges are tuples of ints in one list, with no reference cycles, so
+    the cyclic garbage collector is paused while they are made
+    (`core.gc_paused`) rather than rescanning the growing list.
+    """
     if spec.n < 2:
         raise ValueError(f"generator needs n >= 2, got {spec.n}")
     if not (1 <= spec.weight_max <= I64_MAX):
         raise ValueError(f"weight_max must be in [1, 2^63-1], got {spec.weight_max}")
     kind = GeneratorKind(spec.kind)
-    if kind is GeneratorKind.ERDOS_RENYI:
-        edges = _erdos_renyi(spec)
-    elif kind is GeneratorKind.COMPLETE:
-        edges = _complete(spec)
-    elif kind is GeneratorKind.PATH:
-        edges = _path(spec)
-    elif kind is GeneratorKind.GEOMETRIC_CHAIN:
-        edges = _geometric_chain(spec)
-    else:
-        edges = _adversarial_increasing(spec)
-    return EdgeStream(spec.n, _apply_order(spec, edges))
+    with gc_paused():
+        if kind is GeneratorKind.ERDOS_RENYI:
+            edges = _erdos_renyi(spec)
+        elif kind is GeneratorKind.COMPLETE:
+            edges = _complete(spec)
+        elif kind is GeneratorKind.PATH:
+            edges = _path(spec)
+        elif kind is GeneratorKind.GEOMETRIC_CHAIN:
+            edges = _geometric_chain(spec)
+        else:
+            edges = _adversarial_increasing(spec)
+        return EdgeStream(spec.n, _apply_order(spec, edges))
 
 
 def _erdos_renyi(spec: GeneratorSpec) -> list[WeightedEdge]:

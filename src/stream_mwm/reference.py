@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import itemgetter
 
-from .core import CapacityError, EdgeStream, Matching, WeightedEdge
+from .core import CapacityError, EdgeStream, Matching, WeightedEdge, gc_paused
 
 __all__ = ["Graph", "EXACT_MAX_NODES", "mwm_simple", "greedy_sorted", "exact_mwm"]
 
@@ -50,17 +50,18 @@ def mwm_simple(g: EdgeStream) -> Matching:
     phi = [0] * g.n
     on_pair: dict[tuple[int, int], int] = {}
     stack: list[WeightedEdge] = []
-    for e in g.edges:
-        u, v, w = e
-        pair = (u, v) if u < v else (v, u)
-        stacked = on_pair.get(pair, 0)
-        r = w - phi[u] - phi[v] + 2 * stacked
-        if r > 0:
-            phi[u] += r
-            phi[v] += r
-            on_pair[pair] = stacked + r
-            stack.append(e)
-    return Matching.greedy(g.n, reversed(stack))
+    with gc_paused():  # the pair keys are tuples of ints, in no cycle
+        for e in g.edges:
+            u, v, w = e
+            pair = (u, v) if u < v else (v, u)
+            stacked = on_pair.get(pair, 0)
+            r = w - phi[u] - phi[v] + 2 * stacked
+            if r > 0:
+                phi[u] += r
+                phi[v] += r
+                on_pair[pair] = stacked + r
+                stack.append(e)
+        return Matching.greedy(g.n, reversed(stack))
 
 
 def greedy_sorted(g: EdgeStream) -> Matching:
@@ -69,7 +70,8 @@ def greedy_sorted(g: EdgeStream) -> Matching:
     Sorts edges by weight descending (ties keep input order) and picks
     from them with `Matching.greedy`.
     """
-    return Matching.greedy(g.n, sorted(g.edges, key=itemgetter(2), reverse=True))
+    with gc_paused():
+        return Matching.greedy(g.n, sorted(g.edges, key=itemgetter(2), reverse=True))
 
 
 def exact_mwm(g: EdgeStream) -> Matching:

@@ -93,10 +93,19 @@ def parse_stream(lines: Iterable[str]) -> EdgeStream:
 
 
 def serialize_stream(stream: EdgeStream) -> str:
-    """Canonical text form; `parse_stream` round-trips it exactly."""
-    out = [f"p mwm {stream.n} {len(stream.edges)}"]
-    out.extend(f"{e.u} {e.v} {e.weight}" for e in stream.edges)
-    return "\n".join(out) + "\n"
+    """Canonical text form; `parse_stream` round-trips it exactly.
+
+    Each run of ``_CHUNK_LINES`` edges is written by one ``%`` format of
+    its flattened fields, so the temporary tuple stays small. ``%s`` writes
+    an int, or a bool, exactly as an f-string does.
+    """
+    m = len(stream.edges)
+    fields = chain.from_iterable(stream.edges)
+    out = [f"p mwm {stream.n} {m}\n"]
+    for start in range(0, m, _CHUNK_LINES):
+        k = min(_CHUNK_LINES, m - start)
+        out.append(("%s %s %s\n" * k) % tuple(islice(fields, 3 * k)))
+    return "".join(out)
 
 
 def read_stream(path: str) -> LazyEdgeStream:

@@ -1,10 +1,24 @@
-"""Shared test helpers: independent oracles and input strategies."""
+"""Shared test helpers: independent oracles, input strategies and fixtures."""
 
 from __future__ import annotations
 
+import gc
 import random
 
+import pytest
+
 from stream_mwm.core import EdgeStream, WeightedEdge
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's on/off state after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 def enumerate_best_weight(n: int, edges: list[WeightedEdge]) -> int:

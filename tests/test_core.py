@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from stream_mwm.core import (
     Matching,
     WeightedEdge,
     compute_params,
+    gc_paused,
     is_heavy,
     parse_epsilon,
 )
@@ -187,14 +189,76 @@ def test_matching_greedy_takes_each_edge_whose_endpoints_are_free():
     assert Matching.greedy(3, iter([])) == Matching.of([])
 
 
+def test_matching_greedy_copies_tuples_that_its_input_reuses():
+    # zip hands back the same result tuple whenever nobody else holds it.
+    us, vs, ws = [0, 2, 1, 4], [1, 3, 2, 5], [5, 6, 7, 8]
+    m = Matching.greedy(6, zip(us, vs, ws))
+    assert m.sorted_edges() == [
+        WeightedEdge(0, 1, 5), WeightedEdge(2, 3, 6), WeightedEdge(4, 5, 8)
+    ]
+    assert all(type(e) is WeightedEdge for e in m.edges)
+    chosen = Matching.greedy(4, [WeightedEdge(0, 1, 5), (2, 3, 6)]).edges
+    assert {type(e) for e in chosen} == {WeightedEdge}
+
+
+def test_matching_greedy_rejects_an_item_that_is_not_a_triple():
+    with pytest.raises(ValueError):
+        Matching.greedy(4, [(0, 1, 5, 9)])
+
+
 def test_matching_rejects_shared_nodes():
     with pytest.raises(ValueError):
         Matching.of([WeightedEdge(0, 1, 3), WeightedEdge(1, 2, 4)])
 
 
+@pytest.mark.parametrize(
+    "edges, culprit",
+    [
+        ([WeightedEdge(0, 1, 3), WeightedEdge(1, 2, 4)], None),
+        ([WeightedEdge(0, 1, 3), WeightedEdge(2, 0, 4)], None),
+        ([WeightedEdge(0, 1, 3), WeightedEdge(1, 0, 4)], None),  # parallel copies
+        ([WeightedEdge(2, 2, 5)], WeightedEdge(2, 2, 5)),
+        ([WeightedEdge(0, 1, 3), WeightedEdge(2, 2, 5)], WeightedEdge(2, 2, 5)),
+    ],
+    ids=["shared-v-u", "shared-u-v", "parallel", "self-loop", "self-loop-of-two"],
+)
+def test_matching_rejects_a_shared_node_or_a_self_loop_and_names_an_edge(
+    edges, culprit
+):
+    with pytest.raises(ValueError, match="edges share a node: WeightedEdge") as info:
+        Matching.of(edges)
+    named = str(info.value).removeprefix("edges share a node: ")
+    assert named in {repr(e) for e in edges}
+    if culprit is not None:
+        assert named == repr(culprit)
+
+
+def test_matching_accepts_disjoint_edges_whatever_their_node_labels():
+    edges = [WeightedEdge(2 * i + 1, 2 * i, i) for i in range(1000)]
+    assert Matching.of(edges).total_weight == sum(range(1000))
+
+
 def test_matching_rejects_wrong_total():
     with pytest.raises(ValueError):
         Matching(frozenset([WeightedEdge(0, 1, 3)]), total_weight=4)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_gc_paused_restores_the_state_it_found(gc_state, enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    with gc_paused():
+        assert not gc.isenabled()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled() is enabled
+    with pytest.raises(KeyError):
+        with gc_paused():
+            raise KeyError("inside")
+    assert gc.isenabled() is enabled
 
 
 @pytest.mark.parametrize(

@@ -714,17 +714,6 @@ def test_ratio_holds_under_any_arrival_order(seed):
         )
 
 
-@pytest.fixture
-def gc_state():
-    """Restore the collector's on/off state after the test."""
-    was_enabled = gc.isenabled()
-    yield
-    if was_enabled:
-        gc.enable()
-    else:
-        gc.disable()
-
-
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_run_stream_leaves_the_collector_as_it_found_it(gc_state, tmp_path, enabled):
     good = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 8)])

@@ -1,3 +1,4 @@
+import gc
 from operator import itemgetter
 
 import pytest
@@ -9,7 +10,8 @@ from conftest import (
     random_simple_stream,
 )
 from stream_mwm.core import CapacityError, Matching, WeightedEdge
-from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
+from stream_mwm import generators
+from stream_mwm.generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 from stream_mwm.reference import Graph, exact_mwm, greedy_sorted, mwm_simple
 
 
@@ -155,3 +157,55 @@ def test_greedy_matches_the_lambda_sort_on_ties(weight_max, seed):
     got = greedy_sorted(g)
     assert got.sorted_edges() == expected.sorted_edges()
     assert got.total_weight == expected.total_weight
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_generate_and_the_baselines_leave_the_collector_as_they_found_it(
+    gc_state, monkeypatch, enabled
+):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    spec = GeneratorSpec(GeneratorKind.ERDOS_RENYI, n=60, p=0.2, seed=1)
+    g = generate(spec)
+    assert gc.isenabled() is enabled
+    greedy_sorted(g)
+    assert gc.isenabled() is enabled
+    mwm_simple(g)
+    assert gc.isenabled() is enabled
+    # Each raises inside its pause.
+    monkeypatch.setattr(generators, "MAX_EDGES", len(g.edges) - 1)
+    with pytest.raises(CapacityError, match=f"stream exceeds {len(g.edges) - 1} edges"):
+        generate(spec)
+    assert gc.isenabled() is enabled
+    bad = Graph(2, [WeightedEdge(0, 5, 1)])
+    with pytest.raises(IndexError):
+        greedy_sorted(bad)
+    assert gc.isenabled() is enabled
+    with pytest.raises(IndexError):
+        mwm_simple(bad)
+    assert gc.isenabled() is enabled
+
+
+_GARBAGE_SPECS = {
+    GeneratorKind.ERDOS_RENYI: dict(n=40, p=0.3),
+    GeneratorKind.COMPLETE: dict(n=15),
+    GeneratorKind.PATH: dict(n=50),
+    GeneratorKind.GEOMETRIC_CHAIN: dict(n=30),
+    GeneratorKind.ADVERSARIAL_INCREASING: dict(n=10),
+}
+
+
+@pytest.mark.parametrize("order", list(StreamOrder), ids=lambda o: o.value)
+@pytest.mark.parametrize("kind", list(GeneratorKind), ids=lambda k: k.value)
+def test_generators_and_baselines_leave_no_cyclic_garbage(gc_state, kind, order):
+    # This is what makes pausing the collector in them safe.
+    spec = GeneratorSpec(kind, seed=4, order=order, **_GARBAGE_SPECS[kind])
+    gc.collect()
+    gc.disable()
+    g = generate(spec)
+    greedy = greedy_sorted(g)
+    simple = mwm_simple(g)
+    assert gc.collect() == 0
+    assert len(g.edges) > 0 and greedy.total_weight > 0 and simple.total_weight > 0

@@ -1,11 +1,13 @@
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stream_mwm import streamio
-from stream_mwm.core import EdgeStream, StreamFormatError, WeightedEdge
+from stream_mwm.core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
+from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
 from stream_mwm.streamio import parse_stream, read_stream, serialize_stream
 
 
@@ -69,6 +71,74 @@ def test_serialize_parse_roundtrip(n, data):
     assert parsed.n == stream.n
     assert list(parsed.edges) == list(stream.edges)
     assert serialize_stream(parsed) == text
+
+
+def _fstring_serialize(stream):
+    """The earlier serializer, one f-string a line: the oracle for the
+    chunked ``%`` format."""
+    out = [f"p mwm {stream.n} {len(stream.edges)}"]
+    out.extend(f"{e.u} {e.v} {e.weight}" for e in stream.edges)
+    return "\n".join(out) + "\n"
+
+
+def _random_edges(count, n, seed):
+    rng = random.Random(seed)
+    edges = []
+    while len(edges) < count:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.append(WeightedEdge(u, v, rng.choice([0, I64_MAX, rng.randrange(2**40)])))
+    return edges
+
+
+_CHUNK = streamio._CHUNK_LINES
+SERIALIZE_CASES = {
+    "empty": EdgeStream(2, []),
+    "one-edge": EdgeStream(2, [WeightedEdge(1, 0, 9)]),
+    "weight-bounds": EdgeStream(3, [WeightedEdge(0, 1, 0), WeightedEdge(2, 1, I64_MAX)]),
+    "parallel-reversed": EdgeStream(
+        4,
+        [
+            WeightedEdge(0, 1, 5),
+            WeightedEdge(0, 1, 5),
+            WeightedEdge(1, 0, 7),
+            WeightedEdge(1, 0, 0),
+            WeightedEdge(3, 2, 1),
+            WeightedEdge(2, 3, 1),
+        ],
+    ),
+    "one-chunk": EdgeStream(50, _random_edges(_CHUNK, 50, 1)),
+    "chunk-plus-one": EdgeStream(50, _random_edges(_CHUNK + 1, 50, 2)),
+    "three-chunks": EdgeStream(10**6, _random_edges(2 * _CHUNK + 17, 10**6, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(SERIALIZE_CASES))
+def test_serialize_matches_the_fstring_join(name):
+    stream = SERIALIZE_CASES[name]
+    text = serialize_stream(stream)
+    assert text == _fstring_serialize(stream)
+    parsed = parse_stream(text.splitlines())
+    assert parsed.n == stream.n
+    assert list(parsed.edges) == list(stream.edges)
+    assert all(type(e) is WeightedEdge for e in parsed.edges)
+    assert serialize_stream(parsed) == text
+
+
+def test_serialize_writes_bools_as_the_fstrings_did():
+    # Not a valid stream, but %s and an f-string agree on bool, unlike %d.
+    stream = EdgeStream(2, [WeightedEdge(True, False, True), WeightedEdge(0, 1, False)])
+    assert serialize_stream(stream) == _fstring_serialize(stream)
+    assert serialize_stream(stream).splitlines()[1] == "True False True"
+
+
+def test_serialize_of_a_generated_stream_matches_the_fstring_join():
+    spec = GeneratorSpec(
+        kind=GeneratorKind.ERDOS_RENYI, n=3000, p=0.004, seed=11, weight_max=I64_MAX
+    )
+    stream = generate(spec)
+    assert len(stream.edges) > 2 * _CHUNK
+    assert serialize_stream(stream) == _fstring_serialize(stream)
 
 
 @pytest.mark.parametrize(
