@@ -19,8 +19,13 @@ node that never owns two live edges at once, such as a star's leaf, never
 gets an array. When a queue hits the cap (only an array can: the cap is at
 least 4) its oldest row is zeroed and leaves both endpoint queues (a
 ``pop(0)`` and, unless the row sits alone in its other endpoint's slot,
-which is then emptied, a ``remove``; each linear in the queue length). The
-unwind reads the rows with a nonzero reduced weight, newest first.
+which is then emptied, a ``remove``; each linear in the queue length). A
+push visits only the endpoints whose queue reached the cap, u first, then
+v, whose queue is measured again: evicting at u shortens it when the
+victim is a parallel edge. The live count falls only at an eviction, so
+the peak live count is taken just before each eviction and once at the end
+of each chunk. The unwind reads the rows with a nonzero reduced weight,
+newest first.
 
 The push budget bounds the arena without compaction. A push at x sets
 ``phi(x)`` to ``w - phi(other) > alpha * phi(x)``, so every push multiplies
@@ -274,8 +279,6 @@ class StreamingState:
                 reduced = w - pot_sum
                 row = heavy
                 heavy += 1
-                if heavy - evicted > peak:
-                    peak = heavy - evicted
                 push_u(u)
                 push_v(v)
                 push_r(reduced)
@@ -283,11 +286,11 @@ class StreamingState:
                 phi[u] = new_u = phi_u + reduced
                 phi[v] = new_v = phi_v + reduced
                 # Growth monitor: each push must scale phi(x) by at least
-                # alpha. A potential that at least doubles (from 0, say)
-                # passes, as alpha < 2.
-                if new_u < 2 * phi_u and q * new_u * new_u < p * phi_u * phi_u:
+                # alpha. A potential that at least doubles (from 0, say, or
+                # by a reduced weight of at least phi(x)) passes, as alpha < 2.
+                if reduced < phi_u and q * new_u * new_u < p * phi_u * phi_u:
                     growth_violations += 1
-                if new_v < 2 * phi_v and q * new_v * new_v < p * phi_v * phi_v:
+                if reduced < phi_v and q * new_v * new_v < p * phi_v * phi_v:
                     growth_violations += 1
                 queue_u = queues[u]
                 if queue_u is None:
@@ -323,32 +326,53 @@ class StreamingState:
                     # Queue-cap monitor: a queue may reach the cap, never
                     # pass it.
                     cap_violations += (len_u > cap) + (len_v > cap)
-                    # Evicting at u may shorten v's queue (a parallel edge),
-                    # so each slot is read again just before its test. Only
-                    # an array can reach the cap, which is at least 4.
-                    for x in (u, v):
-                        queue = queues[x]
-                        if type(queue) is array and len(queue) >= cap:
-                            victim = queue.pop(0)
-                            victim_reduced = arena_r[victim]
-                            arena_r[victim] = 0
-                            evicted += 1
-                            # The victim is live, so it also sits in its
-                            # other endpoint's slot: alone there, or in an
-                            # array.
-                            vu = arena_u[victim]
-                            vv = arena_v[victim]
-                            y = vv if vu == x else vu
-                            other = queues[y]
-                            if type(other) is array:
-                                other.remove(victim)
-                            else:
-                                queues[y] = None
-                            if trace is not None:
-                                trace.append(TraceEvent(
-                                    EVICTED, WeightedEdge(vu, vv, arena_w[victim]),
-                                    victim_reduced,
-                                ))
+                    # The live count falls only at an eviction, so its peak
+                    # is taken just before one, or at the chunk's end.
+                    if heavy - evicted > peak:
+                        peak = heavy - evicted
+                    # Only an array reaches the cap, which is at least 4.
+                    # An evicted edge is live, so it also sits in its other
+                    # endpoint's slot: alone there, or in an array. The two
+                    # endpoints are written out, not looped over: a loop
+                    # costs about 30 more bytecodes an evicting push.
+                    if len_u >= cap:
+                        victim = queue_u.pop(0)
+                        victim_reduced = arena_r[victim]
+                        arena_r[victim] = 0
+                        evicted += 1
+                        vu = arena_u[victim]
+                        vv = arena_v[victim]
+                        y = vv if vu == u else vu
+                        other = queues[y]
+                        if type(other) is array:
+                            other.remove(victim)
+                        else:
+                            queues[y] = None
+                        if trace is not None:
+                            trace.append(TraceEvent(
+                                EVICTED, WeightedEdge(vu, vv, arena_w[victim]),
+                                victim_reduced,
+                            ))
+                    # Evicting at u may shorten v's queue (a parallel
+                    # edge), so a full one is measured again.
+                    if len_v >= cap and len(queue_v) >= cap:
+                        victim = queue_v.pop(0)
+                        victim_reduced = arena_r[victim]
+                        arena_r[victim] = 0
+                        evicted += 1
+                        vu = arena_u[victim]
+                        vv = arena_v[victim]
+                        y = vv if vu == v else vu
+                        other = queues[y]
+                        if type(other) is array:
+                            other.remove(victim)
+                        else:
+                            queues[y] = None
+                        if trace is not None:
+                            trace.append(TraceEvent(
+                                EVICTED, WeightedEdge(vu, vv, arena_w[victim]),
+                                victim_reduced,
+                            ))
         finally:
             if timed:
                 if start:
@@ -356,7 +380,7 @@ class StreamingState:
                 self._timed_edges = index
             stats.heavy_edges_total = heavy
             stats.evictions_total = evicted
-            stats.peak_live_entries = peak
+            stats.peak_live_entries = max(peak, heavy - evicted)
             stats.max_queue_len = longest_queue
             stats.phi_growth_violations = growth_violations
             stats.queue_cap_violations = cap_violations

@@ -15,8 +15,13 @@ the body a block at a time (``_CHUNK_BYTES`` characters and the rest of
 the line they end in), so a run holds one block of input, not all m
 edges. A block made only of canonical lines (``<u> <v> <w>`` in ASCII
 digits, one space apart, newline-terminated) is converted to ints in one C
-call (a JSON array) and checked in bulk; any other block, or one that fails
-a bulk check (a number with a leading zero, say), is split after each
+call (a JSON array) and checked in bulk. The bulk check compares
+separators: with its ASCII digits deleted, the block must be ``"  \n"``
+once per line. JSON then refuses what that lets through (an empty field,
+as in ``1  2``) as well as a leading zero. Beyond the columns it returns,
+the bulk path's transient memory is a constant multiple of the block (the
+JSON text and the list of its ints), so a run holds one block of input.
+Any other block, or one that fails a bulk check, is split after each
 ``"\n"`` and parsed line by line, so every accepted input and every error
 message is the same either way. `parse_stream` cuts any iterable of lines
 into chunks of ``_CHUNK_LINES`` lines and parses them the same way.
@@ -34,7 +39,6 @@ an `EdgeStream` of `WeightedEdge`s.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from functools import partial
 from itertools import chain, islice, repeat, starmap
@@ -49,7 +53,8 @@ __all__ = ["LazyEdgeStream", "parse_stream", "serialize_stream", "read_stream"]
 _CHUNK_BYTES = 1 << 16
 #: Lines per chunk taken from any other iterable of lines.
 _CHUNK_LINES = 1 << 12
-_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
+#: Deletes the ASCII digits: what is left of a canonical line is ``"  \n"``.
+_SEPARATORS = str.maketrans("", "", "0123456789")
 
 Triple = tuple[int, int, int]
 #: A chunk of edges as ``(us, vs, ws)``: edge i is ``(us[i], vs[i], ws[i])``.
@@ -219,10 +224,13 @@ def _bulk_columns(chunk: str | list[str], n: int, room: int) -> Columns | None:
             return None
     else:
         text = chunk
-    if not _CANONICAL.fullmatch(text):
+    # Without its digits a canonical line is two spaces and a newline.
+    # That also lets through a line with an empty field ("1  2"), which
+    # JSON refuses below, as it refuses a leading zero; int() refuses more
+    # digits than it accepts. Each leaves the chunk to the line path.
+    if text.translate(_SEPARATORS) != "  \n" * text.count("\n"):
         return None
-    # One C call turns the chunk into ints. JSON rejects a leading zero,
-    # and int() more digits than it accepts: both leave it to the line path.
+    # One C call turns the chunk into ints.
     try:
         ints = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
     except ValueError:

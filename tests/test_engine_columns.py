@@ -53,10 +53,11 @@ def _streams():
 STREAMS = list(_streams())
 
 
-def _naive_counters_and_events(params, edges):
+def _naive_counters_and_events(params, edges, history=None):
     """The `MonitorStats` counters and the pass events of a textbook pass
     over plain lists; an event is ``(kind, edge, reduced, phi_u, phi_v)``,
-    with the endpoint potentials after the event."""
+    with the endpoint potentials after the event. ``history``, if given,
+    receives a copy of the counters after each edge."""
     n, cap = params.n, params.queue_cap
     p, q = params.alpha_sq.numerator, params.alpha_sq.denominator
     phi = [0] * n
@@ -68,6 +69,8 @@ def _naive_counters_and_events(params, edges):
         s = phi[e.u] + phi[e.v]
         if q * e.weight * e.weight <= p * s * s:
             events.append((LIGHT, e, None, phi[e.u], phi[e.v]))
+            if history is not None:
+                history.append(dict(counters))
             continue
         reduced = e.weight - s
         idx = len(stack)
@@ -94,6 +97,8 @@ def _naive_counters_and_events(params, edges):
                     if victim in queues[y]:
                         queues[y].remove(victim)
                 events.append((EVICTED, ve, vr, None, None))
+        if history is not None:
+            history.append(dict(counters))
     return counters, events
 
 
@@ -141,6 +146,35 @@ def test_column_loop_matches_the_naive_pass_at_any_chunk_size(tag, stream, eps, 
     assert report.m == len(edges)
     assert report.heavy_edges_k == counters["heavy_edges_total"]
     assert report.evictions_total == counters["evictions_total"]
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("tag, stream, eps", STREAMS, ids=[t for t, _, _ in STREAMS])
+def test_counters_match_the_naive_pass_after_every_chunk(tag, stream, eps, size):
+    # The loop keeps its counters in locals and writes them back, the peak
+    # included, when a chunk ends: each chunk must leave them exact.
+    params = compute_params(stream.n, eps)
+    edges = list(stream.edges)
+    history = []
+    _naive_counters_and_events(params, edges, history)
+    state = StreamingState(params)
+    for start in range(0, len(edges), size):
+        chunk = edges[start : start + size]
+        state.process_columns(*(list(column) for column in zip(*chunk)))
+        end = start + len(chunk)
+        assert dataclasses.asdict(state.stats) == history[end - 1], end
+
+
+def test_the_corpus_evicts_at_both_endpoints_of_one_push():
+    # Evicting at u may shorten v's full queue, or leave it to evict too.
+    both = 0
+    for _, stream, eps in STREAMS:
+        _, events = _naive_counters_and_events(compute_params(stream.n, eps), stream.edges)
+        kinds = [kind for kind, *_ in events]
+        both += sum(
+            kinds[i : i + 3] == [PUSHED, EVICTED, EVICTED] for i in range(len(kinds))
+        )
+    assert both >= 10
 
 
 def test_the_corpus_evicts_in_many_streams():

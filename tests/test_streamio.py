@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -177,3 +178,34 @@ def test_a_line_longer_than_a_block_is_one_line(tmp_path):
     path.write_text(f"p mwm 3 2\n0 1 5\n{comment}1 1 8\n", encoding="utf-8")
     with pytest.raises(StreamFormatError, match="^self-loop at line 4$"):
         list(read_stream(str(path)).edges)
+
+
+def _canonical_block(weights, seed):
+    """One ``_CHUNK_BYTES`` block of canonical lines, weights drawn from
+    ``weights``."""
+    rng = random.Random(seed)
+    lines, size = [], 0
+    while size < streamio._CHUNK_BYTES:
+        u, v = rng.sample(range(1000), 2)
+        lines.append(f"{u} {v} {rng.randrange(*weights)}\n")
+        size += len(lines[-1])
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "weights", [(1000,), (10**18, I64_MAX + 1)], ids=["short-lines", "19-digit"]
+)
+def test_bulk_check_memory_is_a_small_multiple_of_the_block(weights):
+    # Beyond the columns it returns, the bulk path holds the JSON text and
+    # the list of parsed ints (24 bytes a line); a block's check must not
+    # cost many blocks, or a run would no longer hold one block of input.
+    block = _canonical_block(weights, seed=9)
+    assert streamio._bulk_columns(block, 1000, len(block)) is not None
+    tracemalloc.start()
+    try:
+        columns = streamio._bulk_columns(block, 1000, len(block))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert columns is not None
+    assert peak - kept < 4 * len(block)

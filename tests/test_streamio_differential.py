@@ -92,8 +92,10 @@ ACCEPTED = [
     f"0 1 000{I64_MAX}",
 ]
 
-#: Lines the parser rejects. The canonical ones pass the bulk regex and
-#: fail a bulk check instead.
+#: Lines the parser rejects. The canonical ones pass the bulk separator
+#: check and fail a later bulk check instead. A line with an empty field
+#: ("1  2") has the two spaces of a canonical line and passes the separator
+#: check too; the JSON conversion must refuse it.
 FAULTS = [
     f"0 {NODES} 1",
     f"{NODES} 1 1",
@@ -108,6 +110,9 @@ FAULTS = [
     "0 1 1.5",
     "p mwm 3 3",
     "0 1 " + "9" * 5000,  # too many digits for int() on Python 3.11+
+    "1  2",
+    " 1 2",
+    "1 2 ",
 ]
 
 
@@ -257,3 +262,13 @@ def test_list_elements_are_lines_even_when_they_hold_newlines(lines):
 def test_parse_stream_still_returns_weighted_edges():
     stream = parse_stream(["p mwm 3 2\n", "0 1 5\n", "1 2 8\n"])
     assert all(type(e) is WeightedEdge for e in stream.edges)
+
+
+@pytest.mark.parametrize("special", ACCEPTED + FAULTS)
+def test_each_special_line_inside_a_canonical_block(scratch_file, special):
+    # Every special line, not only those hypothesis draws, sends its block
+    # to the line path with the reference's outcome; a fault fails there.
+    body = _canonical_lines(random.Random(11), 50)
+    body[20] = special
+    expected = _assert_same_everywhere(_document([], body, 0, True), scratch_file)
+    assert (expected[0] == "error") == (special in FAULTS)
