@@ -330,39 +330,24 @@ class StreamingState:
                     # is taken just before one, or at the chunk's end.
                     if heavy - evicted > peak:
                         peak = heavy - evicted
-                    # Only an array reaches the cap, which is at least 4.
-                    # An evicted edge is live, so it also sits in its other
-                    # endpoint's slot: alone there, or in an array. The two
-                    # endpoints are written out, not looped over: a loop
-                    # costs about 30 more bytecodes an evicting push.
-                    if len_u >= cap:
-                        victim = queue_u.pop(0)
+                    # Only a full queue evicts, u's first. Evicting at u
+                    # may shorten v's queue (a parallel edge), so a full
+                    # one is measured again; only an array reaches the
+                    # cap, which is at least 4. An evicted edge is live, so
+                    # it also sits in its other endpoint's slot: alone
+                    # there, or in an array.
+                    for x, queue_x, len_x in (
+                        (u, queue_u, len_u), (v, queue_v, len_v)
+                    ):
+                        if len_x < cap or len(queue_x) < cap:
+                            continue
+                        victim = queue_x.pop(0)
                         victim_reduced = arena_r[victim]
                         arena_r[victim] = 0
                         evicted += 1
                         vu = arena_u[victim]
                         vv = arena_v[victim]
-                        y = vv if vu == u else vu
-                        other = queues[y]
-                        if type(other) is array:
-                            other.remove(victim)
-                        else:
-                            queues[y] = None
-                        if trace is not None:
-                            trace.append(TraceEvent(
-                                EVICTED, WeightedEdge(vu, vv, arena_w[victim]),
-                                victim_reduced,
-                            ))
-                    # Evicting at u may shorten v's queue (a parallel
-                    # edge), so a full one is measured again.
-                    if len_v >= cap and len(queue_v) >= cap:
-                        victim = queue_v.pop(0)
-                        victim_reduced = arena_r[victim]
-                        arena_r[victim] = 0
-                        evicted += 1
-                        vu = arena_u[victim]
-                        vv = arena_v[victim]
-                        y = vv if vu == v else vu
+                        y = vv if vu == x else vu
                         other = queues[y]
                         if type(other) is array:
                             other.remove(victim)

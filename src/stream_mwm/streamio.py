@@ -16,9 +16,9 @@ the line they end in), so a run holds one block of input, not all m
 edges. A block made only of canonical lines (``<u> <v> <w>`` in ASCII
 digits, one space apart, newline-terminated) is converted to ints in one C
 call (a JSON array) and checked in bulk. The bulk check compares
-separators: with its ASCII digits deleted, the block must be ``"  \n"``
-once per line. JSON then refuses what that lets through (an empty field,
-as in ``1  2``) as well as a leading zero. Beyond the columns it returns,
+separators: the block must end in ``"\n"`` and, with its ASCII digits
+deleted, be ``"  \n"`` once per line. JSON then refuses what that lets
+through (an empty field, as in ``1  2``) as well as a leading zero. Beyond the columns it returns,
 the bulk path's transient memory is a constant multiple of the block (the
 JSON text and the list of its ints), so a run holds one block of input.
 Any other block, or one that fails a bulk check, is split after each
@@ -224,11 +224,15 @@ def _bulk_columns(chunk: str | list[str], n: int, room: int) -> Columns | None:
             return None
     else:
         text = chunk
-    # Without its digits a canonical line is two spaces and a newline.
-    # That also lets through a line with an empty field ("1  2"), which
-    # JSON refuses below, as it refuses a leading zero; int() refuses more
-    # digits than it accepts. Each leaves the chunk to the line path.
-    if text.translate(_SEPARATORS) != "  \n" * text.count("\n"):
+    # Without its digits a canonical line is two spaces and a newline. The
+    # block must end in a newline: a last line of digits alone, unended,
+    # adds no separator. The comparison also lets through a line with an
+    # empty field ("1  2"), which JSON refuses below, as it refuses a
+    # leading zero; int() refuses more digits than it accepts. Each leaves
+    # the chunk to the line path.
+    if not text.endswith("\n") or (
+        text.translate(_SEPARATORS) != "  \n" * text.count("\n")
+    ):
         return None
     # One C call turns the chunk into ints.
     try:

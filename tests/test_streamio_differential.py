@@ -113,6 +113,7 @@ FAULTS = [
     "1  2",
     " 1 2",
     "1 2 ",
+    "12",  # no separator at all: unended, it adds none to a block
 ]
 
 
@@ -271,4 +272,14 @@ def test_each_special_line_inside_a_canonical_block(scratch_file, special):
     body = _canonical_lines(random.Random(11), 50)
     body[20] = special
     expected = _assert_same_everywhere(_document([], body, 0, True), scratch_file)
+    assert (expected[0] == "error") == (special in FAULTS)
+
+
+@pytest.mark.parametrize("filler", [0, 50])
+@pytest.mark.parametrize("special", ACCEPTED + FAULTS)
+def test_each_special_line_last_with_no_final_newline(scratch_file, special, filler):
+    # The last line ends the document unended: in the rest of the header's
+    # block (no filler) or in the last block of a file or of stdin.
+    body = _canonical_lines(random.Random(13), filler) + [special]
+    expected = _assert_same_everywhere(_document([], body, 0, False), scratch_file)
     assert (expected[0] == "error") == (special in FAULTS)
