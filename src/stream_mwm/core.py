@@ -19,7 +19,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from itertools import chain, islice
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -134,9 +135,12 @@ class Matching:
 
     def __post_init__(self) -> None:
         # 2k distinct endpoints for k edges: no shared node and no self-loop.
-        nodes = set(map(itemgetter(0), self.edges))
-        nodes.update(map(itemgetter(1), self.edges))
-        if len(nodes) != 2 * len(self.edges):
+        # Sorted, equal endpoints are neighbours, so the check holds 2k
+        # words and no hash table of all 2k nodes.
+        ends = sorted(
+            chain(map(itemgetter(0), self.edges), map(itemgetter(1), self.edges))
+        )
+        if any(map(eq, ends, islice(ends, 1, None))):
             seen: set[int] = set()
             for e in self.edges:
                 if e.u in seen or e.v in seen or e.u == e.v:

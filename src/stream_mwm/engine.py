@@ -25,7 +25,9 @@ v, whose queue is measured again: evicting at u shortens it when the
 victim is a parallel edge. The live count falls only at an eviction, so
 the peak live count is taken just before each eviction and once at the end
 of each chunk. The unwind reads the rows with a nonzero reduced weight,
-newest first.
+newest first. It reads only the arena, so `finalize` releases the queues
+before it: the matching is built in the memory they held, and the pass's
+own state, not the unwind, sets the high-water mark of a run.
 
 The push budget bounds the arena without compaction. A push at x sets
 ``phi(x)`` to ``w - phi(other) > alpha * phi(x)``, so every push multiplies
@@ -134,7 +136,7 @@ class StreamingState:
         # A slot holds nothing, the bare row number of the node's one live
         # edge, or, from the second edge on, an array of its row numbers in
         # push order.
-        self._queues: list[int | array | None] = [None] * params.n
+        self._queues: list[int | array | None] | None = [None] * params.n
         # The push arena: row r is the r-th pushed edge, in four columns.
         # An evicted row keeps its place and gets reduced weight 0.
         self._us = array(_ROW_TYPECODE)
@@ -159,6 +161,8 @@ class StreamingState:
 
     def _queue(self, node: int) -> list[Triple]:
         """The node's queued edges as ``(u, v, w)``, oldest first."""
+        if self._finalized:
+            raise RuntimeError("state already finalized")
         q = self._queues[node]
         rows = () if q is None else (q,) if type(q) is int else q
         return [(self._us[r], self._vs[r], self._ws[r]) for r in rows]
@@ -376,14 +380,18 @@ class StreamingState:
         its rows (see the module notes), so there is nothing to release."""
 
     def finalize(self) -> tuple[Matching, MonitorStats]:
-        """Unwind the live arena rows newest-first into a greedy matching.
+        """Release the queues, then unwind the live arena rows newest-first
+        into a greedy matching.
 
-        Single-shot: the state is consumed. The matching carries original
-        input weights.
+        Single-shot: the state is consumed, and the queues can no longer be
+        read. ``phi``, ``stats`` and the arena (``live_edges``) stay. The
+        matching carries original input weights.
         """
         if self._finalized:
             raise RuntimeError("state already finalized")
         self._finalized = True
+        # The unwind reads only the arena (see the module notes).
+        self._queues = None
         rows = zip(reversed(self._us), reversed(self._vs), reversed(self._ws))
         live = compress(rows, reversed(self._reduced))
         return Matching.greedy(self._n, live), self.stats

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,21 @@ def test_matching_rejects_a_shared_node_or_a_self_loop_and_names_an_edge(
 def test_matching_accepts_disjoint_edges_whatever_their_node_labels():
     edges = [WeightedEdge(2 * i + 1, 2 * i, i) for i in range(1000)]
     assert Matching.of(edges).total_weight == sum(range(1000))
+
+
+def test_matching_checks_huge_labels_in_memory_linear_in_the_edge_count():
+    # No allocation sized by a node label, and no hash table of all 2k
+    # endpoints: a set of them took 3.1 MB here.
+    base = 2**62
+    edges = [WeightedEdge(base + 2 * i + 1, base + 2 * i, i) for i in range(10_000)]
+    tracemalloc.start()
+    try:
+        matching = Matching.of(edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matching.total_weight == sum(range(10_000))
+    assert peak < 2_000_000, peak
 
 
 def test_matching_rejects_wrong_total():

@@ -163,6 +163,41 @@ def test_finalize_is_single_shot():
         s.process_edge(WeightedEdge(0, 1, 1))
 
 
+def test_finalize_releases_the_queues_and_keeps_the_potentials_and_arena():
+    s = fresh(4)
+    s.process_edge(WeightedEdge(0, 1, 5))
+    s.process_edge(WeightedEdge(1, 2, 8))
+    live = s.live_edges()
+    s.finalize()
+    for read in (s.queue_len, s._queue):
+        with pytest.raises(RuntimeError, match="state already finalized"):
+            read(1)
+    assert list(s.phi) == [5, 8, 3, 0]
+    assert s.live_edges() == live and s.live_entries == 2
+    assert s.stats.heavy_edges_total == 2
+
+
+def test_the_unwind_takes_little_memory_beyond_the_pass():
+    # finalize releases the queues before it builds the matching, which
+    # checks its endpoints without a set of all of them: the pass's own
+    # state stays the high-water mark. With the queues kept and such a set,
+    # the unwind peaked at about 1.9 times the state.
+    n = 20_000
+    spec = GeneratorSpec(kind=GeneratorKind.ERDOS_RENYI, n=n, p=16 / (n - 1), seed=1)
+    columns = tuple(zip(*generate(spec).edges))
+    tracemalloc.start()
+    try:
+        state = StreamingState(compute_params(n, "1/2"))
+        state.process_columns(*columns)
+        end_of_pass = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        state.finalize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * end_of_pass, (peak, end_of_pass)
+
+
 def test_process_edge_accepts_plain_triples_and_stores_weighted_edges():
     s = fresh()
     assert s.process_edge((0, 1, 5)) is True

@@ -2,7 +2,8 @@
 fed a stream in chunks of any size, agrees with a textbook simulation of the
 pass on every counter, live edge, matching and trace event; and an in-memory
 stream whose bad edge sits in a later chunk fails with the message and line
-number of the edge-by-edge path."""
+number of the edge-by-edge path. A run over the corpus holds at most
+``n * queue_cap / 2`` live edges."""
 
 import dataclasses
 import re
@@ -163,6 +164,23 @@ def test_counters_match_the_naive_pass_after_every_chunk(tag, stream, eps, size)
         state.process_columns(*(list(column) for column in zip(*chunk)))
         end = start + len(chunk)
         assert dataclasses.asdict(state.stats) == history[end - 1], end
+
+
+#: One node pair fed heavy parallel edges: both queues fill together, so
+#: the live count reaches n * queue_cap / 2 just before the first eviction.
+TIGHT_PAIR = "tight-pair", EdgeStream(2, _doubling_edges([(0, 1)] * 12)), Fraction(59, 10)
+BOUNDED = STREAMS + [TIGHT_PAIR]
+
+
+@pytest.mark.parametrize("tag, stream, eps", BOUNDED, ids=[t for t, _, _ in BOUNDED])
+def test_a_run_holds_at_most_n_times_queue_cap_over_two_live_edges(tag, stream, eps):
+    # Each live edge holds one slot in each endpoint's queue, and a queue
+    # holds at most queue_cap slots, so 2 * live <= n * queue_cap.
+    _, report = run_stream(stream, eps)
+    assert 2 * report.peak_live_entries <= report.n * report.queue_cap
+    if tag == "tight-pair":
+        assert report.evictions_total > 0
+        assert 2 * report.peak_live_entries == report.n * report.queue_cap
 
 
 def test_the_corpus_evicts_at_both_endpoints_of_one_push():
