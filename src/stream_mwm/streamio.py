@@ -23,8 +23,8 @@ the bulk path's transient memory is a constant multiple of the block (the
 JSON text and the list of its ints), so a run holds one block of input.
 Any other block, or one that fails a bulk check, is split after each
 ``"\n"`` and parsed line by line, so every accepted input and every error
-message is the same either way. `parse_stream` cuts any iterable of lines
-into chunks of ``_CHUNK_LINES`` lines and parses them the same way.
+message is the same either way. `parse_stream` joins any iterable of lines,
+``_CHUNK_LINES`` at a time, into blocks that take the same path.
 
 Every check of an edge lives here, against the header: endpoints below n
 and distinct, weight in ``[0, 2^63-1]``, no more edges than declared. What
@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import sys
 from functools import partial
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, starmap
 from operator import eq
 from typing import Iterable, Iterator
 
@@ -51,7 +51,7 @@ __all__ = ["LazyEdgeStream", "parse_stream", "serialize_stream", "read_stream"]
 
 #: Characters of input per block read from a file or stdin.
 _CHUNK_BYTES = 1 << 16
-#: Lines per chunk taken from any other iterable of lines.
+#: Lines per block joined from any other iterable of lines.
 _CHUNK_LINES = 1 << 12
 #: Deletes the ASCII digits: what is left of a canonical line is ``"  \n"``.
 _SEPARATORS = str.maketrans("", "", "0123456789")
@@ -91,10 +91,20 @@ class LazyEdgeStream:
 
 
 def parse_stream(lines: Iterable[str]) -> EdgeStream:
-    """Parse the edge-list format; every error names the offending line."""
+    """Parse the edge-list format; every error names the offending line.
+
+    Each element is one line, whatever newlines it holds: one trailing
+    "\n" is dropped and any other becomes a space, which the parser reads
+    as the same whitespace.
+    """
+    return _open(_parse(_line_blocks(lines))).materialize()
+
+
+def _line_blocks(lines: Iterable[str]) -> Iterator[str]:
+    """Join ``_CHUNK_LINES`` elements at a time, each made one line."""
     it = iter(lines)
-    chunks = iter(lambda: list(islice(it, _CHUNK_LINES)), [])
-    return _open(_parse(chunks)).materialize()
+    while chunk := list(islice(it, _CHUNK_LINES)):
+        yield "".join([s.removesuffix("\n").replace("\n", " ") + "\n" for s in chunk])
 
 
 def serialize_stream(stream: EdgeStream) -> str:
@@ -139,12 +149,10 @@ def _blocks(fp) -> Iterator[str]:
         yield block
 
 
-def _lines(chunk: str | list[str]) -> list[str]:
-    """A chunk's lines: a list is one line per element, and a block is
-    split after each "\n" only (str.splitlines splits on more)."""
-    if type(chunk) is list:
-        return chunk
-    lines = chunk.split("\n")
+def _lines(block: str) -> list[str]:
+    """A block's lines, split after each "\n" only (str.splitlines splits
+    on more)."""
+    lines = block.split("\n")
     if not lines[-1]:
         lines.pop()
     return lines
@@ -155,23 +163,22 @@ def _open(parser: Iterator) -> LazyEdgeStream:
     return LazyEdgeStream(*next(parser), parser)
 
 
-def _parse(chunks: Iterator[str | list[str]]) -> Iterator:
+def _parse(blocks: Iterator[str]) -> Iterator:
     """Yield the header's ``(n, m)``, then the checked `Columns` of
-    each chunk of body lines. A chunk is a block of whole lines read from
-    a text stream, or a list whose every element counts as one line."""
-    n, declared_m, rest, lineno = _read_header(chunks)
+    each block of whole body lines."""
+    n, declared_m, rest, lineno = _read_header(blocks)
     yield n, declared_m
     count = 0
-    for chunk in chain([rest], chunks):
-        if not chunk:
+    for block in chain([rest], blocks):
+        if not block:
             continue
-        columns = _bulk_columns(chunk, n, declared_m - count)
+        columns = _bulk_columns(block, n, declared_m - count)
         if columns is None:
-            lines = _lines(chunk)
+            lines = _lines(block)
             columns = _parse_lines(lines, n, declared_m, count, lineno)
             lineno += len(lines)
         else:
-            # A canonical chunk is one edge per line.
+            # A canonical block is one edge per line.
             lineno += len(columns[0])
         count += len(columns[0])
         yield columns
@@ -181,13 +188,11 @@ def _parse(chunks: Iterator[str | list[str]]) -> Iterator:
         )
 
 
-def _read_header(
-    chunks: Iterator[str | list[str]],
-) -> tuple[int, int, str | list[str], int]:
-    """Find the header; return ``(n, m, rest of its chunk, its line number)``."""
+def _read_header(blocks: Iterator[str]) -> tuple[int, int, str, int]:
+    """Find the header; return ``(n, m, rest of its block, its line number)``."""
     lineno = 0
-    for chunk in chunks:
-        lines = _lines(chunk)
+    for block in blocks:
+        lines = _lines(block)
         for i, raw in enumerate(lines):
             line = raw.strip()
             if not line or line.startswith("c"):
@@ -204,39 +209,28 @@ def _read_header(
                 raise StreamFormatError(f"malformed header at line {lineno}") from None
             if n < 0 or declared_m < 0:
                 raise StreamFormatError(f"negative header counts at line {lineno}")
-            if lines is chunk:
-                return n, declared_m, chunk[i + 1 :], lineno
-            # A block resumes after the header's newline.
-            return n, declared_m, chunk[sum(map(len, lines[: i + 1])) + i + 1 :], lineno
+            # The block resumes after the header's newline.
+            return n, declared_m, block[sum(map(len, lines[: i + 1])) + i + 1 :], lineno
         lineno += len(lines)
     raise StreamFormatError("missing header 'p mwm <n> <m>'")
 
 
-def _bulk_columns(chunk: str | list[str], n: int, room: int) -> Columns | None:
-    """The `Columns` of a chunk of canonical edge lines that pass every
-    check, or None when the chunk needs the line-by-line parse."""
-    if type(chunk) is list:
-        text = "".join(chunk)
-        # Each element must be one newline-terminated line.
-        if text.count("\n") != len(chunk) or not all(
-            map(str.endswith, chunk, repeat("\n"))
-        ):
-            return None
-    else:
-        text = chunk
+def _bulk_columns(block: str, n: int, room: int) -> Columns | None:
+    """The `Columns` of a block of canonical edge lines that pass every
+    check, or None when the block needs the line-by-line parse."""
     # Without its digits a canonical line is two spaces and a newline. The
     # block must end in a newline: a last line of digits alone, unended,
     # adds no separator. The comparison also lets through a line with an
     # empty field ("1  2"), which JSON refuses below, as it refuses a
     # leading zero; int() refuses more digits than it accepts. Each leaves
-    # the chunk to the line path.
-    if not text.endswith("\n") or (
-        text.translate(_SEPARATORS) != "  \n" * text.count("\n")
+    # the block to the line path.
+    if not block.endswith("\n") or (
+        block.translate(_SEPARATORS) != "  \n" * block.count("\n")
     ):
         return None
-    # One C call turns the chunk into ints.
+    # One C call turns the block into ints.
     try:
-        ints = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
+        ints = json.loads("[" + block[:-1].replace(" ", ",").replace("\n", ",") + "]")
     except ValueError:
         return None
     us, vs, ws = ints[0::3], ints[1::3], ints[2::3]

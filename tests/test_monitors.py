@@ -71,11 +71,23 @@ def test_phi_growth_detects_frozen_potential():
     assert not verdict.ok and verdict.event_index == 1
 
 
-def test_phi_growth_requires_snapshots():
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_phi_growth,
+        check_eviction_gap,
+        lambda trace, params: check_terminal_weights(
+            Graph.from_stream(_two_push_stream()), trace, params
+        ),
+    ],
+    ids=["phi_growth", "eviction_gap", "terminal_weights"],
+)
+def test_replay_checks_require_snapshots(check):
+    # Each replay check refuses a trace without endpoint potentials.
     trace, params = _traced_run(_two_push_stream(), 2)
     stripped = [replace(ev, phi_u=None, phi_v=None) for ev in trace]
-    with pytest.raises(ValueError):
-        check_phi_growth(stripped, params)
+    with pytest.raises(ValueError, match="lacks the endpoint potentials"):
+        check(stripped, params)
 
 
 def test_eviction_gap_vacuous_without_evictions():

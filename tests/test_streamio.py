@@ -209,3 +209,33 @@ def test_bulk_check_memory_is_a_small_multiple_of_the_block(weights):
         tracemalloc.stop()
     assert columns is not None
     assert peak - kept < 4 * len(block)
+
+
+def _three_edges():
+    return EdgeStream(
+        3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 8), WeightedEdge(0, 2, 4)]
+    )
+
+
+def _er_blocks():
+    # About 10k edges: several blocks of _CHUNK_LINES lines.
+    spec = GeneratorSpec(kind=GeneratorKind.ERDOS_RENYI, n=200, p=0.5, seed=2)
+    return generate(spec)
+
+
+@pytest.mark.parametrize("make", [_three_edges, _er_blocks], ids=["3-edge", "er"])
+def test_bare_lines_take_the_bulk_path(tmp_path, monkeypatch, make):
+    # parse_stream joins its elements into the blocks a file is read in, so
+    # a canonical document parses in bulk whether or not its lines keep
+    # their newlines, and never line by line.
+    text = serialize_stream(make())
+    path = tmp_path / "canonical.mwm"
+    path.write_text(text, encoding="utf-8")
+
+    def line_path(*args):
+        raise AssertionError("a canonical block took the line path")
+
+    monkeypatch.setattr(streamio, "_parse_lines", line_path)
+    bare = parse_stream(text.splitlines())
+    assert bare == parse_stream(text.splitlines(keepends=True))
+    assert bare == read_stream(str(path)).materialize() == make()

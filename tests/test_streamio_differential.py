@@ -252,6 +252,15 @@ def test_header_after_a_full_chunk_of_comments(scratch_file):
         ["p mwm 3 3\n", "0 1 5\n1 2 8\n", "", "0 2 4\n"],
         ["p mwm 3 1\n", "0 1 ", "5\n"],
         ["p mwm 3 2\n", "0 1 5", "1 2 8\n"],
+        ["p mwm 3 1\n", "\nc x\n", "0 1 5\n"],
+        # A comment element hides an edge: the count is short by line 2.
+        ["p mwm 3 1\n", "c x\n0 1 5\n"],
+        # An edge split by an inner newline is one line, and accepted.
+        ["p mwm 3 1\n", "0 1\n5\n"],
+        ["p mwm 3 2\n", "0 1 5\r\n1 2 8"],
+        ["p mwm 3 1\n", "0 1 5\n\n"],
+        ["p mwm\n3 1", "0 1 5"],
+        ["\n", "p mwm 3 1\n", "0\t1 5\x0b\n"],
     ],
 )
 def test_list_elements_are_lines_even_when_they_hold_newlines(lines):
