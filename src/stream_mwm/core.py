@@ -73,8 +73,8 @@ class WeightedEdge(NamedTuple):
 
     Endpoints are node indices in ``[0, n)`` for the declared node count
     ``n``; ``u != v`` (no self-loops). The type itself does not validate:
-    enforcement happens at the input boundaries (`parse_stream`, the
-    generators, and the engine's per-edge checks).
+    `streamio` checks every edge the engine gets, parsed from text or
+    taken from an in-memory list (`streamio.check_edge`).
     """
 
     u: int
@@ -87,7 +87,8 @@ class EdgeStream:
     """A finite edge sequence plus the declared node count.
 
     The list order is the arrival order. Every endpoint must be a valid
-    index below ``n``; consumers reject out-of-range endpoints. A node pair
+    index below ``n``; `streamio.open_edges` checks each edge when
+    `run_stream` reads it, and refuses a bad one by its line. A node pair
     may repeat, in either orientation, as parallel edges. The sequential
     reference solvers take an `EdgeStream` as their graph
     (`reference.Graph` is another name for this class).

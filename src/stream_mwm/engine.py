@@ -43,18 +43,14 @@ The pass is one loop, `StreamingState.process_columns`, over a chunk of
 edges given as three columns ``(us, vs, ws)``: it holds the light filter,
 the push, the queue upkeep and the eviction, with the state bound to
 locals for the chunk, and takes the per-edge time samples and trace events
-itself. It checks nothing: every edge it gets has passed its checks
-(ints, endpoints distinct and below n, weight in ``[0, 2^63-1]``) where it
-was made. `run_stream` feeds it
-
-- a `LazyEdgeStream` from `read_stream` as the parser's own columns,
-  which `streamio` has checked against the header (a malformed line is
-  named there, by its line);
-- an in-memory `EdgeStream` in chunks of ``_CHUNK_EDGES`` edges, each
-  transposed and given one bulk check (`_checked_columns`) that implies
-  every check of `process_edge`. A chunk that fails it goes through
-  `process_edge` edge by edge, which checks the edge and runs the loop on
-  a chunk of one; a bad edge is named by its line in the file format.
+itself. It checks nothing: every edge it gets is three exact ints,
+endpoints distinct and below n, weight in ``[0, 2^63-1]``, and `streamio`
+is the one module that checks them. `run_stream` has one feed, the
+columns of a `LazyEdgeStream`: `read_stream` parses a file into them, and
+`open_edges` cuts an in-memory `EdgeStream` into them, checking each edge
+by its own values alone, never by the pass state. Either names a bad edge
+by its line in the file format. `process_edge` is `check_edge` followed by
+the loop on a chunk of one.
 
 A light edge, most of a typical stream, leaves nothing behind, and only a
 matched edge becomes a `WeightedEdge` (as do the edges of a trace and of
@@ -74,16 +70,13 @@ from __future__ import annotations
 import time
 from array import array
 from fractions import Fraction
-from itertools import chain, compress, islice
-from operator import eq
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Sequence
 
 from .core import (
-    I64_MAX,
     EdgeStream,
     Matching,
     Params,
-    StreamFormatError,
     WeightedEdge,
     compute_params,
     gc_paused,
@@ -97,14 +90,12 @@ from .monitors import (
     TraceEvent,
 )
 from .report import RunReport, TimingStats
-from .streamio import LazyEdgeStream, Triple
+from .streamio import LazyEdgeStream, check_edge, open_edges
 
 __all__ = ["StreamingState", "run_stream"]
 
 #: ``collect_timing`` samples every edge up to this many; every 64th after.
 _TIMING_DENSE_LIMIT = 1_000_000
-#: Edges per chunk taken from an in-memory stream.
-_CHUNK_EDGES = 1 << 9
 
 #: Arena and queue items are never negative, and an unsigned array stores
 #: an int faster than ``'q'`` does; ``'L'`` is the fastest where it is 64 bits.
@@ -159,7 +150,7 @@ class StreamingState:
     def queue_len(self, node: int) -> int:
         return len(self._queue(node))
 
-    def _queue(self, node: int) -> list[Triple]:
+    def _queue(self, node: int) -> list[tuple[int, int, int]]:
         """The node's queued edges as ``(u, v, w)``, oldest first."""
         if self._finalized:
             raise RuntimeError("state already finalized")
@@ -176,39 +167,12 @@ class StreamingState:
         """Check one arriving edge, run the pass over it, and return whether
         it was pushed.
 
-        ``edge`` is any ``(u, v, w)`` triple. An edge that is not made of
-        ints, has an endpoint outside ``[0, n)``, is a self-loop, or has a
-        weight outside ``[0, 2^63-1]`` raises `StreamFormatError` and
-        leaves the state untouched; otherwise the edge goes through
-        `process_columns` as a chunk of one.
+        ``edge`` is any ``(u, v, w)`` triple that `check_edge` accepts; any
+        other raises `StreamFormatError` and leaves the state untouched.
+        The checked edge goes through `process_columns` as a chunk of one.
         """
-        if self._finalized:
-            raise RuntimeError("state already finalized")
-        u, v, w = edge
-        n = self._n
-        phi = self.phi
-        # A weight that does not compare with ints ('5') fails a range test,
-        # and an endpoint that is not an index (1.0) fails a potential read,
-        # both before the state changes.
-        try:
-            if not (0 <= u < n and 0 <= v < n):
-                raise StreamFormatError(f"endpoint out of range for n={n}: ({u}, {v})")
-            if u == v:
-                raise StreamFormatError(f"self-loop at node {u}")
-            if not (0 <= w <= I64_MAX):
-                raise StreamFormatError(f"weight {w} outside [0, 2^63-1]")
-            phi[u] + phi[v]
-        except TypeError:
-            raise StreamFormatError(
-                f"edge ({u!r}, {v!r}, {w!r}) is not made of ints"
-            ) from None
-        # The weight column is the first thing a push touches: a heavy
-        # weight that is not an int (7.0, say) fails there and leaves the
-        # state as it was. A light one is never stored and goes unchecked.
-        try:
-            return self.process_columns((u,), (v,), (w,)) == 1
-        except TypeError:
-            raise StreamFormatError(f"weight {w!r} is not an int") from None
+        u, v, w = check_edge(edge, self._n)
+        return self.process_columns((u,), (v,), (w,)) == 1
 
     def process_columns(
         self, us: Sequence[int], vs: Sequence[int], ws: Sequence[int]
@@ -217,8 +181,8 @@ class StreamingState:
         return how many of them were pushed.
 
         Edge i of the chunk is ``(us[i], vs[i], ws[i])``; edges arrive in
-        stream order. Every edge must already pass the checks of
-        `process_edge`: nothing here checks it again. An edge is light when
+        stream order. Every edge must be as `check_edge` returns it, three
+        exact ints: nothing here checks it again. An edge is light when
         its weight is at or below alpha times the endpoint potential sum,
         and leaves the state untouched. A heavy edge becomes the next arena
         row with reduced weight ``weight - (phi(u) + phi(v))``; note the
@@ -406,21 +370,20 @@ def run_stream(
 ) -> tuple[Matching, RunReport]:
     """Run the full pass over ``stream`` and build the run report.
 
-    ``stream.edges`` is consumed once, in order, so a `LazyEdgeStream`
-    from `read_stream` is parsed as it runs and ``m`` is counted on the way.
-    ``trace_sink`` receives the event trace, O(1) per event, and is limited
-    to streams of at most ``TRACE_MAX_EDGES`` edges; a `LazyEdgeStream` is
-    checked against the edge count its header declares, before its body is
-    read. With
-    ``collect_timing`` each edge is timed with a monotonic clock inside the
-    pass (every 64th edge beyond the first million, to keep the observer
-    cheap).
+    An in-memory `EdgeStream` is opened with `open_edges`, so every stream
+    is a `LazyEdgeStream` whose checked columns are consumed once, in
+    order: one from `read_stream` is parsed as it runs. ``trace_sink``
+    receives the event trace, O(1) per event, and is limited to streams of
+    at most ``TRACE_MAX_EDGES`` edges, checked against ``stream.m`` before
+    any edge is read. With ``collect_timing`` each edge is timed with a
+    monotonic clock inside the pass (every 64th edge beyond the first
+    million, to keep the observer cheap).
     """
     params = compute_params(stream.n, epsilon)
-    if trace_sink is not None:
-        m = stream.m if isinstance(stream, LazyEdgeStream) else len(stream.edges)
-        if m > TRACE_MAX_EDGES:
-            raise ValueError(f"tracing is limited to m <= {TRACE_MAX_EDGES}")
+    if not isinstance(stream, LazyEdgeStream):
+        stream = open_edges(stream)
+    if trace_sink is not None and stream.m > TRACE_MAX_EDGES:
+        raise ValueError(f"tracing is limited to m <= {TRACE_MAX_EDGES}")
     samples: list[int] | None = [] if collect_timing else None
     state = StreamingState(params, trace=trace_sink, samples=samples)
 
@@ -428,15 +391,9 @@ def run_stream(
     # one list of queue slots), so the cyclic collector could free nothing
     # and would only rescan the pass's short-lived containers.
     with gc_paused():
-        if isinstance(stream, LazyEdgeStream):
-            # The parser has checked every edge of its columns, and names
-            # the line of a malformed one itself.
-            m = 0
-            for us, vs, ws in stream.columns:
-                state.process_columns(us, vs, ws)
-                m += len(us)
-        else:
-            m = _feed_edges(state, stream.edges)
+        # The columns are checked, and raise unless they hold exactly m edges.
+        for us, vs, ws in stream.columns:
+            state.process_columns(us, vs, ws)
         matching, stats = state.finalize()
         # Freed while the collector is paused, the state is not rescanned
         # when it resumes.
@@ -445,7 +402,7 @@ def run_stream(
     report = RunReport(
         algorithm="semi",
         n=stream.n,
-        m=m,
+        m=stream.m,
         epsilon=str(params.epsilon),
         output_weight=matching.total_weight,
         ratio_bound=str(params.ratio_bound),
@@ -457,59 +414,3 @@ def run_stream(
         per_edge_ns=TimingStats.from_samples(samples) if samples else None,
     )
     return matching, report
-
-
-def _feed_edges(state: StreamingState, edges: Iterable[Triple]) -> int:
-    """Run ``state`` over in-memory edges a chunk at a time; return their count.
-
-    A chunk that passes `_checked_columns` goes through the column loop in
-    one call. Any other chunk goes through `process_edge` edge by edge, so
-    a malformed edge is named by its line in the canonical file format,
-    where line 1 is the header.
-    """
-    m = 0
-    it = iter(edges)
-    for chunk in iter(lambda: list(islice(it, _CHUNK_EDGES)), []):
-        columns = _checked_columns(chunk, state.params.n)
-        if columns is not None:
-            state.process_columns(*columns)
-            m += len(chunk)
-            continue
-        for edge in chunk:
-            try:
-                state.process_edge(edge)
-            except StreamFormatError as exc:
-                raise StreamFormatError(f"line {m + 2}: {exc}") from None
-            m += 1
-    return m
-
-
-def _checked_columns(
-    chunk: list[Triple], n: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
-    """The ``(us, vs, ws)`` columns of a chunk whose every edge is three
-    ints that pass the checks of `process_edge`, or None.
-
-    The test is stricter than `process_edge` (a bool, say, fails it), so
-    a chunk it refuses may still be accepted edge by edge.
-    """
-    try:
-        columns = tuple(zip(*chunk, strict=True))
-    except (TypeError, ValueError):
-        return None
-    if len(columns) != 3:
-        return None
-    us, vs, ws = columns
-    if set(map(type, chain(us, vs, ws))) != {int}:
-        return None
-    if (
-        min(us) < 0
-        or min(vs) < 0
-        or max(us) >= n
-        or max(vs) >= n
-        or min(ws) < 0
-        or max(ws) > I64_MAX
-        or any(map(eq, us, vs))
-    ):
-        return None
-    return us, vs, ws

@@ -1,4 +1,5 @@
-"""Edge-list file format: parsing and serialization.
+"""Edge input: the edge-list file format, parsed and serialized, and the
+checks of in-memory edge lists.
 
 The format is line-oriented and 0-indexed::
 
@@ -26,14 +27,19 @@ Any other block, or one that fails a bulk check, is split after each
 message is the same either way. `parse_stream` joins any iterable of lines,
 ``_CHUNK_LINES`` at a time, into blocks that take the same path.
 
-Every check of an edge lives here, against the header: endpoints below n
-and distinct, weight in ``[0, 2^63-1]``, no more edges than declared. What
-passes is handed on as the ``(us, vs, ws)`` int columns each chunk was
-parsed into (`LazyEdgeStream.columns`), and the engine's pass runs over
-them without checking them again. Only the engine's matched edges become
-`WeightedEdge`s; `LazyEdgeStream.edges` reads the same columns as plain
-``(u, v, w)`` triples, and `parse_stream` materializes the same parse into
-an `EdgeStream` of `WeightedEdge`s.
+In-memory edge lists enter here too: `open_edges` opens an `EdgeStream`
+as a `LazyEdgeStream`, ``_CHUNK_EDGES`` edges a chunk. A chunk of plain
+ints gets one bulk check; any other chunk is checked edge by edge with
+`check_edge`, whose answer depends on the edge alone, and which turns
+any int-like value (a bool, a numpy integer) into an exact ``int``.
+
+Every check of an edge lives here: endpoints below n and distinct, weight
+in ``[0, 2^63-1]``, each an int, no more edges than declared. What passes
+is handed on as ``(us, vs, ws)`` int columns (`LazyEdgeStream.columns`),
+and the engine's pass runs over them without checking them again. Only
+the engine's matched edges become `WeightedEdge`s; `LazyEdgeStream.edges`
+reads the same columns as plain ``(u, v, w)`` triples, and `parse_stream`
+materializes the same parse into an `EdgeStream` of `WeightedEdge`s.
 """
 
 from __future__ import annotations
@@ -42,23 +48,26 @@ import json
 import sys
 from functools import partial
 from itertools import chain, islice, starmap
-from operator import eq
-from typing import Iterable, Iterator
+from operator import eq, index
+from typing import Iterable, Iterator, Sequence
 
 from .core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
 
-__all__ = ["LazyEdgeStream", "parse_stream", "serialize_stream", "read_stream"]
+__all__ = ["LazyEdgeStream", "check_edge", "open_edges", "parse_stream",
+           "serialize_stream", "read_stream"]
 
 #: Characters of input per block read from a file or stdin.
 _CHUNK_BYTES = 1 << 16
 #: Lines per block joined from any other iterable of lines.
 _CHUNK_LINES = 1 << 12
+#: Edges per chunk taken from an in-memory edge list.
+_CHUNK_EDGES = 1 << 9
 #: Deletes the ASCII digits: what is left of a canonical line is ``"  \n"``.
 _SEPARATORS = str.maketrans("", "", "0123456789")
 
 Triple = tuple[int, int, int]
 #: A chunk of edges as ``(us, vs, ws)``: edge i is ``(us[i], vs[i], ws[i])``.
-Columns = tuple[list[int], list[int], list[int]]
+Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 
 class LazyEdgeStream:
@@ -88,6 +97,94 @@ class LazyEdgeStream:
 
     def close(self) -> None:
         self.columns.close()
+
+
+def check_edge(edge: object, n: int) -> Triple:
+    """Return ``edge`` as three exact ints ``(u, v, w)``, or raise
+    `StreamFormatError`.
+
+    ``edge`` must be a triple of distinct endpoints in ``[0, n)`` and a
+    weight in ``[0, 2^63-1]``, each a value ``operator.index`` takes (an
+    int, a bool, a numpy integer), not a float, `Fraction` or str.
+    """
+    try:
+        u, v, w = edge
+    except (TypeError, ValueError):
+        raise StreamFormatError(f"edge {edge!r} is not a (u, v, w) triple") from None
+    # A value that does not compare with ints ('5') fails a range test, and
+    # an endpoint that is not an index (1.0) fails index().
+    try:
+        if not (0 <= u < n and 0 <= v < n):
+            raise StreamFormatError(f"endpoint out of range for n={n}: ({u}, {v})")
+        if u == v:
+            raise StreamFormatError(f"self-loop at node {u}")
+        if not (0 <= w <= I64_MAX):
+            raise StreamFormatError(f"weight {w} outside [0, 2^63-1]")
+        u, v = index(u), index(v)
+    except TypeError:
+        raise StreamFormatError(
+            f"edge ({u!r}, {v!r}, {w!r}) is not made of ints"
+        ) from None
+    try:
+        return u, v, index(w)
+    except TypeError:
+        raise StreamFormatError(f"weight {w!r} is not an int") from None
+
+
+def open_edges(stream: EdgeStream) -> LazyEdgeStream:
+    """Open an in-memory edge list as a `LazyEdgeStream` whose columns check
+    the edges as they are consumed; a bad one is named by its line in the
+    file format, where line 1 is the header."""
+    columns = _edge_columns(stream.edges, stream.n)
+    return LazyEdgeStream(stream.n, len(stream.edges), columns)
+
+
+def _edge_columns(edges: Iterable[object], n: int) -> Iterator[Columns]:
+    """The `Columns` of ``edges``, ``_CHUNK_EDGES`` at a time: a chunk that
+    fails `_checked_columns` is checked edge by edge with `check_edge`."""
+    it = iter(edges)
+    count = 0
+    for chunk in iter(lambda: list(islice(it, _CHUNK_EDGES)), []):
+        columns = _checked_columns(chunk, n)
+        if columns is None:
+            rows = []
+            for lineno, edge in enumerate(chunk, count + 2):
+                try:
+                    rows.append(check_edge(edge, n))
+                except StreamFormatError as exc:
+                    raise StreamFormatError(f"line {lineno}: {exc}") from None
+            columns = tuple(zip(*rows))
+        count += len(chunk)
+        yield columns
+
+
+def _checked_columns(chunk: list, n: int) -> Columns | None:
+    """The ``(us, vs, ws)`` columns of a chunk whose every edge is three
+    plain ints that pass `check_edge`, or None.
+
+    The test is stricter than `check_edge` (a bool, say, fails it), so a
+    chunk it refuses may still be accepted edge by edge.
+    """
+    try:
+        columns = tuple(zip(*chunk, strict=True))
+    except (TypeError, ValueError):
+        return None
+    if len(columns) != 3:
+        return None
+    us, vs, ws = columns
+    if set(map(type, chain(us, vs, ws))) != {int}:
+        return None
+    if (
+        min(us) < 0
+        or min(vs) < 0
+        or max(us) >= n
+        or max(vs) >= n
+        or min(ws) < 0
+        or max(ws) > I64_MAX
+        or any(map(eq, us, vs))
+    ):
+        return None
+    return us, vs, ws
 
 
 def parse_stream(lines: Iterable[str]) -> EdgeStream:

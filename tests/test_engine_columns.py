@@ -7,6 +7,7 @@ number of the edge-by-edge path. A run over the corpus holds at most
 
 import dataclasses
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from conftest import random_multigraph_stream
 from test_engine import _SLOTS, _chain, _doubling_edges, _heavy_chain_stars, _naive_pass
 from test_golden import HUB_EPS, _hub
-from stream_mwm import engine
+from stream_mwm import streamio
 from stream_mwm.core import (
     I64_MAX,
     EdgeStream,
@@ -140,7 +141,7 @@ def test_column_loop_matches_the_naive_pass_at_any_chunk_size(tag, stream, eps, 
     # run_stream cuts an in-memory stream into chunks of the same size.
     run_trace = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_CHUNK_EDGES", size)
+        mp.setattr(streamio, "_CHUNK_EDGES", size)
         run_matching, report = run_stream(stream, eps, trace_sink=run_trace)
     assert _events(run_trace) == events
     assert run_matching == matching
@@ -224,18 +225,86 @@ def test_a_bad_edge_in_a_later_chunk_is_named_by_its_line(kind, timed):
     # Zero-weight edges are light and leave every potential at 0, so the
     # bad edge is the first heavy one; it sits in the second chunk.
     bad, message = BAD_EDGES[kind]
-    good = [WeightedEdge(0, 1, 0)] * (engine._CHUNK_EDGES + 5)
+    good = [WeightedEdge(0, 1, 0)] * (streamio._CHUNK_EDGES + 5)
     stream = EdgeStream(3, [*good, bad, *good])
     expected = f"line {len(good) + 2}: {message}"
     with pytest.raises(StreamFormatError, match=f"^{re.escape(expected)}$"):
         run_stream(stream, 2, collect_timing=timed)
 
 
+class _Int(int):
+    """An int subclass: it fails the bulk check and passes `check_edge`."""
+
+
 def test_a_chunk_that_fails_the_bulk_check_may_still_be_valid():
-    # A light float weight, a bool endpoint and a list for an edge pass
-    # process_edge, so their chunks run edge by edge to the same result.
+    # An int-subclass weight, a bool endpoint and a list for an edge pass
+    # check_edge, so their chunks run edge by edge to the same result.
     ints = [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5), WeightedEdge(1, 2, 9)]
-    odd = [WeightedEdge(0, True, 5), (1, 2, 5.0), [1, 2, 9]]
+    odd = [WeightedEdge(0, True, 5), (1, 2, _Int(5)), [1, 2, 9]]
     _, want = run_stream(EdgeStream(3, ints), 2)
     _, got = run_stream(EdgeStream(3, odd), 2)
     assert got == want
+
+
+@pytest.mark.parametrize("weight", [5.0, Fraction(5)], ids=["float", "fraction"])
+@pytest.mark.parametrize("before", [[], [(0, 1, 9)]], ids=["heavy", "light"])
+def test_a_weight_that_is_not_an_int_is_refused_light_or_heavy(weight, before):
+    # After (0, 1, 9) the bad edge would be light: it is refused all the same.
+    stream = EdgeStream(3, [*before, (0, 1, weight)])
+    expected = f"line {len(before) + 2}: weight {weight!r} is not an int"
+    with pytest.raises(StreamFormatError, match=f"^{re.escape(expected)}$"):
+        run_stream(stream, 2)
+
+
+def test_process_edge_refuses_a_light_float_and_leaves_the_state_as_it_was():
+    state = StreamingState(compute_params(3, 2))
+    assert state.process_edge((0, 1, 9))
+    phi, stats = list(state.phi), dataclasses.replace(state.stats)
+    with pytest.raises(StreamFormatError, match="^weight 5.0 is not an int$"):
+        state.process_edge((0, 1, 5.0))
+    assert list(state.phi) == phi
+    assert state.stats == stats
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (1, 2, 3, 4), 7, None], ids=repr)
+def test_an_edge_that_is_not_a_triple_is_named_by_its_line(bad):
+    with pytest.raises(StreamFormatError, match="^line 3: "):
+        run_stream(EdgeStream(3, [(0, 1, 5), bad]), 2)
+
+
+def test_numpy_integers_are_read_as_exact_ints():
+    np = pytest.importorskip("numpy")
+    # q * w * w overflows int64 for these weights at epsilon = 1/2.
+    big = 2**40
+    edges = [(0, 1, big), (1, 2, big + big // 3), (2, 3, 3 * big)]
+    wrapped = [tuple(map(np.int64, edge)) for edge in edges]
+    _, want = run_stream(EdgeStream(4, edges), "1/2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, got = run_stream(EdgeStream(4, wrapped), "1/2")
+    assert got == want
+    assert want.heavy_edges_k == 3
+
+
+@pytest.mark.parametrize("tag, stream, eps", STREAMS, ids=[t for t, _, _ in STREAMS])
+def test_int_subclass_weights_take_the_per_edge_path_to_the_same_pass(tag, stream, eps):
+    # No chunk of _Int weights passes the bulk check, so every edge goes
+    # through check_edge, which hands on exact ints.
+    wrapped = [(u, v, _Int(w)) for u, v, w in stream.edges]
+    want_trace, got_trace = [], []
+    want_matching, want = run_stream(stream, eps, trace_sink=want_trace)
+    got_matching, got = run_stream(
+        EdgeStream(stream.n, wrapped), eps, trace_sink=got_trace
+    )
+    assert _events(got_trace) == _events(want_trace)
+    assert got == want
+    assert got_matching == want_matching
+    assert {type(e.weight) for e in got_matching.edges} <= {int}
+
+    params = compute_params(stream.n, eps)
+    plain, odd = StreamingState(params), StreamingState(params)
+    for edge, odd_edge in zip(stream.edges, wrapped):
+        assert odd.process_edge(odd_edge) == plain.process_edge(edge)
+    assert odd.stats == plain.stats
+    assert list(odd.phi) == list(plain.phi)
+    assert odd.finalize() == plain.finalize()
