@@ -1,11 +1,14 @@
 """Command-line surface: single runs and benchmark sweeps.
 
 ``run`` is one pipeline: read or generate the stream, decide once whether
-the oracle (n <= 22) and the trace replay (m <= 100_000, a file's m taken
-from its header) apply, read a file input into memory only if some step
-needs random access, then run, check and emit the report. Any I/O, parse,
-capacity or epsilon error along the way, or a node count too large to
-allocate, ends it with exit code 2.
+the oracle (n <= 22) and, for ``--alg semi``, the trace replay
+(m <= 100_000, a file's m taken from its header) apply, then run, check
+and emit the report. Every solver, the engine and the three reference
+ones alike, reads its input once, in order, so a file is parsed as it
+runs; it is read into memory only when a second step reads it again: the
+oracle, or the replay's `check_terminal_weights`. An exact run is its own
+oracle. Any I/O, parse, capacity or epsilon error along the way, or a
+node count too large to allocate, ends it with exit code 2.
 ``bench`` runs each row as its own pass, in up to min(rows, CPUs) worker
 processes, and ends with exit code 2 on the same errors.
 
@@ -152,9 +155,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             stream = generate(_spec_from_args(args))
         n = stream.n
         oracle = args.oracle and stream.n <= EXACT_MAX_NODES
-        m = len(stream.edges) if source is None else source.m
-        replay = args.monitors and m <= TRACE_MAX_EDGES
-        if source is not None and (args.alg != "semi" or oracle or replay):
+        # Only a semi run records a trace to replay. Every solver reads its
+        # input once, so a file is read into memory only for a second read.
+        replay = args.alg == "semi" and args.monitors and stream.m <= TRACE_MAX_EDGES
+        if source is not None and (oracle or replay):
             stream = source.materialize()
         eps = parse_epsilon(args.eps)
         if args.alg == "semi":
@@ -163,8 +167,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             matching, report = _run_reference(args, stream, eps)
         violation = False
         if oracle:
-            best = exact_mwm(stream).total_weight
             got = matching.total_weight
+            # An exact run's matching is the oracle's own.
+            best = got if args.alg == "exact" else exact_mwm(stream).total_weight
             report.oracle_weight = best
             if got == 0:
                 report.ratio = 1.0 if best == 0 else float("inf")
@@ -230,7 +235,9 @@ def _run_semi(
 
 
 def _run_reference(
-    args: argparse.Namespace, stream: EdgeStream, eps: Fraction
+    args: argparse.Namespace,
+    stream: EdgeStream | LazyEdgeStream,
+    eps: Fraction,
 ) -> tuple[Matching, RunReport]:
     solver = {"simple": mwm_simple, "greedy": greedy_sorted, "exact": exact_mwm}[
         args.alg
@@ -239,7 +246,7 @@ def _run_reference(
     report = RunReport(
         algorithm=args.alg,
         n=stream.n,
-        m=len(stream.edges),
+        m=stream.m,
         epsilon=str(eps),
         output_weight=matching.total_weight,
         ratio_bound=str(_GUARANTEE[args.alg]),

@@ -1,7 +1,7 @@
 """Shared domain types and exact parameter arithmetic.
 
-`EdgeStream` is the one edge-list type: the engine consumes it in arrival
-order, and the reference solvers take it as their graph.
+`EdgeStream` is the one in-memory edge-list type: the engine consumes it
+in arrival order, and the reference solvers take it as their graph.
 
 Edge weights are non-negative 64-bit integers throughout. The accuracy
 parameter ``epsilon`` is an exact rational, so the squared charge
@@ -86,7 +86,13 @@ class WeightedEdge(NamedTuple):
 class EdgeStream:
     """A finite edge sequence plus the declared node count.
 
-    The list order is the arrival order. Every endpoint must be a valid
+    Every reader of a stream (`engine.run_stream`, the `reference` solvers,
+    `monitors.check_terminal_weights`, `streamio.serialize_stream`) uses
+    only ``n``, ``m`` and one read of ``edges``, in arrival order, each
+    edge a ``(u, v, w)`` triple read by position, so an `EdgeStream` and a
+    `streamio.LazyEdgeStream` are interchangeable for them. Here the list
+    order is the arrival order, ``m`` is ``len(edges)``, and an edge may
+    be a `WeightedEdge` or a plain tuple. Every endpoint must be a valid
     index below ``n``; `streamio.open_edges` checks each edge when
     `run_stream` reads it, and refuses a bad one by its line. A node pair
     may repeat, in either orientation, as parallel edges. The sequential
@@ -96,6 +102,11 @@ class EdgeStream:
 
     n: int
     edges: Sequence[WeightedEdge]
+
+    @property
+    def m(self) -> int:
+        """The edge count, ``len(edges)``."""
+        return len(self.edges)
 
     @classmethod
     def from_stream(cls, stream: "EdgeStream") -> "EdgeStream":

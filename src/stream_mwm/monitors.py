@@ -179,15 +179,17 @@ def check_terminal_weights(
     edge must fail the exact heaviness test against the potentials it was
     classified under, and a pushed edge must have had its weight reduced
     to exactly zero (reduced weight equal to original weight minus the
-    endpoint potentials before the push, and positive).
+    endpoint potentials before the push, and positive). ``g`` is read as
+    the engine reads a stream: ``m``, then ``edges`` once, in order, each
+    a ``(u, v, w)`` triple read by position.
     """
     _require_snapshots(trace)
     processed = [ev for ev in trace if ev.kind in (LIGHT, PUSHED)]
-    if len(processed) != len(g.edges):
+    if len(processed) != g.m:
         return CheckVerdict(
             ok=False,
             checked=0,
-            detail=f"trace covers {len(processed)} edges, graph has {len(g.edges)}",
+            detail=f"trace covers {len(processed)} edges, graph has {g.m}",
         )
     checked = 0
     for i, (edge, ev) in enumerate(zip(g.edges, processed)):
@@ -197,10 +199,11 @@ def check_terminal_weights(
                 detail=f"trace edge {ev.edge} does not match stream edge {edge}",
             )
         checked += 1
+        weight = edge[2]
         if ev.kind == LIGHT:
             # State was unchanged, so the recorded potentials classified it.
             pot = ev.phi_u + ev.phi_v
-            if is_heavy(edge.weight, pot, params):
+            if is_heavy(weight, pot, params):
                 return CheckVerdict(
                     ok=False, checked=checked, event_index=i,
                     detail=f"edge {edge} was dropped but beats the filter "
@@ -214,8 +217,8 @@ def check_terminal_weights(
                 ev.reduced_weight >= 1
                 and before_u >= 0
                 and before_v >= 0
-                and edge.weight - (before_u + before_v) == ev.reduced_weight
-                and is_heavy(edge.weight, before_u + before_v, params)
+                and weight - (before_u + before_v) == ev.reduced_weight
+                and is_heavy(weight, before_u + before_v, params)
             )
             if not ok:
                 return CheckVerdict(

@@ -1,21 +1,26 @@
 """Sequential reference solvers: two 2-approximations and an exact oracle.
 
-These run with the whole edge list in memory and exist to check the
-streaming engine: `mwm_simple` is the unfiltered weight-reduction
-baseline, `greedy_sorted` the sort-then-greedy baseline, and `exact_mwm`
-the exact oracle. Both baselines end in `Matching.greedy`, the engine's
-unwind. The oracle keeps one edge per node pair (the heaviest copy, the
-first among equal ones) and gives each edge a perturbed weight whose low
-bits name its rank in input order, so that the maximum is unique and
-carries the lexicographically smallest optimum matching with it. It finds
-that maximum with Edmonds' primal-dual blossom algorithm in O(n**3) time,
-on doubled integer duals, so no float enters. The algorithm has no size
-limit; `EXACT_MAX_NODES` only keeps the CLI's oracle gate, and so every
-report and exit code, where the earlier exponential oracle put it. Every
-solver takes an `EdgeStream` whose ``edges`` are in memory (`Graph` is
-another name for it) and treats repeated node pairs, in either
-orientation, as parallel edges. Every input boundary rejects self-loops,
-and the solvers assume there are none.
+These exist to check the streaming engine: `mwm_simple` is the unfiltered
+weight-reduction baseline, `greedy_sorted` the sort-then-greedy baseline,
+and `exact_mwm` the exact oracle. Both baselines end in `Matching.greedy`,
+the engine's unwind. The oracle keeps one edge per node pair (the heaviest
+copy, the first among equal ones) and gives each edge a perturbed weight
+whose low bits name its rank in input order, so that the maximum is unique
+and carries the lexicographically smallest optimum matching with it. It
+finds that maximum with Edmonds' primal-dual blossom algorithm in O(n**3)
+time, on doubled integer duals, so no float enters. The algorithm has no
+size limit; `EXACT_MAX_NODES` only keeps the CLI's oracle gate, and so
+every report and exit code, where the earlier exponential oracle put it.
+
+Every solver reads its input as the engine does: ``n``, then ``edges``
+once, in arrival order, each a ``(u, v, w)`` triple read by position. So
+an `EdgeStream` (`Graph` is another name for it), of `WeightedEdge`s or
+plain tuples, and a `LazyEdgeStream` parsed from a file as it is read are
+interchangeable. What a solver keeps is its own: `mwm_simple` its stack,
+`greedy_sorted` the sorted edge list, `exact_mwm` one edge per node pair.
+Only the matched edges become `WeightedEdge`s. Repeated node pairs, in
+either orientation, are parallel edges. Every input boundary rejects
+self-loops, and the solvers assume there are none.
 """
 
 from __future__ import annotations
@@ -30,12 +35,12 @@ __all__ = ["Graph", "EXACT_MAX_NODES", "mwm_simple", "greedy_sorted", "exact_mwm
 #: Node-count ceiling of `exact_mwm`, which the CLI's ``--oracle`` gate reads.
 EXACT_MAX_NODES = 22
 
-#: The reference solvers' graph: an edge list held in memory.
+#: The reference solvers' graph: any stream of ``n`` nodes and its ``edges``.
 Graph = EdgeStream
 
 
 def mwm_simple(g: EdgeStream) -> Matching:
-    """Weight-reduction 2-approximation over the full edge list.
+    """Weight-reduction 2-approximation over the whole stream.
 
     Processes edges in input order, in one pass over node potentials. An
     edge with positive residual weight goes onto a stack, and its residual
@@ -77,13 +82,13 @@ def greedy_sorted(g: EdgeStream) -> Matching:
 def exact_mwm(g: EdgeStream) -> Matching:
     """Maximum weight matching by the primal-dual blossom algorithm.
 
-    Rejects graphs with more than `EXACT_MAX_NODES` nodes; the solver
-    itself has no such limit, the cap only keeps the CLI's oracle gate
-    where it was. Among all optimum matchings it returns the one whose
-    sorted edge-index sequence is lexicographically smallest, a proper
-    prefix counting as smaller than its extensions, which makes the oracle
-    reproducible. The edges must have no self-loops, which every input
-    boundary guarantees.
+    Rejects graphs with more than `EXACT_MAX_NODES` nodes before it reads
+    an edge; the solver itself has no such limit, the cap only keeps the
+    CLI's oracle gate where it was. Among all optimum matchings it returns
+    the one whose sorted edge-index sequence is lexicographically smallest,
+    a proper prefix counting as smaller than its extensions, which makes
+    the oracle reproducible. The edges must have no self-loops, which every
+    input boundary guarantees.
 
     - Parallel edges, in either orientation, collapse to one edge per node
       pair: the heaviest copy and, among copies of equal weight, the first.
@@ -105,26 +110,30 @@ def exact_mwm(g: EdgeStream) -> Matching:
             f"exact solver handles at most {EXACT_MAX_NODES} nodes, got {g.n}"
         )
 
-    heaviest: dict[tuple[int, int], int] = {}  # pair -> index of its kept copy
-    for i, (u, v, w) in enumerate(g.edges):
+    # pair -> (index, weight, edge) of its kept copy; a later copy replaces
+    # it only if strictly heavier.
+    kept: dict[tuple[int, int], tuple[int, int, tuple[int, int, int]]] = {}
+    for i, e in enumerate(g.edges):
+        u, v, w = e
         pair = (u, v) if u < v else (v, u)
-        j = heaviest.get(pair)
-        if j is None or w > g.edges[j].weight:
-            heaviest[pair] = i
-    edges = [g.edges[i] for i in sorted(heaviest.values())]
+        copy = kept.get(pair)
+        if copy is None or w > copy[1]:
+            kept[pair] = (i, w, e)
+    # The indices are distinct, so the sort never compares two edges.
+    edges = [e for _, _, e in sorted(kept.values())]
 
     k = len(edges)
     perturbed = [
         (u, v, (w << k) | (1 << (k - 1 - r))) for r, (u, v, w) in enumerate(edges)
     ]
     ranks = _max_weight_matching(g.n, perturbed)
-    remaining = sum(edges[r].weight for r in ranks)
+    remaining = sum(edges[r][2] for r in ranks)
     chosen: list[WeightedEdge] = []
     for r in ranks:
         if remaining == 0:
             break
-        chosen.append(edges[r])
-        remaining -= edges[r].weight
+        chosen.append(WeightedEdge._make(edges[r]))
+        remaining -= edges[r][2]
     return Matching.of(chosen)
 
 

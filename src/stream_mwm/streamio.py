@@ -73,16 +73,17 @@ Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]
 class LazyEdgeStream:
     """A stream parsed as it is consumed.
 
-    ``n`` and ``m``, the node and edge counts, come from the header, which
-    is read when the stream is opened; the body must hold exactly ``m``
-    edges.
+    It offers the interface every reader of a stream uses, as an
+    `EdgeStream` does: ``n`` and ``m``, the node and edge counts, and
+    ``edges``, read once, in arrival order, as plain ``(u, v, w)`` int
+    triples. ``n`` and ``m`` come from the header, which is read when the
+    stream is opened; the body must hold exactly ``m`` edges.
     ``columns`` is a one-shot iterator of `Columns`, one per chunk of the
     body, whose every edge is three ints already checked against the
-    header; ``edges`` reads the same chunks as plain ``(u, v, w)`` int
-    triples. Consume one or the other. A malformed body line raises
-    `StreamFormatError` from the iteration, with the message `parse_stream`
-    gives for it. The input file is closed when the chunks are exhausted
-    or fail, or by `close`.
+    header; ``edges`` reads the same chunks. Consume one or the other. A
+    malformed body line raises `StreamFormatError` from the iteration, with
+    the message `parse_stream` gives for it. The input file is closed when
+    the chunks are exhausted or fail, or by `close`.
     """
 
     def __init__(self, n: int, m: int, columns: Iterator[Columns]) -> None:
@@ -136,7 +137,7 @@ def open_edges(stream: EdgeStream) -> LazyEdgeStream:
     the edges as they are consumed; a bad one is named by its line in the
     file format, where line 1 is the header."""
     columns = _edge_columns(stream.edges, stream.n)
-    return LazyEdgeStream(stream.n, len(stream.edges), columns)
+    return LazyEdgeStream(stream.n, stream.m, columns)
 
 
 def _edge_columns(edges: Iterable[object], n: int) -> Iterator[Columns]:
@@ -204,19 +205,19 @@ def _line_blocks(lines: Iterable[str]) -> Iterator[str]:
         yield "".join([s.removesuffix("\n").replace("\n", " ") + "\n" for s in chunk])
 
 
-def serialize_stream(stream: EdgeStream) -> str:
+def serialize_stream(stream: EdgeStream | LazyEdgeStream) -> str:
     """Canonical text form; `parse_stream` round-trips it exactly.
 
+    ``edges`` is read once, in order, to its end, so a `LazyEdgeStream`
+    whose body does not hold ``m`` edges raises as it does for the engine.
     Each run of ``_CHUNK_LINES`` edges is written by one ``%`` format of
     its flattened fields, so the temporary tuple stays small. ``%s`` writes
     an int, or a bool, exactly as an f-string does.
     """
-    m = len(stream.edges)
     fields = chain.from_iterable(stream.edges)
-    out = [f"p mwm {stream.n} {m}\n"]
-    for start in range(0, m, _CHUNK_LINES):
-        k = min(_CHUNK_LINES, m - start)
-        out.append(("%s %s %s\n" * k) % tuple(islice(fields, 3 * k)))
+    out = [f"p mwm {stream.n} {stream.m}\n"]
+    while chunk := tuple(islice(fields, 3 * _CHUNK_LINES)):
+        out.append(("%s %s %s\n" * (len(chunk) // 3)) % chunk)
     return "".join(out)
 
 

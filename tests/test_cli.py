@@ -103,6 +103,13 @@ def test_run_oracle_silently_off_beyond_capacity(capsys):
     assert report["oracle_weight"] is None and report["ratio"] is None
 
 
+def _refuse_materialize(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the input was read into memory")
+
+    monkeypatch.setattr(LazyEdgeStream, "materialize", refuse)
+
+
 def test_run_monitors_skipped_beyond_trace_limits(tmp_path, monkeypatch, capsys):
     # One edge more than a trace may hold: the run streams the file and
     # never reads it into memory.
@@ -114,16 +121,100 @@ def test_run_monitors_skipped_beyond_trace_limits(tmp_path, monkeypatch, capsys)
         lines.append(f"{u} {v} {rng.randint(0, 1000)}\n")
     path = tmp_path / "long.mwm"
     path.write_text("".join(lines), encoding="utf-8")
-
-    def refuse(self):
-        raise AssertionError("the input was read into memory")
-
-    monkeypatch.setattr(LazyEdgeStream, "materialize", refuse)
+    _refuse_materialize(monkeypatch)
     code = main(["run", "--input", str(path), "--alg", "semi", "--monitors"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["monitor_verdicts"]["phi_growth"] == "skipped"
     assert report["monitor_verdicts"]["ratio_bound"] == "pass"
+
+
+@pytest.fixture
+def streamed_file(tmp_path):
+    path = tmp_path / "s.mwm"
+    path.write_text(
+        "p mwm 6 7\n0 1 5\n1 2 8\n2 3 7\n3 4 9\n4 5 4\n0 5 6\n1 4 10\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("monitors", [[], ["--monitors"]], ids=["plain", "monitors"])
+@pytest.mark.parametrize("alg", ["simple", "greedy", "exact"])
+def test_reference_runs_stream_a_file(
+    streamed_file, monkeypatch, capsys, alg, monitors
+):
+    # Each reference solver reads its input once, in order, so the file is
+    # parsed as it runs; without a replay, --monitors reads it no more.
+    assert main(["run", "--input", streamed_file, "--alg", alg]) == 0
+    want = capsys.readouterr().out
+    _refuse_materialize(monkeypatch)
+    assert main(["run", "--input", streamed_file, "--alg", alg] + monitors) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["m"], report["monitor_verdicts"]) == (7, {})
+    assert report == json.loads(want)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alg", "simple", "--oracle"],
+        ["--alg", "exact", "--oracle"],
+        ["--alg", "semi", "--oracle"],
+        ["--alg", "semi", "--monitors"],
+    ],
+    ids=lambda flags: "-".join(f.lstrip("-") for f in flags),
+)
+def test_a_second_read_materializes_the_file(streamed_file, monkeypatch, capsys, flags):
+    calls = []
+    materialize = LazyEdgeStream.materialize
+
+    def counted(self):
+        calls.append(self)
+        return materialize(self)
+
+    monkeypatch.setattr(LazyEdgeStream, "materialize", counted)
+    assert main(["run", "--input", streamed_file] + flags) == 0
+    assert len(calls) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["m"] == 7
+
+
+def test_exact_over_the_cap_fails_before_reading_the_body(
+    tmp_path, monkeypatch, capsys
+):
+    # The node cap is checked before the first edge, so the self-loop on
+    # line 2 is never read.
+    path = tmp_path / "n30.mwm"
+    path.write_text("p mwm 30 2\n0 0 5\n1 2 6\n", encoding="utf-8")
+    _refuse_materialize(monkeypatch)
+    assert main(["run", "--input", str(path), "--alg", "exact"]) == 2
+    assert capsys.readouterr().err == (
+        "stream-mwm: error: exact solver handles at most 22 nodes, got 30\n"
+    )
+
+
+@pytest.mark.parametrize("source", ["file", "gen"])
+def test_exact_oracle_reuses_the_runs_matching(
+    streamed_file, monkeypatch, capsys, source
+):
+    # An exact run is its own oracle: one blossom solve, not two.
+    if source == "file":
+        argv = ["run", "--input", streamed_file]
+    else:
+        argv = ["run", "--gen", "complete", "--n", "12", "--seed", "3"]
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return exact_mwm(g)
+
+    monkeypatch.setattr(cli, "exact_mwm", counted)
+    assert main(argv + ["--alg", "exact", "--oracle"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert report["oracle_weight"] == report["output_weight"]
+    assert report["ratio"] == 1.0
 
 
 def test_run_monitors_give_every_verdict_at_n200(capsys):

@@ -105,7 +105,7 @@ def matrix(paths):
         yield ["run"] + portable + flags, *run_cli(["run"] + real + flags)
 
 
-MATRIX_DIGEST = "d6b274ba788e8882ffd50cf24c6fd896eca3f4d95443453d9e60b1bf39e3afd3"
+MATRIX_DIGEST = "7ce4531366c28ce58bc21fd9703c59de0ffbd3d1e4fdda635b3b1611a84a6800"
 
 
 def test_run_matrix_digest(paths):
@@ -131,7 +131,8 @@ NAMED = {
         ["comments", "--oracle", "--monitors"], 0, COMMENTS_REPORT, ""
     ),
     # A streamed run meets the bad line only when it reads it, so a bad
-    # --eps is reported first; a materializing run meets the line first.
+    # --eps is reported first, for every --alg; a run that reads its input
+    # into memory (here for the oracle) meets the line first.
     "bad-line-semi-bad-eps": (
         ["bad-line", "--eps", "x"], 2, "",
         "stream-mwm: error: cannot parse epsilon 'x': "
@@ -139,6 +140,11 @@ NAMED = {
     ),
     "bad-line-greedy-bad-eps": (
         ["bad-line", "--alg", "greedy", "--eps", "x"], 2, "",
+        "stream-mwm: error: cannot parse epsilon 'x': "
+        "Invalid literal for Fraction: 'x'\n",
+    ),
+    "bad-line-greedy-oracle-bad-eps": (
+        ["bad-line", "--alg", "greedy", "--oracle", "--eps", "x"], 2, "",
         "stream-mwm: error: self-loop at line 3\n",
     ),
     "bad-line-semi": (
