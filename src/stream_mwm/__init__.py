@@ -30,7 +30,14 @@ from .monitors import (
     check_ratio_bound,
     check_terminal_weights,
 )
-from .reference import EXACT_MAX_NODES, Graph, exact_mwm, greedy_sorted, mwm_simple
+from .reference import (
+    EXACT_MAX_NODES,
+    Graph,
+    exact_mwm,
+    greedy_sorted,
+    mwm_simple,
+    optimum_weight,
+)
 from .report import RunReport, TimingStats
 from .streamio import LazyEdgeStream, parse_stream, read_stream, serialize_stream
 
@@ -67,6 +74,7 @@ __all__ = [
     "greedy_sorted",
     "is_heavy",
     "mwm_simple",
+    "optimum_weight",
     "parse_epsilon",
     "parse_stream",
     "read_stream",

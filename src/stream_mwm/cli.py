@@ -7,8 +7,11 @@ and emit the report. Every solver, the engine and the three reference
 ones alike, reads its input once, in order, so a file is parsed as it
 runs; it is read into memory only when a second step reads it again: the
 oracle, or the replay's `check_terminal_weights`. An exact run is its own
-oracle. Any I/O, parse, capacity or epsilon error along the way, or a
-node count too large to allocate, ends it with exit code 2.
+oracle; for any other run the oracle is `optimum_weight`, which finds the
+optimum's weight alone. Every ``--alg`` refuses an epsilon that the engine
+refuses, before it reads an edge. Any I/O, parse, capacity or epsilon
+error along the way, or a node count too large to allocate, ends it with
+exit code 2.
 ``bench`` runs each row as its own pass, in up to min(rows, CPUs) worker
 processes, and ends with exit code 2 on the same errors.
 
@@ -29,7 +32,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .core import EdgeStream, Matching, compute_params, parse_epsilon
+from .core import EdgeStream, Matching, _check_epsilon, compute_params, parse_epsilon
 from .engine import run_stream
 from .generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 from .monitors import (
@@ -40,7 +43,13 @@ from .monitors import (
     check_ratio_bound,
     check_terminal_weights,
 )
-from .reference import EXACT_MAX_NODES, exact_mwm, greedy_sorted, mwm_simple
+from .reference import (
+    EXACT_MAX_NODES,
+    exact_mwm,
+    greedy_sorted,
+    mwm_simple,
+    optimum_weight,
+)
 from .report import RUN_CSV_HEADER, RunReport
 from .streamio import LazyEdgeStream, read_stream
 
@@ -168,8 +177,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         violation = False
         if oracle:
             got = matching.total_weight
-            # An exact run's matching is the oracle's own.
-            best = got if args.alg == "exact" else exact_mwm(stream).total_weight
+            # An exact run's matching is the oracle's own; any other run
+            # needs only the optimum's weight.
+            best = got if args.alg == "exact" else optimum_weight(stream)
             report.oracle_weight = best
             if got == 0:
                 report.ratio = 1.0 if best == 0 else float("inf")
@@ -242,6 +252,8 @@ def _run_reference(
     solver = {"simple": mwm_simple, "greedy": greedy_sorted, "exact": exact_mwm}[
         args.alg
     ]
+    # The engine's epsilon rule holds for every --alg, before any edge is read.
+    _check_epsilon(eps)
     matching = solver(stream)
     report = RunReport(
         algorithm=args.alg,

@@ -201,15 +201,33 @@ def parse_epsilon(text: str) -> Fraction:
         raise ValueError(f"cannot parse epsilon {text!r}: {exc}") from exc
 
 
+def _check_epsilon(epsilon: Fraction | int | str) -> Fraction:
+    """``epsilon`` as an exact rational, if the engine accepts it; the CLI
+    holds every ``--alg`` to the same rule.
+
+    Requires ``0 < epsilon < 6``. Values at or above 6 are rejected rather
+    than clamped: the queue-cap bound needs epsilon < 6 and such a coarse
+    setting is worse than plain greedy anyway. An epsilon so small (below
+    about 6.7e-16) that alpha rounds to 1 in double precision is rejected
+    too, since gamma divides by ``log(alpha)``.
+    """
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if epsilon >= 6:
+        raise ValueError(f"epsilon must be below 6, got {epsilon}")
+    alpha_sq = 1 + epsilon / 2
+    if math.sqrt(alpha_sq.numerator / alpha_sq.denominator) == 1.0:
+        raise ValueError(
+            f"epsilon {epsilon} is too small: sqrt(1 + epsilon/2) rounds to 1"
+        )
+    return epsilon
+
+
 def compute_params(n: int, epsilon: Fraction | int | str) -> Params:
     """Derive the run parameters for ``n`` nodes at accuracy ``epsilon``.
 
-    Requires ``n >= 2`` and ``0 < epsilon < 6``. Values of epsilon at or
-    above 6 are rejected rather than clamped: the queue-cap bound needs
-    epsilon < 6 and such a coarse setting is worse than plain greedy
-    anyway. An epsilon so small (below about 6.7e-16) that alpha rounds to 1
-    in double precision is rejected too, since gamma divides by
-    ``log(alpha)``.
+    Requires ``n >= 2``, then checks ``epsilon`` as `_check_epsilon` does.
 
     The queue cap is the smallest ``s >= 2`` with
     ``(alpha - 1) * alpha**(s - 2) > 2 * alpha * gamma``, plus one as a
@@ -219,18 +237,9 @@ def compute_params(n: int, epsilon: Fraction | int | str) -> Params:
     """
     if n < 2:
         raise ValueError(f"node count must be at least 2, got {n}")
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if epsilon >= 6:
-        raise ValueError(f"epsilon must be below 6, got {epsilon}")
-
+    epsilon = _check_epsilon(epsilon)
     alpha_sq = 1 + epsilon / 2
     alpha = math.sqrt(alpha_sq.numerator / alpha_sq.denominator)
-    if alpha == 1.0:
-        raise ValueError(
-            f"epsilon {epsilon} is too small: sqrt(1 + epsilon/2) rounds to 1"
-        )
     gamma = (n * n) / math.log(alpha)
 
     threshold = 2.0 * alpha * gamma

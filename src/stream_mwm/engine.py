@@ -200,6 +200,11 @@ class StreamingState:
         push_w, push_r = arena_w.append, arena_r.append
         p, q, cap = self._p, self._q, self._cap
         trace = self._trace
+        if trace is not None:
+            # tuple.__new__ builds an event and its edge as Matching.greedy
+            # builds its edges: calling the classes, whose __new__ is Python
+            # code, about doubles the cost of an event.
+            record, new = trace.append, tuple.__new__
         samples = self._samples
         timed = samples is not None
         if timed:
@@ -236,9 +241,9 @@ class StreamingState:
                     w <= 2 * pot_sum and q * w * w <= p * pot_sum * pot_sum
                 ):
                     if trace is not None:
-                        trace.append(TraceEvent(
-                            EV_LIGHT, WeightedEdge(u, v, w), None, phi_u, phi_v
-                        ))
+                        record(new(TraceEvent, (
+                            EV_LIGHT, new(WeightedEdge, (u, v, w)), None, phi_u, phi_v
+                        )))
                     continue
 
                 push_w(w)
@@ -286,9 +291,9 @@ class StreamingState:
 
                 if trace is not None:
                     # Read back from the array: the event shows what was stored.
-                    trace.append(TraceEvent(
-                        PUSHED, WeightedEdge(u, v, w), reduced, phi[u], phi[v]
-                    ))
+                    record(new(TraceEvent, (
+                        PUSHED, new(WeightedEdge, (u, v, w)), reduced, phi[u], phi[v]
+                    )))
 
                 if longest >= cap:
                     # Queue-cap monitor: a queue may reach the cap, never
@@ -322,10 +327,11 @@ class StreamingState:
                         else:
                             queues[y] = None
                         if trace is not None:
-                            trace.append(TraceEvent(
-                                EVICTED, WeightedEdge(vu, vv, arena_w[victim]),
-                                victim_reduced,
-                            ))
+                            record(new(TraceEvent, (
+                                EVICTED,
+                                new(WeightedEdge, (vu, vv, arena_w[victim])),
+                                victim_reduced, None, None,
+                            )))
         finally:
             if timed:
                 if start:

@@ -5,8 +5,13 @@ A trace is O(1) per event, as each event keeps only its edge's two
 endpoint potentials, so it may be recorded at any n for a stream of at
 most ``TRACE_MAX_EDGES`` edges. A trace records the pass only, in
 ``light``, ``pushed`` and ``evicted`` events; the matching that
-`StreamingState.finalize` returns is not traced. The `check_*` functions
-are pure functions of a recorded trace.
+`StreamingState.finalize` returns is not traced. A `TraceEvent` is a
+`NamedTuple`, as its `WeightedEdge` is, so the engine builds both with
+``tuple.__new__`` directly, and a traced pass runs no Python-level
+constructor per event. The
+`check_*` functions are pure functions of a recorded trace;
+`check_terminal_weights` makes `core.is_heavy`'s exact integer test
+inline, with ``alpha_sq`` read once.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .core import EdgeStream, Params, WeightedEdge, is_heavy
+from .core import EdgeStream, Params, WeightedEdge
 
 __all__ = [
     "TRACE_MAX_EDGES",
@@ -63,13 +68,15 @@ class MonitorStats:
     evictions_total: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One engine event: an edge classified (light or pushed) or evicted.
 
     ``phi_u`` and ``phi_v`` are the potentials of ``edge.u`` and ``edge.v``
     after the event took effect (None for an eviction); ``reduced_weight``
-    is set for pushes and evictions.
+    is set for pushes and evictions. A tuple, like `WeightedEdge`: an
+    event is immutable and hashable, and the engine builds one with
+    ``tuple.__new__``, not through the class's Python-level ``__new__``.
+    ``_replace`` gives a changed copy.
     """
 
     kind: str
@@ -191,34 +198,39 @@ def check_terminal_weights(
             checked=0,
             detail=f"trace covers {len(processed)} edges, graph has {g.m}",
         )
+    # `is_heavy`'s exact test, inline: w > alpha * s iff q*w*w > p*s*s.
+    p = params.alpha_sq.numerator
+    q = params.alpha_sq.denominator
     checked = 0
-    for i, (edge, ev) in enumerate(zip(g.edges, processed)):
-        if edge != ev.edge:
+    events = enumerate(zip(g.edges, processed))
+    for i, (edge, (kind, traced, reduced, phi_u, phi_v)) in events:
+        if edge != traced:
             return CheckVerdict(
                 ok=False, checked=checked, event_index=i,
-                detail=f"trace edge {ev.edge} does not match stream edge {edge}",
+                detail=f"trace edge {traced} does not match stream edge {edge}",
             )
         checked += 1
         weight = edge[2]
-        if ev.kind == LIGHT:
+        if kind == LIGHT:
             # State was unchanged, so the recorded potentials classified it.
-            pot = ev.phi_u + ev.phi_v
-            if is_heavy(weight, pot, params):
+            pot = phi_u + phi_v
+            if q * weight * weight > p * pot * pot:
                 return CheckVerdict(
                     ok=False, checked=checked, event_index=i,
                     detail=f"edge {edge} was dropped but beats the filter "
                     f"against potential sum {pot}",
                 )
         else:
-            assert ev.reduced_weight is not None
-            before_u = ev.phi_u - ev.reduced_weight
-            before_v = ev.phi_v - ev.reduced_weight
+            assert reduced is not None
+            before_u = phi_u - reduced
+            before_v = phi_v - reduced
+            pot = before_u + before_v
             ok = (
-                ev.reduced_weight >= 1
+                reduced >= 1
                 and before_u >= 0
                 and before_v >= 0
-                and weight - (before_u + before_v) == ev.reduced_weight
-                and is_heavy(weight, before_u + before_v, params)
+                and weight - pot == reduced
+                and q * weight * weight > p * pot * pot
             )
             if not ok:
                 return CheckVerdict(

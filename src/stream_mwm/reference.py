@@ -1,25 +1,29 @@
-"""Sequential reference solvers: two 2-approximations and an exact oracle.
+"""Sequential reference solvers: two 2-approximations and two exact ones.
 
 These exist to check the streaming engine: `mwm_simple` is the unfiltered
 weight-reduction baseline, `greedy_sorted` the sort-then-greedy baseline,
-and `exact_mwm` the exact oracle. Both baselines end in `Matching.greedy`,
-the engine's unwind. The oracle keeps one edge per node pair (the heaviest
-copy, the first among equal ones) and gives each edge a perturbed weight
-whose low bits name its rank in input order, so that the maximum is unique
-and carries the lexicographically smallest optimum matching with it. It
-finds that maximum with Edmonds' primal-dual blossom algorithm in O(n**3)
-time, on doubled integer duals, so no float enters. The algorithm has no
-size limit; `EXACT_MAX_NODES` only keeps the CLI's oracle gate, and so
-every report and exit code, where the earlier exponential oracle put it.
+`exact_mwm` the exact solver that returns a canonical optimum matching,
+and `optimum_weight` the oracle that returns only the optimum's weight.
+Both baselines end in `Matching.greedy`, the engine's unwind. Both exact
+solvers keep one edge per node pair (the heaviest copy, the first among
+equal ones) and run Edmonds' primal-dual blossom algorithm in O(n**3)
+time, on doubled integer duals, so no float enters. The perturbation is
+`exact_mwm`'s alone: it gives each edge a weight whose low bits name its
+rank in input order, so that the maximum is unique and carries the
+lexicographically smallest optimum matching with it. `optimum_weight`
+runs on the plain weights, whose duals stay the size of the weights. The
+algorithm has no size limit; `EXACT_MAX_NODES` only keeps `exact_mwm`'s
+cap and the CLI's oracle gate, and so every report and exit code, where
+the earlier exponential oracle put them.
 
 Every solver reads its input as the engine does: ``n``, then ``edges``
 once, in arrival order, each a ``(u, v, w)`` triple read by position. So
 an `EdgeStream` (`Graph` is another name for it), of `WeightedEdge`s or
 plain tuples, and a `LazyEdgeStream` parsed from a file as it is read are
 interchangeable. What a solver keeps is its own: `mwm_simple` its stack,
-`greedy_sorted` the sorted edge list, `exact_mwm` one edge per node pair.
-Only the matched edges become `WeightedEdge`s. Repeated node pairs, in
-either orientation, are parallel edges. Every input boundary rejects
+`greedy_sorted` the sorted edge list, the exact ones one edge per node
+pair. Only the matched edges become `WeightedEdge`s. Repeated node pairs,
+in either orientation, are parallel edges. Every input boundary rejects
 self-loops, and the solvers assume there are none.
 """
 
@@ -30,9 +34,17 @@ from operator import itemgetter
 
 from .core import CapacityError, EdgeStream, Matching, WeightedEdge, gc_paused
 
-__all__ = ["Graph", "EXACT_MAX_NODES", "mwm_simple", "greedy_sorted", "exact_mwm"]
+__all__ = [
+    "Graph",
+    "EXACT_MAX_NODES",
+    "mwm_simple",
+    "greedy_sorted",
+    "exact_mwm",
+    "optimum_weight",
+]
 
-#: Node-count ceiling of `exact_mwm`, which the CLI's ``--oracle`` gate reads.
+#: Node-count ceiling of `exact_mwm`, which the CLI's ``--oracle`` gate reads
+#: (`optimum_weight` has none).
 EXACT_MAX_NODES = 22
 
 #: The reference solvers' graph: any stream of ``n`` nodes and its ``edges``.
@@ -109,19 +121,7 @@ def exact_mwm(g: EdgeStream) -> Matching:
         raise CapacityError(
             f"exact solver handles at most {EXACT_MAX_NODES} nodes, got {g.n}"
         )
-
-    # pair -> (index, weight, edge) of its kept copy; a later copy replaces
-    # it only if strictly heavier.
-    kept: dict[tuple[int, int], tuple[int, int, tuple[int, int, int]]] = {}
-    for i, e in enumerate(g.edges):
-        u, v, w = e
-        pair = (u, v) if u < v else (v, u)
-        copy = kept.get(pair)
-        if copy is None or w > copy[1]:
-            kept[pair] = (i, w, e)
-    # The indices are distinct, so the sort never compares two edges.
-    edges = [e for _, _, e in sorted(kept.values())]
-
+    edges = _heaviest_copies(g)
     k = len(edges)
     perturbed = [
         (u, v, (w << k) | (1 << (k - 1 - r))) for r, (u, v, w) in enumerate(edges)
@@ -135,6 +135,35 @@ def exact_mwm(g: EdgeStream) -> Matching:
         chosen.append(WeightedEdge._make(edges[r]))
         remaining -= edges[r][2]
     return Matching.of(chosen)
+
+
+def optimum_weight(g: EdgeStream) -> int:
+    """The weight of a maximum weight matching, and nothing else.
+
+    Reads ``g`` once and keeps the heaviest copy of each node pair, as
+    `exact_mwm` does, then runs `_max_weight_matching` on the plain
+    weights: no perturbation, so the duals stay the size of the weights,
+    and no cap on the node count. Equal to ``exact_mwm(g).total_weight``
+    wherever that is defined.
+    """
+    edges = _heaviest_copies(g)
+    return sum(edges[k][2] for k in _max_weight_matching(g.n, edges))
+
+
+def _heaviest_copies(g: EdgeStream) -> list[tuple[int, int, int]]:
+    """One edge per node pair, in input order: the heaviest copy, and among
+    copies of equal weight the first. Reads ``g.edges`` once."""
+    # pair -> (index, weight, edge) of its kept copy; a later copy replaces
+    # it only if strictly heavier.
+    kept: dict[tuple[int, int], tuple[int, int, tuple[int, int, int]]] = {}
+    for i, e in enumerate(g.edges):
+        u, v, w = e
+        pair = (u, v) if u < v else (v, u)
+        copy = kept.get(pair)
+        if copy is None or w > copy[1]:
+            kept[pair] = (i, w, e)
+    # The indices are distinct, so the sort never compares two edges.
+    return [e for _, _, e in sorted(kept.values())]
 
 
 def _max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:
@@ -455,11 +484,18 @@ def _max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[
                             label[w] = 2  # reached inside a T-blossom
                             labelend[w] = p ^ 1
                     elif label[bw] == 1:
+                        # slack(e), inline in the solver's hottest loop.
                         b = inblossom[v]
-                        if bestedge[b] == -1 or kslack < slack(bestedge[b]):
+                        e = bestedge[b]
+                        if e == -1 or kslack < (
+                            dual[endpoint[2 * e]] + dual[endpoint[2 * e + 1]] - twice[e]
+                        ):
                             bestedge[b] = k
                     elif label[w] == 0:
-                        if bestedge[w] == -1 or kslack < slack(bestedge[w]):
+                        e = bestedge[w]
+                        if e == -1 or kslack < (
+                            dual[endpoint[2 * e]] + dual[endpoint[2 * e + 1]] - twice[e]
+                        ):
                             bestedge[w] = k
             if augmented:
                 break

@@ -12,7 +12,6 @@ import json
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -194,7 +193,7 @@ def test_criterion_4_runtime_monitors():
     params = compute_params(3, 2)
     # The push of (1, 2) records node 1 at 5 and node 2 at 0, as before it.
     frozen = [
-        replace(ev, phi_u=trace[0].phi_v, phi_v=0) if i == 1 else ev
+        ev._replace(phi_u=trace[0].phi_v, phi_v=0) if i == 1 else ev
         for i, ev in enumerate(trace)
     ]
     verdict = check_phi_growth(frozen, params)
@@ -215,7 +214,7 @@ def test_criterion_4_runtime_monitors():
     run_stream(light_stream, 2, trace_sink=light_trace)
     big = WeightedEdge(1, 2, 50)
     corrupt = [
-        replace(ev, edge=big) if ev.kind == LIGHT else ev for ev in light_trace
+        ev._replace(edge=big) if ev.kind == LIGHT else ev for ev in light_trace
     ]
     bad_graph = Graph(3, [WeightedEdge(0, 1, 5), big])
     assert not check_terminal_weights(bad_graph, corrupt, params).ok

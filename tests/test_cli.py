@@ -9,7 +9,7 @@ import pytest
 
 from stream_mwm import cli
 from stream_mwm.cli import main
-from stream_mwm.core import I64_MAX, EdgeStream, Matching, WeightedEdge
+from stream_mwm.core import I64_MAX, EdgeStream, WeightedEdge
 from stream_mwm.monitors import TRACE_MAX_EDGES, CheckVerdict, MonitorFailure
 from stream_mwm.reference import EXACT_MAX_NODES, Graph, exact_mwm
 from stream_mwm.report import RUN_CSV_HEADER
@@ -277,8 +277,7 @@ ER_10 = ["run", "--gen", "er", "--n", "10", "--p", "0.5", "--seed", "7"]
 
 
 def test_run_exit_1_when_the_oracle_beats_the_bound(monkeypatch, capsys):
-    heavy = Matching.of([WeightedEdge(0, 1, I64_MAX)])
-    monkeypatch.setattr(cli, "exact_mwm", lambda g: heavy)
+    monkeypatch.setattr(cli, "optimum_weight", lambda g: I64_MAX)
     assert main(ER_10 + ["--oracle"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "stream-mwm: approximation ratio violated\n"

@@ -2,6 +2,7 @@
 for `run` and for `bench`, not a traceback; a tiny epsilon that double
 precision can still tell from zero runs, and promptly."""
 
+import io
 import json
 import time
 from fractions import Fraction
@@ -41,3 +42,34 @@ def test_run_tiny_epsilon_returns_within_a_second(eps, capsys):
     report = json.loads(captured.out)
     assert report["epsilon"] == str(Fraction(eps))
     assert report["queue_cap"] > 10**8
+
+
+@pytest.mark.parametrize("alg", ["semi", "simple", "greedy", "exact"])
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        ("0", "epsilon must be positive, got 0"),
+        ("-1/2", "epsilon must be positive, got -1/2"),
+        ("6", "epsilon must be below 6, got 6"),
+        ("7", "epsilon must be below 6, got 7"),
+        ("1e-17", "epsilon 1/100000000000000000 is too small"),
+    ],
+)
+def test_every_alg_refuses_the_epsilons_the_engine_refuses(
+    alg, eps, message, monkeypatch, capsys
+):
+    # The body's self-loop is never read: epsilon is refused before it.
+    monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 4 2\n0 1 5\n2 2 3\n"))
+    assert main(["run", "--input", "-", "--alg", alg, f"--eps={eps}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"stream-mwm: error: {message}")
+
+
+@pytest.mark.parametrize("alg", ["simple", "greedy", "exact"])
+def test_the_baselines_check_no_node_count(alg, monkeypatch, capsys):
+    # Only the engine needs n >= 2; the epsilon check does not add it.
+    monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 1 0\n"))
+    assert main(["run", "--input", "-", "--alg", alg, "--oracle"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["n"], report["output_weight"], report["ratio"]) == (1, 0, 1.0)

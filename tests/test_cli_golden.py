@@ -105,7 +105,7 @@ def matrix(paths):
         yield ["run"] + portable + flags, *run_cli(["run"] + real + flags)
 
 
-MATRIX_DIGEST = "7ce4531366c28ce58bc21fd9703c59de0ffbd3d1e4fdda635b3b1611a84a6800"
+MATRIX_DIGEST = "9f35181a4b38b89efb9e8a952fcfce9c4c11c9c374ae6fa0d706cbaa8cbb87a7"
 
 
 def test_run_matrix_digest(paths):
@@ -173,6 +173,11 @@ NAMED = {
     ),
     "n80-eps-7": (
         ["n80", "--eps", "7"], 2, "", "stream-mwm: error: epsilon must be below 6, got 7\n"
+    ),
+    # Every --alg refuses the epsilon the engine refuses, before the body.
+    "comments-greedy-eps-7": (
+        ["comments", "--alg", "greedy", "--eps", "7"], 2, "",
+        "stream-mwm: error: epsilon must be below 6, got 7\n",
     ),
 }
 

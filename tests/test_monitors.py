@@ -1,10 +1,9 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from stream_mwm.core import EdgeStream, Params, WeightedEdge, compute_params
+from stream_mwm.core import EdgeStream, Params, WeightedEdge, compute_params, is_heavy
 from stream_mwm.engine import run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
 from stream_mwm.monitors import (
@@ -64,7 +63,7 @@ def test_phi_growth_detects_frozen_potential():
     # The push of (1, 2) records its endpoints as they were before it: node
     # 1 at 5, where the push of (0, 1) left it, and node 2 at 0.
     frozen = [
-        replace(ev, phi_u=trace[0].phi_v, phi_v=0) if i == 1 else ev
+        ev._replace(phi_u=trace[0].phi_v, phi_v=0) if i == 1 else ev
         for i, ev in enumerate(trace)
     ]
     verdict = check_phi_growth(frozen, params)
@@ -85,7 +84,7 @@ def test_phi_growth_detects_frozen_potential():
 def test_replay_checks_require_snapshots(check):
     # Each replay check refuses a trace without endpoint potentials.
     trace, params = _traced_run(_two_push_stream(), 2)
-    stripped = [replace(ev, phi_u=None, phi_v=None) for ev in trace]
+    stripped = [ev._replace(phi_u=None, phi_v=None) for ev in trace]
     with pytest.raises(ValueError, match="lacks the endpoint potentials"):
         check(stripped, params)
 
@@ -148,10 +147,62 @@ def test_terminal_weights_detects_underreduced_light_edge():
     big = WeightedEdge(1, 2, 50)
     g = Graph(3, [WeightedEdge(0, 1, 5), big])
     corrupt = [
-        replace(ev, edge=big) if ev.kind == LIGHT else ev for ev in trace
+        ev._replace(edge=big) if ev.kind == LIGHT else ev for ev in trace
     ]
     verdict = check_terminal_weights(g, corrupt, params)
     assert not verdict.ok
+
+
+# At epsilon = 5/2, alpha**2 = 9/4, so alpha = 3/2 exactly and a weight of
+# 3 against a potential sum of 2 sits on the threshold, which is light.
+EPS_ALPHA_3_2 = Fraction(5, 2)
+
+
+@pytest.mark.parametrize(
+    "kind, w, reduced, phi, ok",
+    [
+        (LIGHT, 3, None, 1, True),  # w = alpha * 2: light, rightly dropped
+        (LIGHT, 4, None, 1, False),  # w > alpha * 2: dropped but heavy
+        (PUSHED, 3, 1, 2, False),  # pre-push sum 2, w = alpha * 2: not heavy
+        (PUSHED, 4, 2, 3, True),  # pre-push sum 2, w > alpha * 2: heavy
+    ],
+    ids=["light-at-threshold", "light-above", "push-at-threshold", "push-above"],
+)
+def test_terminal_weights_count_equality_as_light(kind, w, reduced, phi, ok):
+    """The replay makes `is_heavy`'s test inline, ties included: a forged
+    one-edge trace passes exactly when `is_heavy` says it should."""
+    params = compute_params(2, EPS_ALPHA_3_2)
+    assert params.alpha_sq == Fraction(9, 4)
+    edge = WeightedEdge(0, 1, w)
+    pre_push_sum = 2
+    assert is_heavy(w, pre_push_sum, params) is (w == 4)
+    trace = [TraceEvent(kind, edge, reduced, phi, phi)]
+    verdict = check_terminal_weights(Graph(2, [edge]), trace, params)
+    assert verdict.ok is ok
+    assert verdict.checked == 1
+    assert verdict.event_index == (None if ok else 0)
+
+
+def test_trace_events_are_immutable_hashable_tuples():
+    ev = TraceEvent(LIGHT, WeightedEdge(0, 1, 3), None, 1, 1)
+    with pytest.raises(AttributeError):
+        ev.phi_u = 2
+    same = TraceEvent(LIGHT, WeightedEdge(0, 1, 3), None, 1, 1)
+    assert hash(ev) == hash(same) and len({ev, same}) == 1
+    assert ev._replace(phi_u=2) != ev and ev.phi_u == 1
+    evicted = TraceEvent(EVICTED, WeightedEdge(0, 1, 5), 5)
+    assert (evicted.phi_u, evicted.phi_v) == (None, None)
+    assert repr(evicted) == (
+        "TraceEvent(kind='evicted', edge=WeightedEdge(u=0, v=1, weight=5), "
+        "reduced_weight=5, phi_u=None, phi_v=None)"
+    )
+    # The engine builds its events with tuple.__new__; they are the same type.
+    trace = []
+    for _, stream, eps in _inputs():
+        trace += _traced_run(stream, eps)[0]
+    assert {type(ev) for ev in trace} == {TraceEvent}
+    assert {type(ev.edge) for ev in trace} == {WeightedEdge}
+    assert {ev.kind for ev in trace} == {LIGHT, PUSHED, EVICTED}
 
 
 def test_terminal_weights_detects_missing_edges():

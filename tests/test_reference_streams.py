@@ -9,7 +9,6 @@ memory first. `serialize_stream` must write a streamed file back byte for
 byte, and fail as the engine does on a body that does not match its header.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -107,7 +106,7 @@ def test_plain_tuples_give_the_same_failing_verdicts(name):
     kinds = [ev.kind for ev in events]
     pushed, light = kinds.index(PUSHED), kinds.index(LIGHT)
     ev = events[pushed]
-    bumped = replace(ev, reduced_weight=ev.reduced_weight + 1)
+    bumped = ev._replace(reduced_weight=ev.reduced_weight + 1)
     # A light edge made heavy in both the stream and the trace: its
     # recorded potentials no longer justify dropping it.
     big = WeightedEdge(events[light].edge.u, events[light].edge.v, 10**12)
@@ -118,7 +117,7 @@ def test_plain_tuples_give_the_same_failing_verdicts(name):
         "push": (stream, events[:pushed] + [bumped] + events[pushed + 1:]),
         "light": (
             EdgeStream(stream.n, edges),
-            events[:light] + [replace(events[light], edge=big)] + events[light + 1:],
+            events[:light] + [events[light]._replace(edge=big)] + events[light + 1:],
         ),
     }
     for kind, (g, corrupt) in cases.items():
