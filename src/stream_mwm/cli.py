@@ -7,11 +7,12 @@ and emit the report. Every solver, the engine and the three reference
 ones alike, reads its input once, in order, so a file is parsed as it
 runs; it is read into memory only when a second step reads it again: the
 oracle, or the replay's `check_terminal_weights`. An exact run is its own
-oracle; for any other run the oracle is `optimum_weight`, which finds the
-optimum's weight alone. Every ``--alg`` refuses an epsilon that the engine
-refuses, before it reads an edge. Any I/O, parse, capacity or epsilon
-error along the way, or a node count too large to allocate, ends it with
-exit code 2.
+oracle, so it never copies its input; for any other run the oracle is
+`optimum_weight`, which finds the optimum's weight alone. Every ``--alg``
+refuses an epsilon that the engine refuses, checked once, after the input
+is opened and before it is copied or an edge is read. Any I/O, parse,
+capacity or epsilon error along the way, or a node count too large to
+allocate, ends it with exit code 2.
 ``bench`` runs each row as its own pass, in up to min(rows, CPUs) worker
 processes, and ends with exit code 2 on the same errors.
 
@@ -163,13 +164,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             stream = generate(_spec_from_args(args))
         n = stream.n
+        # The engine's epsilon rule holds for every --alg, before any edge
+        # is read.
+        eps = _check_epsilon(parse_epsilon(args.eps))
         oracle = args.oracle and stream.n <= EXACT_MAX_NODES
         # Only a semi run records a trace to replay. Every solver reads its
-        # input once, so a file is read into memory only for a second read.
+        # input once, and an exact run is its own oracle, so a file is read
+        # into memory only for a second read.
         replay = args.alg == "semi" and args.monitors and stream.m <= TRACE_MAX_EDGES
-        if source is not None and (oracle or replay):
-            stream = source.materialize()
-        eps = parse_epsilon(args.eps)
+        if source is not None and ((oracle and args.alg != "exact") or replay):
+            stream = EdgeStream.from_stream(source)
         if args.alg == "semi":
             matching, report = _run_semi(args, stream, eps, replay)
         else:
@@ -252,8 +256,6 @@ def _run_reference(
     solver = {"simple": mwm_simple, "greedy": greedy_sorted, "exact": exact_mwm}[
         args.alg
     ]
-    # The engine's epsilon rule holds for every --alg, before any edge is read.
-    _check_epsilon(eps)
     matching = solver(stream)
     report = RunReport(
         algorithm=args.alg,

@@ -94,10 +94,10 @@ class EdgeStream:
     order is the arrival order, ``m`` is ``len(edges)``, and an edge may
     be a `WeightedEdge` or a plain tuple. Every endpoint must be a valid
     index below ``n``; `streamio.open_edges` checks each edge when
-    `run_stream` reads it, and refuses a bad one by its line. A node pair
-    may repeat, in either orientation, as parallel edges. The sequential
-    reference solvers take an `EdgeStream` as their graph
-    (`reference.Graph` is another name for this class).
+    `run_stream` or an exact solver reads it, and refuses a bad one by its
+    line. A node pair may repeat, in either orientation, as parallel
+    edges. The sequential reference solvers take an `EdgeStream` as their
+    graph (`reference.Graph` is another name for this class).
     """
 
     n: int
@@ -110,7 +110,8 @@ class EdgeStream:
 
     @classmethod
     def from_stream(cls, stream: "EdgeStream") -> "EdgeStream":
-        """A copy of ``stream`` whose edges are read into a list."""
+        """A copy of ``stream`` whose edges are read into a list: the one
+        way to read a stream twice."""
         return cls(stream.n, list(stream.edges))
 
 

@@ -46,11 +46,12 @@ locals for the chunk, and takes the per-edge time samples and trace events
 itself. It checks nothing: every edge it gets is three exact ints,
 endpoints distinct and below n, weight in ``[0, 2^63-1]``, and `streamio`
 is the one module that checks them. `run_stream` has one feed, the
-columns of a `LazyEdgeStream`: `read_stream` parses a file into them, and
-`open_edges` cuts an in-memory `EdgeStream` into them, checking each edge
-by its own values alone, never by the pass state. Either names a bad edge
-by its line in the file format. `process_edge` is `check_edge` followed by
-the loop on a chunk of one.
+columns of `open_edges`, the one way to checked edges: it passes on a
+`LazyEdgeStream`, whose columns `read_stream` parses from a file, and cuts
+an in-memory `EdgeStream` into columns, checking each edge by its own
+values alone, never by the pass state. Either names a bad edge by its
+line in the file format. `process_edge` is `check_edge` followed by the
+loop on a chunk of one.
 
 A light edge, most of a typical stream, leaves nothing behind, and only a
 matched edge becomes a `WeightedEdge` (as do the edges of a trace and of
@@ -376,18 +377,17 @@ def run_stream(
 ) -> tuple[Matching, RunReport]:
     """Run the full pass over ``stream`` and build the run report.
 
-    An in-memory `EdgeStream` is opened with `open_edges`, so every stream
-    is a `LazyEdgeStream` whose checked columns are consumed once, in
-    order: one from `read_stream` is parsed as it runs. ``trace_sink``
-    receives the event trace, O(1) per event, and is limited to streams of
-    at most ``TRACE_MAX_EDGES`` edges, checked against ``stream.m`` before
-    any edge is read. With ``collect_timing`` each edge is timed with a
-    monotonic clock inside the pass (every 64th edge beyond the first
-    million, to keep the observer cheap).
+    ``stream`` is opened with `open_edges`, so its checked columns are
+    consumed once, in order: a `LazyEdgeStream` from `read_stream` is
+    parsed, and an in-memory `EdgeStream` checked, as the pass runs.
+    ``trace_sink`` receives the event trace, O(1) per event, and is
+    limited to streams of at most ``TRACE_MAX_EDGES`` edges, checked
+    against ``stream.m`` before any edge is read. With ``collect_timing``
+    each edge is timed with a monotonic clock inside the pass (every 64th
+    edge beyond the first million, to keep the observer cheap).
     """
     params = compute_params(stream.n, epsilon)
-    if not isinstance(stream, LazyEdgeStream):
-        stream = open_edges(stream)
+    stream = open_edges(stream)
     if trace_sink is not None and stream.m > TRACE_MAX_EDGES:
         raise ValueError(f"tracing is limited to m <= {TRACE_MAX_EDGES}")
     samples: list[int] | None = [] if collect_timing else None

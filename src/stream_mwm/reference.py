@@ -23,8 +23,10 @@ plain tuples, and a `LazyEdgeStream` parsed from a file as it is read are
 interchangeable. What a solver keeps is its own: `mwm_simple` its stack,
 `greedy_sorted` the sorted edge list, the exact ones one edge per node
 pair. Only the matched edges become `WeightedEdge`s. Repeated node pairs,
-in either orientation, are parallel edges. Every input boundary rejects
-self-loops, and the solvers assume there are none.
+in either orientation, are parallel edges. The exact solvers read their
+input through `streamio.open_edges`, so they refuse what the engine
+refuses, with the same `StreamFormatError`. The two baselines read it
+unchecked, and assume a valid stream.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from collections.abc import Sequence
 from operator import itemgetter
 
 from .core import CapacityError, EdgeStream, Matching, WeightedEdge, gc_paused
+from .streamio import open_edges
 
 __all__ = [
     "Graph",
@@ -99,8 +102,8 @@ def exact_mwm(g: EdgeStream) -> Matching:
     CLI's oracle gate where it was. Among all optimum matchings it returns
     the one whose sorted edge-index sequence is lexicographically smallest,
     a proper prefix counting as smaller than its extensions, which makes
-    the oracle reproducible. The edges must have no self-loops, which every
-    input boundary guarantees.
+    the oracle reproducible. A bad edge raises the engine's
+    `StreamFormatError`.
 
     - Parallel edges, in either orientation, collapse to one edge per node
       pair: the heaviest copy and, among copies of equal weight, the first.
@@ -152,11 +155,12 @@ def optimum_weight(g: EdgeStream) -> int:
 
 def _heaviest_copies(g: EdgeStream) -> list[tuple[int, int, int]]:
     """One edge per node pair, in input order: the heaviest copy, and among
-    copies of equal weight the first. Reads ``g.edges`` once."""
+    copies of equal weight the first. Reads ``g`` once, checked by
+    `open_edges`."""
     # pair -> (index, weight, edge) of its kept copy; a later copy replaces
     # it only if strictly heavier.
     kept: dict[tuple[int, int], tuple[int, int, tuple[int, int, int]]] = {}
-    for i, e in enumerate(g.edges):
+    for i, e in enumerate(open_edges(g).edges):
         u, v, w = e
         pair = (u, v) if u < v else (v, u)
         copy = kept.get(pair)

@@ -27,10 +27,10 @@ Any other block, or one that fails a bulk check, is split after each
 message is the same either way. `parse_stream` joins any iterable of lines,
 ``_CHUNK_LINES`` at a time, into blocks that take the same path.
 
-In-memory edge lists enter here too: `open_edges` opens an `EdgeStream`
-as a `LazyEdgeStream`, ``_CHUNK_EDGES`` edges a chunk. A chunk of plain
-ints gets one bulk check; any other chunk is checked edge by edge with
-`check_edge`, whose answer depends on the edge alone, and which turns
+In-memory edge lists enter here too: `open_edges` is the one way to
+checked edges. It hands a `LazyEdgeStream` on as it is and opens an
+`EdgeStream` as one, ``_CHUNK_EDGES`` edges a chunk, each edge checked
+with `check_edge`, whose answer depends on the edge alone, and which turns
 any int-like value (a bool, a numpy integer) into an exact ``int``.
 
 Every check of an edge lives here: endpoints below n and distinct, weight
@@ -38,8 +38,9 @@ in ``[0, 2^63-1]``, each an int, no more edges than declared. What passes
 is handed on as ``(us, vs, ws)`` int columns (`LazyEdgeStream.columns`),
 and the engine's pass runs over them without checking them again. Only
 the engine's matched edges become `WeightedEdge`s; `LazyEdgeStream.edges`
-reads the same columns as plain ``(u, v, w)`` triples, and `parse_stream`
-materializes the same parse into an `EdgeStream` of `WeightedEdge`s.
+reads the same columns as plain ``(u, v, w)`` triples, which
+`EdgeStream.from_stream` copies into a list, and `parse_stream` reads the
+same parse into an `EdgeStream` of `WeightedEdge`s.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import json
 import sys
 from functools import partial
-from itertools import chain, islice, starmap
+from itertools import chain, islice, repeat, starmap
 from operator import eq, index
 from typing import Iterable, Iterator, Sequence
 
@@ -92,10 +93,6 @@ class LazyEdgeStream:
         self.columns = columns
         self.edges: Iterator[Triple] = chain.from_iterable(starmap(zip, columns))
 
-    def materialize(self) -> EdgeStream:
-        """Read the rest of the input into an `EdgeStream` of `WeightedEdge`s."""
-        return EdgeStream(self.n, list(map(WeightedEdge._make, self.edges)))
-
     def close(self) -> None:
         self.columns.close()
 
@@ -132,60 +129,30 @@ def check_edge(edge: object, n: int) -> Triple:
         raise StreamFormatError(f"weight {w!r} is not an int") from None
 
 
-def open_edges(stream: EdgeStream) -> LazyEdgeStream:
-    """Open an in-memory edge list as a `LazyEdgeStream` whose columns check
-    the edges as they are consumed; a bad one is named by its line in the
-    file format, where line 1 is the header."""
-    columns = _edge_columns(stream.edges, stream.n)
-    return LazyEdgeStream(stream.n, stream.m, columns)
+def open_edges(stream: EdgeStream | LazyEdgeStream) -> LazyEdgeStream:
+    """The one way to checked edges: a `LazyEdgeStream` as it is, and an
+    in-memory edge list opened as one whose columns check the edges as they
+    are consumed; a bad one is named by its line in the file format, where
+    line 1 is the header."""
+    if isinstance(stream, LazyEdgeStream):
+        return stream
+    return LazyEdgeStream(stream.n, stream.m, _edge_columns(stream.edges, stream.n))
 
 
 def _edge_columns(edges: Iterable[object], n: int) -> Iterator[Columns]:
-    """The `Columns` of ``edges``, ``_CHUNK_EDGES`` at a time: a chunk that
-    fails `_checked_columns` is checked edge by edge with `check_edge`."""
+    """The `Columns` of ``edges``, ``_CHUNK_EDGES`` at a time, each edge
+    checked with `check_edge`."""
     it = iter(edges)
-    count = 0
+    lineno = 2
     for chunk in iter(lambda: list(islice(it, _CHUNK_EDGES)), []):
-        columns = _checked_columns(chunk, n)
-        if columns is None:
-            rows = []
-            for lineno, edge in enumerate(chunk, count + 2):
-                try:
-                    rows.append(check_edge(edge, n))
-                except StreamFormatError as exc:
-                    raise StreamFormatError(f"line {lineno}: {exc}") from None
-            columns = tuple(zip(*rows))
-        count += len(chunk)
-        yield columns
-
-
-def _checked_columns(chunk: list, n: int) -> Columns | None:
-    """The ``(us, vs, ws)`` columns of a chunk whose every edge is three
-    plain ints that pass `check_edge`, or None.
-
-    The test is stricter than `check_edge` (a bool, say, fails it), so a
-    chunk it refuses may still be accepted edge by edge.
-    """
-    try:
-        columns = tuple(zip(*chunk, strict=True))
-    except (TypeError, ValueError):
-        return None
-    if len(columns) != 3:
-        return None
-    us, vs, ws = columns
-    if set(map(type, chain(us, vs, ws))) != {int}:
-        return None
-    if (
-        min(us) < 0
-        or min(vs) < 0
-        or max(us) >= n
-        or max(vs) >= n
-        or min(ws) < 0
-        or max(ws) > I64_MAX
-        or any(map(eq, us, vs))
-    ):
-        return None
-    return us, vs, ws
+        rows: list[Triple] = []
+        try:
+            rows.extend(map(check_edge, chunk, repeat(n)))
+        except StreamFormatError as exc:
+            # extend keeps the rows checked before the bad edge.
+            raise StreamFormatError(f"line {lineno + len(rows)}: {exc}") from None
+        lineno += len(rows)
+        yield tuple(zip(*rows))
 
 
 def parse_stream(lines: Iterable[str]) -> EdgeStream:
@@ -195,7 +162,8 @@ def parse_stream(lines: Iterable[str]) -> EdgeStream:
     "\n" is dropped and any other becomes a space, which the parser reads
     as the same whitespace.
     """
-    return _open(_parse(_line_blocks(lines))).materialize()
+    stream = _open(_parse(_line_blocks(lines)))
+    return EdgeStream(stream.n, list(map(WeightedEdge._make, stream.edges)))
 
 
 def _line_blocks(lines: Iterable[str]) -> Iterator[str]:

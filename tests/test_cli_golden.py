@@ -105,7 +105,7 @@ def matrix(paths):
         yield ["run"] + portable + flags, *run_cli(["run"] + real + flags)
 
 
-MATRIX_DIGEST = "9f35181a4b38b89efb9e8a952fcfce9c4c11c9c374ae6fa0d706cbaa8cbb87a7"
+MATRIX_DIGEST = "22c99d0d8b5075067d983757a5aea57e4e3a0e09351d59d614d2d67dacd5db41"
 
 
 def test_run_matrix_digest(paths):
@@ -130,9 +130,9 @@ NAMED = {
     "comments-semi-oracle-monitors": (
         ["comments", "--oracle", "--monitors"], 0, COMMENTS_REPORT, ""
     ),
-    # A streamed run meets the bad line only when it reads it, so a bad
-    # --eps is reported first, for every --alg; a run that reads its input
-    # into memory (here for the oracle) meets the line first.
+    # A run meets the bad line only when it reads it, so a bad --eps is
+    # reported first, for every --alg, also when the input is read into
+    # memory (here for the oracle).
     "bad-line-semi-bad-eps": (
         ["bad-line", "--eps", "x"], 2, "",
         "stream-mwm: error: cannot parse epsilon 'x': "
@@ -145,7 +145,8 @@ NAMED = {
     ),
     "bad-line-greedy-oracle-bad-eps": (
         ["bad-line", "--alg", "greedy", "--oracle", "--eps", "x"], 2, "",
-        "stream-mwm: error: self-loop at line 3\n",
+        "stream-mwm: error: cannot parse epsilon 'x': "
+        "Invalid literal for Fraction: 'x'\n",
     ),
     "bad-line-semi": (
         ["bad-line"], 2, "", "stream-mwm: error: self-loop at line 3\n"

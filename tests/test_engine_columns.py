@@ -233,12 +233,12 @@ def test_a_bad_edge_in_a_later_chunk_is_named_by_its_line(kind, timed):
 
 
 class _Int(int):
-    """An int subclass: it fails the bulk check and passes `check_edge`."""
+    """An int subclass: `check_edge` hands it on as an exact int."""
 
 
 def test_a_chunk_that_fails_the_bulk_check_may_still_be_valid():
     # An int-subclass weight, a bool endpoint and a list for an edge pass
-    # check_edge, so their chunks run edge by edge to the same result.
+    # check_edge, so their chunks run to the same result.
     ints = [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5), WeightedEdge(1, 2, 9)]
     odd = [WeightedEdge(0, True, 5), (1, 2, _Int(5)), [1, 2, 9]]
     _, want = run_stream(EdgeStream(3, ints), 2)
@@ -288,8 +288,7 @@ def test_numpy_integers_are_read_as_exact_ints():
 
 @pytest.mark.parametrize("tag, stream, eps", STREAMS, ids=[t for t, _, _ in STREAMS])
 def test_int_subclass_weights_take_the_per_edge_path_to_the_same_pass(tag, stream, eps):
-    # No chunk of _Int weights passes the bulk check, so every edge goes
-    # through check_edge, which hands on exact ints.
+    # Every edge goes through check_edge, which hands on exact ints.
     wrapped = [(u, v, _Int(w)) for u, v, w in stream.edges]
     want_trace, got_trace = [], []
     want_matching, want = run_stream(stream, eps, trace_sink=want_trace)

@@ -5,7 +5,8 @@
 agree on the optimum's weight everywhere `exact_mwm` is defined: on the
 differential corpus of `exact_mwm`, on the inputs the ``verify-small``
 benchmark draws, and on parallel copies, ties, zero weights and empty
-graphs. Like every reader of a stream it reads its input once, in order.
+graphs. Like every reader of a stream it reads its input once, in order,
+and like the engine it refuses a bad edge.
 Past the 22-node cap, where `exact_mwm` refuses, networkx is the oracle.
 """
 
@@ -25,7 +26,8 @@ from test_reference_differential import (
     parallel_copies_stream,
 )
 
-from stream_mwm.core import I64_MAX, EdgeStream, WeightedEdge
+from stream_mwm.core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
+from stream_mwm.engine import run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 from stream_mwm.reference import EXACT_MAX_NODES, Graph, exact_mwm, optimum_weight
 from stream_mwm.streamio import read_stream, serialize_stream
@@ -156,6 +158,34 @@ def test_plain_tuples_and_a_streamed_file_are_read_once(seed, tmp_path):
     lazy = read_stream(str(path))
     assert optimum_weight(lazy) == want
     assert next(lazy.edges, None) is None  # the whole body was read
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (Graph(2, [(0, 1, -4)]), "line 2: weight -4 outside [0, 2^63-1]"),
+        (Graph(3, [(0, 0, 5), (1, 2, 3)]), "line 2: self-loop at node 0"),
+        (
+            Graph(3, [(1, 2, 3), (0, 3, 5)]),
+            "line 3: endpoint out of range for n=3: (0, 3)",
+        ),
+        (Graph(3, [(0, 1, 2**63)]), f"line 2: weight {2**63} outside [0, 2^63-1]"),
+        (Graph(3, [(0, 1, 5.0)]), "line 2: weight 5.0 is not an int"),
+    ],
+    ids=["negative", "self-loop", "out-of-range", "weight-2^63", "float"],
+)
+@pytest.mark.parametrize(
+    "solver",
+    [optimum_weight, exact_mwm, lambda g: run_stream(g, "1/2")],
+    ids=["optimum_weight", "exact_mwm", "run_stream"],
+)
+def test_the_oracle_refuses_what_the_engine_refuses(g, message, solver):
+    # The optimum of a graph with a negative edge is the empty matching;
+    # neither the weight -4 nor a matching that drops the self-loop is an
+    # answer: the exact solvers refuse the input as the engine does.
+    with pytest.raises(StreamFormatError) as info:
+        solver(g)
+    assert str(info.value) == message
 
 
 def test_weight_matches_networkx_beyond_the_cap():

@@ -238,4 +238,16 @@ def test_bare_lines_take_the_bulk_path(tmp_path, monkeypatch, make):
     monkeypatch.setattr(streamio, "_parse_lines", line_path)
     bare = parse_stream(text.splitlines())
     assert bare == parse_stream(text.splitlines(keepends=True))
-    assert bare == read_stream(str(path)).materialize() == make()
+    assert bare == EdgeStream.from_stream(read_stream(str(path))) == make()
+
+
+def test_open_edges_is_the_one_door_to_checked_edges(tmp_path):
+    # A stream read from a file is already checked and is handed on as it
+    # is; an in-memory list is opened as checked columns.
+    path = tmp_path / "s.mwm"
+    path.write_text("p mwm 3 2\n0 1 5\n1 2 8\n", encoding="utf-8")
+    lazy = read_stream(str(path))
+    assert streamio.open_edges(lazy) is lazy
+    opened = streamio.open_edges(EdgeStream(3, [(0, 1, True), (1, 2, 8)]))
+    assert (opened.n, opened.m) == (3, 2)
+    assert list(opened.columns) == [((0, 1), (1, 2), (1, 8))]
