@@ -39,19 +39,18 @@ most ``8 * queue_cap`` for every n from 2 to 10^6 and epsilon from 1/1000
 to 59/10 (the worst case is 64 against 8, at n = 2 and epsilon = 59/10),
 so the arena is at most ``4 * n * queue_cap`` rows of 32 bytes.
 
-The pass is one loop, `StreamingState.process_columns`, over a chunk of
-edges given as three columns ``(us, vs, ws)``: it holds the light filter,
-the push, the queue upkeep and the eviction, with the state bound to
-locals for the chunk, and takes the per-edge time samples and trace events
-itself. It checks nothing: every edge it gets is three exact ints,
-endpoints distinct and below n, weight in ``[0, 2^63-1]``, and `streamio`
-is the one module that checks them. `run_stream` has one feed, the
-columns of `open_edges`, the one way to checked edges: it passes on a
-`LazyEdgeStream`, whose columns `read_stream` parses from a file, and cuts
-an in-memory `EdgeStream` into columns, checking each edge by its own
-values alone, never by the pass state. Either names a bad edge by its
-line in the file format. `process_edge` is `check_edge` followed by the
-loop on a chunk of one.
+The pass is one loop, `StreamingState.process_edges`, over a chunk of
+``(u, v, w)`` edges: it holds the light filter, the push, the queue upkeep
+and the eviction, with the state bound to locals for the chunk, and takes
+the per-edge time samples and trace events itself. It checks nothing:
+every edge it gets is three exact ints, endpoints distinct and below n,
+weight in ``[0, 2^63-1]``, and `streamio` is the one module that checks
+them. `run_stream` has one feed, the chunks of `open_edges`, the one way
+to checked edges: it passes on a `LazyEdgeStream`, whose chunks
+`read_stream` parses from a file, and cuts an in-memory `EdgeStream` into
+chunks, checking each edge by its own values alone, never by the pass
+state. Either names a bad edge by its line in the file format.
+`process_edge` is `check_edge` followed by the loop on a chunk of one.
 
 A light edge, most of a typical stream, leaves nothing behind, and only a
 matched edge becomes a `WeightedEdge` (as do the edges of a trace and of
@@ -72,7 +71,7 @@ import time
 from array import array
 from fractions import Fraction
 from itertools import compress
-from typing import Sequence
+from typing import Iterable
 
 from .core import (
     EdgeStream,
@@ -106,7 +105,7 @@ _ROW_TYPECODE = "L" if array("L").itemsize == 8 else "Q"
 class StreamingState:
     """Mutable single-writer engine state for one pass.
 
-    ``process_edge`` and ``process_columns`` calls must arrive in stream
+    ``process_edge`` and ``process_edges`` calls must arrive in stream
     order; ``finalize`` consumes the state. Independent states are safe to
     run in parallel. ``trace`` receives one event per edge and eviction;
     ``samples`` receives the nanoseconds each edge took, for every edge up
@@ -170,20 +169,16 @@ class StreamingState:
 
         ``edge`` is any ``(u, v, w)`` triple that `check_edge` accepts; any
         other raises `StreamFormatError` and leaves the state untouched.
-        The checked edge goes through `process_columns` as a chunk of one.
+        The checked edge goes through `process_edges` as a chunk of one.
         """
-        u, v, w = check_edge(edge, self._n)
-        return self.process_columns((u,), (v,), (w,)) == 1
+        return self.process_edges((check_edge(edge, self._n),)) == 1
 
-    def process_columns(
-        self, us: Sequence[int], vs: Sequence[int], ws: Sequence[int]
-    ) -> int:
-        """Run the pass over a chunk of checked edges, given as columns, and
-        return how many of them were pushed.
+    def process_edges(self, edges: Iterable[tuple[int, int, int]]) -> int:
+        """Run the pass over a chunk of checked ``(u, v, w)`` edges, in
+        stream order, and return how many of them were pushed.
 
-        Edge i of the chunk is ``(us[i], vs[i], ws[i])``; edges arrive in
-        stream order. Every edge must be as `check_edge` returns it, three
-        exact ints: nothing here checks it again. An edge is light when
+        Every edge must be as `check_edge` returns it, three exact ints:
+        nothing here checks it again. An edge is light when
         its weight is at or below alpha times the endpoint potential sum,
         and leaves the state untouched. A heavy edge becomes the next arena
         row with reduced weight ``weight - (phi(u) + phi(v))``; note the
@@ -223,7 +218,7 @@ class StreamingState:
         growth_violations = stats.phi_growth_violations
         cap_violations = stats.queue_cap_violations
         try:
-            for u, v, w in zip(us, vs, ws):
+            for u, v, w in edges:
                 if timed:
                     # A sample runs from the start of its edge to the start
                     # of the next one, or to the end of the chunk.
@@ -377,7 +372,7 @@ def run_stream(
 ) -> tuple[Matching, RunReport]:
     """Run the full pass over ``stream`` and build the run report.
 
-    ``stream`` is opened with `open_edges`, so its checked columns are
+    ``stream`` is opened with `open_edges`, so its checked chunks are
     consumed once, in order: a `LazyEdgeStream` from `read_stream` is
     parsed, and an in-memory `EdgeStream` checked, as the pass runs.
     ``trace_sink`` receives the event trace, O(1) per event, and is
@@ -397,9 +392,9 @@ def run_stream(
     # one list of queue slots), so the cyclic collector could free nothing
     # and would only rescan the pass's short-lived containers.
     with gc_paused():
-        # The columns are checked, and raise unless they hold exactly m edges.
-        for us, vs, ws in stream.columns:
-            state.process_columns(us, vs, ws)
+        # The chunks are checked, and raise unless they hold exactly m edges.
+        for chunk in stream.chunks:
+            state.process_edges(chunk)
         matching, stats = state.finalize()
         # Freed while the collector is paused, the state is not rescanned
         # when it resumes.

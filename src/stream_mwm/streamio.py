@@ -33,14 +33,19 @@ checked edges. It hands a `LazyEdgeStream` on as it is and opens an
 with `check_edge`, whose answer depends on the edge alone, and which turns
 any int-like value (a bool, a numpy integer) into an exact ``int``.
 
-Every check of an edge lives here: endpoints below n and distinct, weight
-in ``[0, 2^63-1]``, each an int, no more edges than declared. What passes
-is handed on as ``(us, vs, ws)`` int columns (`LazyEdgeStream.columns`),
-and the engine's pass runs over them without checking them again. Only
-the engine's matched edges become `WeightedEdge`s; `LazyEdgeStream.edges`
-reads the same columns as plain ``(u, v, w)`` triples, which
-`EdgeStream.from_stream` copies into a list, and `parse_stream` reads the
-same parse into an `EdgeStream` of `WeightedEdge`s.
+Every check of an edge lives in `check_edge`: endpoints below n and
+distinct, weight in ``[0, 2^63-1]``, each an int. The parser adds only
+what the text needs (the header, three int fields a line, no more edges
+than declared); a body line's values go through `check_edge`, so a bad
+edge is named ``line N: ...`` in the same words from a file as from
+memory. The bulk path's ``max`` and ``eq`` tests only send a block to the
+line path. What passes is handed on as chunks of checked ``(u, v, w)``
+int triples (`LazyEdgeStream.chunks`), and the engine's pass runs over
+them without checking them again; `LazyEdgeStream.edges` reads the same
+triples one chunk after another. Only the engine's matched edges become
+`WeightedEdge`s; `EdgeStream.from_stream` copies the triples into a list,
+and `parse_stream` reads the same parse into an `EdgeStream` of
+`WeightedEdge`s.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ from __future__ import annotations
 import json
 import sys
 from functools import partial
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, repeat
 from operator import eq, index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
 
@@ -67,8 +72,6 @@ _CHUNK_EDGES = 1 << 9
 _SEPARATORS = str.maketrans("", "", "0123456789")
 
 Triple = tuple[int, int, int]
-#: A chunk of edges as ``(us, vs, ws)``: edge i is ``(us[i], vs[i], ws[i])``.
-Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 
 class LazyEdgeStream:
@@ -79,22 +82,22 @@ class LazyEdgeStream:
     ``edges``, read once, in arrival order, as plain ``(u, v, w)`` int
     triples. ``n`` and ``m`` come from the header, which is read when the
     stream is opened; the body must hold exactly ``m`` edges.
-    ``columns`` is a one-shot iterator of `Columns`, one per chunk of the
-    body, whose every edge is three ints already checked against the
+    ``chunks`` is a one-shot iterator of the body's chunks, each an
+    iterable of ``(u, v, w)`` triples of ints already checked against the
     header; ``edges`` reads the same chunks. Consume one or the other. A
     malformed body line raises `StreamFormatError` from the iteration, with
     the message `parse_stream` gives for it. The input file is closed when
     the chunks are exhausted or fail, or by `close`.
     """
 
-    def __init__(self, n: int, m: int, columns: Iterator[Columns]) -> None:
+    def __init__(self, n: int, m: int, chunks: Iterator[Iterable[Triple]]) -> None:
         self.n = n
         self.m = m
-        self.columns = columns
-        self.edges: Iterator[Triple] = chain.from_iterable(starmap(zip, columns))
+        self.chunks = chunks
+        self.edges: Iterator[Triple] = chain.from_iterable(chunks)
 
     def close(self) -> None:
-        self.columns.close()
+        self.chunks.close()
 
 
 def check_edge(edge: object, n: int) -> Triple:
@@ -131,17 +134,17 @@ def check_edge(edge: object, n: int) -> Triple:
 
 def open_edges(stream: EdgeStream | LazyEdgeStream) -> LazyEdgeStream:
     """The one way to checked edges: a `LazyEdgeStream` as it is, and an
-    in-memory edge list opened as one whose columns check the edges as they
+    in-memory edge list opened as one whose chunks check the edges as they
     are consumed; a bad one is named by its line in the file format, where
     line 1 is the header."""
     if isinstance(stream, LazyEdgeStream):
         return stream
-    return LazyEdgeStream(stream.n, stream.m, _edge_columns(stream.edges, stream.n))
+    return LazyEdgeStream(stream.n, stream.m, _edge_chunks(stream.edges, stream.n))
 
 
-def _edge_columns(edges: Iterable[object], n: int) -> Iterator[Columns]:
-    """The `Columns` of ``edges``, ``_CHUNK_EDGES`` at a time, each edge
-    checked with `check_edge`."""
+def _edge_chunks(edges: Iterable[object], n: int) -> Iterator[list[Triple]]:
+    """``edges``, ``_CHUNK_EDGES`` at a time, each edge checked with
+    `check_edge`."""
     it = iter(edges)
     lineno = 2
     for chunk in iter(lambda: list(islice(it, _CHUNK_EDGES)), []):
@@ -152,7 +155,7 @@ def _edge_columns(edges: Iterable[object], n: int) -> Iterator[Columns]:
             # extend keeps the rows checked before the bad edge.
             raise StreamFormatError(f"line {lineno + len(rows)}: {exc}") from None
         lineno += len(rows)
-        yield tuple(zip(*rows))
+        yield rows
 
 
 def parse_stream(lines: Iterable[str]) -> EdgeStream:
@@ -230,8 +233,8 @@ def _open(parser: Iterator) -> LazyEdgeStream:
 
 
 def _parse(blocks: Iterator[str]) -> Iterator:
-    """Yield the header's ``(n, m)``, then the checked `Columns` of
-    each block of whole body lines."""
+    """Yield the header's ``(n, m)``, then the checked ``(u, v, w)``
+    triples of each block of whole body lines."""
     n, declared_m, rest, lineno = _read_header(blocks)
     yield n, declared_m
     count = 0
@@ -241,13 +244,16 @@ def _parse(blocks: Iterator[str]) -> Iterator:
         columns = _bulk_columns(block, n, declared_m - count)
         if columns is None:
             lines = _lines(block)
-            columns = _parse_lines(lines, n, declared_m, count, lineno)
+            rows = _parse_lines(lines, n, declared_m, count, lineno)
             lineno += len(lines)
+            count += len(rows)
         else:
+            us, vs, ws = columns
+            rows = zip(us, vs, ws)
             # A canonical block is one edge per line.
-            lineno += len(columns[0])
-        count += len(columns[0])
-        yield columns
+            lineno += len(us)
+            count += len(us)
+        yield rows
     if count != declared_m:
         raise StreamFormatError(
             f"header declared {declared_m} edges but found {count} by line {lineno}"
@@ -281,9 +287,10 @@ def _read_header(blocks: Iterator[str]) -> tuple[int, int, str, int]:
     raise StreamFormatError("missing header 'p mwm <n> <m>'")
 
 
-def _bulk_columns(block: str, n: int, room: int) -> Columns | None:
-    """The `Columns` of a block of canonical edge lines that pass every
-    check, or None when the block needs the line-by-line parse."""
+def _bulk_columns(block: str, n: int, room: int) -> tuple[list[int], ...] | None:
+    """The ``(us, vs, ws)`` int columns of a block of canonical edge lines
+    that pass every check, or None when the block needs the line-by-line
+    parse, which names any fault."""
     # Without its digits a canonical line is two spaces and a newline. The
     # block must end in a newline: a last line of digits alone, unended,
     # adds no separator. The comparison also lets through a line with an
@@ -313,12 +320,10 @@ def _bulk_columns(block: str, n: int, room: int) -> Columns | None:
 
 def _parse_lines(
     lines: list[str], n: int, declared_m: int, count: int, lineno: int
-) -> Columns:
+) -> list[Triple]:
     """Parse body lines one by one; ``count`` edges and ``lineno`` lines
     precede them."""
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[int] = []
+    rows: list[Triple] = []
     for lineno, raw in enumerate(lines, start=lineno + 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -330,19 +335,12 @@ def _parse_lines(
             u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise StreamFormatError(f"malformed edge line at line {lineno}") from None
-        if count + len(us) >= declared_m:
+        if count + len(rows) >= declared_m:
             raise StreamFormatError(
                 f"more than the declared {declared_m} edges at line {lineno}"
             )
-        if not (0 <= u < n and 0 <= v < n):
-            raise StreamFormatError(f"endpoint out of range at line {lineno}")
-        if u == v:
-            raise StreamFormatError(f"self-loop at line {lineno}")
-        if w < 0:
-            raise StreamFormatError(f"negative weight at line {lineno}")
-        if w > I64_MAX:
-            raise StreamFormatError(f"weight exceeds 2^63-1 at line {lineno}")
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
-    return us, vs, ws
+        try:
+            rows.append(check_edge((u, v, w), n))
+        except StreamFormatError as exc:
+            raise StreamFormatError(f"line {lineno}: {exc}") from None
+    return rows

@@ -64,8 +64,8 @@ def _holds(weight: int, opt: int, bound: Fraction) -> bool:
 
 def _run_state(params, edges) -> int:
     state = StreamingState(params)
-    for e in edges:
-        state.process_edge(e)
+    # The corpus edges are WeightedEdges of ints, so they pass as one chunk.
+    state.process_edges(edges)
     matching, stats = state.finalize()
     assert stats.max_queue_len <= params.queue_cap
     assert stats.peak_live_entries <= params.n * params.queue_cap

@@ -258,7 +258,7 @@ def test_run_exit_2_on_missing_file(capsys):
 def test_run_exit_2_on_malformed_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 2 1\n0 0 3\n"))
     assert main(["run", "--input", "-"]) == 2
-    assert "self-loop at line 2" in capsys.readouterr().err
+    assert "line 2: self-loop at node 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alg", ["semi", "greedy", "simple"])

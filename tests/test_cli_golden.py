@@ -105,7 +105,7 @@ def matrix(paths):
         yield ["run"] + portable + flags, *run_cli(["run"] + real + flags)
 
 
-MATRIX_DIGEST = "22c99d0d8b5075067d983757a5aea57e4e3a0e09351d59d614d2d67dacd5db41"
+MATRIX_DIGEST = "4f73a1dab078e7c3f72bceeb93df3837583ced83c40770f5ead20f5a5a1d0953"
 
 
 def test_run_matrix_digest(paths):
@@ -149,7 +149,7 @@ NAMED = {
         "Invalid literal for Fraction: 'x'\n",
     ),
     "bad-line-semi": (
-        ["bad-line"], 2, "", "stream-mwm: error: self-loop at line 3\n"
+        ["bad-line"], 2, "", "stream-mwm: error: line 3: self-loop at node 2\n"
     ),
     "short-body-semi": (
         ["short-body"], 2, "",
@@ -157,7 +157,7 @@ NAMED = {
     ),
     "weight-2^63-semi-monitors": (
         ["weight-2^63", "--monitors"], 2, "",
-        "stream-mwm: error: weight exceeds 2^63-1 at line 3\n",
+        "stream-mwm: error: line 3: weight 9223372036854775808 outside [0, 2^63-1]\n",
     ),
     "n30-exact": (
         ["n30", "--alg", "exact"], 2, "",

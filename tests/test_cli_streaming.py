@@ -1,5 +1,5 @@
 """`run --input` streams the file through the engine: memory does not grow
-with the edge count, every edge passes through `process_columns`, a read that
+with the edge count, every edge passes through `process_edges`, a read that
 fails mid-run is an input error, and the file is closed in every case."""
 
 import builtins
@@ -62,24 +62,26 @@ def test_run_input_memory_is_flat_in_edge_count(tmp_path):
     assert peaks[1] < 1.25 * peaks[0], peaks
 
 
-def test_run_input_passes_every_edge_once_through_process_columns(tmp_path, monkeypatch):
+def test_run_input_passes_every_edge_once_through_process_edges(tmp_path, monkeypatch):
     # The per-layer light/push/evict figures of the benchmark's tracer must
-    # come from wrapping StreamingState.process_columns, the one entry into
+    # come from wrapping StreamingState.process_edges, the one entry into
     # the pass, like this: one call per chunk.
     counts = {"light": 0, "push": 0}
     evicted = 0
-    process_columns = StreamingState.process_columns
+    process_edges = StreamingState.process_edges
 
-    def bucketed(state, us, vs, ws):
+    def bucketed(state, edges):
         nonlocal evicted
+        # A chunk may be a one-shot iterator (a canonical block's zip).
+        edges = list(edges)
         before = state.stats.evictions_total
-        pushed = process_columns(state, us, vs, ws)
+        pushed = process_edges(state, edges)
         evicted += state.stats.evictions_total - before
         counts["push"] += pushed
-        counts["light"] += len(us) - pushed
+        counts["light"] += len(edges) - pushed
         return pushed
 
-    monkeypatch.setattr(StreamingState, "process_columns", bucketed)
+    monkeypatch.setattr(StreamingState, "process_edges", bucketed)
     chain = generate(GeneratorSpec(kind=GeneratorKind.GEOMETRIC_CHAIN, n=64))
     er = generate(GeneratorSpec(kind=GeneratorKind.ERDOS_RENYI, n=64, p=0.3, seed=4))
     path = tmp_path / "mixed.mwm"
@@ -149,7 +151,7 @@ def test_lazy_stream_closes_its_file(tmp_path, opened):
 
     path.write_text("p mwm 3 2\n0 1 5\n1 1 8\n")
     failing = read_stream(str(path))
-    with pytest.raises(StreamFormatError, match="self-loop at line 3"):
+    with pytest.raises(StreamFormatError, match="^line 3: self-loop at node 1$"):
         list(failing.edges)
     path.write_text("q mwm 3 2\n")
     with pytest.raises(StreamFormatError, match="expected header"):

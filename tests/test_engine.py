@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -5,6 +6,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from stream_mwm.core import (
 )
 from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
-from stream_mwm.monitors import EVICTED, PUSHED, check_ratio_bound
+from stream_mwm.monitors import EVICTED, LIGHT, PUSHED, MonitorStats, check_ratio_bound
 from stream_mwm.report import RunReport
 from stream_mwm.streamio import parse_stream, read_stream, serialize_stream
 
@@ -184,11 +186,11 @@ def test_the_unwind_takes_little_memory_beyond_the_pass():
     # the unwind peaked at about 1.9 times the state.
     n = 20_000
     spec = GeneratorSpec(kind=GeneratorKind.ERDOS_RENYI, n=n, p=16 / (n - 1), seed=1)
-    columns = tuple(zip(*generate(spec).edges))
+    edges = generate(spec).edges
     tracemalloc.start()
     try:
         state = StreamingState(compute_params(n, "1/2"))
-        state.process_columns(*columns)
+        state.process_edges(edges)
         end_of_pass = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         state.finalize()
@@ -433,39 +435,74 @@ def test_engine_invariants_on_random_streams(seed, eps):
     assert matching.total_weight * bound.numerator >= opt * bound.denominator
 
 
-def _naive_pass(params, edges):
-    """Textbook simulation of the pass: plain lists keyed by stack index."""
-    phi = [0] * params.n
-    stack = []  # [edge, alive]
-    queues = [[] for _ in range(params.n)]
+class _Naive(NamedTuple):
+    phi: list[int]
+    live: list[WeightedEdge]
+    chosen: list[WeightedEdge]  # the matching, sorted
+    queued: list[list[WeightedEdge]]
+    counters: dict[str, int]  # the `MonitorStats` fields
+    events: list[tuple]  # (kind, edge, reduced, phi_u, phi_v)
+
+
+def _naive_pass(params, edges, history=None):
+    """Textbook simulation of the pass over plain lists keyed by stack
+    index. An event's potentials are its endpoints' after the event.
+    ``history``, if given, receives a copy of the counters after each edge."""
+    n, cap = params.n, params.queue_cap
     p, q = params.alpha_sq.numerator, params.alpha_sq.denominator
+    phi = [0] * n
+    stack = []  # [edge, reduced, alive]
+    queues = [[] for _ in range(n)]
+    counters = dict.fromkeys((f.name for f in dataclasses.fields(MonitorStats)), 0)
+    events = []
+    live = 0
     for e in edges:
         s = phi[e.u] + phi[e.v]
         if q * e.weight * e.weight <= p * s * s:
-            continue
-        w = e.weight - s
-        idx = len(stack)
-        stack.append([e, True])
-        for x in (e.u, e.v):
-            phi[x] += w
-            queues[x].append(idx)
-        for x in (e.u, e.v):
-            if len(queues[x]) >= params.queue_cap:
-                victim = queues[x].pop(0)
-                stack[victim][1] = False
-                ve = stack[victim][0]
-                for y in (ve.u, ve.v):
-                    if victim in queues[y]:
-                        queues[y].remove(victim)
+            events.append((LIGHT, e, None, phi[e.u], phi[e.v]))
+        else:
+            reduced = e.weight - s
+            idx = len(stack)
+            stack.append([e, reduced, True])
+            for x in (e.u, e.v):
+                new = phi[x] + reduced
+                counters["phi_growth_violations"] += q * new * new < p * phi[x] * phi[x]
+                phi[x] = new
+                queues[x].append(idx)
+            counters["heavy_edges_total"] += 1
+            live += 1
+            counters["peak_live_entries"] = max(counters["peak_live_entries"], live)
+            lengths = [len(queues[e.u]), len(queues[e.v])]
+            counters["max_queue_len"] = max(counters["max_queue_len"], *lengths)
+            counters["queue_cap_violations"] += sum(length > cap for length in lengths)
+            events.append((PUSHED, e, reduced, phi[e.u], phi[e.v]))
+            for x in (e.u, e.v):
+                if len(queues[x]) >= cap:
+                    victim = queues[x].pop(0)
+                    stack[victim][2] = False
+                    live -= 1
+                    counters["evictions_total"] += 1
+                    ve, vr, _ = stack[victim]
+                    for y in (ve.u, ve.v):
+                        if victim in queues[y]:
+                            queues[y].remove(victim)
+                    events.append((EVICTED, ve, vr, None, None))
+        if history is not None:
+            history.append(dict(counters))
     matched = set()
     chosen = []
-    for e, alive in reversed(stack):
+    for e, _, alive in reversed(stack):
         if alive and e.u not in matched and e.v not in matched:
             matched.update((e.u, e.v))
             chosen.append(e)
-    live = [e for e, alive in stack if alive]
-    queued = [[stack[i][0] for i in queue] for queue in queues]
-    return phi, live, sorted(chosen), queued
+    return _Naive(
+        phi,
+        [e for e, _, alive in stack if alive],
+        sorted(chosen),
+        [[stack[i][0] for i in queue] for queue in queues],
+        counters,
+        events,
+    )
 
 
 def _assert_matches_naive(params, edges):
@@ -476,12 +513,12 @@ def _assert_matches_naive(params, edges):
     queued = [list(s._queue(x)) for x in range(params.n)]
     lengths = [s.queue_len(x) for x in range(params.n)]
     matching, _ = s.finalize()
-    phi, naive_live, naive_chosen, naive_queued = _naive_pass(params, edges)
-    assert list(s.phi) == phi
-    assert live == naive_live
-    assert queued == naive_queued
-    assert lengths == [len(q) for q in naive_queued]
-    assert matching.sorted_edges() == naive_chosen
+    naive = _naive_pass(params, edges)
+    assert list(s.phi) == naive.phi
+    assert live == naive.live
+    assert queued == naive.queued
+    assert lengths == [len(q) for q in naive.queued]
+    assert matching.sorted_edges() == naive.chosen
 
 
 @settings(max_examples=40, deadline=None)
@@ -584,7 +621,7 @@ def _assert_queues_match_naive_after_each_edge(params, edges):
     s = StreamingState(params)
     for i, e in enumerate(edges):
         assert s.process_edge(e)
-        naive_queued = _naive_pass(params, edges[: i + 1])[3]
+        naive_queued = _naive_pass(params, edges[: i + 1]).queued
         assert [s._queue(x) for x in range(params.n)] == naive_queued
         assert [s.queue_len(x) for x in range(params.n)] == [len(q) for q in naive_queued]
     _assert_matches_naive(params, edges)

@@ -1,4 +1,4 @@
-"""Differential tests of the column loop: `StreamingState.process_columns`,
+"""Differential tests of the pass loop: `StreamingState.process_edges`,
 fed a stream in chunks of any size, agrees with a textbook simulation of the
 pass on every counter, live edge, matching and trace event; and an in-memory
 stream whose bad edge sits in a later chunk fails with the message and line
@@ -24,7 +24,7 @@ from stream_mwm.core import (
     compute_params,
 )
 from stream_mwm.engine import StreamingState, run_stream
-from stream_mwm.monitors import EVICTED, LIGHT, PUSHED, MonitorStats
+from stream_mwm.monitors import EVICTED, PUSHED
 
 CHUNK_SIZES = [1, 2, 3, 7, 4096]
 
@@ -55,55 +55,6 @@ def _streams():
 STREAMS = list(_streams())
 
 
-def _naive_counters_and_events(params, edges, history=None):
-    """The `MonitorStats` counters and the pass events of a textbook pass
-    over plain lists; an event is ``(kind, edge, reduced, phi_u, phi_v)``,
-    with the endpoint potentials after the event. ``history``, if given,
-    receives a copy of the counters after each edge."""
-    n, cap = params.n, params.queue_cap
-    p, q = params.alpha_sq.numerator, params.alpha_sq.denominator
-    phi = [0] * n
-    stack = []  # [edge, reduced, alive]
-    queues = [[] for _ in range(n)]
-    counters = dict.fromkeys((f.name for f in dataclasses.fields(MonitorStats)), 0)
-    events = []
-    for e in edges:
-        s = phi[e.u] + phi[e.v]
-        if q * e.weight * e.weight <= p * s * s:
-            events.append((LIGHT, e, None, phi[e.u], phi[e.v]))
-            if history is not None:
-                history.append(dict(counters))
-            continue
-        reduced = e.weight - s
-        idx = len(stack)
-        stack.append([e, reduced, True])
-        for x in (e.u, e.v):
-            new = phi[x] + reduced
-            counters["phi_growth_violations"] += q * new * new < p * phi[x] * phi[x]
-            phi[x] = new
-            queues[x].append(idx)
-        counters["heavy_edges_total"] += 1
-        live = sum(alive for _, _, alive in stack)
-        counters["peak_live_entries"] = max(counters["peak_live_entries"], live)
-        lengths = [len(queues[e.u]), len(queues[e.v])]
-        counters["max_queue_len"] = max(counters["max_queue_len"], *lengths)
-        counters["queue_cap_violations"] += sum(length > cap for length in lengths)
-        events.append((PUSHED, e, reduced, phi[e.u], phi[e.v]))
-        for x in (e.u, e.v):
-            if len(queues[x]) >= cap:
-                victim = queues[x].pop(0)
-                stack[victim][2] = False
-                counters["evictions_total"] += 1
-                ve, vr, _ = stack[victim]
-                for y in (ve.u, ve.v):
-                    if victim in queues[y]:
-                        queues[y].remove(victim)
-                events.append((EVICTED, ve, vr, None, None))
-        if history is not None:
-            history.append(dict(counters))
-    return counters, events
-
-
 def _events(trace):
     return [
         (ev.kind, ev.edge, ev.reduced_weight, ev.phi_u, ev.phi_v) for ev in trace
@@ -115,8 +66,7 @@ def _run_in_chunks(params, edges, size):
     state = StreamingState(params, trace=trace)
     pushed = 0
     for start in range(0, len(edges), size):
-        us, vs, ws = (list(column) for column in zip(*edges[start : start + size]))
-        pushed += state.process_columns(us, vs, ws)
+        pushed += state.process_edges(edges[start : start + size])
     return state, trace, pushed
 
 
@@ -125,17 +75,17 @@ def _run_in_chunks(params, edges, size):
 def test_column_loop_matches_the_naive_pass_at_any_chunk_size(tag, stream, eps, size):
     params = compute_params(stream.n, eps)
     edges = list(stream.edges)
-    phi, live, chosen, _ = _naive_pass(params, edges)
-    counters, events = _naive_counters_and_events(params, edges)
+    naive = _naive_pass(params, edges)
+    counters, events = naive.counters, naive.events
 
     state, trace, pushed = _run_in_chunks(params, edges, size)
     assert dataclasses.asdict(state.stats) == counters
     assert pushed == counters["heavy_edges_total"]
-    assert list(state.phi) == phi
-    assert state.live_edges() == live
+    assert list(state.phi) == naive.phi
+    assert state.live_edges() == naive.live
     assert _events(trace) == events
     matching, stats = state.finalize()
-    assert matching.sorted_edges() == chosen
+    assert matching.sorted_edges() == naive.chosen
     assert stats is state.stats
 
     # run_stream cuts an in-memory stream into chunks of the same size.
@@ -158,11 +108,11 @@ def test_counters_match_the_naive_pass_after_every_chunk(tag, stream, eps, size)
     params = compute_params(stream.n, eps)
     edges = list(stream.edges)
     history = []
-    _naive_counters_and_events(params, edges, history)
+    _naive_pass(params, edges, history)
     state = StreamingState(params)
     for start in range(0, len(edges), size):
         chunk = edges[start : start + size]
-        state.process_columns(*(list(column) for column in zip(*chunk)))
+        state.process_edges(chunk)
         end = start + len(chunk)
         assert dataclasses.asdict(state.stats) == history[end - 1], end
 
@@ -188,7 +138,7 @@ def test_the_corpus_evicts_at_both_endpoints_of_one_push():
     # Evicting at u may shorten v's full queue, or leave it to evict too.
     both = 0
     for _, stream, eps in STREAMS:
-        _, events = _naive_counters_and_events(compute_params(stream.n, eps), stream.edges)
+        events = _naive_pass(compute_params(stream.n, eps), stream.edges).events
         kinds = [kind for kind, *_ in events]
         both += sum(
             kinds[i : i + 3] == [PUSHED, EVICTED, EVICTED] for i in range(len(kinds))
@@ -200,7 +150,7 @@ def test_the_corpus_evicts_in_many_streams():
     evicting = 0
     for _, stream, eps in STREAMS:
         params = compute_params(stream.n, eps)
-        counters, _ = _naive_counters_and_events(params, stream.edges)
+        counters = _naive_pass(params, stream.edges).counters
         evicting += counters["evictions_total"] > 0
     assert evicting >= 7
 

@@ -212,6 +212,22 @@ def test_terminal_weights_detects_missing_edges():
     assert not verdict.ok
 
 
+def test_terminal_weights_detects_swapped_edges():
+    # Two edges swapped keep the count: only comparing each stream edge with
+    # its trace event finds the fault, at the first swapped position.
+    edges = [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 8), WeightedEdge(2, 3, 4)]
+    trace, params = _traced_run(EdgeStream(4, edges), 2)
+    swapped = Graph(4, [edges[0], edges[2], edges[1]])
+    verdict = check_terminal_weights(swapped, trace, params)
+    assert verdict.ok is False
+    assert not verdict
+    assert (verdict.event_index, verdict.checked) == (1, 1)
+    assert verdict.detail == (
+        "trace edge WeightedEdge(u=1, v=2, weight=8) does not match "
+        "stream edge WeightedEdge(u=2, v=3, weight=4)"
+    )
+
+
 def test_ratio_bound_k_zero_is_two_alpha():
     params = compute_params(10, 2)
     assert check_ratio_bound(params, 0) == pytest.approx(2 * math.sqrt(2), rel=1e-12)

@@ -158,7 +158,7 @@ def test_a_streamed_file_reads_as_its_materialized_stream(name, stream_file):
     [
         ("p mwm 4 5\n0 1 5\n1 2 6\n2 3 7\n", "header declared 5 edges but found 3"),
         ("p mwm 4 1\n0 1 5\n1 2 6\n", "more than the declared 1 edges at line 3"),
-        ("p mwm 4 2\n0 1 5\n2 2 6\n", "self-loop at line 3"),
+        ("p mwm 4 2\n0 1 5\n2 2 6\n", "line 3: self-loop at node 2"),
     ],
     ids=["short", "long", "self-loop"],
 )

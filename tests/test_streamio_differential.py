@@ -16,7 +16,9 @@ from stream_mwm.streamio import parse_stream, read_stream
 
 
 def reference_parse_stream(lines):
-    """The line-by-line parser that the chunked one replaced, kept verbatim."""
+    """The line-by-line parser that the chunked one replaced, kept verbatim
+    but for the wording of a bad value, which is now `check_edge`'s behind
+    the line number."""
     n: int | None = None
     declared_m = 0
     edges: list[WeightedEdge] = []
@@ -51,13 +53,13 @@ def reference_parse_stream(lines):
                 f"more than the declared {declared_m} edges at line {lineno}"
             )
         if not (0 <= u < n and 0 <= v < n):
-            raise StreamFormatError(f"endpoint out of range at line {lineno}")
+            raise StreamFormatError(
+                f"line {lineno}: endpoint out of range for n={n}: ({u}, {v})"
+            )
         if u == v:
-            raise StreamFormatError(f"self-loop at line {lineno}")
-        if w < 0:
-            raise StreamFormatError(f"negative weight at line {lineno}")
-        if w > I64_MAX:
-            raise StreamFormatError(f"weight exceeds 2^63-1 at line {lineno}")
+            raise StreamFormatError(f"line {lineno}: self-loop at node {u}")
+        if not 0 <= w <= I64_MAX:
+            raise StreamFormatError(f"line {lineno}: weight {w} outside [0, 2^63-1]")
         edges.append(WeightedEdge(u, v, w))
     if n is None:
         raise StreamFormatError("missing header 'p mwm <n> <m>'")
@@ -226,8 +228,9 @@ def test_special_line_at_each_side_of_a_chunk_boundary(scratch_file, special, of
             _document([], spliced, 0, True), scratch_file
         )
         if special in FAULTS:
+            # Both faults here are bad values, named as check_edge names them.
             assert expected == ("error", expected[1])
-            assert expected[1].endswith(f"at line {boundary + offset}")
+            assert expected[1].startswith(f"line {boundary + offset}: ")
 
 
 @pytest.mark.parametrize("m_delta", [-1, 1])
