@@ -5,12 +5,12 @@ the oracle (n <= 22) and, for ``--alg semi``, the trace replay
 (m <= 100_000, a file's m taken from its header) apply, then run, check
 and emit the report. Every solver, the engine and the three reference
 ones alike, reads its input once, in order, so a file is parsed as it
-runs; it is read into memory only when a second step reads it again: the
-oracle, or the replay's `check_terminal_weights`. An exact run is its own
-oracle, so it never copies its input; for any other run the oracle is
-`optimum_weight`, which finds the optimum's weight alone. Every ``--alg``
-refuses an epsilon that the engine refuses, checked once, after the input
-is opened and before it is copied or an edge is read. Any I/O, parse,
+runs. A second step (the oracle, or the replay's
+`check_terminal_weights`) reads a file again, and reads stdin or a pipe,
+which can be read only once, from a copy. An exact run is its own oracle;
+any other run's oracle is `optimum_weight`, the optimum's weight alone.
+Every ``--alg`` refuses an epsilon that the engine refuses, checked once,
+after the input is opened and before an edge is read. Any I/O, parse,
 capacity or epsilon error along the way, or a node count too large to
 allocate, ends it with exit code 2.
 ``bench`` runs each row as its own pass, in up to min(rows, CPUs) worker
@@ -156,11 +156,10 @@ def _fail(message: str) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    source: LazyEdgeStream | None = None
     n = args.n
     try:
         if args.input is not None:
-            stream = source = read_stream(args.input)
+            stream = read_stream(args.input)
         else:
             stream = generate(_spec_from_args(args))
         n = stream.n
@@ -168,12 +167,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         # is read.
         eps = _check_epsilon(parse_epsilon(args.eps))
         oracle = args.oracle and stream.n <= EXACT_MAX_NODES
-        # Only a semi run records a trace to replay. Every solver reads its
-        # input once, and an exact run is its own oracle, so a file is read
-        # into memory only for a second read.
+        # Only a semi run records a trace to replay, and an exact run is its
+        # own oracle. A second step reads a one-shot input from a copy.
         replay = args.alg == "semi" and args.monitors and stream.m <= TRACE_MAX_EDGES
-        if source is not None and ((oracle and args.alg != "exact") or replay):
-            stream = EdgeStream.from_stream(source)
+        second_read = (oracle and args.alg != "exact") or replay
+        if second_read and isinstance(stream, LazyEdgeStream) and stream.one_shot:
+            stream = EdgeStream.from_stream(stream)
         if args.alg == "semi":
             matching, report = _run_semi(args, stream, eps, replay)
         else:
@@ -202,9 +201,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         # A MemoryError carries no message: name the size that did not fit.
         size = "the input" if n is None else f"a graph of {n} nodes"
         return _fail(f"out of memory for {size}")
-    finally:
-        if source is not None:
-            source.close()
 
     if violation:
         print("stream-mwm: approximation ratio violated", file=sys.stderr)

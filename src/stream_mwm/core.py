@@ -90,14 +90,12 @@ class EdgeStream:
     `monitors.check_terminal_weights`, `streamio.serialize_stream`) uses
     only ``n``, ``m`` and one read of ``edges``, in arrival order, each
     edge a ``(u, v, w)`` triple read by position, so an `EdgeStream` and a
-    `streamio.LazyEdgeStream` are interchangeable for them. Here the list
-    order is the arrival order, ``m`` is ``len(edges)``, and an edge may
-    be a `WeightedEdge` or a plain tuple. Every endpoint must be a valid
-    index below ``n``; `streamio.open_edges` checks each edge when
-    `run_stream` or an exact solver reads it, and refuses a bad one by its
-    line. A node pair may repeat, in either orientation, as parallel
-    edges. The sequential reference solvers take an `EdgeStream` as their
-    graph (`reference.Graph` is another name for this class).
+    `streamio.LazyEdgeStream`, which is read again for each reader, are
+    interchangeable for them. Here ``m`` is ``len(edges)``, and an edge
+    may be a `WeightedEdge` or a plain tuple; `streamio.open_edges` checks
+    each edge when `run_stream` or an exact solver reads it. A node pair
+    may repeat, in either orientation, as parallel edges.
+    `reference.Graph` is another name for this class.
     """
 
     n: int
@@ -111,7 +109,7 @@ class EdgeStream:
     @classmethod
     def from_stream(cls, stream: "EdgeStream") -> "EdgeStream":
         """A copy of ``stream`` whose edges are read into a list: the one
-        way to read a stream twice."""
+        copy of a stream, for an input that can be read only once."""
         return cls(stream.n, list(stream.edges))
 
 

@@ -45,18 +45,16 @@ and the eviction, with the state bound to locals for the chunk, and takes
 the per-edge time samples and trace events itself. It checks nothing:
 every edge it gets is three exact ints, endpoints distinct and below n,
 weight in ``[0, 2^63-1]``, and `streamio` is the one module that checks
-them. `run_stream` has one feed, the chunks of `open_edges`, the one way
-to checked edges: it passes on a `LazyEdgeStream`, whose chunks
-`read_stream` parses from a file, and cuts an in-memory `EdgeStream` into
-chunks, checking each edge by its own values alone, never by the pass
-state. Either names a bad edge by its line in the file format.
-`process_edge` is `check_edge` followed by the loop on a chunk of one.
+them. `run_stream` reads one `chunks()` of `open_edges`, the one way to
+checked edges: a file is parsed, and an in-memory `EdgeStream` checked
+edge by edge, as the pass runs, and either names a bad edge by its line in
+the file format. `process_edge` is `check_edge` followed by the loop on a
+chunk of one.
 
 A light edge, most of a typical stream, leaves nothing behind, and only a
 matched edge becomes a `WeightedEdge` (as do the edges of a trace and of
-`StreamingState.live_edges`). `run_stream` consumes the edges once, so a
-`LazyEdgeStream` is parsed as the pass runs, and it pauses the cyclic
-garbage collector for the pass, which makes no cycles.
+`StreamingState.live_edges`). `run_stream` pauses the cyclic garbage
+collector for the pass, which makes no cycles.
 
 Node potentials never exceed the largest edge weight seen, so they stay in
 64 bits: a push sets ``phi(x)`` to ``w - phi(other) <= w <= 2^63 - 1``, as
@@ -372,8 +370,7 @@ def run_stream(
 ) -> tuple[Matching, RunReport]:
     """Run the full pass over ``stream`` and build the run report.
 
-    ``stream`` is opened with `open_edges`, so its checked chunks are
-    consumed once, in order: a `LazyEdgeStream` from `read_stream` is
+    ``stream`` is read once, in order, through `open_edges`: a file is
     parsed, and an in-memory `EdgeStream` checked, as the pass runs.
     ``trace_sink`` receives the event trace, O(1) per event, and is
     limited to streams of at most ``TRACE_MAX_EDGES`` edges, checked
@@ -393,8 +390,9 @@ def run_stream(
     # and would only rescan the pass's short-lived containers.
     with gc_paused():
         # The chunks are checked, and raise unless they hold exactly m edges.
-        for chunk in stream.chunks:
+        for chunk in stream.chunks():
             state.process_edges(chunk)
+            del chunk  # the next chunk is parsed without this one
         matching, stats = state.finalize()
         # Freed while the collector is paused, the state is not rescanned
         # when it resumes.

@@ -9,9 +9,9 @@ most ``TRACE_MAX_EDGES`` edges. A trace records the pass only, in
 `NamedTuple`, as its `WeightedEdge` is, so the engine builds both with
 ``tuple.__new__`` directly, and a traced pass runs no Python-level
 constructor per event. The
-`check_*` functions are pure functions of a recorded trace;
-`check_terminal_weights` makes `core.is_heavy`'s exact integer test
-inline, with ``alpha_sq`` read once.
+`check_*` functions are pure functions of a recorded trace, and
+`check_terminal_weights` of the stream's second read as well; it makes
+`core.is_heavy`'s exact integer test inline, with ``alpha_sq`` read once.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def check_terminal_weights(
     classified under, and a pushed edge must have had its weight reduced
     to exactly zero (reduced weight equal to original weight minus the
     endpoint potentials before the push, and positive). ``g`` is read as
-    the engine reads a stream: ``m``, then ``edges`` once, in order, each
-    a ``(u, v, w)`` triple read by position.
+    the engine reads a stream, ``m`` and then one read of ``edges``; a
+    file stream opens its file again for it.
     """
     _require_snapshots(trace)
     processed = [ev for ev in trace if ev.kind in (LIGHT, PUSHED)]

@@ -16,17 +16,15 @@ algorithm has no size limit; `EXACT_MAX_NODES` only keeps `exact_mwm`'s
 cap and the CLI's oracle gate, and so every report and exit code, where
 the earlier exponential oracle put them.
 
-Every solver reads its input as the engine does: ``n``, then ``edges``
-once, in arrival order, each a ``(u, v, w)`` triple read by position. So
-an `EdgeStream` (`Graph` is another name for it), of `WeightedEdge`s or
-plain tuples, and a `LazyEdgeStream` parsed from a file as it is read are
-interchangeable. What a solver keeps is its own: `mwm_simple` its stack,
-`greedy_sorted` the sorted edge list, the exact ones one edge per node
-pair. Only the matched edges become `WeightedEdge`s. Repeated node pairs,
-in either orientation, are parallel edges. The exact solvers read their
-input through `streamio.open_edges`, so they refuse what the engine
-refuses, with the same `StreamFormatError`. The two baselines read it
-unchecked, and assume a valid stream.
+Every solver reads its input as the engine does: ``n``, then one read of
+``edges``, in arrival order, each a ``(u, v, w)`` triple read by position.
+So an `EdgeStream` (`Graph` is another name for it) and a `LazyEdgeStream`,
+which a file opens again for each read, are interchangeable. What a solver
+keeps is its own: `mwm_simple` its stack, `greedy_sorted` the sorted edge
+list, the exact ones one edge per node pair. Repeated node pairs, in
+either orientation, are parallel edges. The exact solvers read their input
+through `streamio.open_edges`, so they refuse what the engine refuses; the
+two baselines read it unchecked, and assume a valid stream.
 """
 
 from __future__ import annotations

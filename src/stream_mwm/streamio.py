@@ -11,51 +11,43 @@ The header declares the node count (needed before the first edge) and the
 edge count, which must match the body exactly. Blank lines and lines
 starting with ``c`` are ignored. Line order is arrival order.
 
-`read_stream` parses as the edges are consumed: it reads the header, then
-the body a block at a time (``_CHUNK_BYTES`` characters and the rest of
-the line they end in), so a run holds one block of input, not all m
-edges. A block made only of canonical lines (``<u> <v> <w>`` in ASCII
-digits, one space apart, newline-terminated) is converted to ints in one C
-call (a JSON array) and checked in bulk. The bulk check compares
-separators: the block must end in ``"\n"`` and, with its ASCII digits
-deleted, be ``"  \n"`` once per line. JSON then refuses what that lets
-through (an empty field, as in ``1  2``) as well as a leading zero. Beyond the columns it returns,
-the bulk path's transient memory is a constant multiple of the block (the
-JSON text and the list of its ints), so a run holds one block of input.
-Any other block, or one that fails a bulk check, is split after each
-``"\n"`` and parsed line by line, so every accepted input and every error
-message is the same either way. `parse_stream` joins any iterable of lines,
-``_CHUNK_LINES`` at a time, into blocks that take the same path.
-
-In-memory edge lists enter here too: `open_edges` is the one way to
-checked edges. It hands a `LazyEdgeStream` on as it is and opens an
-`EdgeStream` as one, ``_CHUNK_EDGES`` edges a chunk, each edge checked
-with `check_edge`, whose answer depends on the edge alone, and which turns
-any int-like value (a bool, a numpy integer) into an exact ``int``.
+A stream is a source that can be read again: each call of
+`LazyEdgeStream.chunks()` starts a fresh, checked, in-order read of
+``(u, v, w)`` int triples. `read_stream` reads a file's header when it
+opens it, and the first read goes on from there; a later read opens the
+file again. Stdin or a pipe can be read only once. A read takes the body a
+block at a time (``_CHUNK_BYTES`` characters and the rest of the line
+after them), so a run holds one block of input, not all m edges. A block
+of canonical lines (``<u> <v> <w>`` in ASCII digits, one space apart,
+newline-terminated) becomes ints in one C call (a JSON array) and is
+checked in bulk: without its digits it must be ``"  \n"`` once per line,
+and JSON refuses what that lets through (an empty field, ``1  2``) and a
+leading zero. Any other block, or one that fails a bulk check, is parsed
+line by line, so every accepted input and every error message is the same
+either way. `parse_stream` joins any iterable of lines into blocks that
+take the same path.
 
 Every check of an edge lives in `check_edge`: endpoints below n and
-distinct, weight in ``[0, 2^63-1]``, each an int. The parser adds only
-what the text needs (the header, three int fields a line, no more edges
-than declared); a body line's values go through `check_edge`, so a bad
-edge is named ``line N: ...`` in the same words from a file as from
-memory. The bulk path's ``max`` and ``eq`` tests only send a block to the
-line path. What passes is handed on as chunks of checked ``(u, v, w)``
-int triples (`LazyEdgeStream.chunks`), and the engine's pass runs over
-them without checking them again; `LazyEdgeStream.edges` reads the same
-triples one chunk after another. Only the engine's matched edges become
-`WeightedEdge`s; `EdgeStream.from_stream` copies the triples into a list,
-and `parse_stream` reads the same parse into an `EdgeStream` of
-`WeightedEdge`s.
+distinct, weight in ``[0, 2^63-1]``, each an int (a bool or a numpy integer
+becomes an exact ``int``). The parser adds only what the text needs (the
+header, three int fields a line, no more edges than declared), so a bad
+edge reads ``line N: ...`` from a file as from memory. `open_edges` is the
+one way to checked edges: it hands a `LazyEdgeStream` on as it is and
+opens an `EdgeStream` as one, whose reads check ``_CHUNK_EDGES`` edges a
+chunk. The engine's pass checks nothing again, and only its matched edges
+become `WeightedEdge`s. `EdgeStream.from_stream` copies one read.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
 from operator import eq, index
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
 
@@ -74,30 +66,27 @@ _SEPARATORS = str.maketrans("", "", "0123456789")
 Triple = tuple[int, int, int]
 
 
+@dataclass
 class LazyEdgeStream:
-    """A stream parsed as it is consumed.
+    """A stream parsed as it is read, which can be read again.
 
-    It offers the interface every reader of a stream uses, as an
-    `EdgeStream` does: ``n`` and ``m``, the node and edge counts, and
-    ``edges``, read once, in arrival order, as plain ``(u, v, w)`` int
-    triples. ``n`` and ``m`` come from the header, which is read when the
-    stream is opened; the body must hold exactly ``m`` edges.
-    ``chunks`` is a one-shot iterator of the body's chunks, each an
-    iterable of ``(u, v, w)`` triples of ints already checked against the
-    header; ``edges`` reads the same chunks. Consume one or the other. A
-    malformed body line raises `StreamFormatError` from the iteration, with
-    the message `parse_stream` gives for it. The input file is closed when
-    the chunks are exhausted or fail, or by `close`.
+    Like an `EdgeStream` it has ``n``, ``m`` (from the header; the body must
+    hold exactly ``m`` edges) and ``edges``, plain ``(u, v, w)`` int triples
+    in arrival order. Each call of ``chunks()`` starts a fresh read of the
+    body, as chunks of checked triples, and ``edges`` is one such read. A
+    malformed line raises `StreamFormatError` from the read, and each read
+    closes its own file. A ``one_shot`` input (stdin, a pipe) can be read
+    once; a second read raises ``ValueError``.
     """
 
-    def __init__(self, n: int, m: int, chunks: Iterator[Iterable[Triple]]) -> None:
-        self.n = n
-        self.m = m
-        self.chunks = chunks
-        self.edges: Iterator[Triple] = chain.from_iterable(chunks)
+    n: int
+    m: int
+    chunks: Callable[[], Iterator[Iterable[Triple]]]
+    one_shot: bool = False
 
-    def close(self) -> None:
-        self.chunks.close()
+    @property
+    def edges(self) -> Iterator[Triple]:
+        return chain.from_iterable(self.chunks())
 
 
 def check_edge(edge: object, n: int) -> Triple:
@@ -134,12 +123,12 @@ def check_edge(edge: object, n: int) -> Triple:
 
 def open_edges(stream: EdgeStream | LazyEdgeStream) -> LazyEdgeStream:
     """The one way to checked edges: a `LazyEdgeStream` as it is, and an
-    in-memory edge list opened as one whose chunks check the edges as they
-    are consumed; a bad one is named by its line in the file format, where
-    line 1 is the header."""
+    in-memory edge list as one whose reads check each edge, naming a bad
+    one by its line in the file format, where line 1 is the header."""
     if isinstance(stream, LazyEdgeStream):
         return stream
-    return LazyEdgeStream(stream.n, stream.m, _edge_chunks(stream.edges, stream.n))
+    chunks = partial(_edge_chunks, stream.edges, stream.n)
+    return LazyEdgeStream(stream.n, stream.m, chunks)
 
 
 def _edge_chunks(edges: Iterable[object], n: int) -> Iterator[list[Triple]]:
@@ -165,8 +154,9 @@ def parse_stream(lines: Iterable[str]) -> EdgeStream:
     "\n" is dropped and any other becomes a space, which the parser reads
     as the same whitespace.
     """
-    stream = _open(_parse(_line_blocks(lines)))
-    return EdgeStream(stream.n, list(map(WeightedEdge._make, stream.edges)))
+    parser = _parse(_line_blocks(lines))
+    n, _ = next(parser)
+    return EdgeStream(n, list(map(WeightedEdge._make, chain.from_iterable(parser))))
 
 
 def _line_blocks(lines: Iterable[str]) -> Iterator[str]:
@@ -193,13 +183,14 @@ def serialize_stream(stream: EdgeStream | LazyEdgeStream) -> str:
 
 
 def read_stream(path: str) -> LazyEdgeStream:
-    """Open a stream from a file path, or stdin when path is '-'.
-
-    The header is read now; the body is read as the stream is consumed.
-    """
+    """Open a stream from a file path, or stdin when path is '-'; read its
+    header now. A regular file is opened again for each read after the
+    first, and refused by `StreamFormatError` unless its header is as
+    before. Stdin and any other path (a FIFO, a pipe) are one-shot."""
     if path == "-":
-        return _open(_parse(_blocks(sys.stdin)))
-    return _open(_read_file(path))
+        return _open(_parse(_blocks(sys.stdin)), "stdin", None)
+    reopen = partial(_read_file, path) if os.path.isfile(path) else None
+    return _open(_read_file(path), path, reopen)
 
 
 def _read_file(path: str) -> Iterator:
@@ -209,12 +200,12 @@ def _read_file(path: str) -> Iterator:
 
 def _blocks(fp) -> Iterator[str]:
     """Read a text stream in blocks of whole lines: ``_CHUNK_BYTES``
-    characters, then the rest of the line they end in."""
+    characters, then the rest of the line after them."""
     # A text stream with the default newline handling (our files, stdin)
-    # ends each line at its one "\n", as readlines does.
+    # ends each line at its one "\n", as readlines does. Even after a "\n",
+    # readline makes a file's text wrapper drop its copies of the block.
     for block in iter(partial(fp.read, _CHUNK_BYTES), ""):
-        if block[-1] != "\n":
-            block += fp.readline()
+        block += fp.readline()
         yield block
 
 
@@ -227,9 +218,27 @@ def _lines(block: str) -> list[str]:
     return lines
 
 
-def _open(parser: Iterator) -> LazyEdgeStream:
-    # The parser's first item is the header's ``(n, m)``.
-    return LazyEdgeStream(*next(parser), parser)
+def _open(parser: Iterator, name: str, reopen: Callable | None) -> LazyEdgeStream:
+    """The stream whose first read goes on from ``parser``, past the header's
+    ``(n, m)``; ``reopen``, if any, starts each later read."""
+    header = next(parser)
+    first = [parser]
+
+    def read() -> Iterator:
+        if first:
+            return first.pop()
+        if reopen is None:
+            raise ValueError(f"{name} can be read only once")
+        again = reopen()
+        try:
+            if next(again) == header:
+                return again
+        except StreamFormatError:
+            pass
+        again.close()
+        raise StreamFormatError(f"{name}: header changed since the first read")
+
+    return LazyEdgeStream(*header, read, one_shot=reopen is None)
 
 
 def _parse(blocks: Iterator[str]) -> Iterator:
@@ -248,12 +257,13 @@ def _parse(blocks: Iterator[str]) -> Iterator:
             lineno += len(lines)
             count += len(rows)
         else:
-            us, vs, ws = columns
-            rows = zip(us, vs, ws)
+            rows = zip(*columns)
             # A canonical block is one edge per line.
-            lineno += len(us)
-            count += len(us)
+            lineno += len(columns[0])
+            count += len(columns[0])
         yield rows
+        # The next block is read and parsed without this one's rows.
+        del rows, columns
     if count != declared_m:
         raise StreamFormatError(
             f"header declared {declared_m} edges but found {count} by line {lineno}"

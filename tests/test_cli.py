@@ -156,17 +156,22 @@ def test_reference_runs_stream_a_file(
 
 
 @pytest.mark.parametrize(
-    "flags, copies",
+    "stdin, flags, copies",
     [
-        pytest.param(["--alg", "simple", "--oracle"], 1, id="alg-simple-oracle"),
-        # An exact run is its own oracle: nothing reads the file again.
-        pytest.param(["--alg", "exact", "--oracle"], 0, id="alg-exact-oracle"),
-        pytest.param(["--alg", "semi", "--oracle"], 1, id="alg-semi-oracle"),
-        pytest.param(["--alg", "semi", "--monitors"], 1, id="alg-semi-monitors"),
+        # A second step reads a file again and never copies it.
+        pytest.param(False, ["--alg", "simple", "--oracle"], 0, id="alg-simple-oracle"),
+        pytest.param(False, ["--alg", "exact", "--oracle"], 0, id="alg-exact-oracle"),
+        pytest.param(False, ["--alg", "semi", "--oracle"], 0, id="alg-semi-oracle"),
+        pytest.param(False, ["--alg", "semi", "--monitors"], 0, id="alg-semi-monitors"),
+        # Stdin can be read once: a second step reads a copy. An exact run
+        # is its own oracle, so nothing reads stdin again.
+        pytest.param(True, ["--alg", "semi", "--oracle"], 1, id="stdin-semi-oracle"),
+        pytest.param(True, ["--alg", "semi", "--monitors"], 1, id="stdin-semi-monitors"),
+        pytest.param(True, ["--alg", "exact", "--oracle"], 0, id="stdin-exact-oracle"),
     ],
 )
 def test_a_second_read_materializes_the_file(
-    streamed_file, monkeypatch, capsys, flags, copies
+    streamed_file, monkeypatch, capsys, stdin, flags, copies
 ):
     calls = []
     from_stream = EdgeStream.from_stream
@@ -176,7 +181,12 @@ def test_a_second_read_materializes_the_file(
         return from_stream(stream)
 
     monkeypatch.setattr(EdgeStream, "from_stream", counted)
-    assert main(["run", "--input", streamed_file] + flags) == 0
+    source = streamed_file
+    if stdin:
+        with open(streamed_file, encoding="utf-8") as fp:
+            monkeypatch.setattr("sys.stdin", io.StringIO(fp.read()))
+        source = "-"
+    assert main(["run", "--input", source] + flags) == 0
     assert len(calls) == copies
     report = json.loads(capsys.readouterr().out)
     assert report["m"] == 7

@@ -1,6 +1,7 @@
 """`run --input` streams the file through the engine: memory does not grow
-with the edge count, every edge passes through `process_edges`, a read that
-fails mid-run is an input error, and the file is closed in every case."""
+with the edge count, with or without the oracle's second read, every edge
+passes through `process_edges`, a read that fails mid-run is an input
+error, and each read closes its file in every case."""
 
 import builtins
 import io
@@ -23,11 +24,11 @@ def _write_repeated(path, n, lines, repeats):
     path.write_text(f"p mwm {n} {len(lines) * repeats}\n{body}", encoding="utf-8")
 
 
-def _traced_run(path, out):
+def _traced_run(path, out, *flags):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        code = cli.main(["run", "--input", str(path), "--out", str(out)])
+        code = cli.main(["run", "--input", str(path), "--out", str(out), *flags])
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -56,6 +57,33 @@ def test_run_input_memory_is_flat_in_edge_count(tmp_path):
 
     assert [r["m"] for r in reports] == [8000, 64000]
     assert reports[0]["heavy_edges_k"] > 500
+    for r in reports:
+        del r["m"]
+    assert reports[0] == reports[1]
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def test_run_input_oracle_memory_is_flat_in_edge_count(tmp_path):
+    # The oracle reads the file a second time instead of a copy: the pass
+    # holds O(n * queue_cap) and the oracle one edge per node pair, so at 22
+    # nodes the peak does not grow with the repeats.
+    n = 22
+    rng = random.Random(2025)
+    lines = []
+    for _ in range(8000):
+        u, v = rng.sample(range(n), 2)
+        lines.append(f"{u} {v} {rng.randrange(1, 10**9)}\n")
+    peaks, reports = [], []
+    for repeats in (1, 8):
+        path = tmp_path / f"repeat{repeats}.mwm"
+        _write_repeated(path, n, lines, repeats)
+        out = tmp_path / f"report{repeats}.json"
+        peak, report = _traced_run(path, out, "--oracle")
+        peaks.append(peak)
+        reports.append(report)
+
+    assert [r["m"] for r in reports] == [8000, 64000]
+    assert reports[0]["oracle_weight"] > 0
     for r in reports:
         del r["m"]
     assert reports[0] == reports[1]
@@ -143,11 +171,16 @@ def test_lazy_stream_closes_its_file(tmp_path, opened):
     path = tmp_path / "s.mwm"
     path.write_text("p mwm 3 2\n0 1 5\n1 2 8\n")
 
-    exhausted = read_stream(str(path))
-    assert list(exhausted.edges) == [(0, 1, 5), (1, 2, 8)]
-    closed_early = read_stream(str(path))
-    closed_early.close()
-    assert len(opened) == 2 and all(fp.closed for fp in opened)
+    # The first read goes on from the header's open; each later read opens
+    # the file again, and each closes its own file at its end.
+    stream = read_stream(str(path))
+    assert len(opened) == 1 and not opened[0].closed
+    for reads in (1, 2):
+        assert list(stream.edges) == [(0, 1, 5), (1, 2, 8)]
+        assert len(opened) == reads and all(fp.closed for fp in opened)
+    # A read dropped before its end closes its file too.
+    next(iter(read_stream(str(path)).chunks()))
+    assert len(opened) == 3 and all(fp.closed for fp in opened)
 
     path.write_text("p mwm 3 2\n0 1 5\n1 1 8\n")
     failing = read_stream(str(path))
@@ -156,7 +189,7 @@ def test_lazy_stream_closes_its_file(tmp_path, opened):
     path.write_text("q mwm 3 2\n")
     with pytest.raises(StreamFormatError, match="expected header"):
         read_stream(str(path))
-    assert len(opened) == 4 and all(fp.closed for fp in opened)
+    assert len(opened) == 5 and all(fp.closed for fp in opened)
 
 
 def test_cli_closes_the_input_on_every_exit(tmp_path, opened):

@@ -272,12 +272,9 @@ def test_traced_run_over_a_lazy_stream_keeps_the_limits(tmp_path, n, m):
     path = tmp_path / "big.mwm"
     path.write_text(f"p mwm {n} {m}\n0 1 0\n0 0 0\n", encoding="utf-8")
     stream = read_stream(str(path))
-    try:
-        with pytest.raises(ValueError, match="tracing is limited"):
-            run_stream(stream, 2, trace_sink=[])
-        assert stream.m == m
-    finally:
-        stream.close()
+    with pytest.raises(ValueError, match="tracing is limited"):
+        run_stream(stream, 2, trace_sink=[])
+    assert stream.m == m
 
 
 def _chain(n, base=1.9):

@@ -1,6 +1,8 @@
 import io
+import os
 import random
 import re
+import threading
 import tracemalloc
 
 import pytest
@@ -254,4 +256,60 @@ def test_open_edges_is_the_one_door_to_checked_edges(tmp_path):
     assert streamio.open_edges(lazy) is lazy
     opened = streamio.open_edges(EdgeStream(3, [(0, 1, True), (1, 2, 8)]))
     assert (opened.n, opened.m) == (3, 2)
-    assert list(opened.chunks) == [[(0, 1, 1), (1, 2, 8)]]
+    assert list(opened.chunks()) == [[(0, 1, 1), (1, 2, 8)]]
+
+
+def test_each_read_of_a_stream_reads_it_again(tmp_path):
+    text = serialize_stream(_er_blocks())
+    path = tmp_path / "er.mwm"
+    path.write_text(text, encoding="utf-8")
+    lazy = read_stream(str(path))
+    want = [tuple(e) for e in _er_blocks().edges]
+    assert list(lazy.edges) == list(lazy.edges) == want
+    opened = streamio.open_edges(_er_blocks())
+    assert list(opened.edges) == list(opened.edges) == want
+
+
+def test_a_file_whose_header_changed_is_not_read_again(tmp_path):
+    path = tmp_path / "s.mwm"
+    path.write_text("p mwm 3 2\n0 1 5\n1 2 8\n", encoding="utf-8")
+    lazy = read_stream(str(path))
+    assert list(lazy.edges) == [(0, 1, 5), (1, 2, 8)]
+    for header in ("p mwm 4 2\n0 1 5\n1 2 8\n", "", "q mwm 3 2\n"):
+        path.write_text(header, encoding="utf-8")
+        with pytest.raises(StreamFormatError) as exc:
+            lazy.chunks()
+        assert str(exc.value) == f"{path}: header changed since the first read"
+
+
+def test_stdin_is_read_once(monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 3 2\n0 1 5\n1 2 8\n"))
+    lazy = read_stream("-")
+    assert list(lazy.edges) == [(0, 1, 5), (1, 2, 8)]
+    with pytest.raises(ValueError, match="^stdin can be read only once$"):
+        lazy.chunks()
+
+
+def test_only_a_regular_file_is_read_again(tmp_path, monkeypatch):
+    text = "p mwm 3 2\n0 1 5\n1 2 8\n"
+    path = tmp_path / "s.mwm"
+    path.write_text(text, encoding="utf-8")
+    assert read_stream(str(path)).one_shot is False
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert read_stream("-").one_shot is True
+
+    fifo = tmp_path / "s.fifo"
+    os.mkfifo(fifo)
+    # Opening a FIFO blocks until its other end is open, so a thread writes;
+    # a daemon, so that a failure here cannot leave it blocking the exit.
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    lazy = read_stream(str(fifo))
+    assert lazy.one_shot is True
+    assert list(lazy.edges) == [(0, 1, 5), (1, 2, 8)]
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    # Refused before the FIFO is opened again, which would block.
+    with pytest.raises(ValueError) as exc:
+        lazy.chunks()
+    assert str(exc.value) == f"{fifo} can be read only once"
