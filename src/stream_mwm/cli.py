@@ -1,13 +1,12 @@
 """Command-line surface: single runs and benchmark sweeps.
 
 ``run`` is one pipeline: read or generate the stream, decide once whether
-the oracle (n <= 22) and, for ``--alg semi``, the trace replay
-(m <= 100_000, a file's m taken from its header) apply, then run, check
-and emit the report. Every solver, the engine and the three reference
-ones alike, reads its input once, in order, so a file is parsed as it
-runs. A second step (the oracle, or the replay's
-`check_terminal_weights`) reads a file again, and reads stdin or a pipe,
-which can be read only once, from a copy. An exact run is its own oracle;
+the oracle (n <= 22) applies, then run, check and emit the report. Every
+solver, the engine and the three reference ones alike, reads its input
+once, in order, so a file is parsed as it runs. A second step (the
+oracle, or the second read of ``--alg semi --monitors``, which needs no
+trace at any m) reads a file again, and reads stdin or a pipe, which can
+be read only once, from a copy. An exact run is its own oracle;
 any other run's oracle is `optimum_weight`, the optimum's weight alone.
 Every ``--alg`` refuses an epsilon that the engine refuses, checked once,
 after the input is opened and before an edge is read. Any I/O, parse,
@@ -33,12 +32,14 @@ import random
 import sys
 from fractions import Fraction
 
-from .core import EdgeStream, Matching, _check_epsilon, compute_params, parse_epsilon
+from .core import EdgeStream, _check_epsilon, parse_epsilon
 from .engine import run_stream
 from .generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
-from .monitors import (
-    MonitorFailure,
-    TRACE_MAX_EDGES,
+
+# Unused here: `run_stream` calls these itself. They stay names of this
+# module, where perfbench's tracer looks up the calls it times.
+from .core import compute_params  # noqa: F401
+from .monitors import (  # noqa: F401
     check_eviction_gap,
     check_phi_growth,
     check_ratio_bound,
@@ -74,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument(
         "--gen", choices=[k.value for k in GeneratorKind], help="generate the stream"
     )
+    run.add_argument("--n", type=int, help="node count for --gen")
     _add_generator_flags(run)
     run.add_argument("--eps", default="1/2", help="epsilon as 'p/q' or decimal")
     run.add_argument(
@@ -87,14 +89,18 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--monitors",
         action="store_true",
-        help=f"replay the runtime checks on a recorded trace (m <= {TRACE_MAX_EDGES})",
+        help="check the pass's invariants (--alg semi; reads the input twice)",
     )
     run.add_argument("--timing", action="store_true", help="collect per-edge timings")
     run.add_argument("--report", choices=["json", "csv"], default="json")
     run.add_argument("--out", default="-", help="report destination ('-' = stdout)")
     run.set_defaults(func=cmd_run)
 
-    bench = sub.add_parser("bench", help="sweep generated streams, emit CSV rows")
+    # No abbreviations: "--n" would read as "--ns", and sweep a node count
+    # meant for `run`.
+    bench = sub.add_parser(
+        "bench", help="sweep generated streams, emit CSV rows", allow_abbrev=False
+    )
     bench.add_argument(
         "--gen", choices=[k.value for k in GeneratorKind], default="er"
     )
@@ -114,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, help="node count for --gen")
     sub.add_argument("--p", type=float, help="edge probability (er)")
     sub.add_argument("--wmax", type=int, default=1000, help="max edge weight")
     sub.add_argument("--seed", type=int, default=0)
@@ -167,16 +172,27 @@ def cmd_run(args: argparse.Namespace) -> int:
         # is read.
         eps = _check_epsilon(parse_epsilon(args.eps))
         oracle = args.oracle and stream.n <= EXACT_MAX_NODES
-        # Only a semi run records a trace to replay, and an exact run is its
-        # own oracle. A second step reads a one-shot input from a copy.
-        replay = args.alg == "semi" and args.monitors and stream.m <= TRACE_MAX_EDGES
-        second_read = (oracle and args.alg != "exact") or replay
+        # Only a semi run has monitors, and an exact run is its own oracle.
+        # A second step reads a one-shot input from a copy.
+        monitors = args.alg == "semi" and args.monitors
+        second_read = (oracle and args.alg != "exact") or monitors
         if second_read and isinstance(stream, LazyEdgeStream) and stream.one_shot:
             stream = EdgeStream.from_stream(stream)
         if args.alg == "semi":
-            matching, report = _run_semi(args, stream, eps, replay)
+            matching, report = run_stream(
+                stream, eps, monitors=monitors, collect_timing=args.timing
+            )
         else:
-            matching, report = _run_reference(args, stream, eps)
+            solver = {"simple": mwm_simple, "greedy": greedy_sorted, "exact": exact_mwm}
+            matching = solver[args.alg](stream)
+            report = RunReport(
+                algorithm=args.alg,
+                n=stream.n,
+                m=stream.m,
+                epsilon=str(eps),
+                output_weight=matching.total_weight,
+                ratio_bound=str(_GUARANTEE[args.alg]),
+            )
         violation = False
         if oracle:
             got = matching.total_weight
@@ -209,63 +225,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("stream-mwm: monitor failure", file=sys.stderr)
         return 3
     return 0
-
-
-def _run_semi(
-    args: argparse.Namespace,
-    stream: EdgeStream | LazyEdgeStream,
-    eps: Fraction,
-    replay: bool,
-) -> tuple[Matching, RunReport]:
-    trace = [] if replay else None
-    matching, report = run_stream(
-        stream, eps, trace_sink=trace, collect_timing=args.timing
-    )
-    if args.monitors:
-        params = compute_params(stream.n, eps)
-        if trace is None:
-            verdicts = dict.fromkeys(
-                ("phi_growth", "eviction_gap", "terminal_weights"), "skipped"
-            )
-        else:
-            verdicts = {
-                "phi_growth": _verdict(check_phi_growth(trace, params).ok),
-                "eviction_gap": _verdict(check_eviction_gap(trace, params).ok),
-                "terminal_weights": _verdict(
-                    check_terminal_weights(stream, trace, params).ok
-                ),
-            }
-        try:
-            check_ratio_bound(params, report.heavy_edges_k or 0)
-            verdicts["ratio_bound"] = "pass"
-        except MonitorFailure:
-            verdicts["ratio_bound"] = "fail"
-        report.monitor_verdicts = verdicts
-    return matching, report
-
-
-def _run_reference(
-    args: argparse.Namespace,
-    stream: EdgeStream | LazyEdgeStream,
-    eps: Fraction,
-) -> tuple[Matching, RunReport]:
-    solver = {"simple": mwm_simple, "greedy": greedy_sorted, "exact": exact_mwm}[
-        args.alg
-    ]
-    matching = solver(stream)
-    report = RunReport(
-        algorithm=args.alg,
-        n=stream.n,
-        m=stream.m,
-        epsilon=str(eps),
-        output_weight=matching.total_weight,
-        ratio_bound=str(_GUARANTEE[args.alg]),
-    )
-    return matching, report
-
-
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
 
 
 def _as_csv(rows: list[list[str]]) -> str:

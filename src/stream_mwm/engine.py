@@ -5,8 +5,7 @@ endpoint potentials (exact integer filter), heavy edges are pushed with
 their reduced weight and both potentials grow by that amount, and per-node
 FIFO queues cap how many live pushed edges any node may own. After the
 pass `Matching.greedy` unwinds the live pushed edges newest-first into the
-matching. A trace records the pass only: one ``light`` or ``pushed`` event
-per edge and one ``evicted`` event per eviction.
+matching.
 
 The push arena. Pushed edges live in an append-only arena of four unsigned
 64-bit ``array`` columns: row r holds the r-th pushed edge's u, v, w and
@@ -51,6 +50,13 @@ edge by edge, as the pass runs, and either names a bad edge by its line in
 the file format. `process_edge` is `check_edge` followed by the loop on a
 chunk of one.
 
+The loop counts, at O(1) a push, each potential that grows by less than
+alpha, each queue past its cap and each eviction short of its weight gap.
+`run_stream` with ``monitors`` reads the counts and then the stream once
+more, to run the filter and the pushes again against ``rows()`` and
+``phi``. It records no trace: the ``trace`` of `StreamingState` is a hook
+for tests.
+
 A light edge, most of a typical stream, leaves nothing behind, and only a
 matched edge becomes a `WeightedEdge` (as do the edges of a trace and of
 `StreamingState.live_edges`). `run_stream` pauses the cyclic garbage
@@ -59,8 +65,7 @@ collector for the pass, which makes no cycles.
 Node potentials never exceed the largest edge weight seen, so they stay in
 64 bits: a push sets ``phi(x)`` to ``w - phi(other) <= w <= 2^63 - 1``, as
 potentials are never negative. ``phi`` is therefore an ``array('q')``: 8
-bytes a node and no int object per potential. A trace event keeps only its
-edge's two endpoint potentials, so tracing costs O(1) per event at any n.
+bytes a node and no int object per potential.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ import time
 from array import array
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable
+from math import isclose
+from typing import Iterable, Iterator
 
 from .core import (
     EdgeStream,
@@ -81,11 +87,16 @@ from .core import (
 )
 from .monitors import (
     EVICTED,
+    GAP_REL_TOL,
     LIGHT as EV_LIGHT,
     PUSHED,
-    TRACE_MAX_EDGES,
+    MonitorFailure,
     MonitorStats,
     TraceEvent,
+    check_eviction_gap,
+    check_phi_growth,
+    check_ratio_bound,
+    check_terminal_weights,
 )
 from .report import RunReport, TimingStats
 from .streamio import LazyEdgeStream, check_edge, open_edges
@@ -139,6 +150,7 @@ class StreamingState:
         self._timed_edges = 0
         self._p = params.alpha_sq.numerator
         self._q = params.alpha_sq.denominator
+        self._gap = 2.0 * params.alpha * params.gamma
         self.stats = MonitorStats()
 
     @property
@@ -156,10 +168,14 @@ class StreamingState:
         rows = () if q is None else (q,) if type(q) is int else q
         return [(self._us[r], self._vs[r], self._ws[r]) for r in rows]
 
+    def rows(self) -> Iterator[tuple[int, int, int, int]]:
+        """The arena rows ``(u, v, w, reduced weight)`` in push order; an
+        evicted row has reduced weight 0."""
+        return zip(self._us, self._vs, self._ws, self._reduced)
+
     def live_edges(self) -> list[WeightedEdge]:
         """Live arena edges, oldest first (diagnostics and tests)."""
-        rows = zip(self._us, self._vs, self._ws)
-        return list(map(WeightedEdge._make, compress(rows, self._reduced)))
+        return [WeightedEdge(u, v, w) for u, v, w, reduced in self.rows() if reduced]
 
     def process_edge(self, edge: tuple[int, int, int]) -> bool:
         """Check one arriving edge, run the pass over it, and return whether
@@ -192,13 +208,10 @@ class StreamingState:
         arena_u, arena_v, arena_w, arena_r = self._us, self._vs, self._ws, self._reduced
         push_u, push_v = arena_u.append, arena_v.append
         push_w, push_r = arena_w.append, arena_r.append
-        p, q, cap = self._p, self._q, self._cap
+        p, q, cap, gap, tol = self._p, self._q, self._cap, self._gap, GAP_REL_TOL
         trace = self._trace
         if trace is not None:
-            # tuple.__new__ builds an event and its edge as Matching.greedy
-            # builds its edges: calling the classes, whose __new__ is Python
-            # code, about doubles the cost of an event.
-            record, new = trace.append, tuple.__new__
+            record = trace.append
         samples = self._samples
         timed = samples is not None
         if timed:
@@ -215,6 +228,7 @@ class StreamingState:
         longest_queue = stats.max_queue_len
         growth_violations = stats.phi_growth_violations
         cap_violations = stats.queue_cap_violations
+        gap_violations = stats.eviction_gap_violations
         try:
             for u, v, w in edges:
                 if timed:
@@ -235,9 +249,8 @@ class StreamingState:
                     w <= 2 * pot_sum and q * w * w <= p * pot_sum * pot_sum
                 ):
                     if trace is not None:
-                        record(new(TraceEvent, (
-                            EV_LIGHT, new(WeightedEdge, (u, v, w)), None, phi_u, phi_v
-                        )))
+                        edge = WeightedEdge(u, v, w)
+                        record(TraceEvent(EV_LIGHT, edge, None, phi_u, phi_v))
                     continue
 
                 push_w(w)
@@ -285,9 +298,8 @@ class StreamingState:
 
                 if trace is not None:
                     # Read back from the array: the event shows what was stored.
-                    record(new(TraceEvent, (
-                        PUSHED, new(WeightedEdge, (u, v, w)), reduced, phi[u], phi[v]
-                    )))
+                    edge = WeightedEdge(u, v, w)
+                    record(TraceEvent(PUSHED, edge, reduced, phi[u], phi[v]))
 
                 if longest >= cap:
                     # Queue-cap monitor: a queue may reach the cap, never
@@ -312,6 +324,11 @@ class StreamingState:
                         victim_reduced = arena_r[victim]
                         arena_r[victim] = 0
                         evicted += 1
+                        # Gap monitor: the push must outweigh its victim
+                        # by 2 * alpha * gamma, a real factor.
+                        need = gap * victim_reduced
+                        if reduced < need and not isclose(reduced, need, rel_tol=tol):
+                            gap_violations += 1
                         vu = arena_u[victim]
                         vv = arena_v[victim]
                         y = vv if vu == x else vu
@@ -321,11 +338,8 @@ class StreamingState:
                         else:
                             queues[y] = None
                         if trace is not None:
-                            record(new(TraceEvent, (
-                                EVICTED,
-                                new(WeightedEdge, (vu, vv, arena_w[victim])),
-                                victim_reduced, None, None,
-                            )))
+                            edge = WeightedEdge(vu, vv, arena_w[victim])
+                            record(TraceEvent(EVICTED, edge, victim_reduced))
         finally:
             if timed:
                 if start:
@@ -337,6 +351,7 @@ class StreamingState:
             stats.max_queue_len = longest_queue
             stats.phi_growth_violations = growth_violations
             stats.queue_cap_violations = cap_violations
+            stats.eviction_gap_violations = gap_violations
         return heavy - first_heavy
 
     def compact(self) -> None:
@@ -365,25 +380,24 @@ def run_stream(
     stream: EdgeStream | LazyEdgeStream,
     epsilon: Fraction | int | str,
     *,
-    trace_sink: list[TraceEvent] | None = None,
+    monitors: bool = False,
     collect_timing: bool = False,
 ) -> tuple[Matching, RunReport]:
     """Run the full pass over ``stream`` and build the run report.
 
     ``stream`` is read once, in order, through `open_edges`: a file is
-    parsed, and an in-memory `EdgeStream` checked, as the pass runs.
-    ``trace_sink`` receives the event trace, O(1) per event, and is
-    limited to streams of at most ``TRACE_MAX_EDGES`` edges, checked
-    against ``stream.m`` before any edge is read. With ``collect_timing``
-    each edge is timed with a monotonic clock inside the pass (every 64th
-    edge beyond the first million, to keep the observer cheap).
+    parsed, and an in-memory `EdgeStream` checked, as the pass runs. With
+    ``monitors`` the report gets all four ``monitor_verdicts``, from the
+    pass's counters and one more read of ``stream`` (which a one-shot
+    stream refuses), at any m and in O(n) more memory (see `monitors`).
+    With ``collect_timing`` each edge is timed with a monotonic clock inside
+    the pass (every 64th edge beyond the first million, to keep the
+    observer cheap).
     """
     params = compute_params(stream.n, epsilon)
     stream = open_edges(stream)
-    if trace_sink is not None and stream.m > TRACE_MAX_EDGES:
-        raise ValueError(f"tracing is limited to m <= {TRACE_MAX_EDGES}")
     samples: list[int] | None = [] if collect_timing else None
-    state = StreamingState(params, trace=trace_sink, samples=samples)
+    state = StreamingState(params, samples=samples)
 
     # A pass makes no reference cycles (the state is int arrays, ints and
     # one list of queue slots), so the cyclic collector could free nothing
@@ -394,6 +408,7 @@ def run_stream(
             state.process_edges(chunk)
             del chunk  # the next chunk is parsed without this one
         matching, stats = state.finalize()
+        verdicts = _monitor_verdicts(stream, state) if monitors else {}
         # Freed while the collector is paused, the state is not rescanned
         # when it resumes.
         del state
@@ -411,5 +426,25 @@ def run_stream(
         max_queue_len=stats.max_queue_len,
         evictions_total=stats.evictions_total,
         per_edge_ns=TimingStats.from_samples(samples) if samples else None,
+        monitor_verdicts=verdicts,
     )
     return matching, report
+
+
+def _monitor_verdicts(stream: LazyEdgeStream, state: StreamingState) -> dict[str, str]:
+    """The four verdicts on a finalized pass over ``stream``."""
+    params, stats = state.params, state.stats
+    rows, phi = state.rows(), state.phi
+    try:
+        check_ratio_bound(params, stats.heavy_edges_total)
+    except MonitorFailure:
+        ratio_ok = False
+    else:
+        ratio_ok = True
+    ok = {
+        "phi_growth": check_phi_growth(stats).ok,
+        "eviction_gap": check_eviction_gap(stats).ok,
+        "terminal_weights": check_terminal_weights(stream, stream.m, rows, phi, params).ok,
+        "ratio_bound": ratio_ok,
+    }
+    return {name: "pass" if passed else "fail" for name, passed in ok.items()}

@@ -1,30 +1,27 @@
-"""Runtime monitors: per-run counters and trace-replay checks.
+"""Runtime monitors: per-run counters and the checks that read them.
 
-The engine always maintains the cheap integer counters in `MonitorStats`.
-A trace is O(1) per event, as each event keeps only its edge's two
-endpoint potentials, so it may be recorded at any n for a stream of at
-most ``TRACE_MAX_EDGES`` edges. A trace records the pass only, in
-``light``, ``pushed`` and ``evicted`` events; the matching that
-`StreamingState.finalize` returns is not traced. A `TraceEvent` is a
-`NamedTuple`, as its `WeightedEdge` is, so the engine builds both with
-``tuple.__new__`` directly, and a traced pass runs no Python-level
-constructor per event. The
-`check_*` functions are pure functions of a recorded trace, and
-`check_terminal_weights` of the stream's second read as well; it makes
-`core.is_heavy`'s exact integer test inline, with ``alpha_sq`` read once.
+The engine counts, at O(1) a push, each invariant it breaks: a potential
+grown by less than alpha, an eviction short of its weight gap, a queue
+past its cap (`MonitorStats`). After the pass, `engine.run_stream` turns
+the counts into verdicts at any m, with no trace: `check_phi_growth` and
+`check_eviction_gap` read them, `check_terminal_weights` runs the filter
+and the pushes again on a second read of the stream, and
+`check_ratio_bound` evaluates the approximation factor. A `TraceEvent`
+list, one event per edge and eviction, is a test hook of
+`engine.StreamingState` that no check reads.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import EdgeStream, Params, WeightedEdge
 
 __all__ = [
-    "TRACE_MAX_EDGES",
     "LIGHT",
     "PUSHED",
     "EVICTED",
@@ -38,17 +35,14 @@ __all__ = [
     "check_ratio_bound",
 ]
 
-#: The longest stream that may be traced: a trace holds one event per edge
-#: and eviction.
-TRACE_MAX_EDGES = 100_000
-
 # Trace event kinds.
 LIGHT = "light"
 PUSHED = "pushed"
 EVICTED = "evicted"
 
-#: Relative tolerance for checks that involve the real factor 2*alpha*gamma.
-_GAP_REL_TOL = 1e-6
+#: Relative tolerance of the eviction gap test, whose factor
+#: 2*alpha*gamma is real.
+GAP_REL_TOL = 1e-6
 
 
 @dataclass(slots=True)
@@ -56,8 +50,8 @@ class MonitorStats:
     """O(1)-space counters kept by the engine at any scale.
 
     ``heavy_edges_total`` counts the heavy (pushed) edges so far; it feeds
-    no engine decision and is the ``k`` of the ratio-bound check. Both
-    violation counters stay zero on a correct engine.
+    no engine decision and is the ``k`` of the ratio-bound check. The
+    three violation counters stay zero on a correct engine.
     """
 
     peak_live_entries: int = 0
@@ -66,6 +60,7 @@ class MonitorStats:
     queue_cap_violations: int = 0
     max_queue_len: int = 0
     evictions_total: int = 0
+    eviction_gap_violations: int = 0
 
 
 class TraceEvent(NamedTuple):
@@ -73,10 +68,8 @@ class TraceEvent(NamedTuple):
 
     ``phi_u`` and ``phi_v`` are the potentials of ``edge.u`` and ``edge.v``
     after the event took effect (None for an eviction); ``reduced_weight``
-    is set for pushes and evictions. A tuple, like `WeightedEdge`: an
-    event is immutable and hashable, and the engine builds one with
-    ``tuple.__new__``, not through the class's Python-level ``__new__``.
-    ``_replace`` gives a changed copy.
+    is set for pushes and evictions. Immutable and hashable, like
+    `WeightedEdge`.
     """
 
     kind: str
@@ -88,7 +81,8 @@ class TraceEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class CheckVerdict:
-    """Outcome of a trace check: pass/fail plus the first offending event."""
+    """Outcome of a check: pass/fail, how much it checked and, for the
+    second read, the index of the first offending edge."""
 
     ok: bool
     checked: int = 0
@@ -103,141 +97,86 @@ class MonitorFailure(RuntimeError):
     """A monitored arithmetic bound did not hold."""
 
 
-def _require_snapshots(trace: Sequence[TraceEvent]) -> None:
-    for ev in trace:
-        if ev.kind in (LIGHT, PUSHED) and (ev.phi_u is None or ev.phi_v is None):
-            raise ValueError("trace lacks the endpoint potentials of an edge")
+def check_phi_growth(stats: MonitorStats) -> CheckVerdict:
+    """Verify that every push grew both endpoint potentials by at least
+    alpha, which the pass tests exactly (``q * new**2 >= p * old**2``,
+    ``alpha_sq = p/q``), counting each failure in ``phi_growth_violations``.
+    Chaining the per-push factor covers any two pushes at a node."""
+    return _counted(
+        stats.phi_growth_violations, stats.heavy_edges_total,
+        "pushes grew a potential below the alpha factor",
+    )
 
 
-def check_phi_growth(trace: Sequence[TraceEvent], params: Params) -> CheckVerdict:
-    """Verify the geometric growth of node potentials.
-
-    Every push at a node must multiply that node's potential by at least
-    alpha. With ``alpha_sq = p/q`` this is the exact integer comparison
-    ``q * phi_new**2 >= p * phi_old**2``, applied to the potentials recorded
-    at each consecutive pair of pushes per node; chaining the per-push factor
-    covers arbitrary pairs of heavy edges at the node.
-    """
-    _require_snapshots(trace)
-    p = params.alpha_sq.numerator
-    q = params.alpha_sq.denominator
-    last_phi: dict[int, int] = {}
-    checked = 0
-    for i, ev in enumerate(trace):
-        if ev.kind != PUSHED:
-            continue
-        for node, new in ((ev.edge.u, ev.phi_u), (ev.edge.v, ev.phi_v)):
-            old = last_phi.get(node)
-            if old is not None:
-                checked += 1
-                if q * new * new < p * old * old:
-                    return CheckVerdict(
-                        ok=False,
-                        checked=checked,
-                        event_index=i,
-                        detail=f"potential at node {node} grew {old} -> {new}, "
-                        f"below the alpha factor",
-                    )
-            last_phi[node] = new
-    return CheckVerdict(ok=True, checked=checked)
+def check_eviction_gap(stats: MonitorStats) -> CheckVerdict:
+    """Verify that every eviction had its weight gap: the pass tests that
+    the evicting push's reduced weight is at least ``2 * alpha * gamma``
+    times the victim's, within `GAP_REL_TOL` as the factor is real,
+    counting each failure in ``eviction_gap_violations``."""
+    return _counted(
+        stats.eviction_gap_violations, stats.evictions_total,
+        "evictions had a weight gap below 2*alpha*gamma",
+    )
 
 
-def check_eviction_gap(trace: Sequence[TraceEvent], params: Params) -> CheckVerdict:
-    """Verify that every eviction was justified by a weight gap.
-
-    An eviction is triggered by the push immediately preceding it in the
-    trace; the pushed entry's reduced weight must be at least
-    ``2 * alpha * gamma`` times the evicted entry's reduced weight. The
-    factor is a double-precision real, so the comparison carries a 1e-6
-    relative tolerance.
-    """
-    _require_snapshots(trace)
-    gap = 2.0 * params.alpha * params.gamma
-    trigger: TraceEvent | None = None
-    checked = 0
-    for i, ev in enumerate(trace):
-        if ev.kind == PUSHED:
-            trigger = ev
-        elif ev.kind == EVICTED:
-            if trigger is None or trigger.reduced_weight is None:
-                return CheckVerdict(
-                    ok=False, checked=checked, event_index=i,
-                    detail="eviction with no preceding push",
-                )
-            checked += 1
-            w_new = float(trigger.reduced_weight)
-            w_old = float(ev.reduced_weight or 0)
-            need = gap * w_old
-            if not (w_new >= need or math.isclose(w_new, need, rel_tol=_GAP_REL_TOL)):
-                return CheckVerdict(
-                    ok=False, checked=checked, event_index=i,
-                    detail=f"evicted weight {w_old} vs trigger {w_new}: "
-                    f"gap below {gap:.6g}",
-                )
-    return CheckVerdict(ok=True, checked=checked)
+def _counted(bad: int, checked: int, what: str) -> CheckVerdict:
+    return CheckVerdict(ok=not bad, checked=checked, detail=f"{bad} {what}" if bad else None)
 
 
 def check_terminal_weights(
-    g: EdgeStream, trace: Sequence[TraceEvent], params: Params
+    g: EdgeStream,
+    m: int,
+    rows: Iterable[tuple[int, int, int, int]],
+    phi: Sequence[int],
+    params: Params,
 ) -> CheckVerdict:
-    """Verify that no edge retains positive implicit weight after the pass.
+    """Verify a pass by running its filter and pushes again, on a second
+    read of the stream and potentials of its own.
 
-    Replays the classification certificate of every stream edge: a light
-    edge must fail the exact heaviness test against the potentials it was
-    classified under, and a pushed edge must have had its weight reduced
-    to exactly zero (reduced weight equal to original weight minus the
-    endpoint potentials before the push, and positive). ``g`` is read as
-    the engine reads a stream, ``m`` and then one read of ``edges``; a
-    file stream opens its file again for it.
+    The pass is a function of the input and the potentials alone: an edge
+    is light iff ``q * w**2 <= p * s**2`` (``alpha_sq = p/q``, ``s`` its
+    endpoints' potential sum; equality is light), and a heavy one grows
+    both by its reduced weight ``w - s``. So ``g`` must hold the pass's
+    ``m`` edges; each heavy one must match the next of ``rows``, the pass's
+    arena rows ``(u, v, w, reduced)`` in push order, with reduced weight
+    ``w - s`` (0 if evicted); no row may be left; and the potentials must
+    end equal to ``phi``, n of them. ``g`` is read once, through ``edges``:
+    a file stream opens its file again.
     """
-    _require_snapshots(trace)
-    processed = [ev for ev in trace if ev.kind in (LIGHT, PUSHED)]
-    if len(processed) != g.m:
-        return CheckVerdict(
-            ok=False,
-            checked=0,
-            detail=f"trace covers {len(processed)} edges, graph has {g.m}",
-        )
-    # `is_heavy`'s exact test, inline: w > alpha * s iff q*w*w > p*s*s.
     p = params.alpha_sq.numerator
     q = params.alpha_sq.denominator
-    checked = 0
-    events = enumerate(zip(g.edges, processed))
-    for i, (edge, (kind, traced, reduced, phi_u, phi_v)) in events:
-        if edge != traced:
+    fresh = array("q", [0]) * params.n
+    rows = iter(rows)
+    i = -1
+    for i, (u, v, w) in enumerate(g.edges):
+        if i == m:
             return CheckVerdict(
-                ok=False, checked=checked, event_index=i,
-                detail=f"trace edge {traced} does not match stream edge {edge}",
+                ok=False, checked=i, event_index=i,
+                detail=f"the second read holds more than the pass's {m} edges",
             )
-        checked += 1
-        weight = edge[2]
-        if kind == LIGHT:
-            # State was unchanged, so the recorded potentials classified it.
-            pot = phi_u + phi_v
-            if q * weight * weight > p * pot * pot:
-                return CheckVerdict(
-                    ok=False, checked=checked, event_index=i,
-                    detail=f"edge {edge} was dropped but beats the filter "
-                    f"against potential sum {pot}",
-                )
-        else:
-            assert reduced is not None
-            before_u = phi_u - reduced
-            before_v = phi_v - reduced
-            pot = before_u + before_v
-            ok = (
-                reduced >= 1
-                and before_u >= 0
-                and before_v >= 0
-                and weight - pot == reduced
-                and q * weight * weight > p * pot * pot
+        s = fresh[u] + fresh[v]
+        if q * w * w <= p * s * s:
+            continue
+        reduced = w - s
+        row = next(rows, None)
+        if row is None or row[:3] != (u, v, w) or row[3] not in (reduced, 0):
+            return CheckVerdict(
+                ok=False, checked=i, event_index=i,
+                detail=f"edge {(u, v, w)} pushes with reduced weight {reduced}, "
+                f"but the next arena row is {row}",
             )
-            if not ok:
-                return CheckVerdict(
-                    ok=False, checked=checked, event_index=i,
-                    detail=f"push of {edge} does not zero out its weight",
-                )
-    return CheckVerdict(ok=True, checked=checked)
+        fresh[u] += reduced
+        fresh[v] += reduced
+    checked = i + 1
+    detail = None
+    if checked < m:
+        detail = f"the second read holds {checked} edges, the pass read {m}"
+    elif (row := next(rows, None)) is not None:
+        detail = f"arena row {row} was not pushed by the second read"
+    elif fresh != array("q", phi):
+        node = next(x for x, (a, b) in enumerate(zip(fresh, phi)) if a != b)
+        detail = f"potential at node {node} is {phi[node]}, not {fresh[node]}"
+    return CheckVerdict(ok=detail is None, checked=checked, detail=detail)
 
 
 def check_ratio_bound(params: Params, k: int) -> float:

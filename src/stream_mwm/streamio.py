@@ -15,7 +15,8 @@ A stream is a source that can be read again: each call of
 `LazyEdgeStream.chunks()` starts a fresh, checked, in-order read of
 ``(u, v, w)`` int triples. `read_stream` reads a file's header when it
 opens it, and the first read goes on from there; a later read opens the
-file again. Stdin or a pipe can be read only once. A read takes the body a
+file again, and refuses it if its header, its size or its modification
+time changed. Stdin or a pipe can be read only once. A read takes the body a
 block at a time (``_CHUNK_BYTES`` characters and the rest of the line
 after them), so a run holds one block of input, not all m edges. A block
 of canonical lines (``<u> <v> <w>`` in ASCII digits, one space apart,
@@ -185,12 +186,23 @@ def serialize_stream(stream: EdgeStream | LazyEdgeStream) -> str:
 def read_stream(path: str) -> LazyEdgeStream:
     """Open a stream from a file path, or stdin when path is '-'; read its
     header now. A regular file is opened again for each read after the
-    first, and refused by `StreamFormatError` unless its header is as
-    before. Stdin and any other path (a FIFO, a pipe) are one-shot."""
+    first, and refused by `StreamFormatError` unless its header, size and
+    modification time are as before. Stdin and any other path (a FIFO, a
+    pipe) are one-shot."""
     if path == "-":
         return _open(_parse(_blocks(sys.stdin)), "stdin", None)
-    reopen = partial(_read_file, path) if os.path.isfile(path) else None
-    return _open(_read_file(path), path, reopen)
+    if not os.path.isfile(path):
+        return _open(_read_file(path), path, None)
+    stamp = _stamp(path)
+    return _open(
+        _read_file(path), path, partial(_read_file, path), lambda: _stamp(path) == stamp
+    )
+
+
+def _stamp(path: str) -> tuple[int, int]:
+    """A file's size and modification time, in nanoseconds."""
+    st = os.stat(path)
+    return st.st_size, st.st_mtime_ns
 
 
 def _read_file(path: str) -> Iterator:
@@ -218,9 +230,12 @@ def _lines(block: str) -> list[str]:
     return lines
 
 
-def _open(parser: Iterator, name: str, reopen: Callable | None) -> LazyEdgeStream:
+def _open(
+    parser: Iterator, name: str, reopen: Callable | None, unchanged: Callable | None = None
+) -> LazyEdgeStream:
     """The stream whose first read goes on from ``parser``, past the header's
-    ``(n, m)``; ``reopen``, if any, starts each later read."""
+    ``(n, m)``; ``reopen``, if any, starts each later read, which the header
+    and ``unchanged()`` must let through."""
     header = next(parser)
     first = [parser]
 
@@ -231,12 +246,14 @@ def _open(parser: Iterator, name: str, reopen: Callable | None) -> LazyEdgeStrea
             raise ValueError(f"{name} can be read only once")
         again = reopen()
         try:
-            if next(again) == header:
-                return again
+            same = next(again) == header
         except StreamFormatError:
-            pass
+            same = False
+        if same and unchanged():
+            return again
         again.close()
-        raise StreamFormatError(f"{name}: header changed since the first read")
+        what = "file" if same else "header"
+        raise StreamFormatError(f"{name}: {what} changed since the first read")
 
     return LazyEdgeStream(*header, read, one_shot=reopen is None)
 

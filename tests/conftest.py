@@ -7,7 +7,9 @@ import random
 
 import pytest
 
-from stream_mwm.core import EdgeStream, WeightedEdge
+from stream_mwm.core import EdgeStream, WeightedEdge, compute_params
+from stream_mwm.engine import StreamingState
+from stream_mwm.streamio import open_edges
 
 
 @pytest.fixture
@@ -19,6 +21,17 @@ def gc_state():
         gc.enable()
     else:
         gc.disable()
+
+
+def traced_pass(stream, eps):
+    """Run the pass over ``stream`` as `run_stream` does, in the chunks of
+    `open_edges`, through `StreamingState`'s trace hook; return the state,
+    not yet finalized, and its trace."""
+    trace = []
+    state = StreamingState(compute_params(stream.n, eps), trace=trace)
+    for chunk in open_edges(stream).chunks():
+        state.process_edges(chunk)
+    return state, trace
 
 
 def enumerate_best_weight(n: int, edges: list[WeightedEdge]) -> int:

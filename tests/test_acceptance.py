@@ -6,6 +6,7 @@ the exact oracle evaluated once per instance.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -22,9 +23,6 @@ from stream_mwm.core import EdgeStream, WeightedEdge, compute_params
 from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
 from stream_mwm.monitors import (
-    EVICTED,
-    LIGHT,
-    PUSHED,
     check_eviction_gap,
     check_phi_growth,
     check_terminal_weights,
@@ -176,48 +174,39 @@ def _small_instance_specs():
 def test_criterion_4_runtime_monitors():
     evictions_seen = 0
     for spec, eps in _small_instance_specs():
-        stream = generate(spec)
-        trace = []
-        _, report = run_stream(stream, eps, trace_sink=trace)
-        params = compute_params(stream.n, eps)
-        assert check_phi_growth(trace, params).ok
-        assert check_eviction_gap(trace, params).ok
-        assert check_terminal_weights(Graph.from_stream(stream), trace, params).ok
+        _, report = run_stream(generate(spec), eps, monitors=True)
+        assert set(report.monitor_verdicts.values()) == {"pass"}, spec
         evictions_seen += report.evictions_total
     assert evictions_seen > 0  # the gap check was exercised, not vacuous
 
     # Injected corruptions: each monitor must reject its fixture.
     stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 8)])
-    trace = []
-    run_stream(stream, 2, trace_sink=trace)
     params = compute_params(3, 2)
-    # The push of (1, 2) records node 1 at 5 and node 2 at 0, as before it.
-    frozen = [
-        ev._replace(phi_u=trace[0].phi_v, phi_v=0) if i == 1 else ev
-        for i, ev in enumerate(trace)
-    ]
-    verdict = check_phi_growth(frozen, params)
-    assert not verdict.ok and verdict.event_index == 1
+    state = StreamingState(params)
+    state.process_edges(stream.edges)
+    state.finalize()
+    stats = state.stats
+    assert check_phi_growth(stats).ok
+    assert not check_phi_growth(dataclasses.replace(stats, phi_growth_violations=1)).ok
 
+    # Below the paper's queue_cap a chain evicts before the weight gap.
     chain = generate(GeneratorSpec(kind=GeneratorKind.GEOMETRIC_CHAIN, n=64))
-    chain_trace = []
-    run_stream(chain, 2, trace_sink=chain_trace)
-    chain_params = compute_params(64, 2)
-    evict_at = next(i for i, ev in enumerate(chain_trace) if ev.kind == EVICTED)
-    first_push = next(i for i, ev in enumerate(chain_trace) if ev.kind == PUSHED)
-    moved = chain_trace[:]
-    moved.insert(first_push + 1, moved.pop(evict_at))
-    assert not check_eviction_gap(moved, chain_params).ok
+    forced = dataclasses.replace(compute_params(64, 2), queue_cap=4)
+    chain_state = StreamingState(forced)
+    chain_state.process_edges(chain.edges)
+    assert not check_eviction_gap(chain_state.stats).ok
 
-    light_stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5)])
-    light_trace = []
-    run_stream(light_stream, 2, trace_sink=light_trace)
-    big = WeightedEdge(1, 2, 50)
-    corrupt = [
-        ev._replace(edge=big) if ev.kind == LIGHT else ev for ev in light_trace
-    ]
-    bad_graph = Graph(3, [WeightedEdge(0, 1, 5), big])
-    assert not check_terminal_weights(bad_graph, corrupt, params).ok
+    # The second read re-runs the pass: a changed input, a wrong arena row
+    # or a wrong final potential each fail it.
+    rows = list(state.rows())
+    assert check_terminal_weights(stream, 2, rows, state.phi, params).ok
+    heavier = Graph(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 80)])
+    assert not check_terminal_weights(heavier, 2, rows, state.phi, params).ok
+    bumped = rows[:1] + [rows[1][:3] + (rows[1][3] + 1,)]
+    assert not check_terminal_weights(stream, 2, bumped, state.phi, params).ok
+    off = state.phi[:]
+    off[1] += 1
+    assert not check_terminal_weights(stream, 2, rows, off, params).ok
 
     print("ACCEPTANCE 4 (runtime monitors, 200 runs + corruption fixtures): PASS")
 

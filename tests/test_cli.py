@@ -7,10 +7,10 @@ import time
 
 import pytest
 
-from stream_mwm import cli
+from stream_mwm import cli, engine
 from stream_mwm.cli import main
 from stream_mwm.core import I64_MAX, EdgeStream, WeightedEdge
-from stream_mwm.monitors import TRACE_MAX_EDGES, CheckVerdict, MonitorFailure
+from stream_mwm.monitors import CheckVerdict, MonitorFailure
 from stream_mwm.reference import EXACT_MAX_NODES, Graph, exact_mwm
 from stream_mwm.report import RUN_CSV_HEADER
 from stream_mwm.streamio import serialize_stream
@@ -111,9 +111,10 @@ def _refuse_materialize(monkeypatch):
 
 
 def test_run_monitors_skipped_beyond_trace_limits(tmp_path, monkeypatch, capsys):
-    # One edge more than a trace may hold: the run streams the file and
-    # never reads it into memory.
-    m = TRACE_MAX_EDGES + 1
+    # One edge more than the trace replay once took, where three verdicts
+    # read "skipped": the monitors need no trace now, so all four are
+    # given, and the run streams the file twice, never into memory.
+    m = 100_001
     rng = random.Random(2)
     lines = [f"p mwm 100 {m}\n"]
     for _ in range(m):
@@ -125,8 +126,10 @@ def test_run_monitors_skipped_beyond_trace_limits(tmp_path, monkeypatch, capsys)
     code = main(["run", "--input", str(path), "--alg", "semi", "--monitors"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["monitor_verdicts"]["phi_growth"] == "skipped"
-    assert report["monitor_verdicts"]["ratio_bound"] == "pass"
+    assert report["m"] == m
+    assert report["monitor_verdicts"] == dict.fromkeys(
+        ("phi_growth", "eviction_gap", "terminal_weights", "ratio_bound"), "pass"
+    )
 
 
 @pytest.fixture
@@ -145,7 +148,8 @@ def test_reference_runs_stream_a_file(
     streamed_file, monkeypatch, capsys, alg, monitors
 ):
     # Each reference solver reads its input once, in order, so the file is
-    # parsed as it runs; without a replay, --monitors reads it no more.
+    # parsed as it runs; only a semi run has monitors, so --monitors reads
+    # it no more.
     assert main(["run", "--input", streamed_file, "--alg", alg]) == 0
     want = capsys.readouterr().out
     _refuse_materialize(monkeypatch)
@@ -302,7 +306,8 @@ def test_run_exit_1_when_the_oracle_beats_the_bound(monkeypatch, capsys):
     "check", ["check_phi_growth", "check_eviction_gap", "check_terminal_weights"]
 )
 def test_run_exit_3_when_a_replayed_check_fails(check, monkeypatch, capsys):
-    monkeypatch.setattr(cli, check, lambda *args: CheckVerdict(ok=False))
+    # `run_stream` calls the checks.
+    monkeypatch.setattr(engine, check, lambda *args: CheckVerdict(ok=False))
     assert main(ER_10 + ["--monitors"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "stream-mwm: monitor failure\n"
@@ -316,7 +321,7 @@ def test_run_exit_3_when_the_ratio_bound_monitor_fails(monkeypatch, capsys):
     def fail(params, k):
         raise MonitorFailure("bound exceeded")
 
-    monkeypatch.setattr(cli, "check_ratio_bound", fail)
+    monkeypatch.setattr(engine, "check_ratio_bound", fail)
     assert main(ER_10 + ["--monitors"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "stream-mwm: monitor failure\n"
@@ -429,6 +434,14 @@ def test_bench_parallel_workers(tmp_path, monkeypatch):
 def test_gen_requires_n(capsys):
     assert main(["run", "--gen", "path"]) == 2
     capsys.readouterr()
+
+
+def test_bench_refuses_n(capsys):
+    # A sweep takes its node counts from --ns; --n is an unknown argument.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--ns", "50", "--n", "999999"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 999999" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """`run --input` streams the file through the engine: memory does not grow
-with the edge count, with or without the oracle's second read, every edge
+with the edge count, with or without the second read of the oracle or of
+the monitors, every edge
 passes through `process_edges`, a read that fails mid-run is an input
 error, and each read closes its file in every case."""
 
@@ -90,6 +91,33 @@ def test_run_input_oracle_memory_is_flat_in_edge_count(tmp_path):
     assert peaks[1] < 1.25 * peaks[0], peaks
 
 
+def test_run_input_monitors_memory_is_flat_in_edge_count(tmp_path):
+    # The monitors read the file a second time and record no trace: the
+    # counters are O(1) and the second read holds O(n) potentials, so at 22
+    # nodes the peak does not grow with the repeats.
+    n = 22
+    rng = random.Random(2025)
+    lines = []
+    for _ in range(8000):
+        u, v = rng.sample(range(n), 2)
+        lines.append(f"{u} {v} {rng.randrange(1, 10**9)}\n")
+    peaks, reports = [], []
+    for repeats in (1, 8):
+        path = tmp_path / f"repeat{repeats}.mwm"
+        _write_repeated(path, n, lines, repeats)
+        out = tmp_path / f"report{repeats}.json"
+        peak, report = _traced_run(path, out, "--monitors")
+        peaks.append(peak)
+        reports.append(report)
+
+    assert [r["m"] for r in reports] == [8000, 64000]
+    assert set(reports[0]["monitor_verdicts"].values()) == {"pass"}
+    for r in reports:
+        del r["m"]
+    assert reports[0] == reports[1]
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
 def test_run_input_passes_every_edge_once_through_process_edges(tmp_path, monkeypatch):
     # The per-layer light/push/evict figures of the benchmark's tracer must
     # come from wrapping StreamingState.process_edges, the one entry into
@@ -142,6 +170,26 @@ def test_run_exit_2_when_a_read_fails_mid_run(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "stream-mwm: error: device went away" in captured.err
+
+
+def test_run_exit_2_when_the_file_changes_before_the_monitors_read_it(
+    tmp_path, monkeypatch, capsys
+):
+    # The body is rewritten after the pass: the second read refuses the
+    # file, an input error, not a monitor failure.
+    path = tmp_path / "s.mwm"
+    path.write_text("p mwm 4 2\n0 1 5\n2 3 8\n", encoding="utf-8")
+    finalize = StreamingState.finalize
+
+    def rewrite_then_finalize(state):
+        path.write_text("p mwm 4 2\n0 1 500\n2 3 800\n", encoding="utf-8")
+        return finalize(state)
+
+    monkeypatch.setattr(StreamingState, "finalize", rewrite_then_finalize)
+    assert cli.main(["run", "--input", str(path), "--monitors"]) == 2
+    assert capsys.readouterr().err == (
+        f"stream-mwm: error: {path}: file changed since the first read\n"
+    )
 
 
 def test_run_exit_2_on_bad_utf8_past_the_first_chunk(tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_best_weight, random_simple_stream
+from conftest import enumerate_best_weight, random_simple_stream, traced_pass
 from test_golden import HUB_EPS, _hub
 from stream_mwm.core import (
     I64_MAX,
@@ -255,25 +255,30 @@ def test_traced_run_over_a_lazy_stream_matches_the_parsed_stream(tmp_path):
     text = "c chain of 40 with evictions\n" + serialize_stream(_chain(40))
     path = tmp_path / "chain.mwm"
     path.write_text(text, encoding="utf-8")
-    lazy_trace, parsed_trace = [], []
-    lazy = run_stream(read_stream(str(path)), 2, trace_sink=lazy_trace)
-    parsed = run_stream(
-        parse_stream(text.splitlines(keepends=True)), 2, trace_sink=parsed_trace
+    lazy_state, lazy_trace = traced_pass(read_stream(str(path)), 2)
+    parsed_state, parsed_trace = traced_pass(
+        parse_stream(text.splitlines(keepends=True)), 2
     )
     assert lazy_trace == parsed_trace
     assert any(ev.kind == EVICTED for ev in lazy_trace)
-    assert lazy == parsed
+    assert lazy_state.finalize() == parsed_state.finalize()
+    lazy = run_stream(read_stream(str(path)), 2, monitors=True)
+    assert lazy == run_stream(parse_stream(text.splitlines(keepends=True)), 2, monitors=True)
+    assert set(lazy[1].monitor_verdicts.values()) == {"pass"}
 
 
 @pytest.mark.parametrize("n, m", [(4, 100_001)], ids=["m100001"])
 def test_traced_run_over_a_lazy_stream_keeps_the_limits(tmp_path, n, m):
-    # The body is short and malformed: the limit is checked against the
-    # header's m before any of it is read.
+    # No edge count is too large to monitor, and the header's m still
+    # binds the body: a monitored run reads it and names its first fault.
     path = tmp_path / "big.mwm"
     path.write_text(f"p mwm {n} {m}\n0 1 0\n0 0 0\n", encoding="utf-8")
     stream = read_stream(str(path))
-    with pytest.raises(ValueError, match="tracing is limited"):
-        run_stream(stream, 2, trace_sink=[])
+    with pytest.raises(StreamFormatError, match="^line 3: self-loop at node 0$"):
+        run_stream(stream, 2, monitors=True)
+    path.write_text(f"p mwm {n} {m}\n0 1 0\n", encoding="utf-8")
+    with pytest.raises(StreamFormatError, match=f"header declared {m} edges but found 1"):
+        run_stream(read_stream(str(path)), 2, monitors=True)
     assert stream.m == m
 
 
@@ -480,6 +485,10 @@ def _naive_pass(params, edges, history=None):
                     live -= 1
                     counters["evictions_total"] += 1
                     ve, vr, _ = stack[victim]
+                    need = 2 * params.alpha * params.gamma * vr
+                    counters["eviction_gap_violations"] += not (
+                        reduced >= need or math.isclose(reduced, need, rel_tol=1e-6)
+                    )
                     for y in (ve.u, ve.v):
                         if victim in queues[y]:
                             queues[y].remove(victim)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_multigraph_stream
+from conftest import random_multigraph_stream, traced_pass
 from test_engine import _SLOTS, _chain, _doubling_edges, _heavy_chain_stars, _naive_pass
 from test_golden import HUB_EPS, _hub
 from stream_mwm import streamio
@@ -88,16 +88,28 @@ def test_column_loop_matches_the_naive_pass_at_any_chunk_size(tag, stream, eps, 
     assert matching.sorted_edges() == naive.chosen
     assert stats is state.stats
 
-    # run_stream cuts an in-memory stream into chunks of the same size.
-    run_trace = []
+    # run_stream cuts an in-memory stream into chunks of the same size, as
+    # the trace hook's helper does.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(streamio, "_CHUNK_EDGES", size)
-        run_matching, report = run_stream(stream, eps, trace_sink=run_trace)
-    assert _events(run_trace) == events
+        run_matching, report = run_stream(stream, eps)
+        assert _events(traced_pass(stream, eps)[1]) == events
     assert run_matching == matching
     assert report.m == len(edges)
     assert report.heavy_edges_k == counters["heavy_edges_total"]
     assert report.evictions_total == counters["evictions_total"]
+
+
+@pytest.mark.parametrize("cap", [4, 9])
+def test_gap_violations_match_the_naive_pass_under_a_forced_cap(cap):
+    # Below the paper's queue_cap, evictions come before the weight gap.
+    params = dataclasses.replace(compute_params(64, 2), queue_cap=cap)
+    edges = list(_chain(64).edges)
+    naive = _naive_pass(params, edges)
+    state, trace, _ = _run_in_chunks(params, edges, 7)
+    assert dataclasses.asdict(state.stats) == naive.counters
+    assert _events(trace) == naive.events
+    assert naive.counters["eviction_gap_violations"] > 0
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
@@ -240,12 +252,10 @@ def test_numpy_integers_are_read_as_exact_ints():
 def test_int_subclass_weights_take_the_per_edge_path_to_the_same_pass(tag, stream, eps):
     # Every edge goes through check_edge, which hands on exact ints.
     wrapped = [(u, v, _Int(w)) for u, v, w in stream.edges]
-    want_trace, got_trace = [], []
-    want_matching, want = run_stream(stream, eps, trace_sink=want_trace)
-    got_matching, got = run_stream(
-        EdgeStream(stream.n, wrapped), eps, trace_sink=got_trace
-    )
-    assert _events(got_trace) == _events(want_trace)
+    want_matching, want = run_stream(stream, eps)
+    got_matching, got = run_stream(EdgeStream(stream.n, wrapped), eps)
+    got_trace = traced_pass(EdgeStream(stream.n, wrapped), eps)[1]
+    assert _events(got_trace) == _events(traced_pass(stream, eps)[1])
     assert got == want
     assert got_matching == want_matching
     assert {type(e.weight) for e in got_matching.edges} <= {int}

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
 
+from conftest import traced_pass
 from stream_mwm.core import EdgeStream, Params, WeightedEdge, compute_params, is_heavy
-from stream_mwm.engine import run_stream
+from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
 from stream_mwm.monitors import (
     EVICTED,
@@ -18,13 +21,25 @@ from stream_mwm.monitors import (
     check_terminal_weights,
 )
 from stream_mwm.reference import Graph
+from stream_mwm.streamio import LazyEdgeStream, open_edges
 from test_trace_golden import _inputs
 
 
-def _traced_run(stream: EdgeStream, eps):
-    trace = []
-    run_stream(stream, eps, trace_sink=trace)
-    return trace, compute_params(stream.n, eps)
+def _finalized(stream: EdgeStream, eps):
+    """A finalized pass over ``stream``, as `run_stream` leaves it for the
+    checks."""
+    state, _ = traced_pass(stream, eps)
+    state.finalize()
+    return state
+
+
+def _reread(g, stream: EdgeStream, eps, rows=None, phi=None):
+    """`check_terminal_weights` of a second read ``g`` against the pass over
+    ``stream``, with its arena rows or potentials replaced if given."""
+    state = _finalized(stream, eps)
+    rows = list(state.rows()) if rows is None else rows
+    phi = state.phi if phi is None else phi
+    return check_terminal_weights(g, stream.m, rows, phi, state.params)
 
 
 def _two_push_stream():
@@ -36,121 +51,93 @@ def _chain_stream(n=64):
 
 
 def test_phi_growth_two_push_example():
-    trace, params = _traced_run(_two_push_stream(), 2)
-    verdict = check_phi_growth(trace, params)
-    assert verdict.ok and verdict.checked == 1  # node 1 goes 5 -> 8
+    verdict = check_phi_growth(_finalized(_two_push_stream(), 2).stats)
+    assert verdict.ok and verdict.checked == 2  # node 1 goes 5 -> 8
 
 
 def test_trace_holds_only_pass_events():
     """One light or pushed event per edge, one evicted event per eviction."""
     for _, stream, eps in _inputs():
-        trace = []
-        _, report = run_stream(stream, eps, trace_sink=trace)
+        state, trace = traced_pass(stream, eps)
         assert {ev.kind for ev in trace} <= {LIGHT, PUSHED, EVICTED}
-        assert len(trace) == report.m + report.evictions_total
+        assert len(trace) == stream.m + state.stats.evictions_total
 
 
 def test_phi_growth_vacuous_with_one_push_per_node():
-    trace, params = _traced_run(
-        EdgeStream(4, [WeightedEdge(0, 1, 5), WeightedEdge(2, 3, 9)]), 2
-    )
-    verdict = check_phi_growth(trace, params)
-    assert verdict.ok and verdict.checked == 0
-
-
-def test_phi_growth_detects_frozen_potential():
-    trace, params = _traced_run(_two_push_stream(), 2)
-    # The push of (1, 2) records its endpoints as they were before it: node
-    # 1 at 5, where the push of (0, 1) left it, and node 2 at 0.
-    frozen = [
-        ev._replace(phi_u=trace[0].phi_v, phi_v=0) if i == 1 else ev
-        for i, ev in enumerate(trace)
-    ]
-    verdict = check_phi_growth(frozen, params)
-    assert not verdict.ok and verdict.event_index == 1
+    stream = EdgeStream(4, [WeightedEdge(0, 1, 5), WeightedEdge(2, 3, 9)])
+    stats = _finalized(stream, 2).stats
+    assert stats.phi_growth_violations == 0
+    assert check_phi_growth(stats).ok
 
 
 @pytest.mark.parametrize(
-    "check",
+    "check, counter",
     [
-        check_phi_growth,
-        check_eviction_gap,
-        lambda trace, params: check_terminal_weights(
-            Graph.from_stream(_two_push_stream()), trace, params
-        ),
+        (check_phi_growth, "phi_growth_violations"),
+        (check_eviction_gap, "eviction_gap_violations"),
     ],
-    ids=["phi_growth", "eviction_gap", "terminal_weights"],
+    ids=["phi_growth", "eviction_gap"],
 )
-def test_replay_checks_require_snapshots(check):
-    # Each replay check refuses a trace without endpoint potentials.
-    trace, params = _traced_run(_two_push_stream(), 2)
-    stripped = [ev._replace(phi_u=None, phi_v=None) for ev in trace]
-    with pytest.raises(ValueError, match="lacks the endpoint potentials"):
-        check(stripped, params)
+def test_a_counted_violation_fails_its_check(check, counter):
+    stats = _finalized(_chain_stream(), 2).stats
+    assert check(stats).ok
+    verdict = check(dataclasses.replace(stats, **{counter: 1}))
+    assert not verdict.ok and verdict.detail.startswith("1 ")
 
 
 def test_eviction_gap_vacuous_without_evictions():
-    trace, params = _traced_run(_two_push_stream(), 2)
-    verdict = check_eviction_gap(trace, params)
+    verdict = check_eviction_gap(_finalized(_two_push_stream(), 2).stats)
     assert verdict.ok and verdict.checked == 0
 
 
 def test_eviction_gap_on_geometric_chain():
-    trace, params = _traced_run(_chain_stream(), 2)
-    verdict = check_eviction_gap(trace, params)
+    state, trace = traced_pass(_chain_stream(), 2)
+    verdict = check_eviction_gap(state.stats)
     assert verdict.ok
     assert verdict.checked == sum(1 for ev in trace if ev.kind == EVICTED)
     assert verdict.checked >= 1
 
 
-def test_eviction_gap_detects_reordered_eviction():
-    trace, params = _traced_run(_chain_stream(), 2)
-    evict_at = next(i for i, ev in enumerate(trace) if ev.kind == EVICTED)
-    first_push = next(i for i, ev in enumerate(trace) if ev.kind == PUSHED)
-    moved = trace[:]
-    ev = moved.pop(evict_at)
-    moved.insert(first_push + 1, ev)
-    verdict = check_eviction_gap(moved, params)
-    assert not verdict.ok
-
-
-def test_eviction_gap_fails_without_any_push():
-    params = compute_params(4, 2)
-    orphan = [
-        TraceEvent(EVICTED, WeightedEdge(0, 1, 5), 5, None),
-    ]
-    assert not check_eviction_gap(orphan, params).ok
+def test_eviction_gap_counts_evictions_under_a_forced_cap():
+    # Below the paper's queue_cap a chain node evicts before the newer
+    # push outweighs the victim by 2 * alpha * gamma.
+    params = compute_params(64, 2)
+    for cap in (4, params.queue_cap // 2):
+        forced = dataclasses.replace(params, queue_cap=cap)
+        state = StreamingState(forced)
+        state.process_edges(_chain_stream().edges)
+        assert state.stats.eviction_gap_violations >= 1, cap
+        verdict = check_eviction_gap(state.stats)
+        assert not verdict.ok
+        assert verdict.checked == state.stats.evictions_total
 
 
 def test_terminal_weights_path_example():
     stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5)])
-    trace, params = _traced_run(stream, 2)
-    assert check_terminal_weights(Graph.from_stream(stream), trace, params).ok
+    verdict = _reread(Graph.from_stream(stream), stream, 2)
+    assert verdict.ok and verdict.checked == 2
 
 
 def test_terminal_weights_single_edge_and_empty():
     stream = EdgeStream(2, [WeightedEdge(0, 1, 7)])
-    trace, params = _traced_run(stream, 2)
-    assert check_terminal_weights(Graph.from_stream(stream), trace, params).ok
+    assert _reread(Graph.from_stream(stream), stream, 2).ok
 
     empty = EdgeStream(2, [])
-    trace, params = _traced_run(empty, 2)
-    verdict = check_terminal_weights(Graph.from_stream(empty), trace, params)
+    verdict = _reread(Graph.from_stream(empty), empty, 2)
     assert verdict.ok and verdict.checked == 0
 
 
 def test_terminal_weights_detects_underreduced_light_edge():
-    # Bump a light edge's weight past the filter line in both the graph
-    # and the trace: its recorded potentials no longer justify dropping it.
+    # The pass dropped (1, 2, 5) as light; read again as (1, 2, 50), it
+    # beats the filter and needs an arena row the pass never pushed.
     stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5)])
-    trace, params = _traced_run(stream, 2)
-    big = WeightedEdge(1, 2, 50)
-    g = Graph(3, [WeightedEdge(0, 1, 5), big])
-    corrupt = [
-        ev._replace(edge=big) if ev.kind == LIGHT else ev for ev in trace
-    ]
-    verdict = check_terminal_weights(g, corrupt, params)
+    g = Graph(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 50)])
+    verdict = _reread(g, stream, 2)
     assert not verdict.ok
+    assert (verdict.event_index, verdict.checked) == (1, 1)
+    assert verdict.detail == (
+        "edge (1, 2, 50) pushes with reduced weight 45, but the next arena row is None"
+    )
 
 
 # At epsilon = 5/2, alpha**2 = 9/4, so alpha = 3/2 exactly and a weight of
@@ -159,28 +146,30 @@ EPS_ALPHA_3_2 = Fraction(5, 2)
 
 
 @pytest.mark.parametrize(
-    "kind, w, reduced, phi, ok",
+    "w, rows, phi, ok",
     [
-        (LIGHT, 3, None, 1, True),  # w = alpha * 2: light, rightly dropped
-        (LIGHT, 4, None, 1, False),  # w > alpha * 2: dropped but heavy
-        (PUSHED, 3, 1, 2, False),  # pre-push sum 2, w = alpha * 2: not heavy
-        (PUSHED, 4, 2, 3, True),  # pre-push sum 2, w > alpha * 2: heavy
+        (3, [(0, 1, 1, 1)], 1, True),  # w = alpha * 2: light, rightly dropped
+        (4, [(0, 1, 1, 1)], 1, False),  # w > alpha * 2: dropped but heavy
+        (3, [(0, 1, 1, 1), (0, 1, 3, 1)], 2, False),  # w = alpha * 2: not heavy
+        (4, [(0, 1, 1, 1), (0, 1, 4, 2)], 3, True),  # w > alpha * 2: heavy
     ],
     ids=["light-at-threshold", "light-above", "push-at-threshold", "push-above"],
 )
-def test_terminal_weights_count_equality_as_light(kind, w, reduced, phi, ok):
-    """The replay makes `is_heavy`'s test inline, ties included: a forged
-    one-edge trace passes exactly when `is_heavy` says it should."""
+def test_terminal_weights_count_equality_as_light(w, rows, phi, ok):
+    """The re-read makes `is_heavy`'s test, ties included: after a first
+    push of weight 1 leaves both potentials at 1, a forged pass over a
+    second edge of weight ``w`` passes exactly when `is_heavy` says it
+    should."""
     params = compute_params(2, EPS_ALPHA_3_2)
     assert params.alpha_sq == Fraction(9, 4)
-    edge = WeightedEdge(0, 1, w)
-    pre_push_sum = 2
-    assert is_heavy(w, pre_push_sum, params) is (w == 4)
-    trace = [TraceEvent(kind, edge, reduced, phi, phi)]
-    verdict = check_terminal_weights(Graph(2, [edge]), trace, params)
+    assert is_heavy(w, 2, params) is (w == 4)
+    g = Graph(2, [WeightedEdge(0, 1, 1), WeightedEdge(0, 1, w)])
+    verdict = check_terminal_weights(g, 2, rows, array("q", [phi, phi]), params)
     assert verdict.ok is ok
-    assert verdict.checked == 1
-    assert verdict.event_index == (None if ok else 0)
+    # A dropped heavy edge fails at its index; a pushed light one leaves
+    # its row over at the end.
+    assert verdict.event_index == (None if ok or w == 3 else 1)
+    assert verdict.checked == (1 if w == 4 and not ok else 2)
 
 
 def test_trace_events_are_immutable_hashable_tuples():
@@ -199,33 +188,85 @@ def test_trace_events_are_immutable_hashable_tuples():
     # The engine builds its events with tuple.__new__; they are the same type.
     trace = []
     for _, stream, eps in _inputs():
-        trace += _traced_run(stream, eps)[0]
+        trace += traced_pass(stream, eps)[1]
     assert {type(ev) for ev in trace} == {TraceEvent}
     assert {type(ev.edge) for ev in trace} == {WeightedEdge}
     assert {ev.kind for ev in trace} == {LIGHT, PUSHED, EVICTED}
 
 
 def test_terminal_weights_detects_missing_edges():
+    # The missing edge is light: only the count finds it.
     stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5)])
-    trace, params = _traced_run(stream, 2)
-    verdict = check_terminal_weights(Graph.from_stream(stream), trace[:1], params)
+    verdict = _reread(Graph(3, stream.edges[:1]), stream, 2)
+    assert not verdict.ok and verdict.checked == 1
+    assert verdict.detail == "the second read holds 1 edges, the pass read 2"
+
+
+def test_terminal_weights_detects_an_extra_edge():
+    stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5)])
+    g = Graph(3, [*stream.edges, WeightedEdge(0, 1, 1)])
+    verdict = _reread(g, stream, 2)
     assert not verdict.ok
+    assert (verdict.event_index, verdict.checked) == (2, 2)
 
 
 def test_terminal_weights_detects_swapped_edges():
-    # Two edges swapped keep the count: only comparing each stream edge with
-    # its trace event finds the fault, at the first swapped position.
+    # Two edges swapped keep the count: only re-running the filter finds
+    # the fault, at the first swapped position.
     edges = [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 8), WeightedEdge(2, 3, 4)]
-    trace, params = _traced_run(EdgeStream(4, edges), 2)
     swapped = Graph(4, [edges[0], edges[2], edges[1]])
-    verdict = check_terminal_weights(swapped, trace, params)
+    verdict = _reread(swapped, EdgeStream(4, edges), 2)
     assert verdict.ok is False
     assert not verdict
     assert (verdict.event_index, verdict.checked) == (1, 1)
     assert verdict.detail == (
-        "trace edge WeightedEdge(u=1, v=2, weight=8) does not match "
-        "stream edge WeightedEdge(u=2, v=3, weight=4)"
+        "edge (2, 3, 4) pushes with reduced weight 4, "
+        "but the next arena row is (1, 2, 8, 3)"
     )
+
+
+def test_terminal_weights_detects_a_wrong_reduced_weight():
+    stream = _two_push_stream()
+    rows = list(_finalized(stream, 2).rows())
+    assert rows == [(0, 1, 5, 5), (1, 2, 8, 3)]
+    # An evicted row reads 0 and passes; any other wrong value fails.
+    assert _reread(stream, stream, 2, rows=[rows[0], (1, 2, 8, 0)]).ok
+    verdict = _reread(stream, stream, 2, rows=[rows[0], (1, 2, 8, 2)])
+    assert not verdict.ok and verdict.event_index == 1
+
+
+@pytest.mark.parametrize("node", [0, 1, 2])
+def test_terminal_weights_detects_a_potential_off_by_one(node):
+    stream = _two_push_stream()
+    phi = array("q", _finalized(stream, 2).phi)
+    assert list(phi) == [5, 8, 3]
+    phi[node] += 1
+    verdict = _reread(stream, stream, 2, phi=phi)
+    assert not verdict.ok and verdict.event_index is None
+    assert verdict.detail == (
+        f"potential at node {node} is {phi[node]}, not {phi[node] - 1}"
+    )
+
+
+def test_run_stream_gives_every_verdict_from_one_reread():
+    # The chain evicts; every verdict passes, and the checks read the
+    # stream once after the pass.
+    opened = open_edges(_chain_stream())
+    reads = []
+
+    def chunks():
+        reads.append(len(reads))
+        return opened.chunks()
+
+    stream = LazyEdgeStream(opened.n, opened.m, chunks)
+    _, plain = run_stream(stream, 2)
+    assert plain.monitor_verdicts == {} and reads == [0]
+    _, report = run_stream(stream, 2, monitors=True)
+    assert report.monitor_verdicts == dict.fromkeys(
+        ("phi_growth", "eviction_gap", "terminal_weights", "ratio_bound"), "pass"
+    )
+    assert reads == [0, 1, 2]
+    assert report.evictions_total >= 1
 
 
 def test_ratio_bound_k_zero_is_two_alpha():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_multigraph_stream, random_simple_stream
+from conftest import random_multigraph_stream, random_simple_stream, traced_pass
 from test_golden import HUB_EPS, _er, _hub
 
 from stream_mwm.core import (
@@ -21,7 +21,6 @@ from stream_mwm.core import (
     EdgeStream,
     StreamFormatError,
     WeightedEdge,
-    compute_params,
 )
 from stream_mwm.engine import run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
@@ -60,10 +59,11 @@ def _tuples(stream: EdgeStream) -> EdgeStream:
     return EdgeStream(stream.n, [tuple(e) for e in stream.edges])
 
 
-def _traced(stream, eps):
-    trace = []
-    run_stream(stream, eps, trace_sink=trace)
-    return trace, compute_params(stream.n, eps)
+def _evidence(stream, eps):
+    """What `run_stream` hands `check_terminal_weights` after a pass over
+    ``stream``: its edge count, arena rows, potentials and parameters."""
+    state, _ = traced_pass(stream, eps)
+    return stream.m, list(state.rows()), state.phi, state.params
 
 
 def _outcome(verdict):
@@ -91,39 +91,36 @@ def test_plain_tuples_give_the_same_matchings(name):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_plain_tuples_give_the_same_terminal_verdicts(name):
     stream, eps = CORPUS[name]
-    trace, params = _traced(stream, eps)
-    want = check_terminal_weights(stream, trace, params)
+    evidence = _evidence(stream, eps)
+    want = check_terminal_weights(stream, *evidence)
     assert want.ok and want.checked == stream.m
-    assert check_terminal_weights(_tuples(stream), trace, params) == want
+    assert check_terminal_weights(_tuples(stream), *evidence) == want
 
 
 @pytest.mark.parametrize("name", ["er22", "hub3", "multi5", "ties8"])
 def test_plain_tuples_give_the_same_failing_verdicts(name):
     stream, eps = CORPUS[name]
-    trace, params = _traced(stream, eps)
-    # The check reads only the light and pushed events, one per edge.
-    events = [ev for ev in trace if ev.kind in (LIGHT, PUSHED)]
-    kinds = [ev.kind for ev in events]
-    pushed, light = kinds.index(PUSHED), kinds.index(LIGHT)
-    ev = events[pushed]
-    bumped = ev._replace(reduced_weight=ev.reduced_weight + 1)
-    # A light edge made heavy in both the stream and the trace: its
-    # recorded potentials no longer justify dropping it.
-    big = WeightedEdge(events[light].edge.u, events[light].edge.v, 10**12)
+    state, trace = traced_pass(stream, eps)
+    m, rows, phi, params = stream.m, list(state.rows()), state.phi, state.params
+    # One light or pushed event per edge, in stream order.
+    kinds = [ev.kind for ev in trace if ev.kind in (LIGHT, PUSHED)]
+    light = kinds.index(LIGHT)
+    # A live row's reduced weight one too large; an evicted row reads 0.
+    live = next(i for i, row in enumerate(rows) if row[3])
+    u, v, w, reduced = rows[live]
+    # A light edge made heavy in the second read: the re-run pushes it, and
+    # the pass has no arena row for it.
     edges = list(stream.edges)
-    edges[light] = big
+    edges[light] = WeightedEdge(edges[light][0], edges[light][1], 10**12)
     cases = {
-        "short": (stream, events[:-1]),
-        "push": (stream, events[:pushed] + [bumped] + events[pushed + 1:]),
-        "light": (
-            EdgeStream(stream.n, edges),
-            events[:light] + [events[light]._replace(edge=big)] + events[light + 1:],
-        ),
+        "short": (EdgeStream(stream.n, list(stream.edges)[:-1]), rows),
+        "push": (stream, rows[:live] + [(u, v, w, reduced + 1)] + rows[live + 1:]),
+        "light": (EdgeStream(stream.n, edges), rows),
     }
     for kind, (g, corrupt) in cases.items():
-        want = check_terminal_weights(g, corrupt, params)
+        want = check_terminal_weights(g, m, corrupt, phi, params)
         assert not want.ok, kind
-        got = check_terminal_weights(_tuples(g), corrupt, params)
+        got = check_terminal_weights(_tuples(g), m, corrupt, phi, params)
         assert _outcome(got) == _outcome(want), kind
 
 
@@ -146,10 +143,10 @@ def test_a_streamed_file_reads_as_its_materialized_stream(name, stream_file):
         got = solver(read_stream(path))
         assert got == solver(EdgeStream.from_stream(read_stream(path))), solver.__name__
         assert got == solver(stream), solver.__name__
-    trace, params = _traced(read_stream(path), eps)
-    want = check_terminal_weights(EdgeStream.from_stream(read_stream(path)), trace, params)
+    evidence = _evidence(read_stream(path), eps)
+    want = check_terminal_weights(EdgeStream.from_stream(read_stream(path)), *evidence)
     assert want.ok
-    assert check_terminal_weights(read_stream(path), trace, params) == want
+    assert check_terminal_weights(read_stream(path), *evidence) == want
     assert serialize_stream(read_stream(path)) == text
 
 

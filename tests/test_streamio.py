@@ -282,6 +282,31 @@ def test_a_file_whose_header_changed_is_not_read_again(tmp_path):
         assert str(exc.value) == f"{path}: header changed since the first read"
 
 
+def test_a_file_whose_body_changed_is_not_read_again(tmp_path):
+    # The header stays; the weights 5 and 8 become 500 and 800.
+    path = tmp_path / "s.mwm"
+    path.write_text("p mwm 4 2\n0 1 5\n2 3 8\n", encoding="utf-8")
+    lazy = read_stream(str(path))
+    assert sum(w for _, _, w in lazy.edges) == 13
+    path.write_text("p mwm 4 2\n0 1 500\n2 3 800\n", encoding="utf-8")
+    with pytest.raises(StreamFormatError) as exc:
+        lazy.chunks()
+    assert str(exc.value) == f"{path}: file changed since the first read"
+
+
+def test_a_file_whose_mtime_changed_is_not_read_again(tmp_path):
+    path = tmp_path / "s.mwm"
+    path.write_text("p mwm 3 2\n0 1 5\n1 2 8\n", encoding="utf-8")
+    lazy = read_stream(str(path))
+    # Untouched, the file reads again as it read first.
+    assert list(lazy.edges) == list(lazy.edges) == [(0, 1, 5), (1, 2, 8)]
+    st = os.stat(path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    with pytest.raises(StreamFormatError) as exc:
+        lazy.chunks()
+    assert str(exc.value) == f"{path}: file changed since the first read"
+
+
 def test_stdin_is_read_once(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 3 2\n0 1 5\n1 2 8\n"))
     lazy = read_stream("-")

@@ -1,7 +1,7 @@
 """Golden differential test: pinned engine traces.
 
-A SHA-256 digest pins every light, pushed and evicted event of a traced
-`run_stream` (its kind, edge, reduced weight and, for a light or pushed
+A SHA-256 digest pins every light, pushed and evicted event of a pass
+traced through `StreamingState`'s trace hook (its kind, edge, reduced weight and, for a light or pushed
 event, the potentials of the edge's two endpoints after the event) on
 Erdos-Renyi streams at three epsilons, an evicting geometric chain, the
 contended hubs of `test_golden` and a seeded multigraph corpus. Events are
@@ -13,10 +13,9 @@ import hashlib
 import json
 from fractions import Fraction
 
-from conftest import random_multigraph_stream
+from conftest import random_multigraph_stream, traced_pass
 from test_golden import HUB_EPS, _er, _hub
 
-from stream_mwm.engine import run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
 
 PASS_KINDS = ("light", "pushed", "evicted")
@@ -39,8 +38,7 @@ def trace_digest():
     """SHA-256 over one JSON line per pass event, tagged by input."""
     h = hashlib.sha256()
     for tag, stream, eps in _inputs():
-        trace = []
-        run_stream(stream, eps, trace_sink=trace)
+        _, trace = traced_pass(stream, eps)
         for ev in trace:
             if ev.kind in PASS_KINDS:
                 line = json.dumps([
