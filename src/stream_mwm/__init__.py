@@ -22,7 +22,6 @@ from .engine import StreamingState, run_stream
 from .generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 from .monitors import (
     CheckVerdict,
-    MonitorFailure,
     MonitorStats,
     TraceEvent,
     check_eviction_gap,
@@ -54,7 +53,6 @@ __all__ = [
     "Graph",
     "LazyEdgeStream",
     "Matching",
-    "MonitorFailure",
     "MonitorStats",
     "Params",
     "RunReport",

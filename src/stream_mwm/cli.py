@@ -6,8 +6,8 @@ solver, the engine and the three reference ones alike, reads its input
 once, in order, so a file is parsed as it runs. A second step (the
 oracle, or the second read of ``--alg semi --monitors``, which needs no
 trace at any m) reads a file again, and reads stdin or a pipe, which can
-be read only once, from a copy. An exact run is its own oracle;
-any other run's oracle is `optimum_weight`, the optimum's weight alone.
+be read only once, from a copy. Every run's oracle is `optimum_weight`,
+the optimum's weight alone, so an exact run's oracle checks `exact_mwm`.
 Every ``--alg`` refuses an epsilon that the engine refuses, checked once,
 after the input is opened and before an edge is read. Any I/O, parse,
 capacity or epsilon error along the way, or a node count too large to
@@ -172,10 +172,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         # is read.
         eps = _check_epsilon(parse_epsilon(args.eps))
         oracle = args.oracle and stream.n <= EXACT_MAX_NODES
-        # Only a semi run has monitors, and an exact run is its own oracle.
-        # A second step reads a one-shot input from a copy.
+        # Only a semi run has monitors. A second step reads a one-shot input
+        # from a copy.
         monitors = args.alg == "semi" and args.monitors
-        second_read = (oracle and args.alg != "exact") or monitors
+        second_read = oracle or monitors
         if second_read and isinstance(stream, LazyEdgeStream) and stream.one_shot:
             stream = EdgeStream.from_stream(stream)
         if args.alg == "semi":
@@ -196,9 +196,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         violation = False
         if oracle:
             got = matching.total_weight
-            # An exact run's matching is the oracle's own; any other run
-            # needs only the optimum's weight.
-            best = got if args.alg == "exact" else optimum_weight(stream)
+            best = optimum_weight(stream)
             report.oracle_weight = best
             if got == 0:
                 report.ratio = 1.0 if best == 0 else float("inf")
@@ -213,8 +211,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Parse, capacity and decode errors are all ValueErrors; a streamed
         # input is read, and may fail, during the run.
         return _fail(str(exc))
-    except MemoryError:
-        # A MemoryError carries no message: name the size that did not fit.
+    except (MemoryError, OverflowError):
+        # A MemoryError carries no message, and an OverflowError (a node
+        # count past 2**63) does not name the count: name the size that did
+        # not fit.
         size = "the input" if n is None else f"a graph of {n} nodes"
         return _fail(f"out of memory for {size}")
 
@@ -265,9 +265,9 @@ def _bench_task(eps: Fraction, spec: GeneratorSpec, rep: int) -> dict[str, str]:
     """One `bench` row, keyed by column name."""
     try:
         _, report = run_stream(generate(spec), eps, collect_timing=True)
-    except MemoryError:
-        # A MemoryError carries no message; as a ValueError it names the n
-        # that did not fit and comes back from a worker like any other.
+    except (MemoryError, OverflowError):
+        # As in `cmd_run`; as a ValueError it names the n that did not fit
+        # and comes back from a worker like any other.
         raise ValueError(f"out of memory for a graph of {spec.n} nodes") from None
     row = dict(zip(RUN_CSV_HEADER, report.to_csv_row()))
     row["rep"] = str(rep)

@@ -90,7 +90,6 @@ from .monitors import (
     GAP_REL_TOL,
     LIGHT as EV_LIGHT,
     PUSHED,
-    MonitorFailure,
     MonitorStats,
     TraceEvent,
     check_eviction_gap,
@@ -388,14 +387,17 @@ def run_stream(
     ``stream`` is read once, in order, through `open_edges`: a file is
     parsed, and an in-memory `EdgeStream` checked, as the pass runs. With
     ``monitors`` the report gets all four ``monitor_verdicts``, from the
-    pass's counters and one more read of ``stream`` (which a one-shot
-    stream refuses), at any m and in O(n) more memory (see `monitors`).
+    pass's counters and one more read of ``stream``, at any m and in O(n)
+    more memory (see `monitors`); a one-shot stream is refused with
+    ``ValueError`` before its first edge is read.
     With ``collect_timing`` each edge is timed with a monotonic clock inside
     the pass (every 64th edge beyond the first million, to keep the
     observer cheap).
     """
     params = compute_params(stream.n, epsilon)
     stream = open_edges(stream)
+    if monitors and stream.one_shot:
+        raise ValueError("a one-shot stream can be read only once")
     samples: list[int] | None = [] if collect_timing else None
     state = StreamingState(params, samples=samples)
 
@@ -435,16 +437,10 @@ def _monitor_verdicts(stream: LazyEdgeStream, state: StreamingState) -> dict[str
     """The four verdicts on a finalized pass over ``stream``."""
     params, stats = state.params, state.stats
     rows, phi = state.rows(), state.phi
-    try:
-        check_ratio_bound(params, stats.heavy_edges_total)
-    except MonitorFailure:
-        ratio_ok = False
-    else:
-        ratio_ok = True
-    ok = {
-        "phi_growth": check_phi_growth(stats).ok,
-        "eviction_gap": check_eviction_gap(stats).ok,
-        "terminal_weights": check_terminal_weights(stream, stream.m, rows, phi, params).ok,
-        "ratio_bound": ratio_ok,
+    verdicts = {
+        "phi_growth": check_phi_growth(stats),
+        "eviction_gap": check_eviction_gap(stats),
+        "terminal_weights": check_terminal_weights(stream, stream.m, rows, phi, params),
+        "ratio_bound": check_ratio_bound(params, stats.heavy_edges_total),
     }
-    return {name: "pass" if passed else "fail" for name, passed in ok.items()}
+    return {name: "pass" if v.ok else "fail" for name, v in verdicts.items()}

@@ -147,11 +147,12 @@ def _complete(spec: GeneratorSpec) -> list[WeightedEdge]:
 
 
 def _path(spec: GeneratorSpec) -> list[WeightedEdge]:
+    m = spec.n - 1
+    if m > MAX_EDGES:
+        raise CapacityError(f"path on {spec.n} nodes has {m} > {MAX_EDGES} edges")
     weights = _weights(random.Random(spec.seed), spec.weight_max)
     new = tuple.__new__
-    return [
-        new(WeightedEdge, (i, i + 1, w)) for i, w in zip(range(spec.n - 1), weights)
-    ]
+    return [new(WeightedEdge, (i, i + 1, w)) for i, w in zip(range(m), weights)]
 
 
 def _geometric_chain(spec: GeneratorSpec) -> list[WeightedEdge]:

@@ -6,7 +6,8 @@ past its cap (`MonitorStats`). After the pass, `engine.run_stream` turns
 the counts into verdicts at any m, with no trace: `check_phi_growth` and
 `check_eviction_gap` read them, `check_terminal_weights` runs the filter
 and the pushes again on a second read of the stream, and
-`check_ratio_bound` evaluates the approximation factor. A `TraceEvent`
+`check_ratio_bound` bounds the approximation factor, `ratio_factor`. Each
+check returns a `CheckVerdict`. A `TraceEvent`
 list, one event per edge and eviction, is a test hook of
 `engine.StreamingState` that no check reads.
 """
@@ -14,7 +15,6 @@ list, one event per edge and eviction, is a test hook of
 from __future__ import annotations
 
 import math
-import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -28,11 +28,11 @@ __all__ = [
     "MonitorStats",
     "TraceEvent",
     "CheckVerdict",
-    "MonitorFailure",
     "check_phi_growth",
     "check_eviction_gap",
     "check_terminal_weights",
     "check_ratio_bound",
+    "ratio_factor",
 ]
 
 # Trace event kinds.
@@ -91,10 +91,6 @@ class CheckVerdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-class MonitorFailure(RuntimeError):
-    """A monitored arithmetic bound did not hold."""
 
 
 def check_phi_growth(stats: MonitorStats) -> CheckVerdict:
@@ -179,27 +175,19 @@ def check_terminal_weights(
     return CheckVerdict(ok=detail is None, checked=checked, detail=detail)
 
 
-def check_ratio_bound(params: Params, k: int) -> float:
-    """Evaluate the end-to-end approximation factor for ``k`` pushes.
+def ratio_factor(params: Params, k: int) -> float:
+    """The end-to-end approximation factor ``2 * alpha * (1 + 1/gamma)**k``
+    for ``k`` pushes. ``k`` is clamped to ``n**2`` (the simple-graph push
+    budget); larger values can only come from multigraph streams."""
+    k = min(k, params.n * params.n)
+    return 2.0 * params.alpha * math.exp(k * math.log1p(1.0 / params.gamma))
 
-    Returns ``2 * alpha * (1 + 1/gamma)**k`` and asserts it stays within
-    ``2 + epsilon + 1e-9``. ``k`` is clamped to ``n**2`` (the simple-graph
-    push budget); larger values can only come from multigraph streams.
-    """
-    limit = params.n * params.n
-    if k > limit:
-        warnings.warn(
-            f"heavy edge count {k} exceeds n^2={limit}; clamping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        k = limit
-    beta1 = 2.0 * params.alpha * math.exp(k * math.log1p(1.0 / params.gamma))
-    bound = (
-        float(params.ratio_bound.numerator) / params.ratio_bound.denominator + 1e-9
-    )
-    if beta1 > bound:
-        raise MonitorFailure(
-            f"approximation factor {beta1!r} exceeds {params.ratio_bound} + 1e-9"
-        )
-    return beta1
+
+def check_ratio_bound(params: Params, k: int) -> CheckVerdict:
+    """Verify that the factor for ``k`` pushes, `ratio_factor`, stays within
+    ``2 + epsilon + 1e-9``."""
+    beta1 = ratio_factor(params, k)
+    bound = params.ratio_bound
+    ok = beta1 <= float(bound.numerator) / bound.denominator + 1e-9
+    detail = None if ok else f"approximation factor {beta1!r} exceeds {bound} + 1e-9"
+    return CheckVerdict(ok=ok, checked=k, detail=detail)

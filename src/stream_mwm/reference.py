@@ -3,7 +3,9 @@
 These exist to check the streaming engine: `mwm_simple` is the unfiltered
 weight-reduction baseline, `greedy_sorted` the sort-then-greedy baseline,
 `exact_mwm` the exact solver that returns a canonical optimum matching,
-and `optimum_weight` the oracle that returns only the optimum's weight.
+and `optimum_weight` the oracle that returns only the optimum's weight;
+the CLI's ``--oracle`` calls it for every ``--alg``, so it checks
+`exact_mwm` too.
 Both baselines end in `Matching.greedy`, the engine's unwind. Both exact
 solvers keep one edge per node pair (the heaviest copy, the first among
 equal ones) and run Edmonds' primal-dual blossom algorithm in O(n**3)
@@ -100,7 +102,7 @@ def exact_mwm(g: EdgeStream) -> Matching:
     CLI's oracle gate where it was. Among all optimum matchings it returns
     the one whose sorted edge-index sequence is lexicographically smallest,
     a proper prefix counting as smaller than its extensions, which makes
-    the oracle reproducible. A bad edge raises the engine's
+    its answer reproducible. A bad edge raises the engine's
     `StreamFormatError`.
 
     - Parallel edges, in either orientation, collapse to one edge per node

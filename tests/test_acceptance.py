@@ -26,7 +26,7 @@ from stream_mwm.monitors import (
     check_eviction_gap,
     check_phi_growth,
     check_terminal_weights,
-    check_ratio_bound,
+    ratio_factor,
 )
 from stream_mwm.reference import Graph, exact_mwm, greedy_sorted, mwm_simple
 
@@ -218,7 +218,7 @@ def test_criterion_5_ratio_bound_arithmetic():
     for n in ns:
         for eps in eps_grid:
             params = compute_params(n, eps)
-            beta1 = check_ratio_bound(params, n * n)
+            beta1 = ratio_factor(params, n * n)
             assert beta1 <= float(2 + eps) + 1e-9
             pairs += 1
     assert pairs == 50

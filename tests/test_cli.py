@@ -9,8 +9,8 @@ import pytest
 
 from stream_mwm import cli, engine
 from stream_mwm.cli import main
-from stream_mwm.core import I64_MAX, EdgeStream, WeightedEdge
-from stream_mwm.monitors import CheckVerdict, MonitorFailure
+from stream_mwm.core import I64_MAX, EdgeStream, Matching, WeightedEdge
+from stream_mwm.monitors import CheckVerdict
 from stream_mwm.reference import EXACT_MAX_NODES, Graph, exact_mwm
 from stream_mwm.report import RUN_CSV_HEADER
 from stream_mwm.streamio import serialize_stream
@@ -167,11 +167,10 @@ def test_reference_runs_stream_a_file(
         pytest.param(False, ["--alg", "exact", "--oracle"], 0, id="alg-exact-oracle"),
         pytest.param(False, ["--alg", "semi", "--oracle"], 0, id="alg-semi-oracle"),
         pytest.param(False, ["--alg", "semi", "--monitors"], 0, id="alg-semi-monitors"),
-        # Stdin can be read once: a second step reads a copy. An exact run
-        # is its own oracle, so nothing reads stdin again.
+        # Stdin can be read once: a second step reads a copy.
         pytest.param(True, ["--alg", "semi", "--oracle"], 1, id="stdin-semi-oracle"),
         pytest.param(True, ["--alg", "semi", "--monitors"], 1, id="stdin-semi-monitors"),
-        pytest.param(True, ["--alg", "exact", "--oracle"], 0, id="stdin-exact-oracle"),
+        pytest.param(True, ["--alg", "exact", "--oracle"], 1, id="stdin-exact-oracle"),
     ],
 )
 def test_a_second_read_materializes_the_file(
@@ -211,26 +210,31 @@ def test_exact_over_the_cap_fails_before_reading_the_body(
 
 
 @pytest.mark.parametrize("source", ["file", "gen"])
-def test_exact_oracle_reuses_the_runs_matching(
+def test_exact_oracle_checks_the_exact_solver(
     streamed_file, monkeypatch, capsys, source
 ):
-    # An exact run is its own oracle: one blossom solve, not two.
+    # An exact run's oracle is `optimum_weight`, not its own matching, so a
+    # matching lighter than the optimum is a violation.
     if source == "file":
-        argv = ["run", "--input", streamed_file]
+        argv = ["run", "--input", streamed_file, "--alg", "exact", "--oracle"]
     else:
-        argv = ["run", "--gen", "complete", "--n", "12", "--seed", "3"]
-    calls = []
-
-    def counted(g):
-        calls.append(g)
-        return exact_mwm(g)
-
-    monkeypatch.setattr(cli, "exact_mwm", counted)
-    assert main(argv + ["--alg", "exact", "--oracle"]) == 0
+        argv = ["run", "--gen", "complete", "--n", "12", "--seed", "3",
+                "--alg", "exact", "--oracle"]
+    assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
-    assert len(calls) == 1
     assert report["oracle_weight"] == report["output_weight"]
     assert report["ratio"] == 1.0
+
+    def lighter(g):
+        edges = sorted(exact_mwm(g).edges, key=lambda e: e.weight)
+        return Matching.of(edges[:-1])
+
+    monkeypatch.setattr(cli, "exact_mwm", lighter)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "stream-mwm: approximation ratio violated\n"
+    report = json.loads(captured.out)
+    assert report["output_weight"] < report["oracle_weight"]
 
 
 def test_run_monitors_give_every_verdict_at_n200(capsys):
@@ -289,6 +293,42 @@ def test_run_exit_2_on_a_node_count_too_large_to_allocate(alg, monkeypatch, caps
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("alg", ["semi", "greedy", "simple"])
+def test_run_exit_2_on_a_node_count_past_an_index(alg, monkeypatch, capsys):
+    """A node count of 2**63 or more is no array size at all (OverflowError,
+    not MemoryError); the run reports it as the same error."""
+    n = 10**20
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"p mwm {n} 1\n0 1 5\n"))
+    assert main(["run", "--input", "-", "--alg", alg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"stream-mwm: error: out of memory for a graph of {n} nodes\n"
+    assert captured.out == ""
+
+
+def test_gen_exit_2_on_a_node_count_past_an_index(capsys):
+    n = 10**20
+    assert main(["run", "--gen", "er", "--n", str(n), "--p", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"stream-mwm: error: out of memory for a graph of {n} nodes\n"
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_monitors_on_a_multigraph_past_the_push_budget_warn_nothing(tmp_path, capsys):
+    # 32 heavy parallel edges on 2 nodes: k = 32 passes n**2 = 4, and the
+    # ratio factor clamps k without a warning or a word on stderr.
+    path = tmp_path / "pair.mwm"
+    path.write_text(
+        "p mwm 2 32\n" + "".join(f"0 1 {4**i}\n" for i in range(32)), encoding="utf-8"
+    )
+    assert main(["run", "--input", str(path), "--monitors"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["heavy_edges_k"] == 32
+    assert list(report["monitor_verdicts"].values()) == ["pass"] * 4
+    assert captured.err == ""
+
+
 ER_10 = ["run", "--gen", "er", "--n", "10", "--p", "0.5", "--seed", "7"]
 
 
@@ -318,10 +358,8 @@ def test_run_exit_3_when_a_replayed_check_fails(check, monkeypatch, capsys):
 
 
 def test_run_exit_3_when_the_ratio_bound_monitor_fails(monkeypatch, capsys):
-    def fail(params, k):
-        raise MonitorFailure("bound exceeded")
-
-    monkeypatch.setattr(engine, "check_ratio_bound", fail)
+    fail = CheckVerdict(ok=False, detail="bound exceeded")
+    monkeypatch.setattr(engine, "check_ratio_bound", lambda params, k: fail)
     assert main(ER_10 + ["--monitors"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "stream-mwm: monitor failure\n"
@@ -461,6 +499,16 @@ def test_bench_exit_2_on_node_count_below_two(argv, message, monkeypatch, capsys
     assert main(["bench"] + argv) == 2
     captured = capsys.readouterr()
     assert f"stream-mwm: error: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_bench_exit_2_on_a_node_count_past_an_index(cpus, monkeypatch, capsys):
+    n = 10**20
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert main(["bench", "--ns", f"{n},{n}", "--p", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"stream-mwm: error: out of memory for a graph of {n} nodes\n"
     assert captured.out == ""
 
 

@@ -24,7 +24,7 @@ from stream_mwm.core import (
 )
 from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
-from stream_mwm.monitors import EVICTED, LIGHT, PUSHED, MonitorStats, check_ratio_bound
+from stream_mwm.monitors import EVICTED, LIGHT, PUSHED, MonitorStats, ratio_factor
 from stream_mwm.report import RunReport
 from stream_mwm.streamio import parse_stream, read_stream, serialize_stream
 
@@ -856,7 +856,7 @@ def test_tight_gadgets_reach_two_alpha():
     matching, report = run_stream(_path_gadgets(_COPIES, _MIDDLE, z), "1/2")
     opt = _COPIES * 2 * z
     assert matching.total_weight == _COPIES * _MIDDLE
-    beta1 = check_ratio_bound(params, report.heavy_edges_k)
+    beta1 = ratio_factor(params, report.heavy_edges_k)
     assert opt <= beta1 * matching.total_weight
     assert abs(opt / matching.total_weight - 2 * params.alpha) <= 1e-6
 
@@ -872,5 +872,5 @@ def test_gadgets_just_past_alpha_are_pushed_and_matched():
     matching, report = run_stream(_path_gadgets(_COPIES, _MIDDLE, z), "1/2")
     opt = _COPIES * 2 * z
     assert matching.total_weight == opt
-    beta1 = check_ratio_bound(params, report.heavy_edges_k)
+    beta1 = ratio_factor(params, report.heavy_edges_k)
     assert opt <= beta1 * matching.total_weight

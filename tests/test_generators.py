@@ -189,6 +189,15 @@ def test_all_pairs_edge_cap(monkeypatch, kind):
         generate(s)
 
 
+def test_path_edge_cap(monkeypatch):
+    s = spec("path", n=40)
+    monkeypatch.setattr(generators, "MAX_EDGES", 39)
+    assert len(generate(s).edges) == 39
+    monkeypatch.setattr(generators, "MAX_EDGES", 10)
+    with pytest.raises(CapacityError, match="path on 40 nodes has 39 > 10 edges"):
+        generate(s)
+
+
 def test_er_at_probability_one_keeps_the_complete_cap(monkeypatch):
     monkeypatch.setattr(generators, "MAX_EDGES", 44)
     with pytest.raises(CapacityError, match="45 > 44"):

@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import math
+import warnings
 from array import array
 from fractions import Fraction
 
@@ -13,15 +15,16 @@ from stream_mwm.monitors import (
     EVICTED,
     LIGHT,
     PUSHED,
-    MonitorFailure,
+    CheckVerdict,
     TraceEvent,
     check_eviction_gap,
     check_phi_growth,
     check_ratio_bound,
     check_terminal_weights,
+    ratio_factor,
 )
 from stream_mwm.reference import Graph
-from stream_mwm.streamio import LazyEdgeStream, open_edges
+from stream_mwm.streamio import LazyEdgeStream, open_edges, read_stream
 from test_trace_golden import _inputs
 
 
@@ -269,14 +272,30 @@ def test_run_stream_gives_every_verdict_from_one_reread():
     assert report.evictions_total >= 1
 
 
+def test_run_stream_refuses_a_one_shot_stream_before_its_first_edge(monkeypatch):
+    reads = []
+
+    class CountedStdin(io.StringIO):
+        def read(self, *args):
+            reads.append(args)
+            return super().read(*args)
+
+    monkeypatch.setattr("sys.stdin", CountedStdin("p mwm 3 2\n0 1 5\n1 2 8\n"))
+    stream = read_stream("-")
+    header_reads = len(reads)
+    with pytest.raises(ValueError, match="a one-shot stream can be read only once"):
+        run_stream(stream, 2, monitors=True)
+    assert len(reads) == header_reads
+
+
 def test_ratio_bound_k_zero_is_two_alpha():
     params = compute_params(10, 2)
-    assert check_ratio_bound(params, 0) == pytest.approx(2 * math.sqrt(2), rel=1e-12)
+    assert ratio_factor(params, 0) == pytest.approx(2 * math.sqrt(2), rel=1e-12)
 
 
 def test_ratio_bound_example_n10_eps2_k100():
     params = compute_params(10, 2)
-    beta1 = check_ratio_bound(params, 100)
+    beta1 = ratio_factor(params, 100)
     # Direct evaluation: 2*sqrt(2)*(1 + 1/gamma)**100 with gamma = 100/ln(sqrt 2).
     gamma = 100 / math.log(math.sqrt(2))
     assert beta1 == pytest.approx(2 * math.sqrt(2) * (1 + 1 / gamma) ** 100, rel=1e-9)
@@ -289,15 +308,23 @@ def test_ratio_bound_example_n10_eps2_k100():
 @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2), 1, 2])
 def test_ratio_bound_at_full_push_budget(n, eps):
     params = compute_params(n, eps)
-    beta1 = check_ratio_bound(params, n * n)
+    beta1 = ratio_factor(params, n * n)
     assert beta1 <= float(2 + eps) + 1e-9
 
 
-def test_ratio_bound_clamps_excess_k_with_warning():
+@pytest.mark.parametrize("k", [0, 16, 1000])
+def test_ratio_bound_is_a_verdict_on_k_pushes(k):
     params = compute_params(4, 2)
-    with pytest.warns(RuntimeWarning):
-        beta1 = check_ratio_bound(params, 1000)
-    assert beta1 == check_ratio_bound(params, 16)
+    assert check_ratio_bound(params, k) == CheckVerdict(ok=True, checked=k)
+
+
+def test_ratio_bound_clamps_excess_k_without_warning():
+    params = compute_params(4, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta1 = ratio_factor(params, 1000)
+        assert check_ratio_bound(params, 1000).ok
+    assert beta1 == ratio_factor(params, 16)
 
 
 def test_ratio_bound_raises_on_corrupt_params():
@@ -309,5 +336,9 @@ def test_ratio_bound_raises_on_corrupt_params():
         queue_cap=25,
         ratio_bound=Fraction(4),
     )
-    with pytest.raises(MonitorFailure):
-        check_ratio_bound(bad, 100)
+    beta1 = ratio_factor(bad, 100)
+    assert beta1 > 4
+    assert check_ratio_bound(bad, 100) == CheckVerdict(
+        ok=False, checked=100,
+        detail=f"approximation factor {beta1!r} exceeds 4 + 1e-9",
+    )
