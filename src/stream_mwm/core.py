@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import gc
 import math
+from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from operator import eq, itemgetter
@@ -137,29 +138,40 @@ class Params:
         return math.sqrt(self.alpha_sq.numerator / self.alpha_sq.denominator)
 
 
-@dataclass(frozen=True)
 class Matching:
-    """A node-disjoint edge set with its total (original) weight."""
+    """A node-disjoint edge set with its total (original) weight.
 
-    edges: frozenset[WeightedEdge] = field(default_factory=frozenset)
-    total_weight: int = 0
+    ``edges`` is a frozenset of `WeightedEdge`. ``Matching(edges,
+    total_weight)`` and `Matching.of` check the edges they are given: no two
+    share a node, none is a self-loop, and their weights add up to
+    ``total_weight``. A matching from `greedy` holds its edges as three int
+    columns instead, and builds ``edges`` from them the first time it is
+    read; a caller that reads only ``total_weight``, as `run` and `bench`
+    do, never builds it. Two matchings are equal when their edge sets and
+    weights are, however each holds its edges.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("_edges", "_columns", "_total")
+
+    def __init__(
+        self, edges: frozenset[WeightedEdge] = frozenset(), total_weight: int = 0
+    ) -> None:
         # 2k distinct endpoints for k edges: no shared node and no self-loop.
         # Sorted, equal endpoints are neighbours, so the check holds 2k
         # words and no hash table of all 2k nodes.
-        ends = sorted(
-            chain(map(itemgetter(0), self.edges), map(itemgetter(1), self.edges))
-        )
+        ends = sorted(chain(map(itemgetter(0), edges), map(itemgetter(1), edges)))
         if any(map(eq, ends, islice(ends, 1, None))):
             seen: set[int] = set()
-            for e in self.edges:
+            for e in edges:
                 if e.u in seen or e.v in seen or e.u == e.v:
                     raise ValueError(f"edges share a node: {e}")
                 seen.add(e.u)
                 seen.add(e.v)
-        if sum(map(itemgetter(2), self.edges)) != self.total_weight:
+        if sum(map(itemgetter(2), edges)) != total_weight:
             raise ValueError("total_weight does not match the edge weights")
+        self._edges: frozenset[WeightedEdge] | None = edges
+        self._columns: tuple[array, array, array] | None = None
+        self._total = total_weight
 
     @classmethod
     def of(cls, edges: Sequence[WeightedEdge]) -> "Matching":
@@ -171,18 +183,48 @@ class Matching:
         are both still free: the unwind of the engine's push arena and of the
         reference solvers.
 
-        A taken triple is copied into a `WeightedEdge` at once, so ``order``
-        may reuse its tuples (as ``zip`` does) and none is kept alive.
+        ``order`` holds no self-loop, as no checked stream does. The walk's
+        marks then keep the taken edges node-disjoint, so they are not
+        checked again. A taken edge's three ints go into signed 64-bit
+        columns: ``order`` may reuse its tuples (as ``zip`` does), and none
+        is kept alive.
         """
         matched = bytearray(n)
-        chosen: list[WeightedEdge] = []
-        append, new = chosen.append, tuple.__new__
-        for edge in order:
-            u, v, _ = edge
+        us, vs, ws = array("q"), array("q"), array("q")
+        take_u, take_v, take_w = us.append, vs.append, ws.append
+        for u, v, w in order:
             if not matched[u] and not matched[v]:
                 matched[u] = matched[v] = 1
-                append(new(WeightedEdge, edge))
-        return cls.of(chosen)
+                take_u(u)
+                take_v(v)
+                take_w(w)
+        matching = cls.__new__(cls)
+        matching._edges = None
+        matching._columns = (us, vs, ws)
+        matching._total = sum(ws)
+        return matching
+
+    @property
+    def edges(self) -> frozenset[WeightedEdge]:
+        if self._edges is None:
+            self._edges = frozenset(map(WeightedEdge, *self._columns))
+            self._columns = None
+        return self._edges
+
+    @property
+    def total_weight(self) -> int:
+        return self._total
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._total == other._total and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.edges, self._total))
+
+    def __repr__(self) -> str:
+        return f"Matching(edges={self.edges!r}, total_weight={self._total!r})"
 
     def sorted_edges(self) -> list[WeightedEdge]:
         """Edges in a deterministic order, for reports and tests."""

@@ -25,8 +25,13 @@ victim is a parallel edge. The live count falls only at an eviction, so
 the peak live count is taken just before each eviction and once at the end
 of each chunk. The unwind reads the rows with a nonzero reduced weight,
 newest first. It reads only the arena, so `finalize` releases the queues
-before it: the matching is built in the memory they held, and the pass's
-own state, not the unwind, sets the high-water mark of a run.
+before it, and builds the matching in the memory they held: a
+``bytearray(n)`` of marks and three int columns of at most n/2 rows
+(`Matching.greedy`), with no `WeightedEdge` and no endpoint sort. Under
+``tracemalloc``, on ER at average degree 16 in generated or shuffled
+order, `finalize` adds nothing to the peak: it stays the state at the end
+of the pass, at n = 2*10^4 and 2*10^5. A test bounds it at 1.2 times that
+state, and CI at 1.05 times on shuffled ER at 2*10^5.
 
 The push budget bounds the arena without compaction. A push at x sets
 ``phi(x)`` to ``w - phi(other) > alpha * phi(x)``, so every push multiplies
@@ -57,10 +62,10 @@ more, to run the filter and the pushes again against ``rows()`` and
 ``phi``. It records no trace: the ``trace`` of `StreamingState` is a hook
 for tests.
 
-A light edge, most of a typical stream, leaves nothing behind, and only a
-matched edge becomes a `WeightedEdge` (as do the edges of a trace and of
-`StreamingState.live_edges`). `run_stream` pauses the cyclic garbage
-collector for the pass, which makes no cycles.
+A light edge, most of a typical stream, leaves nothing behind, and an edge
+becomes a `WeightedEdge` only in a trace, in `StreamingState.live_edges`
+or when a matching's ``edges`` is read. `run_stream` pauses the cyclic
+garbage collector for the pass, which makes no cycles.
 
 Node potentials never exceed the largest edge weight seen, so they stay in
 64 bits: a push sets ``phi(x)`` to ``w - phi(other) <= w <= 2^63 - 1``, as

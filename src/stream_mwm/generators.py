@@ -99,7 +99,11 @@ def _erdos_renyi(spec: GeneratorSpec) -> list[WeightedEdge]:
     # every pair, so sparse graphs cost O(m) rather than O(n^2). Each edge's
     # weight is drawn right after the skip that found it.
     n, cap = spec.n, MAX_EDGES
-    log, log_1p = math.log, math.log(1.0 - p)
+    # 1.0 - p rounds to 1.0 for p below about 1.1e-16, and its log to 0.0;
+    # only there does log1p step in, so every other stream keeps its skips.
+    # At or below -1e-300 a skip stays a finite float (a subnormal p would
+    # overflow it), and one that is not 0 still passes all n^2 < 1e38 pairs.
+    log, log_1p = math.log, min(math.log(1.0 - p) or math.log1p(-p), -1e-300)
     uniform = rng.random
     weight = _weights(rng, spec.weight_max).__next__
     new, append = tuple.__new__, edges.append
@@ -173,6 +177,9 @@ def _geometric_chain(spec: GeneratorSpec) -> list[WeightedEdge]:
         raise CapacityError(
             f"chain weight {spec.base}**{spec.n - 1} exceeds 2^63-1; reduce n or base"
         )
+    m = spec.n - 1
+    if m > MAX_EDGES:
+        raise CapacityError(f"chain on {spec.n} nodes has {m} > {MAX_EDGES} edges")
     return [
         WeightedEdge(0, t, math.ceil(spec.base**t)) for t in range(1, spec.n)
     ]

@@ -418,6 +418,14 @@ def test_chain_past_float_range_exits_2(argv, weight, monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("p", ["1e-30", "1e-17", "5e-324"])
+def test_er_with_a_probability_below_double_resolution_exits_0(p, capsys):
+    # 1.0 - p rounds to 1.0 here, and its log to 0.0; at 5e-324, the
+    # smallest double, log1p(-p) is so small that a skip would overflow.
+    assert main(["run", "--gen", "er", "--n", "100", "--p", p]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 0
+
+
 def test_bench_csv_shape_and_determinism(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     argv = ["bench", "--ns", "100,200", "--reps", "2", "--seed", "5", "--eps", "1/2"]
