@@ -35,8 +35,8 @@ header, three int fields a line, no more edges than declared), so a bad
 edge reads ``line N: ...`` from a file as from memory. `open_edges` is the
 one way to checked edges: it hands a `LazyEdgeStream` on as it is and
 opens an `EdgeStream` as one, whose reads check ``_CHUNK_EDGES`` edges a
-chunk. The engine's pass checks nothing again, and only its matched edges
-become `WeightedEdge`s. `EdgeStream.from_stream` copies one read.
+chunk. The engine's pass checks nothing again, and makes no
+`WeightedEdge` outside a trace. `EdgeStream.from_stream` copies one read.
 """
 
 from __future__ import annotations
