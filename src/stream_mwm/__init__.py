@@ -23,7 +23,6 @@ from .generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 from .monitors import (
     CheckVerdict,
     MonitorStats,
-    TraceEvent,
     check_eviction_gap,
     check_phi_growth,
     check_ratio_bound,
@@ -60,7 +59,6 @@ __all__ = [
     "StreamOrder",
     "StreamingState",
     "TimingStats",
-    "TraceEvent",
     "WeightedEdge",
     "check_eviction_gap",
     "check_phi_growth",

@@ -46,25 +46,24 @@ so the arena is at most ``4 * n * queue_cap`` rows of 32 bytes.
 The pass is one loop, `StreamingState.process_edges`, over a chunk of
 ``(u, v, w)`` edges: it holds the light filter, the push, the queue upkeep
 and the eviction, with the state bound to locals for the chunk, and takes
-the per-edge time samples and trace events itself. It checks nothing:
-every edge it gets is three exact ints, endpoints distinct and below n,
-weight in ``[0, 2^63-1]``, and `streamio` is the one module that checks
-them. `run_stream` reads one `chunks()` of `open_edges`, the one way to
-checked edges: a file is parsed, and an in-memory `EdgeStream` checked
-edge by edge, as the pass runs, and either names a bad edge by its line in
-the file format. `process_edge` is `check_edge` followed by the loop on a
+the per-edge time samples itself. It checks nothing: every edge it gets is
+three exact ints, endpoints distinct and below n, weight in
+``[0, 2^63-1]``, and `streamio` is the one module that checks them.
+`run_stream` reads one `chunks()` of `open_edges`, the one way to checked
+edges: a file is parsed, and an in-memory `EdgeStream` checked edge by
+edge, as the pass runs, and either names a bad edge by its line in the
+file format. `process_edge` is `check_edge` followed by the loop on a
 chunk of one.
 
 The loop counts, at O(1) a push, each potential that grows by less than
 alpha, each queue past its cap and each eviction short of its weight gap.
 `run_stream` with ``monitors`` reads the counts and then the stream once
 more, to run the filter and the pushes again against ``rows()`` and
-``phi``. It records no trace: the ``trace`` of `StreamingState` is a hook
-for tests.
+``phi``.
 
 A light edge, most of a typical stream, leaves nothing behind, and an edge
-becomes a `WeightedEdge` only in a trace, in `StreamingState.live_edges`
-or when a matching's ``edges`` is read. `run_stream` pauses the cyclic
+becomes a `WeightedEdge` only in `StreamingState.live_edges` or when a
+matching's ``edges`` is read. `run_stream` pauses the cyclic
 garbage collector for the pass, which makes no cycles.
 
 Node potentials never exceed the largest edge weight seen, so they stay in
@@ -91,12 +90,8 @@ from .core import (
     gc_paused,
 )
 from .monitors import (
-    EVICTED,
     GAP_REL_TOL,
-    LIGHT as EV_LIGHT,
-    PUSHED,
     MonitorStats,
-    TraceEvent,
     check_eviction_gap,
     check_phi_growth,
     check_ratio_bound,
@@ -120,15 +115,13 @@ class StreamingState:
 
     ``process_edge`` and ``process_edges`` calls must arrive in stream
     order; ``finalize`` consumes the state. Independent states are safe to
-    run in parallel. ``trace`` receives one event per edge and eviction;
-    ``samples`` receives the nanoseconds each edge took, for every edge up
-    to the millionth and every 64th after.
+    run in parallel. ``samples`` receives the nanoseconds each edge took,
+    for every edge up to the millionth and every 64th after.
     """
 
     def __init__(
         self,
         params: Params,
-        trace: list[TraceEvent] | None = None,
         samples: list[int] | None = None,
     ) -> None:
         self.params = params
@@ -148,7 +141,6 @@ class StreamingState:
         self._ws = array(_ROW_TYPECODE)
         self._reduced = array(_ROW_TYPECODE)
         self._finalized = False
-        self._trace = trace
         self._samples = samples
         # The stream index of the next edge, counted only when timing.
         self._timed_edges = 0
@@ -209,13 +201,10 @@ class StreamingState:
             raise RuntimeError("state already finalized")
         phi = self.phi
         queues = self._queues
-        arena_u, arena_v, arena_w, arena_r = self._us, self._vs, self._ws, self._reduced
+        arena_u, arena_v, arena_r = self._us, self._vs, self._reduced
         push_u, push_v = arena_u.append, arena_v.append
-        push_w, push_r = arena_w.append, arena_r.append
+        push_w, push_r = self._ws.append, arena_r.append
         p, q, cap, gap, tol = self._p, self._q, self._cap, self._gap, GAP_REL_TOL
-        trace = self._trace
-        if trace is not None:
-            record = trace.append
         samples = self._samples
         timed = samples is not None
         if timed:
@@ -252,9 +241,6 @@ class StreamingState:
                 if w <= pot_sum or (
                     w <= 2 * pot_sum and q * w * w <= p * pot_sum * pot_sum
                 ):
-                    if trace is not None:
-                        edge = WeightedEdge(u, v, w)
-                        record(TraceEvent(EV_LIGHT, edge, None, phi_u, phi_v))
                     continue
 
                 push_w(w)
@@ -300,11 +286,6 @@ class StreamingState:
                 if longest > longest_queue:
                     longest_queue = longest
 
-                if trace is not None:
-                    # Read back from the array: the event shows what was stored.
-                    edge = WeightedEdge(u, v, w)
-                    record(TraceEvent(PUSHED, edge, reduced, phi[u], phi[v]))
-
                 if longest >= cap:
                     # Queue-cap monitor: a queue may reach the cap, never
                     # pass it.
@@ -341,9 +322,6 @@ class StreamingState:
                             other.remove(victim)
                         else:
                             queues[y] = None
-                        if trace is not None:
-                            edge = WeightedEdge(vu, vv, arena_w[victim])
-                            record(TraceEvent(EVICTED, edge, victim_reduced))
         finally:
             if timed:
                 if start:

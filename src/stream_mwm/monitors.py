@@ -3,13 +3,11 @@
 The engine counts, at O(1) a push, each invariant it breaks: a potential
 grown by less than alpha, an eviction short of its weight gap, a queue
 past its cap (`MonitorStats`). After the pass, `engine.run_stream` turns
-the counts into verdicts at any m, with no trace: `check_phi_growth` and
+the counts into verdicts at any m: `check_phi_growth` and
 `check_eviction_gap` read them, `check_terminal_weights` runs the filter
 and the pushes again on a second read of the stream, and
 `check_ratio_bound` bounds the approximation factor, `ratio_factor`. Each
-check returns a `CheckVerdict`. A `TraceEvent`
-list, one event per edge and eviction, is a test hook of
-`engine.StreamingState` that no check reads.
+check returns a `CheckVerdict`.
 """
 
 from __future__ import annotations
@@ -17,16 +15,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .core import EdgeStream, Params, WeightedEdge
+from .core import EdgeStream, Params
 
 __all__ = [
-    "LIGHT",
-    "PUSHED",
-    "EVICTED",
     "MonitorStats",
-    "TraceEvent",
     "CheckVerdict",
     "check_phi_growth",
     "check_eviction_gap",
@@ -34,11 +28,6 @@ __all__ = [
     "check_ratio_bound",
     "ratio_factor",
 ]
-
-# Trace event kinds.
-LIGHT = "light"
-PUSHED = "pushed"
-EVICTED = "evicted"
 
 #: Relative tolerance of the eviction gap test, whose factor
 #: 2*alpha*gamma is real.
@@ -61,22 +50,6 @@ class MonitorStats:
     max_queue_len: int = 0
     evictions_total: int = 0
     eviction_gap_violations: int = 0
-
-
-class TraceEvent(NamedTuple):
-    """One engine event: an edge classified (light or pushed) or evicted.
-
-    ``phi_u`` and ``phi_v`` are the potentials of ``edge.u`` and ``edge.v``
-    after the event took effect (None for an eviction); ``reduced_weight``
-    is set for pushes and evictions. Immutable and hashable, like
-    `WeightedEdge`.
-    """
-
-    kind: str
-    edge: WeightedEdge
-    reduced_weight: int | None = None
-    phi_u: int | None = None
-    phi_v: int | None = None
 
 
 @dataclass(frozen=True)

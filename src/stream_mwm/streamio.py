@@ -36,7 +36,7 @@ edge reads ``line N: ...`` from a file as from memory. `open_edges` is the
 one way to checked edges: it hands a `LazyEdgeStream` on as it is and
 opens an `EdgeStream` as one, whose reads check ``_CHUNK_EDGES`` edges a
 chunk. The engine's pass checks nothing again, and makes no
-`WeightedEdge` outside a trace. `EdgeStream.from_stream` copies one read.
+`WeightedEdge`. `EdgeStream.from_stream` copies one read.
 """
 
 from __future__ import annotations

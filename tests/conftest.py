@@ -1,14 +1,18 @@
-"""Shared test helpers: independent oracles, input strategies and fixtures."""
+"""Shared test helpers: the reference pass, independent oracles, input
+strategies and fixtures."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import math
 import random
 
 import pytest
 
 from stream_mwm.core import EdgeStream, WeightedEdge, compute_params
 from stream_mwm.engine import StreamingState
+from stream_mwm.monitors import MonitorStats
 from stream_mwm.streamio import open_edges
 
 
@@ -23,15 +27,126 @@ def gc_state():
         gc.disable()
 
 
-def traced_pass(stream, eps):
-    """Run the pass over ``stream`` as `run_stream` does, in the chunks of
-    `open_edges`, through `StreamingState`'s trace hook; return the state,
-    not yet finalized, and its trace."""
-    trace = []
-    state = StreamingState(compute_params(stream.n, eps), trace=trace)
-    for chunk in open_edges(stream).chunks():
-        state.process_edges(chunk)
-    return state, trace
+class NaivePass:
+    """The reference pass: a textbook simulation over plain lists keyed by
+    push index, fed plain ``(u, v, w)`` triples in stream order.
+
+    ``events`` holds one ``(kind, (u, v, w), reduced, phi_u, phi_v)`` per
+    edge, ``"light"`` or ``"pushed"`` with its endpoints' potentials after
+    the edge, and one ``("evicted", edge, reduced, None, None)`` per
+    eviction. ``counters`` are the `MonitorStats` fields.
+    """
+
+    def __init__(self, params):
+        self.params = params
+        self.phi = [0] * params.n
+        self.stack = []  # [(u, v, w), reduced, alive], in push order
+        self.queues = [[] for _ in range(params.n)]  # stack indices, oldest first
+        self.counters = dict.fromkeys((f.name for f in dataclasses.fields(MonitorStats)), 0)
+        self.events = []
+        self._live = 0
+
+    def feed(self, edges) -> int:
+        """Run the pass over ``edges``; return how many were pushed."""
+        params, phi, stack, queues = self.params, self.phi, self.stack, self.queues
+        counters, events = self.counters, self.events
+        cap = params.queue_cap
+        p, q = params.alpha_sq.numerator, params.alpha_sq.denominator
+        pushed = 0
+        for u, v, w in edges:
+            edge = (u, v, w)
+            s = phi[u] + phi[v]
+            if q * w * w <= p * s * s:
+                events.append(("light", edge, None, phi[u], phi[v]))
+                continue
+            reduced = w - s
+            idx = len(stack)
+            stack.append([edge, reduced, True])
+            for x in (u, v):
+                new = phi[x] + reduced
+                counters["phi_growth_violations"] += q * new * new < p * phi[x] * phi[x]
+                phi[x] = new
+                queues[x].append(idx)
+            pushed += 1
+            counters["heavy_edges_total"] += 1
+            self._live += 1
+            counters["peak_live_entries"] = max(counters["peak_live_entries"], self._live)
+            lengths = [len(queues[u]), len(queues[v])]
+            counters["max_queue_len"] = max(counters["max_queue_len"], *lengths)
+            counters["queue_cap_violations"] += sum(length > cap for length in lengths)
+            events.append(("pushed", edge, reduced, phi[u], phi[v]))
+            for x in (u, v):
+                if len(queues[x]) >= cap:
+                    victim = queues[x].pop(0)
+                    stack[victim][2] = False
+                    self._live -= 1
+                    counters["evictions_total"] += 1
+                    (vu, vv, vw), vr, _ = stack[victim]
+                    need = 2 * params.alpha * params.gamma * vr
+                    counters["eviction_gap_violations"] += not (
+                        reduced >= need or math.isclose(reduced, need, rel_tol=1e-6)
+                    )
+                    for y in (vu, vv):
+                        if victim in queues[y]:
+                            queues[y].remove(victim)
+                    events.append(("evicted", (vu, vv, vw), vr, None, None))
+        return pushed
+
+    @property
+    def rows(self) -> list[tuple[int, int, int, int]]:
+        """The pushed edges ``(u, v, w, reduced)`` in push order, reduced
+        weight 0 once evicted."""
+        return [(*e, reduced if alive else 0) for e, reduced, alive in self.stack]
+
+    @property
+    def live(self) -> list[tuple[int, int, int]]:
+        return [e for e, _, alive in self.stack if alive]
+
+    @property
+    def queued(self) -> list[list[tuple[int, int, int]]]:
+        """Each node's queued edges, oldest first."""
+        return [[self.stack[i][0] for i in queue] for queue in self.queues]
+
+    @property
+    def chosen(self) -> list[tuple[int, int, int]]:
+        """The greedy unwind of the live edges, newest first, sorted."""
+        matched = set()
+        chosen = []
+        for (u, v, w), _, alive in reversed(self.stack):
+            if alive and u not in matched and v not in matched:
+                matched.update((u, v))
+                chosen.append((u, v, w))
+        return sorted(chosen)
+
+
+def naive_pass(params, edges) -> NaivePass:
+    """The reference pass over all of ``edges``."""
+    model = NaivePass(params)
+    model.feed(edges)
+    return model
+
+
+def modelled_pass(params, chunks):
+    """Run the pass over ``chunks`` and the model beside it, and assert
+    after every chunk that the state is the model's: arena rows,
+    potentials, counters and every node's queue. Return the state, not yet
+    finalized, and the model."""
+    state, model = StreamingState(params), NaivePass(params)
+    for chunk in chunks:
+        chunk = list(chunk)
+        pushed = state.process_edges(chunk)
+        assert pushed == model.feed(chunk)
+        assert list(state.rows()) == model.rows
+        assert list(state.phi) == model.phi
+        assert dataclasses.asdict(state.stats) == model.counters
+        assert [state._queue(x) for x in range(params.n)] == model.queued
+    return state, model
+
+
+def checked_pass(stream, eps):
+    """`modelled_pass` over ``stream`` in the chunks of `open_edges`, as
+    `run_stream` reads it."""
+    return modelled_pass(compute_params(stream.n, eps), open_edges(stream).chunks())
 
 
 def enumerate_best_weight(n: int, edges: list[WeightedEdge]) -> int:

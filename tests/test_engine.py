@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import math
@@ -6,13 +5,18 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_best_weight, random_simple_stream, traced_pass
+from conftest import (
+    NaivePass,
+    checked_pass,
+    enumerate_best_weight,
+    naive_pass,
+    random_simple_stream,
+)
 from test_golden import HUB_EPS, _hub
 from stream_mwm.core import (
     I64_MAX,
@@ -24,13 +28,13 @@ from stream_mwm.core import (
 )
 from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
-from stream_mwm.monitors import EVICTED, LIGHT, PUSHED, MonitorStats, ratio_factor
+from stream_mwm.monitors import ratio_factor
 from stream_mwm.report import RunReport
 from stream_mwm.streamio import parse_stream, read_stream, serialize_stream
 
 
-def fresh(n=3, eps=2, trace=None):
-    return StreamingState(compute_params(n, eps), trace=trace)
+def fresh(n=3, eps=2):
+    return StreamingState(compute_params(n, eps))
 
 
 def test_initial_state():
@@ -43,8 +47,7 @@ def test_initial_state():
 
 
 def test_process_edge_hand_trace():
-    trace = []
-    s = fresh(trace=trace)
+    s = fresh()
     assert s.process_edge(WeightedEdge(0, 1, 5)) is True
     # Both potentials grow by the reduced weight 5 - (0 + 0).
     assert list(s.phi) == [5, 5, 0]
@@ -62,11 +65,12 @@ def test_process_edge_hand_trace():
     assert stats.peak_live_entries == 2
     assert stats.evictions_total == 0
     assert stats.heavy_edges_total == 2
+    # The arena keeps a row per push, in push order.
+    assert list(s.rows()) == [(0, 1, 5, 5), (1, 2, 8, 3)]
     heavy_per_node = [0, 0, 0]
-    for ev in trace:
-        if ev.kind == PUSHED:
-            heavy_per_node[ev.edge.u] += 1
-            heavy_per_node[ev.edge.v] += 1
+    for u, v, _, _ in s.rows():
+        heavy_per_node[u] += 1
+        heavy_per_node[v] += 1
     assert heavy_per_node == [1, 2, 1]
 
 
@@ -259,12 +263,13 @@ def test_traced_run_over_a_lazy_stream_matches_the_parsed_stream(tmp_path):
     text = "c chain of 40 with evictions\n" + serialize_stream(_chain(40))
     path = tmp_path / "chain.mwm"
     path.write_text(text, encoding="utf-8")
-    lazy_state, lazy_trace = traced_pass(read_stream(str(path)), 2)
-    parsed_state, parsed_trace = traced_pass(
+    # Each pass is held to the model after every chunk.
+    lazy_state, lazy_model = checked_pass(read_stream(str(path)), 2)
+    parsed_state, parsed_model = checked_pass(
         parse_stream(text.splitlines(keepends=True)), 2
     )
-    assert lazy_trace == parsed_trace
-    assert any(ev.kind == EVICTED for ev in lazy_trace)
+    assert lazy_model.events == parsed_model.events
+    assert any(kind == "evicted" for kind, *_ in lazy_model.events)
     assert lazy_state.finalize() == parsed_state.finalize()
     lazy = run_stream(read_stream(str(path)), 2, monitors=True)
     assert lazy == run_stream(parse_stream(text.splitlines(keepends=True)), 2, monitors=True)
@@ -441,80 +446,6 @@ def test_engine_invariants_on_random_streams(seed, eps):
     assert matching.total_weight * bound.numerator >= opt * bound.denominator
 
 
-class _Naive(NamedTuple):
-    phi: list[int]
-    live: list[WeightedEdge]
-    chosen: list[WeightedEdge]  # the matching, sorted
-    queued: list[list[WeightedEdge]]
-    counters: dict[str, int]  # the `MonitorStats` fields
-    events: list[tuple]  # (kind, edge, reduced, phi_u, phi_v)
-
-
-def _naive_pass(params, edges, history=None):
-    """Textbook simulation of the pass over plain lists keyed by stack
-    index. An event's potentials are its endpoints' after the event.
-    ``history``, if given, receives a copy of the counters after each edge."""
-    n, cap = params.n, params.queue_cap
-    p, q = params.alpha_sq.numerator, params.alpha_sq.denominator
-    phi = [0] * n
-    stack = []  # [edge, reduced, alive]
-    queues = [[] for _ in range(n)]
-    counters = dict.fromkeys((f.name for f in dataclasses.fields(MonitorStats)), 0)
-    events = []
-    live = 0
-    for e in edges:
-        s = phi[e.u] + phi[e.v]
-        if q * e.weight * e.weight <= p * s * s:
-            events.append((LIGHT, e, None, phi[e.u], phi[e.v]))
-        else:
-            reduced = e.weight - s
-            idx = len(stack)
-            stack.append([e, reduced, True])
-            for x in (e.u, e.v):
-                new = phi[x] + reduced
-                counters["phi_growth_violations"] += q * new * new < p * phi[x] * phi[x]
-                phi[x] = new
-                queues[x].append(idx)
-            counters["heavy_edges_total"] += 1
-            live += 1
-            counters["peak_live_entries"] = max(counters["peak_live_entries"], live)
-            lengths = [len(queues[e.u]), len(queues[e.v])]
-            counters["max_queue_len"] = max(counters["max_queue_len"], *lengths)
-            counters["queue_cap_violations"] += sum(length > cap for length in lengths)
-            events.append((PUSHED, e, reduced, phi[e.u], phi[e.v]))
-            for x in (e.u, e.v):
-                if len(queues[x]) >= cap:
-                    victim = queues[x].pop(0)
-                    stack[victim][2] = False
-                    live -= 1
-                    counters["evictions_total"] += 1
-                    ve, vr, _ = stack[victim]
-                    need = 2 * params.alpha * params.gamma * vr
-                    counters["eviction_gap_violations"] += not (
-                        reduced >= need or math.isclose(reduced, need, rel_tol=1e-6)
-                    )
-                    for y in (ve.u, ve.v):
-                        if victim in queues[y]:
-                            queues[y].remove(victim)
-                    events.append((EVICTED, ve, vr, None, None))
-        if history is not None:
-            history.append(dict(counters))
-    matched = set()
-    chosen = []
-    for e, _, alive in reversed(stack):
-        if alive and e.u not in matched and e.v not in matched:
-            matched.update((e.u, e.v))
-            chosen.append(e)
-    return _Naive(
-        phi,
-        [e for e, _, alive in stack if alive],
-        sorted(chosen),
-        [[stack[i][0] for i in queue] for queue in queues],
-        counters,
-        events,
-    )
-
-
 def _assert_matches_naive(params, edges):
     s = StreamingState(params)
     for e in edges:
@@ -523,7 +454,7 @@ def _assert_matches_naive(params, edges):
     queued = [list(s._queue(x)) for x in range(params.n)]
     lengths = [s.queue_len(x) for x in range(params.n)]
     matching, _ = s.finalize()
-    naive = _naive_pass(params, edges)
+    naive = naive_pass(params, edges)
     assert list(s.phi) == naive.phi
     assert live == naive.live
     assert queued == naive.queued
@@ -628,10 +559,11 @@ def _slot_kind(state, node):
 
 
 def _assert_queues_match_naive_after_each_edge(params, edges):
-    s = StreamingState(params)
-    for i, e in enumerate(edges):
+    s, naive = StreamingState(params), NaivePass(params)
+    for e in edges:
         assert s.process_edge(e)
-        naive_queued = _naive_pass(params, edges[: i + 1]).queued
+        naive.feed([e])
+        naive_queued = naive.queued
         assert [s._queue(x) for x in range(params.n)] == naive_queued
         assert [s.queue_len(x) for x in range(params.n)] == [len(q) for q in naive_queued]
     _assert_matches_naive(params, edges)
@@ -768,11 +700,11 @@ def test_each_edge_value_is_pushed_at_most_once(stream, eps):
     # its endpoints' potential sum to at least w, and potentials never fall.
     n, edges = stream
     params = compute_params(n, eps)
-    trace = []
-    s = StreamingState(params, trace=trace)
+    s = StreamingState(params)
     for e in edges:
         s.process_edge(e)
-    pushed = [ev.edge for ev in trace if ev.kind == PUSHED]
+    # The arena keeps one row per push, evicted or not.
+    pushed = [row[:3] for row in s.rows()]
     assert len(pushed) == len(set(pushed))
     _assert_matches_naive(params, edges)
 

@@ -1,6 +1,7 @@
 """Differential tests of the pass loop: `StreamingState.process_edges`,
-fed a stream in chunks of any size, agrees with a textbook simulation of the
-pass on every counter, live edge, matching and trace event; and an in-memory
+fed a stream in chunks of any size, agrees with the reference pass of
+`conftest` on its whole state after every chunk (arena rows, potentials,
+counters and queues), and on its live edges and matching; and an in-memory
 stream whose bad edge sits in a later chunk fails with the message and line
 number of the edge-by-edge path. A run over the corpus holds at most
 ``n * queue_cap / 2`` live edges."""
@@ -12,9 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_multigraph_stream, traced_pass
-from test_engine import _SLOTS, _chain, _doubling_edges, _heavy_chain_stars, _naive_pass
+from conftest import checked_pass, modelled_pass, naive_pass, random_multigraph_stream
+from test_engine import _SLOTS, _chain, _doubling_edges, _heavy_chain_stars
 from test_golden import HUB_EPS, _hub
+from test_trace_golden import _inputs
 from stream_mwm import streamio
 from stream_mwm.core import (
     I64_MAX,
@@ -24,7 +26,6 @@ from stream_mwm.core import (
     compute_params,
 )
 from stream_mwm.engine import StreamingState, run_stream
-from stream_mwm.monitors import EVICTED, PUSHED
 
 CHUNK_SIZES = [1, 2, 3, 7, 4096]
 
@@ -53,21 +54,17 @@ def _streams():
 
 
 STREAMS = list(_streams())
-
-
-def _events(trace):
-    return [
-        (ev.kind, ev.edge, ev.reduced_weight, ev.phi_u, ev.phi_v) for ev in trace
-    ]
+#: The corpus and the inputs of `TRACE_DIGEST`; an input in both is the
+#: same stream at the same epsilon.
+GUARDED = STREAMS + [
+    case for case in _inputs() if case[0] not in {tag for tag, _, _ in STREAMS}
+]
 
 
 def _run_in_chunks(params, edges, size):
-    trace = []
-    state = StreamingState(params, trace=trace)
-    pushed = 0
-    for start in range(0, len(edges), size):
-        pushed += state.process_edges(edges[start : start + size])
-    return state, trace, pushed
+    """`modelled_pass` over ``edges`` in chunks of ``size``."""
+    chunks = (edges[start : start + size] for start in range(0, len(edges), size))
+    return modelled_pass(params, chunks)
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
@@ -75,58 +72,51 @@ def _run_in_chunks(params, edges, size):
 def test_column_loop_matches_the_naive_pass_at_any_chunk_size(tag, stream, eps, size):
     params = compute_params(stream.n, eps)
     edges = list(stream.edges)
-    naive = _naive_pass(params, edges)
-    counters, events = naive.counters, naive.events
+    naive = naive_pass(params, edges)
+    counters = naive.counters
 
-    state, trace, pushed = _run_in_chunks(params, edges, size)
-    assert dataclasses.asdict(state.stats) == counters
+    state = StreamingState(params)
+    pushed = sum(
+        state.process_edges(edges[start : start + size])
+        for start in range(0, len(edges), size)
+    )
     assert pushed == counters["heavy_edges_total"]
+    assert dataclasses.asdict(state.stats) == counters
     assert list(state.phi) == naive.phi
     assert state.live_edges() == naive.live
-    assert _events(trace) == events
     matching, stats = state.finalize()
     assert matching.sorted_edges() == naive.chosen
     assert stats is state.stats
 
-    # run_stream cuts an in-memory stream into chunks of the same size, as
-    # the trace hook's helper does.
+    # run_stream cuts an in-memory stream into chunks of the same size, and
+    # checked_pass holds the pass over those chunks to the model.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(streamio, "_CHUNK_EDGES", size)
         run_matching, report = run_stream(stream, eps)
-        assert _events(traced_pass(stream, eps)[1]) == events
+        checked_pass(stream, eps)
     assert run_matching == matching
     assert report.m == len(edges)
     assert report.heavy_edges_k == counters["heavy_edges_total"]
     assert report.evictions_total == counters["evictions_total"]
 
 
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("tag, stream, eps", GUARDED, ids=[t for t, _, _ in GUARDED])
+def test_the_state_matches_the_naive_pass_after_every_chunk(tag, stream, eps, size):
+    # The loop keeps its counters in locals and writes them back, the peak
+    # included, when a chunk ends: modelled_pass asserts that each chunk
+    # leaves the arena rows, the potentials, every counter and every queue
+    # as the model's. At size 1 that is after every edge.
+    _run_in_chunks(compute_params(stream.n, eps), list(stream.edges), size)
+
+
 @pytest.mark.parametrize("cap", [4, 9])
 def test_gap_violations_match_the_naive_pass_under_a_forced_cap(cap):
     # Below the paper's queue_cap, evictions come before the weight gap.
+    # _run_in_chunks holds every counter to the model after every chunk.
     params = dataclasses.replace(compute_params(64, 2), queue_cap=cap)
-    edges = list(_chain(64).edges)
-    naive = _naive_pass(params, edges)
-    state, trace, _ = _run_in_chunks(params, edges, 7)
-    assert dataclasses.asdict(state.stats) == naive.counters
-    assert _events(trace) == naive.events
+    _, naive = _run_in_chunks(params, list(_chain(64).edges), 7)
     assert naive.counters["eviction_gap_violations"] > 0
-
-
-@pytest.mark.parametrize("size", CHUNK_SIZES)
-@pytest.mark.parametrize("tag, stream, eps", STREAMS, ids=[t for t, _, _ in STREAMS])
-def test_counters_match_the_naive_pass_after_every_chunk(tag, stream, eps, size):
-    # The loop keeps its counters in locals and writes them back, the peak
-    # included, when a chunk ends: each chunk must leave them exact.
-    params = compute_params(stream.n, eps)
-    edges = list(stream.edges)
-    history = []
-    _naive_pass(params, edges, history)
-    state = StreamingState(params)
-    for start in range(0, len(edges), size):
-        chunk = edges[start : start + size]
-        state.process_edges(chunk)
-        end = start + len(chunk)
-        assert dataclasses.asdict(state.stats) == history[end - 1], end
 
 
 #: One node pair fed heavy parallel edges: both queues fill together, so
@@ -150,10 +140,10 @@ def test_the_corpus_evicts_at_both_endpoints_of_one_push():
     # Evicting at u may shorten v's full queue, or leave it to evict too.
     both = 0
     for _, stream, eps in STREAMS:
-        events = _naive_pass(compute_params(stream.n, eps), stream.edges).events
+        events = naive_pass(compute_params(stream.n, eps), stream.edges).events
         kinds = [kind for kind, *_ in events]
         both += sum(
-            kinds[i : i + 3] == [PUSHED, EVICTED, EVICTED] for i in range(len(kinds))
+            kinds[i : i + 3] == ["pushed", "evicted", "evicted"] for i in range(len(kinds))
         )
     assert both >= 10
 
@@ -162,7 +152,7 @@ def test_the_corpus_evicts_in_many_streams():
     evicting = 0
     for _, stream, eps in STREAMS:
         params = compute_params(stream.n, eps)
-        counters = _naive_pass(params, stream.edges).counters
+        counters = naive_pass(params, stream.edges).counters
         evicting += counters["evictions_total"] > 0
     assert evicting >= 7
 
@@ -254,8 +244,9 @@ def test_int_subclass_weights_take_the_per_edge_path_to_the_same_pass(tag, strea
     wrapped = [(u, v, _Int(w)) for u, v, w in stream.edges]
     want_matching, want = run_stream(stream, eps)
     got_matching, got = run_stream(EdgeStream(stream.n, wrapped), eps)
-    got_trace = traced_pass(EdgeStream(stream.n, wrapped), eps)[1]
-    assert _events(got_trace) == _events(traced_pass(stream, eps)[1])
+    # Each pass is held to the model after every chunk.
+    got_events = checked_pass(EdgeStream(stream.n, wrapped), eps)[1].events
+    assert got_events == checked_pass(stream, eps)[1].events
     assert got == want
     assert got_matching == want_matching
     assert {type(e.weight) for e in got_matching.edges} <= {int}

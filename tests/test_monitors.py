@@ -7,16 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import traced_pass
+from conftest import checked_pass
 from stream_mwm.core import EdgeStream, Params, WeightedEdge, compute_params, is_heavy
 from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
 from stream_mwm.monitors import (
-    EVICTED,
-    LIGHT,
-    PUSHED,
     CheckVerdict,
-    TraceEvent,
     check_eviction_gap,
     check_phi_growth,
     check_ratio_bound,
@@ -25,13 +21,12 @@ from stream_mwm.monitors import (
 )
 from stream_mwm.reference import Graph
 from stream_mwm.streamio import LazyEdgeStream, open_edges, read_stream
-from test_trace_golden import _inputs
 
 
 def _finalized(stream: EdgeStream, eps):
     """A finalized pass over ``stream``, as `run_stream` leaves it for the
-    checks."""
-    state, _ = traced_pass(stream, eps)
+    checks, held to the model after every chunk."""
+    state, _ = checked_pass(stream, eps)
     state.finalize()
     return state
 
@@ -56,14 +51,6 @@ def _chain_stream(n=64):
 def test_phi_growth_two_push_example():
     verdict = check_phi_growth(_finalized(_two_push_stream(), 2).stats)
     assert verdict.ok and verdict.checked == 2  # node 1 goes 5 -> 8
-
-
-def test_trace_holds_only_pass_events():
-    """One light or pushed event per edge, one evicted event per eviction."""
-    for _, stream, eps in _inputs():
-        state, trace = traced_pass(stream, eps)
-        assert {ev.kind for ev in trace} <= {LIGHT, PUSHED, EVICTED}
-        assert len(trace) == stream.m + state.stats.evictions_total
 
 
 def test_phi_growth_vacuous_with_one_push_per_node():
@@ -94,10 +81,10 @@ def test_eviction_gap_vacuous_without_evictions():
 
 
 def test_eviction_gap_on_geometric_chain():
-    state, trace = traced_pass(_chain_stream(), 2)
+    state, model = checked_pass(_chain_stream(), 2)
     verdict = check_eviction_gap(state.stats)
     assert verdict.ok
-    assert verdict.checked == sum(1 for ev in trace if ev.kind == EVICTED)
+    assert verdict.checked == sum(1 for kind, *_ in model.events if kind == "evicted")
     assert verdict.checked >= 1
 
 
@@ -173,28 +160,6 @@ def test_terminal_weights_count_equality_as_light(w, rows, phi, ok):
     # its row over at the end.
     assert verdict.event_index == (None if ok or w == 3 else 1)
     assert verdict.checked == (1 if w == 4 and not ok else 2)
-
-
-def test_trace_events_are_immutable_hashable_tuples():
-    ev = TraceEvent(LIGHT, WeightedEdge(0, 1, 3), None, 1, 1)
-    with pytest.raises(AttributeError):
-        ev.phi_u = 2
-    same = TraceEvent(LIGHT, WeightedEdge(0, 1, 3), None, 1, 1)
-    assert hash(ev) == hash(same) and len({ev, same}) == 1
-    assert ev._replace(phi_u=2) != ev and ev.phi_u == 1
-    evicted = TraceEvent(EVICTED, WeightedEdge(0, 1, 5), 5)
-    assert (evicted.phi_u, evicted.phi_v) == (None, None)
-    assert repr(evicted) == (
-        "TraceEvent(kind='evicted', edge=WeightedEdge(u=0, v=1, weight=5), "
-        "reduced_weight=5, phi_u=None, phi_v=None)"
-    )
-    # The engine builds its events with tuple.__new__; they are the same type.
-    trace = []
-    for _, stream, eps in _inputs():
-        trace += traced_pass(stream, eps)[1]
-    assert {type(ev) for ev in trace} == {TraceEvent}
-    assert {type(ev.edge) for ev in trace} == {WeightedEdge}
-    assert {ev.kind for ev in trace} == {LIGHT, PUSHED, EVICTED}
 
 
 def test_terminal_weights_detects_missing_edges():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_multigraph_stream, random_simple_stream, traced_pass
+from conftest import checked_pass, random_multigraph_stream, random_simple_stream
 from test_golden import HUB_EPS, _er, _hub
 
 from stream_mwm.core import (
@@ -24,7 +24,7 @@ from stream_mwm.core import (
 )
 from stream_mwm.engine import run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
-from stream_mwm.monitors import LIGHT, PUSHED, check_terminal_weights
+from stream_mwm.monitors import check_terminal_weights
 from stream_mwm.reference import exact_mwm, greedy_sorted, mwm_simple
 from stream_mwm.streamio import read_stream, serialize_stream
 
@@ -62,7 +62,7 @@ def _tuples(stream: EdgeStream) -> EdgeStream:
 def _evidence(stream, eps):
     """What `run_stream` hands `check_terminal_weights` after a pass over
     ``stream``: its edge count, arena rows, potentials and parameters."""
-    state, _ = traced_pass(stream, eps)
+    state, _ = checked_pass(stream, eps)
     return stream.m, list(state.rows()), state.phi, state.params
 
 
@@ -100,11 +100,11 @@ def test_plain_tuples_give_the_same_terminal_verdicts(name):
 @pytest.mark.parametrize("name", ["er22", "hub3", "multi5", "ties8"])
 def test_plain_tuples_give_the_same_failing_verdicts(name):
     stream, eps = CORPUS[name]
-    state, trace = traced_pass(stream, eps)
+    state, model = checked_pass(stream, eps)
     m, rows, phi, params = stream.m, list(state.rows()), state.phi, state.params
-    # One light or pushed event per edge, in stream order.
-    kinds = [ev.kind for ev in trace if ev.kind in (LIGHT, PUSHED)]
-    light = kinds.index(LIGHT)
+    # The model has one light or pushed event per edge, in stream order.
+    kinds = [kind for kind, *_ in model.events if kind != "evicted"]
+    light = kinds.index("light")
     # A live row's reduced weight one too large; an evicted row reads 0.
     live = next(i for i, row in enumerate(rows) if row[3])
     u, v, w, reduced = rows[live]

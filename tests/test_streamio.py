@@ -47,6 +47,12 @@ def test_parse_skips_comments_and_blanks():
         ("p mwm -1 0\n", "negative header counts at line 1"),
         ("", "missing header"),
     ],
+    ids=[
+        "self-loop", "negative-weight", "endpoint-out-of-range", "weight-too-large",
+        "two-fields", "non-int-field", "too-few-edges", "too-many-edges",
+        "wrong-header-tag", "header-missing-a-count", "non-int-header-count",
+        "negative-header-count", "missing-header",
+    ],
 )
 def test_parse_errors_name_the_line(text, message):
     with pytest.raises(StreamFormatError, match=re.escape(message)):

@@ -1,24 +1,26 @@
-"""Golden differential test: pinned engine traces.
+"""Golden differential test: the pinned events of the reference pass.
 
-A SHA-256 digest pins every light, pushed and evicted event of a pass
-traced through `StreamingState`'s trace hook (its kind, edge, reduced weight and, for a light or pushed
-event, the potentials of the edge's two endpoints after the event) on
-Erdos-Renyi streams at three epsilons, an evicting geometric chain, the
-contended hubs of `test_golden` and a seeded multigraph corpus. Events are
-selected by their kind string, so any change to what the pass records, or
-in which order, shows up here while the unwind stays free to change.
+A SHA-256 digest pins every light, pushed and evicted event of the naive
+model of the pass in `conftest` (its kind, edge, reduced weight and, for a
+light or pushed event, the potentials of the edge's two endpoints after the
+event) on Erdos-Renyi streams at three epsilons, an evicting geometric
+chain, the contended hubs of `test_golden` and a seeded multigraph corpus.
+The engine is held to the model, state for state after every chunk, on
+these inputs by `test_engine_columns`, so the digest pins the engine's pass
+too: any change to what it does, or in which order, shows up here or there
+while the unwind stays free to change.
 """
 
 import hashlib
 import json
 from fractions import Fraction
 
-from conftest import random_multigraph_stream, traced_pass
+from conftest import naive_pass, random_multigraph_stream
 from test_golden import HUB_EPS, _er, _hub
 
+from stream_mwm.core import compute_params
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
 
-PASS_KINDS = ("light", "pushed", "evicted")
 ER_EPS = [Fraction(1, 10), Fraction(1, 2), Fraction(2)]
 
 
@@ -38,14 +40,13 @@ def trace_digest():
     """SHA-256 over one JSON line per pass event, tagged by input."""
     h = hashlib.sha256()
     for tag, stream, eps in _inputs():
-        _, trace = traced_pass(stream, eps)
-        for ev in trace:
-            if ev.kind in PASS_KINDS:
-                line = json.dumps([
-                    tag, ev.kind, list(ev.edge), ev.reduced_weight,
-                    None if ev.kind == "evicted" else [ev.phi_u, ev.phi_v],
-                ])
-                h.update(line.encode() + b"\n")
+        model = naive_pass(compute_params(stream.n, eps), stream.edges)
+        for kind, edge, reduced, phi_u, phi_v in model.events:
+            line = json.dumps([
+                tag, kind, list(edge), reduced,
+                None if kind == "evicted" else [phi_u, phi_v],
+            ])
+            h.update(line.encode() + b"\n")
     return h.hexdigest()
 
 
