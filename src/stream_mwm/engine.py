@@ -8,14 +8,17 @@ pass `Matching.greedy` unwinds the live pushed edges newest-first into the
 matching.
 
 The push arena. Pushed edges live in an append-only arena of four unsigned
-64-bit ``array`` columns: row r holds the r-th pushed edge's u, v, w and
-reduced weight, and no Python object. An evicted row stays where it is and
-gets reduced weight 0, a safe mark because every push reduces by at least
-1 (heavy means w > alpha * (phi(u) + phi(v)) >= phi(u) + phi(v)). A node's
-queue slot is ``None``, the bare row number of its one live edge, or, once
-a second edge arrives, an ``array`` of its row numbers in push order; a
-node that never owns two live edges at once, such as a star's leaf, never
-gets an array. When a queue hits the cap (only an array can: the cap is at
+``array`` columns: row r holds the r-th pushed edge's u, v, w and reduced
+weight, and no Python object. An evicted row stays where it is and gets
+reduced weight 0, a safe mark because every push reduces by at least 1
+(heavy means w > alpha * (phi(u) + phi(v)) >= phi(u) + phi(v)). A node's
+queue is empty, one row number in its slot of a packed column of n slots,
+or, once a second edge arrives, an ``array`` of its row numbers in push
+order, held in a list of n slots that is otherwise ``None``; a node that
+never owns two live edges at once, such as a star's leaf, never gets an
+array. The all-ones value marks an empty slot, and a node with an array
+keeps a stale row number in its slot, so one read of the slot tells a
+first push. When a queue hits the cap (only an array can: the cap is at
 least 4) its oldest row is zeroed and leaves both endpoint queues (a
 ``pop(0)`` and, unless the row sits alone in its other endpoint's slot,
 which is then emptied, a ``remove``; each linear in the queue length). A
@@ -41,7 +44,17 @@ and it never exceeds ``2^63 - 1`` (below). So a node is pushed at most
 the arena never holds more than ``min(m, n * B / 2)`` rows. ``B`` is at
 most ``8 * queue_cap`` for every n from 2 to 10^6 and epsilon from 1/1000
 to 59/10 (the worst case is 64 against 8, at n = 2 and epsilon = 59/10),
-so the arena is at most ``4 * n * queue_cap`` rows of 32 bytes.
+so the arena is at most ``4 * n * queue_cap`` rows.
+
+Each column is as narrow as these bounds allow, with one code path: the
+widths follow from n and epsilon alone. w and the reduced weight are 64-bit,
+as potentials are (below). A node id is below n, so u and v are 32-bit
+(``'I'``) whenever n <= 2^32. A row number is below ``n * B / 2`` and must
+never be the empty mark, so the slot column and the queue arrays are 32-bit
+whenever ``n * B / 2 < 2^32 - 1``, which holds up to about 2.2 * 10^7 nodes
+at epsilon = 1/2. Past its bound a column is 64-bit. With both 32-bit, a row
+takes 24 bytes, and a node 20 (its potential, its list slot and its one-row
+slot) plus its array, if it has one.
 
 The pass is one loop, `StreamingState.process_edges`, over a chunk of
 ``(u, v, w)`` edges: it holds the light filter, the push, the queue upkeep
@@ -78,7 +91,7 @@ import time
 from array import array
 from fractions import Fraction
 from itertools import compress
-from math import isclose
+from math import floor, isclose, log
 from typing import Iterable, Iterator
 
 from .core import (
@@ -109,6 +122,28 @@ _TIMING_DENSE_LIMIT = 1_000_000
 #: an int faster than ``'q'`` does; ``'L'`` is the fastest where it is 64 bits.
 _ROW_TYPECODE = "L" if array("L").itemsize == 8 else "Q"
 
+#: The largest value of a 32-bit column, the mark of an empty one-row slot.
+_U32_MAX = (1 << 32) - 1
+
+
+def _push_budget(params: Params) -> int:
+    """The most pushes one node can take, ``B`` (see the module notes)."""
+    return 1 + floor(63 * log(2) / log(params.alpha))
+
+
+def _typecodes(n: int, budget: int) -> tuple[str, str]:
+    """The typecodes of node ids and of row numbers for ``n`` nodes that
+    take at most ``budget`` pushes each.
+
+    A node id is below n. A row number is below the arena bound
+    ``n * budget / 2`` and must never be the empty mark, the all-ones
+    value of its width. Each is 32-bit (``'I'``) when its bound allows it,
+    else `_ROW_TYPECODE`.
+    """
+    node = "I" if n <= _U32_MAX + 1 else _ROW_TYPECODE
+    row = "I" if n * budget < 2 * _U32_MAX else _ROW_TYPECODE
+    return node, row
+
 
 class StreamingState:
     """Mutable single-writer engine state for one pass.
@@ -130,14 +165,19 @@ class StreamingState:
         self.phi = array("q", [0]) * params.n
         self._n = params.n
         self._cap = params.queue_cap
-        # A slot holds nothing, the bare row number of the node's one live
-        # edge, or, from the second edge on, an array of its row numbers in
-        # push order.
-        self._queues: list[int | array | None] | None = [None] * params.n
+        node_code, row_code = _typecodes(params.n, _push_budget(params))
+        # A node's queue: nothing, one live row in its slot of ``_one``,
+        # or, from the second live edge on, an array of its row numbers in
+        # push order in ``_queues``. The all-ones value marks an empty slot;
+        # a node with an array keeps a stale row in its slot, so the slot
+        # alone tells a first push.
+        self._empty = (1 << 8 * array(row_code).itemsize) - 1
+        self._one: array | None = array(row_code, [self._empty]) * params.n
+        self._queues: list[array | None] | None = [None] * params.n
         # The push arena: row r is the r-th pushed edge, in four columns.
         # An evicted row keeps its place and gets reduced weight 0.
-        self._us = array(_ROW_TYPECODE)
-        self._vs = array(_ROW_TYPECODE)
+        self._us = array(node_code)
+        self._vs = array(node_code)
         self._ws = array(_ROW_TYPECODE)
         self._reduced = array(_ROW_TYPECODE)
         self._finalized = False
@@ -160,8 +200,10 @@ class StreamingState:
         """The node's queued edges as ``(u, v, w)``, oldest first."""
         if self._finalized:
             raise RuntimeError("state already finalized")
-        q = self._queues[node]
-        rows = () if q is None else (q,) if type(q) is int else q
+        rows = self._queues[node]
+        if rows is None:
+            first = self._one[node]
+            rows = () if first == self._empty else (first,)
         return [(self._us[r], self._vs[r], self._ws[r]) for r in rows]
 
     def rows(self) -> Iterator[tuple[int, int, int, int]]:
@@ -200,7 +242,8 @@ class StreamingState:
         if self._finalized:
             raise RuntimeError("state already finalized")
         phi = self.phi
-        queues = self._queues
+        one, queues = self._one, self._queues
+        empty, row_code = self._empty, one.typecode
         arena_u, arena_v, arena_r = self._us, self._vs, self._reduced
         push_u, push_v = arena_u.append, arena_v.append
         push_w, push_r = self._ws.append, arena_r.append
@@ -262,26 +305,30 @@ class StreamingState:
                     growth_violations += 1
                 if reduced < phi_v and q * new_v * new_v < p * phi_v * phi_v:
                     growth_violations += 1
-                queue_u = queues[u]
-                if queue_u is None:
-                    queues[u] = row
+                first_u = one[u]
+                if first_u == empty:
+                    one[u] = row
                     len_u = 1
-                elif type(queue_u) is int:
-                    queues[u] = array(_ROW_TYPECODE, (queue_u, row))
-                    len_u = 2
                 else:
-                    queue_u.append(row)
-                    len_u = len(queue_u)
-                queue_v = queues[v]
-                if queue_v is None:
-                    queues[v] = row
+                    queue_u = queues[u]
+                    if queue_u is None:
+                        queues[u] = array(row_code, (first_u, row))
+                        len_u = 2
+                    else:
+                        queue_u.append(row)
+                        len_u = len(queue_u)
+                first_v = one[v]
+                if first_v == empty:
+                    one[v] = row
                     len_v = 1
-                elif type(queue_v) is int:
-                    queues[v] = array(_ROW_TYPECODE, (queue_v, row))
-                    len_v = 2
                 else:
-                    queue_v.append(row)
-                    len_v = len(queue_v)
+                    queue_v = queues[v]
+                    if queue_v is None:
+                        queues[v] = array(row_code, (first_v, row))
+                        len_v = 2
+                    else:
+                        queue_v.append(row)
+                        len_v = len(queue_v)
                 longest = len_u if len_u > len_v else len_v
                 if longest > longest_queue:
                     longest_queue = longest
@@ -298,12 +345,13 @@ class StreamingState:
                     # may shorten v's queue (a parallel edge), so a full
                     # one is measured again; only an array reaches the
                     # cap, which is at least 4. An evicted edge is live, so
-                    # it also sits in its other endpoint's slot: alone
-                    # there, or in an array.
-                    for x, queue_x, len_x in (
-                        (u, queue_u, len_u), (v, queue_v, len_v)
-                    ):
-                        if len_x < cap or len(queue_x) < cap:
+                    # it also sits in its other endpoint's queue: alone in
+                    # its slot, or in an array.
+                    for x, len_x in ((u, len_u), (v, len_v)):
+                        if len_x < cap:
+                            continue
+                        queue_x = queues[x]
+                        if len(queue_x) < cap:
                             continue
                         victim = queue_x.pop(0)
                         victim_reduced = arena_r[victim]
@@ -318,10 +366,10 @@ class StreamingState:
                         vv = arena_v[victim]
                         y = vv if vu == x else vu
                         other = queues[y]
-                        if type(other) is array:
-                            other.remove(victim)
+                        if other is None:
+                            one[y] = empty
                         else:
-                            queues[y] = None
+                            other.remove(victim)
         finally:
             if timed:
                 if start:
@@ -352,7 +400,7 @@ class StreamingState:
             raise RuntimeError("state already finalized")
         self._finalized = True
         # The unwind reads only the arena (see the module notes).
-        self._queues = None
+        self._one = self._queues = None
         rows = zip(reversed(self._us), reversed(self._vs), reversed(self._ws))
         live = compress(rows, reversed(self._reduced))
         return Matching.greedy(self._n, live), self.stats

@@ -63,6 +63,8 @@ _CHUNK_LINES = 1 << 12
 _CHUNK_EDGES = 1 << 9
 #: Deletes the ASCII digits: what is left of a canonical line is ``"  \n"``.
 _SEPARATORS = str.maketrans("", "", "0123456789")
+#: Makes a canonical block's separators the commas of a JSON list.
+_COMMAS = str.maketrans(" \n", ",,")
 
 Triple = tuple[int, int, int]
 
@@ -267,20 +269,21 @@ def _parse(blocks: Iterator[str]) -> Iterator:
     for block in chain([rest], blocks):
         if not block:
             continue
-        columns = _bulk_columns(block, n, declared_m - count)
-        if columns is None:
+        ints = _bulk_ints(block, n, declared_m - count)
+        if ints is None:
             lines = _lines(block)
             rows = _parse_lines(lines, n, declared_m, count, lineno)
             lineno += len(lines)
             count += len(rows)
         else:
-            rows = zip(*columns)
+            # Three ints to an edge, off one iterator: no column copies.
+            rows = zip(*[iter(ints)] * 3)
             # A canonical block is one edge per line.
-            lineno += len(columns[0])
-            count += len(columns[0])
+            lineno += len(ints) // 3
+            count += len(ints) // 3
         yield rows
         # The next block is read and parsed without this one's rows.
-        del rows, columns
+        del rows, ints
     if count != declared_m:
         raise StreamFormatError(
             f"header declared {declared_m} edges but found {count} by line {lineno}"
@@ -314,10 +317,10 @@ def _read_header(blocks: Iterator[str]) -> tuple[int, int, str, int]:
     raise StreamFormatError("missing header 'p mwm <n> <m>'")
 
 
-def _bulk_columns(block: str, n: int, room: int) -> tuple[list[int], ...] | None:
-    """The ``(us, vs, ws)`` int columns of a block of canonical edge lines
-    that pass every check, or None when the block needs the line-by-line
-    parse, which names any fault."""
+def _bulk_ints(block: str, n: int, room: int) -> list[int] | None:
+    """The ints of a block of canonical edge lines that pass every check,
+    each line's ``u, v, w`` in turn, or None when the block needs the
+    line-by-line parse, which names any fault."""
     # Without its digits a canonical line is two spaces and a newline. The
     # block must end in a newline: a last line of digits alone, unended,
     # adds no separator. The comparison also lets through a line with an
@@ -328,21 +331,24 @@ def _bulk_columns(block: str, n: int, room: int) -> tuple[list[int], ...] | None
         block.translate(_SEPARATORS) != "  \n" * block.count("\n")
     ):
         return None
-    # One C call turns the block into ints.
+    # One C call turns the block into ints. The JSON text costs a slice,
+    # one translate (spaces and newlines to commas) and one format.
     try:
-        ints = json.loads("[" + block[:-1].replace(" ", ",").replace("\n", ",") + "]")
+        ints = json.loads("[%s]" % block[:-1].translate(_COMMAS))
     except ValueError:
         return None
-    us, vs, ws = ints[0::3], ints[1::3], ints[2::3]
+    # The endpoint columns are copied for the self-loop test, which is
+    # faster on two lists; the weights are read in place.
+    us, vs = ints[0::3], ints[1::3]
     if (
         len(us) > room
         or max(us) >= n
         or max(vs) >= n
-        or max(ws) > I64_MAX
+        or max(islice(ints, 2, None, 3)) > I64_MAX
         or any(map(eq, us, vs))
     ):
         return None
-    return us, vs, ws
+    return ints
 
 
 def _parse_lines(

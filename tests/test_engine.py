@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from conftest import (
     NaivePass,
     checked_pass,
     enumerate_best_weight,
+    modelled_pass,
     naive_pass,
+    random_multigraph_stream,
     random_simple_stream,
 )
 from test_golden import HUB_EPS, _hub
@@ -26,7 +29,13 @@ from stream_mwm.core import (
     compute_params,
     is_heavy,
 )
-from stream_mwm.engine import StreamingState, run_stream
+from stream_mwm.engine import (
+    _ROW_TYPECODE,
+    StreamingState,
+    _push_budget,
+    _typecodes,
+    run_stream,
+)
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 from stream_mwm.monitors import ratio_factor
 from stream_mwm.report import RunReport
@@ -362,10 +371,11 @@ def test_a_pushed_edge_is_an_arena_row_with_no_objects_of_its_own():
     assert _stars_bytes_per_live_entry() <= 160
 
 
-def _push_budget(params):
-    """Pushes one node can take: each multiplies its potential by more than
-    alpha, the first leaves it at least 1, and it never passes 2^63 - 1."""
-    return 1 + math.floor(63 * math.log(2) / math.log(params.alpha))
+def test_a_packed_pass_is_small_per_live_entry():
+    # Node ids and row numbers are 32-bit, and a leaf's one live row sits in
+    # a packed column: 96 to 98 B per live entry on CPython 3.10-3.13. With
+    # 64-bit ids and rows and an int object per leaf it takes 138 to 140 B.
+    assert _stars_bytes_per_live_entry() <= 110
 
 
 @pytest.mark.parametrize("n", [2, 20, 10**3, 3 * 10**4, 94_250, 10**6])
@@ -555,7 +565,11 @@ def _doubling_edges(pairs):
 
 
 def _slot_kind(state, node):
-    return type(state._queues[node]).__name__
+    """The node's queue layout: "empty", "one" (a row alone in its slot of
+    the one-row column) or "array" (its rows in ``_queues``)."""
+    if state._queues[node] is not None:
+        return "array"
+    return "empty" if state._one[node] == state._empty else "one"
 
 
 def _assert_queues_match_naive_after_each_edge(params, edges):
@@ -581,7 +595,7 @@ def test_a_slot_goes_from_empty_to_one_edge_to_a_list_that_evicts():
         s.process_edge(e)
         kinds.append(_slot_kind(s, 0))
         lengths.append(s.queue_len(0))
-    assert kinds == ["NoneType", "int"] + ["array"] * (cap - 1)
+    assert kinds == ["empty", "one"] + ["array"] * (cap - 1)
     # The cap-th push fills the queue, and its oldest edge is evicted.
     assert lengths == [*range(cap), cap - 1]
     assert s.stats.evictions_total == 1
@@ -598,15 +612,15 @@ def test_a_leaf_edge_evicted_from_the_centre_empties_the_leaf_slot():
     for e in edges[:cap]:
         s.process_edge(e)
     assert s.stats.evictions_total == 1
-    assert _slot_kind(s, 1) == "NoneType" and s.queue_len(1) == 0
-    assert _slot_kind(s, 2) == "int" and s.queue_len(2) == 1
+    assert _slot_kind(s, 1) == "empty" and s.queue_len(1) == 0
+    assert _slot_kind(s, 2) == "one" and s.queue_len(2) == 1
     s.process_edge(edges[cap])
-    assert _slot_kind(s, 1) == "int" and s.queue_len(1) == 1
+    assert _slot_kind(s, 1) == "one" and s.queue_len(1) == 1
     s.process_edge(edges[cap + 1])
     assert _slot_kind(s, 1) == "array" and s.queue_len(1) == 2
     # The centre is full again and evicts leaf 2's edge, emptying its slot.
     assert s.stats.evictions_total == 2
-    assert _slot_kind(s, 2) == "NoneType" and s.queue_len(0) == cap - 1
+    assert _slot_kind(s, 2) == "empty" and s.queue_len(0) == cap - 1
     _assert_queues_match_naive_after_each_edge(_SLOTS, edges)
 
 
@@ -626,7 +640,7 @@ def test_an_eviction_at_u_shortens_the_queue_of_a_parallel_copy_at_v(v_holds):
     s = StreamingState(_SLOTS)
     for e in edges[:-1]:
         s.process_edge(e)
-    assert _slot_kind(s, 1) == ("int" if v_holds == "alone" else "array")
+    assert _slot_kind(s, 1) == ("one" if v_holds == "alone" else "array")
     assert s.queue_len(0) == cap - 1
     assert s.queue_len(1) == (1 if v_holds == "alone" else cap - 1)
     s.process_edge(edges[-1])
@@ -636,6 +650,53 @@ def test_an_eviction_at_u_shortens_the_queue_of_a_parallel_copy_at_v(v_holds):
     assert s.queue_len(0) == cap - 1
     assert s.queue_len(1) == (1 if v_holds == "alone" else cap - 1)
     _assert_queues_match_naive_after_each_edge(_SLOTS, edges)
+
+
+def test_node_ids_are_32_bit_up_to_two_to_the_32_nodes():
+    # Ids run from 0 to n - 1; the push budget plays no part.
+    assert _typecodes(2**32, 1)[0] == "I"
+    assert _typecodes(2**32 + 1, 1)[0] == _ROW_TYPECODE
+    assert array("I").itemsize == 4
+
+
+@pytest.mark.parametrize(
+    "n, budget, code",
+    [
+        # The arena bound n * budget / 2 just below the empty mark 2^32 - 1,
+        # at it, and, at epsilon = 1/2 (budget 392), either side of it.
+        (2**32 - 2, 2, "I"),
+        (2**33 - 3, 1, "I"),
+        (2**32 - 1, 2, _ROW_TYPECODE),
+        (21_913_098, 392, "I"),
+        (21_913_099, 392, _ROW_TYPECODE),
+    ],
+)
+def test_row_numbers_are_32_bit_while_the_arena_bound_is_below_the_empty_mark(
+    n, budget, code
+):
+    assert _typecodes(n, budget)[1] == code
+
+
+# At epsilon = 1/1000 the push budget is 174,717, so n * B / 2 passes
+# 2^32 - 1 between these node counts.
+@pytest.mark.parametrize("n, row_code", [(49_000, "I"), (50_000, _ROW_TYPECODE)])
+def test_both_row_widths_match_the_naive_pass_after_every_chunk(n, row_code):
+    params = compute_params(n, "1/1000")
+    assert _push_budget(params) == 174_717
+    assert _typecodes(n, _push_budget(params)) == ("I", row_code)
+    # A multigraph on the top node ids, in chunks of 7: nodes gain one row,
+    # then an array, and the highest id, n - 1, takes part.
+    stream = random_multigraph_stream(3, max_n=12)
+    edges = [(n - 1 - u, n - 1 - v, w) for u, v, w in stream.edges]
+    chunks = [edges[start : start + 7] for start in range(0, len(edges), 7)]
+    state, model = modelled_pass(params, chunks)
+    assert n - 1 in state._us or n - 1 in state._vs
+    assert state._us.typecode == state._vs.typecode == "I"
+    assert state._one.typecode == row_code
+    assert all(q.typecode == row_code for q in state._queues if q is not None)
+    assert any(q is not None for q in state._queues)
+    matching, _ = state.finalize()
+    assert matching.sorted_edges() == model.chosen
 
 
 def _heavy_chain_down_from(top, eps):

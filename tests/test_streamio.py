@@ -192,34 +192,39 @@ def test_a_line_longer_than_a_block_is_one_line(tmp_path):
         list(read_stream(str(path)).edges)
 
 
-def _canonical_block(weights, seed):
-    """One ``_CHUNK_BYTES`` block of canonical lines, weights drawn from
-    ``weights``."""
+def _canonical_block(weights, seed, nodes=1000):
+    """One ``_CHUNK_BYTES`` block of canonical lines on ``nodes`` nodes,
+    weights drawn from ``weights``."""
     rng = random.Random(seed)
     lines, size = [], 0
     while size < streamio._CHUNK_BYTES:
-        u, v = rng.sample(range(1000), 2)
+        u, v = rng.sample(range(nodes), 2)
         lines.append(f"{u} {v} {rng.randrange(*weights)}\n")
         size += len(lines[-1])
     return "".join(lines)
 
 
 @pytest.mark.parametrize(
-    "weights", [(1000,), (10**18, I64_MAX + 1)], ids=["short-lines", "19-digit"]
+    "weights, nodes",
+    [((1000,), 1000), ((10**18, I64_MAX + 1), 1000), ((10,), 10)],
+    ids=["short-lines", "19-digit", "one-digit"],
 )
-def test_bulk_check_memory_is_a_small_multiple_of_the_block(weights):
-    # Beyond the columns it returns, the bulk path holds the JSON text and
-    # the list of parsed ints (24 bytes a line); a block's check must not
-    # cost many blocks, or a run would no longer hold one block of input.
-    block = _canonical_block(weights, seed=9)
-    assert streamio._bulk_columns(block, 1000, len(block)) is not None
+def test_bulk_check_memory_is_a_small_multiple_of_the_block(weights, nodes):
+    # Beyond the list of ints it returns, the bulk path holds the JSON text
+    # and, for its checks, copies of the two endpoint columns; a block's
+    # check must not cost many blocks, or a run would no longer hold one
+    # block of input. Three column slices kept beside the whole list took
+    # 4.2 blocks on one-digit fields, where an int costs 8 bytes in a list
+    # and 2 in the block; two endpoint copies take 2.7.
+    block = _canonical_block(weights, seed=9, nodes=nodes)
+    assert streamio._bulk_ints(block, 1000, len(block)) is not None
     tracemalloc.start()
     try:
-        columns = streamio._bulk_columns(block, 1000, len(block))
+        ints = streamio._bulk_ints(block, 1000, len(block))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert columns is not None
+    assert ints is not None
     assert peak - kept < 4 * len(block)
 
 
