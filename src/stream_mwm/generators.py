@@ -1,5 +1,12 @@
 """Seeded stream generators for tests and benchmarks.
 
+Each `GeneratorKind` is a recipe: a function of the spec that runs the
+kind's checks and returns two iterators in arrival order, its node pairs
+and its weights. `generate` looks the recipe up in `_RECIPES` and builds
+every edge in one comprehension over ``zip(pairs, weights)``. Only the
+adversarial kind, which shuffles its pairs, lists them first; the others
+stream theirs, so a stream peaks at about the memory it returns.
+
 Identical specs produce byte-identical streams: all randomness flows
 through `random.Random` instances seeded from the spec. The streams are
 also the same bytes as those of the earlier generators that drew each
@@ -12,9 +19,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations, pairwise, repeat
 from operator import itemgetter
 
 from .core import I64_MAX, CapacityError, EdgeStream, WeightedEdge, gc_paused
@@ -64,49 +72,54 @@ def generate(spec: GeneratorSpec) -> EdgeStream:
 
     The edges are tuples of ints in one list, with no reference cycles, so
     the cyclic garbage collector is paused while they are made
-    (`core.gc_paused`) rather than rescanning the growing list.
+    (`core.gc_paused`) rather than rescanning the growing list. ``zip``
+    asks for a pair before its weight, so an Erdos-Renyi draw takes each
+    skip and then the weight of the edge it found.
     """
     if spec.n < 2:
         raise ValueError(f"generator needs n >= 2, got {spec.n}")
     if not (1 <= spec.weight_max <= I64_MAX):
         raise ValueError(f"weight_max must be in [1, 2^63-1], got {spec.weight_max}")
-    kind = GeneratorKind(spec.kind)
+    recipe = _RECIPES[GeneratorKind(spec.kind)]
     with gc_paused():
-        if kind is GeneratorKind.ERDOS_RENYI:
-            edges = _erdos_renyi(spec)
-        elif kind is GeneratorKind.COMPLETE:
-            edges = _complete(spec)
-        elif kind is GeneratorKind.PATH:
-            edges = _path(spec)
-        elif kind is GeneratorKind.GEOMETRIC_CHAIN:
-            edges = _geometric_chain(spec)
-        else:
-            edges = _adversarial_increasing(spec)
+        pairs, weights = recipe(spec)
+        new = tuple.__new__
+        edges = [new(WeightedEdge, (u, v, w)) for (u, v), w in zip(pairs, weights)]
         return EdgeStream(spec.n, _apply_order(spec, edges))
 
 
-def _erdos_renyi(spec: GeneratorSpec) -> list[WeightedEdge]:
+#: What a recipe returns: node pairs and weights, both in arrival order.
+_Arrivals = tuple[Iterable[tuple[int, int]], Iterable[int]]
+
+
+def _at_most(what: str, n: int, m: int) -> None:
+    if m > MAX_EDGES:
+        raise CapacityError(f"{what} on {n} nodes has {m} > {MAX_EDGES} edges")
+
+
+def _erdos_renyi(spec: GeneratorSpec) -> _Arrivals:
     p = 0.5 if spec.p is None else spec.p
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    rng = random.Random(spec.seed)
     if p >= 1.0:
         return _complete(spec)
-    edges: list[WeightedEdge] = []
     if p <= 0.0:
-        return edges
-    # Skip-sampling: jump over non-edges geometrically instead of rolling
-    # every pair, so sparse graphs cost O(m) rather than O(n^2). Each edge's
-    # weight is drawn right after the skip that found it.
-    n, cap = spec.n, MAX_EDGES
+        return (), ()
+    rng = random.Random(spec.seed)
+    return _er_pairs(spec.n, p, rng), _weights(rng, spec.weight_max)
+
+
+def _er_pairs(n: int, p: float, rng: random.Random) -> Iterator[tuple[int, int]]:
+    """Jump over non-edges geometrically instead of rolling every pair, so
+    sparse graphs cost O(m) rather than O(n^2). Refuses the pair past
+    ``MAX_EDGES``."""
+    cap, m = MAX_EDGES, 0
     # 1.0 - p rounds to 1.0 for p below about 1.1e-16, and its log to 0.0;
     # only there does log1p step in, so every other stream keeps its skips.
     # At or below -1e-300 a skip stays a finite float (a subnormal p would
     # overflow it), and one that is not 0 still passes all n^2 < 1e38 pairs.
     log, log_1p = math.log, min(math.log(1.0 - p) or math.log1p(-p), -1e-300)
     uniform = rng.random
-    weight = _weights(rng, spec.weight_max).__next__
-    new, append = tuple.__new__, edges.append
     v, w = 1, -1
     while v < n:
         w += 1 + int(log(1.0 - uniform()) / log_1p)
@@ -114,10 +127,10 @@ def _erdos_renyi(spec: GeneratorSpec) -> list[WeightedEdge]:
             w -= v
             v += 1
         if v < n:
-            append(new(WeightedEdge, (w, v, weight())))
-            if len(edges) > cap:
+            m += 1
+            if m > cap:
                 raise CapacityError(f"stream exceeds {cap} edges")
-    return edges
+            yield w, v
 
 
 def _weights(rng: random.Random, weight_max: int) -> Iterator[int]:
@@ -136,30 +149,21 @@ def _weights(rng: random.Random, weight_max: int) -> Iterator[int]:
             yield r
 
 
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    m = n * (n - 1) // 2
-    if m > MAX_EDGES:
-        raise CapacityError(f"complete graph on {n} nodes has {m} > {MAX_EDGES} edges")
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
-def _complete(spec: GeneratorSpec) -> list[WeightedEdge]:
+def _complete(spec: GeneratorSpec) -> _Arrivals:
+    n = spec.n
+    _at_most("complete graph", n, n * (n - 1) // 2)
     weights = _weights(random.Random(spec.seed), spec.weight_max)
-    new = tuple.__new__
-    pairs = _all_pairs(spec.n)
-    return [new(WeightedEdge, (u, v, w)) for (u, v), w in zip(pairs, weights)]
+    return combinations(range(n), 2), weights
 
 
-def _path(spec: GeneratorSpec) -> list[WeightedEdge]:
-    m = spec.n - 1
-    if m > MAX_EDGES:
-        raise CapacityError(f"path on {spec.n} nodes has {m} > {MAX_EDGES} edges")
+def _path(spec: GeneratorSpec) -> _Arrivals:
+    n = spec.n
+    _at_most("path", n, n - 1)
     weights = _weights(random.Random(spec.seed), spec.weight_max)
-    new = tuple.__new__
-    return [new(WeightedEdge, (i, i + 1, w)) for i, w in zip(range(m), weights)]
+    return pairwise(range(n)), weights
 
 
-def _geometric_chain(spec: GeneratorSpec) -> list[WeightedEdge]:
+def _geometric_chain(spec: GeneratorSpec) -> _Arrivals:
     """Star at node 0 with geometrically growing weights.
 
     Edge t is (0, t) with weight ceil(base**t), so every arrival is heavy
@@ -167,26 +171,24 @@ def _geometric_chain(spec: GeneratorSpec) -> list[WeightedEdge]:
     churns through the cap. Weights follow the geometric schedule rather
     than weight_max.
     """
-    if not spec.base > 1.0:  # also rejects NaN
-        raise ValueError(f"chain base must exceed 1, got {spec.base}")
+    n, base = spec.n, spec.base
+    if not base > 1.0:  # also rejects NaN
+        raise ValueError(f"chain base must exceed 1, got {base}")
     try:
-        top = math.ceil(spec.base ** (spec.n - 1))
+        top = math.ceil(base ** (n - 1))
     except OverflowError:  # the power overflows a float, or base is inf
         top = math.inf
     if top > I64_MAX:
         raise CapacityError(
-            f"chain weight {spec.base}**{spec.n - 1} exceeds 2^63-1; reduce n or base"
+            f"chain weight {base}**{n - 1} exceeds 2^63-1; reduce n or base"
         )
-    m = spec.n - 1
-    if m > MAX_EDGES:
-        raise CapacityError(f"chain on {spec.n} nodes has {m} > {MAX_EDGES} edges")
-    return [
-        WeightedEdge(0, t, math.ceil(spec.base**t)) for t in range(1, spec.n)
-    ]
+    _at_most("chain", n, n - 1)
+    return zip(repeat(0), range(1, n)), (math.ceil(base**t) for t in range(1, n))
 
 
-def _adversarial_increasing(spec: GeneratorSpec) -> list[WeightedEdge]:
-    """Every edge of the complete graph, arriving lightest to heaviest.
+def _adversarial_increasing(spec: GeneratorSpec) -> _Arrivals:
+    """Every edge of the complete graph, in a seeded shuffle, arriving
+    lightest to heaviest.
 
     Weights are strictly increasing and capped by weight_max: weight i is
     ``min(2**(i-1), weight_max - m + i)``, which doubles while there is
@@ -194,21 +196,31 @@ def _adversarial_increasing(spec: GeneratorSpec) -> list[WeightedEdge]:
     floods an uncapped reduction stack) and degrades to unit steps near
     the cap. Requires weight_max >= m for strictness.
     """
-    pairs = _all_pairs(spec.n)
-    m = len(pairs)
+    n = spec.n
+    m = n * (n - 1) // 2
+    _at_most("complete graph", n, m)
     if spec.weight_max < m:
         raise CapacityError(
             f"{m} strictly increasing weights need weight_max >= {m}, "
             f"got {spec.weight_max}"
         )
-    rng = random.Random(spec.seed)
-    rng.shuffle(pairs)
-    edges = []
-    for i, (u, v) in enumerate(pairs, start=1):
-        tail = spec.weight_max - m + i
-        w = tail if (i - 1) >= 63 else min(2 ** (i - 1), tail)
-        edges.append(WeightedEdge(u, v, w))
-    return edges
+    pairs = list(combinations(range(n), 2))
+    random.Random(spec.seed).shuffle(pairs)
+    low = spec.weight_max - m
+    # From i = 64 on, 2**(i-1) exceeds every weight_max: skip the big power.
+    weights = (
+        low + i if i > 63 else min(2 ** (i - 1), low + i) for i in range(1, m + 1)
+    )
+    return pairs, weights
+
+
+_RECIPES: dict[GeneratorKind, Callable[[GeneratorSpec], _Arrivals]] = {
+    GeneratorKind.ERDOS_RENYI: _erdos_renyi,
+    GeneratorKind.COMPLETE: _complete,
+    GeneratorKind.PATH: _path,
+    GeneratorKind.GEOMETRIC_CHAIN: _geometric_chain,
+    GeneratorKind.ADVERSARIAL_INCREASING: _adversarial_increasing,
+}
 
 
 def _apply_order(spec: GeneratorSpec, edges: list[WeightedEdge]) -> list[WeightedEdge]:

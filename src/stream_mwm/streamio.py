@@ -170,7 +170,13 @@ def _line_blocks(lines: Iterable[str]) -> Iterator[str]:
 
 
 def serialize_stream(stream: EdgeStream | LazyEdgeStream) -> str:
-    """Canonical text form; `parse_stream` round-trips it exactly.
+    """Canonical text form.
+
+    `parse_stream` and `read_stream` give back exactly the edges of a
+    valid stream whose fields are all plain ints, as a generated or parsed
+    stream's are. A bool field is written as ``True`` or ``False``, and those
+    two refuse that line, while `run_stream` reads the same in-memory edge
+    as 1 or 0.
 
     ``edges`` is read once, in order, to its end, so a `LazyEdgeStream`
     whose body does not hold ``m`` edges raises as it does for the engine.

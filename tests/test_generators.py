@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -211,6 +212,58 @@ def test_er_at_probability_one_keeps_the_complete_cap(monkeypatch):
     monkeypatch.setattr(generators, "MAX_EDGES", 44)
     with pytest.raises(CapacityError, match="45 > 44"):
         generate(spec("er", n=10, p=1.0))
+
+
+COMPLETE_CAP = "complete graph on 10 nodes has 45 > 44 edges"
+
+
+@pytest.mark.parametrize(
+    "fields, max_edges, error, message",
+    [
+        (dict(kind="er", n=1, weight_max=0), None, ValueError,
+         "generator needs n >= 2, got 1"),
+        (dict(kind="er", n=5, weight_max=0, p=2.0), None, ValueError,
+         "weight_max must be in [1, 2^63-1], got 0"),
+        (dict(kind="nope", n=1), None, ValueError, "generator needs n >= 2, got 1"),
+        (dict(kind="nope", n=5), None, ValueError,
+         "'nope' is not a valid GeneratorKind"),
+        (dict(kind="chain", n=10**9, base=0.5), None, ValueError,
+         "chain base must exceed 1, got 0.5"),
+        (dict(kind="chain", n=100), 10, CapacityError,
+         "chain weight 1.9**99 exceeds 2^63-1; reduce n or base"),
+        (dict(kind="adversarial", n=10, weight_max=10), 44, CapacityError,
+         COMPLETE_CAP),
+        (dict(kind="er", n=10, p=1.0), 44, CapacityError, COMPLETE_CAP),
+        (dict(kind="er", n=40, p=0.3), 5, CapacityError, "stream exceeds 5 edges"),
+    ],
+    ids=[
+        "n-before-weight-max", "weight-max-before-p", "n-before-kind",
+        "kind-before-recipe", "base-before-cap", "chain-weight-before-cap",
+        "adversarial-cap-before-weight-max", "er-p1-complete-cap", "er-stream-cap",
+    ],
+)
+def test_refusal_order(monkeypatch, fields, max_edges, error, message):
+    """Where two checks refuse one spec, the same one wins, with its words."""
+    if max_edges is not None:
+        monkeypatch.setattr(generators, "MAX_EDGES", max_edges)
+    with pytest.raises(error) as excinfo:
+        generate(GeneratorSpec(**fields))
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+def test_complete_peaks_at_the_stream_it_returns():
+    """The complete graph streams its node pairs: listing all n(n-1)/2 of
+    them before the first edge peaked at 1.5 times the returned stream."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stream = generate(spec("complete", n=600))
+        held, peak = (b - before for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(stream.edges) == 179_700
+    assert peak <= 1.1 * held, (peak, held)
 
 
 @pytest.mark.parametrize("weight_max", [1, 2])
