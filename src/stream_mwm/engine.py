@@ -12,29 +12,30 @@ The push arena. Pushed edges live in an append-only arena of four unsigned
 weight, and no Python object. An evicted row stays where it is and gets
 reduced weight 0, a safe mark because every push reduces by at least 1
 (heavy means w > alpha * (phi(u) + phi(v)) >= phi(u) + phi(v)). A node's
-queue is empty, one row number in its slot of a packed column of n slots,
-or, once a second edge arrives, an ``array`` of its row numbers in push
-order, held in a list of n slots that is otherwise ``None``; a node that
-never owns two live edges at once, such as a star's leaf, never gets an
-array. The all-ones value marks an empty slot, and a node with an array
-keeps a stale row number in its slot, so one read of the slot tells a
-first push. When a queue hits the cap (only an array can: the cap is at
-least 4) its oldest row is zeroed and leaves both endpoint queues (a
-``pop(0)`` and, unless the row sits alone in its other endpoint's slot,
-which is then emptied, a ``remove``; each linear in the queue length). A
-push visits only the endpoints whose queue reached the cap, u first, then
-v, whose queue is measured again: evicting at u shortens it when the
-victim is a parallel edge. The live count falls only at an eviction, so
-the peak live count is taken just before each eviction and once at the end
-of each chunk. The unwind reads the rows with a nonzero reduced weight,
-newest first. It reads only the arena, so `finalize` releases the queues
-before it, and builds the matching in the memory they held: a
-``bytearray(n)`` of marks and three int columns of at most n/2 rows
-(`Matching.greedy`), with no `WeightedEdge` and no endpoint sort. Under
-``tracemalloc``, on ER at average degree 16 in generated or shuffled
-order, `finalize` adds nothing to the peak: it stays the state at the end
-of the pass, at n = 2*10^4 and 2*10^5. A test bounds it at 1.2 times that
-state, and CI at 1.05 times on shuffled ER at 2*10^5.
+FIFO queue is a circular singly linked list of its rows, threaded through
+the arena by two more row columns: ``_next_u[r]`` is row r's successor in
+its u's circle, and ``_next_v[r]`` in its v's. Per node, ``_tail`` holds
+the newest row, whose link names the oldest, or the all-ones empty mark,
+and ``_count`` the number of live rows in the circle; no node has a
+container of its own. A push links its row after each endpoint's newest
+row. When a queue reaches the cap, its node x walks from its oldest row
+past any dead ones to the oldest live row, zeroes that row, and unlinks
+every row it passed, the victim included. The victim's other endpoint y
+only has its count lowered: the row stays in y's circle, dead, until y's
+own walk passes it. A row is passed at most once from each endpoint, so an
+eviction costs O(1) amortized. A push visits only the endpoints whose queue
+reached the cap, u first, then v, whose count is read again: evicting at u
+lowers it when the victim is a parallel edge. The live count falls only at
+an eviction, so the peak live count is taken just before each eviction and
+once at the end of each chunk. The unwind reads the rows with a nonzero
+reduced weight, newest first. It reads only the arena, so `finalize`
+releases the links, tails and counts before it, and builds the matching in
+the memory they held: a ``bytearray(n)`` of marks and three int columns of
+at most n/2 rows (`Matching.greedy`), with no `WeightedEdge` and no
+endpoint sort. Under ``tracemalloc``, on ER at average degree 16 in
+generated or shuffled order, `finalize` adds nothing to the peak: it stays
+the state at the end of the pass, at n = 2*10^4 and 2*10^5. A test bounds
+it at 1.2 times that state, and CI at 1.05 times on shuffled ER at 2*10^5.
 
 The push budget bounds the arena without compaction. A push at x sets
 ``phi(x)`` to ``w - phi(other) > alpha * phi(x)``, so every push multiplies
@@ -50,11 +51,14 @@ Each column is as narrow as these bounds allow, with one code path: the
 widths follow from n and epsilon alone. w and the reduced weight are 64-bit,
 as potentials are (below). A node id is below n, so u and v are 32-bit
 (``'I'``) whenever n <= 2^32. A row number is below ``n * B / 2`` and must
-never be the empty mark, so the slot column and the queue arrays are 32-bit
-whenever ``n * B / 2 < 2^32 - 1``, which holds up to about 2.2 * 10^7 nodes
-at epsilon = 1/2. Past its bound a column is 64-bit. With both 32-bit, a row
-takes 24 bytes, and a node 20 (its potential, its list slot and its one-row
-slot) plus its array, if it has one.
+never be the empty mark, so the links and the tails are 32-bit whenever
+``n * B / 2 < 2^32 - 1``, which holds up to about 2.2 * 10^7 nodes at
+epsilon = 1/2. Past its bound a column is 64-bit. A node owns at most B
+live rows, as it takes at most B pushes, so its count is as narrow as B
+allows (``'H'`` at epsilon = 1/2) and cannot wrap before the queue-cap
+monitor counts a violation. With ids and rows 32-bit, a row takes 32
+bytes (four 32-bit and two 64-bit items), and at epsilon = 1/2 a node 14
+(its potential, its tail and its count).
 
 The pass is one loop, `StreamingState.process_edges`, over a chunk of
 ``(u, v, w)`` edges: it holds the light filter, the push, the queue upkeep
@@ -81,8 +85,9 @@ garbage collector for the pass, which makes no cycles.
 
 Node potentials never exceed the largest edge weight seen, so they stay in
 64 bits: a push sets ``phi(x)`` to ``w - phi(other) <= w <= 2^63 - 1``, as
-potentials are never negative. ``phi`` is therefore an ``array('q')``: 8
-bytes a node and no int object per potential.
+potentials are never negative. ``phi`` is therefore an unsigned 64-bit
+``array``, as w and the reduced weight are: 8 bytes a node and no int
+object per potential.
 """
 
 from __future__ import annotations
@@ -122,7 +127,7 @@ _TIMING_DENSE_LIMIT = 1_000_000
 #: an int faster than ``'q'`` does; ``'L'`` is the fastest where it is 64 bits.
 _ROW_TYPECODE = "L" if array("L").itemsize == 8 else "Q"
 
-#: The largest value of a 32-bit column, the mark of an empty one-row slot.
+#: The largest value of a 32-bit column, the empty mark of a 32-bit tail.
 _U32_MAX = (1 << 32) - 1
 
 
@@ -145,6 +150,12 @@ def _typecodes(n: int, budget: int) -> tuple[str, str]:
     return node, row
 
 
+def _count_typecode(budget: int) -> str:
+    """The narrowest unsigned typecode of a node's live count: a node owns
+    at most ``budget`` live rows, as it takes at most ``budget`` pushes."""
+    return next((c for c in "BHI" if budget < 1 << 8 * array(c).itemsize), _ROW_TYPECODE)
+
+
 class StreamingState:
     """Mutable single-writer engine state for one pass.
 
@@ -160,26 +171,29 @@ class StreamingState:
         samples: list[int] | None = None,
     ) -> None:
         self.params = params
-        # Signed 64-bit slots hold every potential (see the module notes);
+        # Unsigned 64-bit slots hold every potential (see the module notes);
         # repeating a one-item array fails with MemoryError for a huge n.
-        self.phi = array("q", [0]) * params.n
+        self.phi = array(_ROW_TYPECODE, [0]) * params.n
         self._n = params.n
         self._cap = params.queue_cap
-        node_code, row_code = _typecodes(params.n, _push_budget(params))
-        # A node's queue: nothing, one live row in its slot of ``_one``,
-        # or, from the second live edge on, an array of its row numbers in
-        # push order in ``_queues``. The all-ones value marks an empty slot;
-        # a node with an array keeps a stale row in its slot, so the slot
-        # alone tells a first push.
-        self._empty = (1 << 8 * array(row_code).itemsize) - 1
-        self._one: array | None = array(row_code, [self._empty]) * params.n
-        self._queues: list[array | None] | None = [None] * params.n
+        budget = _push_budget(params)
+        node_code, row_code = _typecodes(params.n, budget)
         # The push arena: row r is the r-th pushed edge, in four columns.
         # An evicted row keeps its place and gets reduced weight 0.
         self._us = array(node_code)
         self._vs = array(node_code)
         self._ws = array(_ROW_TYPECODE)
         self._reduced = array(_ROW_TYPECODE)
+        # A node's queue is a circle of its rows, threaded through the arena:
+        # row r's successor in its u's circle is ``_next_u[r]``, and in its
+        # v's ``_next_v[r]``. ``_tail`` holds each node's newest row, whose
+        # successor is its oldest, or the all-ones empty mark; ``_count``
+        # holds how many rows of the circle are live.
+        self._empty = (1 << 8 * array(row_code).itemsize) - 1
+        self._next_u: array | None = array(row_code)
+        self._next_v: array | None = array(row_code)
+        self._tail: array | None = array(row_code, [self._empty]) * params.n
+        self._count: array | None = array(_count_typecode(budget), [0]) * params.n
         self._finalized = False
         self._samples = samples
         # The stream index of the next edge, counted only when timing.
@@ -200,11 +214,18 @@ class StreamingState:
         """The node's queued edges as ``(u, v, w)``, oldest first."""
         if self._finalized:
             raise RuntimeError("state already finalized")
-        rows = self._queues[node]
-        if rows is None:
-            first = self._one[node]
-            rows = () if first == self._empty else (first,)
-        return [(self._us[r], self._vs[r], self._ws[r]) for r in rows]
+        us, next_u, next_v = self._us, self._next_u, self._next_v
+        rows = []
+        tail = row = self._tail[node]
+        if tail != self._empty:
+            # Walk the circle once from the oldest row; a dead row is skipped.
+            while True:
+                row = next_u[row] if us[row] == node else next_v[row]
+                if self._reduced[row]:
+                    rows.append(row)
+                if row == tail:
+                    break
+        return [(us[r], self._vs[r], self._ws[r]) for r in rows]
 
     def rows(self) -> Iterator[tuple[int, int, int, int]]:
         """The arena rows ``(u, v, w, reduced weight)`` in push order; an
@@ -242,8 +263,9 @@ class StreamingState:
         if self._finalized:
             raise RuntimeError("state already finalized")
         phi = self.phi
-        one, queues = self._one, self._queues
-        empty, row_code = self._empty, one.typecode
+        tail, count, empty = self._tail, self._count, self._empty
+        next_u, next_v = self._next_u, self._next_v
+        link_u, link_v = next_u.append, next_v.append
         arena_u, arena_v, arena_r = self._us, self._vs, self._reduced
         push_u, push_v = arena_u.append, arena_v.append
         push_w, push_r = self._ws.append, arena_r.append
@@ -305,30 +327,36 @@ class StreamingState:
                     growth_violations += 1
                 if reduced < phi_v and q * new_v * new_v < p * phi_v * phi_v:
                     growth_violations += 1
-                first_u = one[u]
-                if first_u == empty:
-                    one[u] = row
-                    len_u = 1
+                # The row joins each endpoint's circle after the endpoint's
+                # newest row: it takes over that row's link to the oldest,
+                # or links to itself in an empty circle, and becomes the
+                # newest. A node's first push needs no count read.
+                last = tail[u]
+                tail[u] = row
+                if last == empty:
+                    link_u(row)
+                    count[u] = len_u = 1
                 else:
-                    queue_u = queues[u]
-                    if queue_u is None:
-                        queues[u] = array(row_code, (first_u, row))
-                        len_u = 2
+                    if arena_u[last] == u:
+                        link_u(next_u[last])
+                        next_u[last] = row
                     else:
-                        queue_u.append(row)
-                        len_u = len(queue_u)
-                first_v = one[v]
-                if first_v == empty:
-                    one[v] = row
-                    len_v = 1
+                        link_u(next_v[last])
+                        next_v[last] = row
+                    count[u] = len_u = count[u] + 1
+                last = tail[v]
+                tail[v] = row
+                if last == empty:
+                    link_v(row)
+                    count[v] = len_v = 1
                 else:
-                    queue_v = queues[v]
-                    if queue_v is None:
-                        queues[v] = array(row_code, (first_v, row))
-                        len_v = 2
+                    if arena_u[last] == v:
+                        link_v(next_u[last])
+                        next_u[last] = row
                     else:
-                        queue_v.append(row)
-                        len_v = len(queue_v)
+                        link_v(next_v[last])
+                        next_v[last] = row
+                    count[v] = len_v = count[v] + 1
                 longest = len_u if len_u > len_v else len_v
                 if longest > longest_queue:
                     longest_queue = longest
@@ -342,19 +370,19 @@ class StreamingState:
                     if heavy - evicted > peak:
                         peak = heavy - evicted
                     # Only a full queue evicts, u's first. Evicting at u
-                    # may shorten v's queue (a parallel edge), so a full
-                    # one is measured again; only an array reaches the
-                    # cap, which is at least 4. An evicted edge is live, so
-                    # it also sits in its other endpoint's queue: alone in
-                    # its slot, or in an array.
-                    for x, len_x in ((u, len_u), (v, len_v)):
+                    # may shorten v's queue (a parallel edge), so v's count
+                    # is read again.
+                    for x, links in ((u, next_u), (v, next_v)):
+                        len_x = count[x]
                         if len_x < cap:
                             continue
-                        queue_x = queues[x]
-                        if len(queue_x) < cap:
-                            continue
-                        victim = queue_x.pop(0)
-                        victim_reduced = arena_r[victim]
+                        # x's oldest row follows its newest, this push's row.
+                        # Rows evicted at their other endpoint stay in x's
+                        # circle, dead: the walk skips them, and they leave
+                        # the circle with the victim, the oldest live row.
+                        victim = links[row]
+                        while not (victim_reduced := arena_r[victim]):
+                            victim = next_u[victim] if arena_u[victim] == x else next_v[victim]
                         arena_r[victim] = 0
                         evicted += 1
                         # Gap monitor: the push must outweigh its victim
@@ -362,14 +390,16 @@ class StreamingState:
                         need = gap * victim_reduced
                         if reduced < need and not isclose(reduced, need, rel_tol=tol):
                             gap_violations += 1
-                        vu = arena_u[victim]
-                        vv = arena_v[victim]
-                        y = vv if vu == x else vu
-                        other = queues[y]
-                        if other is None:
-                            one[y] = empty
+                        # The victim leaves the live count of its other
+                        # endpoint y too, but stays in y's circle, dead.
+                        if arena_u[victim] == x:
+                            y = arena_v[victim]
+                            links[row] = next_u[victim]
                         else:
-                            other.remove(victim)
+                            y = arena_u[victim]
+                            links[row] = next_v[victim]
+                        count[x] = len_x - 1
+                        count[y] -= 1
         finally:
             if timed:
                 if start:
@@ -389,8 +419,8 @@ class StreamingState:
         its rows (see the module notes), so there is nothing to release."""
 
     def finalize(self) -> tuple[Matching, MonitorStats]:
-        """Release the queues, then unwind the live arena rows newest-first
-        into a greedy matching.
+        """Release the queues (the links, tails and counts), then unwind the
+        live arena rows newest-first into a greedy matching.
 
         Single-shot: the state is consumed, and the queues can no longer be
         read. ``phi``, ``stats`` and the arena (``live_edges``) stay. The
@@ -400,7 +430,7 @@ class StreamingState:
             raise RuntimeError("state already finalized")
         self._finalized = True
         # The unwind reads only the arena (see the module notes).
-        self._one = self._queues = None
+        self._next_u = self._next_v = self._tail = self._count = None
         rows = zip(reversed(self._us), reversed(self._vs), reversed(self._ws))
         live = compress(rows, reversed(self._reduced))
         return Matching.greedy(self._n, live), self.stats
@@ -432,9 +462,9 @@ def run_stream(
     samples: list[int] | None = [] if collect_timing else None
     state = StreamingState(params, samples=samples)
 
-    # A pass makes no reference cycles (the state is int arrays, ints and
-    # one list of queue slots), so the cyclic collector could free nothing
-    # and would only rescan the pass's short-lived containers.
+    # A pass makes no reference cycles (the state is int arrays and ints),
+    # so the cyclic collector could free nothing and would only rescan the
+    # pass's short-lived containers.
     with gc_paused():
         # The chunks are checked, and raise unless they hold exactly m edges.
         for chunk in stream.chunks():

@@ -81,11 +81,13 @@ def generate(spec: GeneratorSpec) -> EdgeStream:
     if not (1 <= spec.weight_max <= I64_MAX):
         raise ValueError(f"weight_max must be in [1, 2^63-1], got {spec.weight_max}")
     recipe = _RECIPES[GeneratorKind(spec.kind)]
+    # Refused before any edge is built.
+    order = StreamOrder(spec.order)
     with gc_paused():
         pairs, weights = recipe(spec)
         new = tuple.__new__
         edges = [new(WeightedEdge, (u, v, w)) for (u, v), w in zip(pairs, weights)]
-        return EdgeStream(spec.n, _apply_order(spec, edges))
+        return EdgeStream(spec.n, _apply_order(spec, order, edges))
 
 
 #: What a recipe returns: node pairs and weights, both in arrival order.
@@ -223,8 +225,9 @@ _RECIPES: dict[GeneratorKind, Callable[[GeneratorSpec], _Arrivals]] = {
 }
 
 
-def _apply_order(spec: GeneratorSpec, edges: list[WeightedEdge]) -> list[WeightedEdge]:
-    order = StreamOrder(spec.order)
+def _apply_order(
+    spec: GeneratorSpec, order: StreamOrder, edges: list[WeightedEdge]
+) -> list[WeightedEdge]:
     if order is StreamOrder.AS_GENERATED:
         return edges
     if order is StreamOrder.SHUFFLED:

@@ -32,6 +32,7 @@ from stream_mwm.core import (
 from stream_mwm.engine import (
     _ROW_TYPECODE,
     StreamingState,
+    _count_typecode,
     _push_budget,
     _typecodes,
     run_stream,
@@ -187,6 +188,7 @@ def test_finalize_releases_the_queues_and_keeps_the_potentials_and_arena():
     for read in (s.queue_len, s._queue):
         with pytest.raises(RuntimeError, match="state already finalized"):
             read(1)
+    assert s._next_u is s._next_v is s._tail is s._count is None
     assert list(s.phi) == [5, 8, 3, 0]
     assert s.live_edges() == live and s.live_entries == 2
     assert s.stats.heavy_edges_total == 2
@@ -352,14 +354,14 @@ def _stars_bytes_per_live_entry():
 
 
 def test_engine_state_is_small_per_live_entry():
-    # The push arena, the queue slots and the potentials take about 135 B
-    # per live entry on CPython 3.10-3.13.
+    # The push arena, its queue links and the potentials take about 96 B
+    # per live entry on CPython 3.11.
     assert _stars_bytes_per_live_entry() <= 600
 
 
 def test_a_star_needs_no_list_per_leaf_nor_an_int_per_potential():
-    # A leaf holds its one row number in its slot, and potentials are packed
-    # into 8 bytes each; with a list per leaf and an int object per
+    # A leaf's queue is its one row, linked to itself, and potentials are
+    # packed into 8 bytes each; with a list per leaf and an int object per
     # potential the same run takes about 390 B per live entry.
     assert _stars_bytes_per_live_entry() <= 300
 
@@ -372,9 +374,11 @@ def test_a_pushed_edge_is_an_arena_row_with_no_objects_of_its_own():
 
 
 def test_a_packed_pass_is_small_per_live_entry():
-    # Node ids and row numbers are 32-bit, and a leaf's one live row sits in
-    # a packed column: 96 to 98 B per live entry on CPython 3.10-3.13. With
-    # 64-bit ids and rows and an int object per leaf it takes 138 to 140 B.
+    # Node ids and row numbers are 32-bit, and the queues are circles
+    # threaded through the arena: 96.2 B per live entry on CPython 3.11.
+    # With a one-row column and an array per centre it took 96 to 98 B on
+    # CPython 3.10-3.13, and with 64-bit ids and rows and an int object per
+    # leaf 138 to 140 B.
     assert _stars_bytes_per_live_entry() <= 110
 
 
@@ -564,12 +568,22 @@ def _doubling_edges(pairs):
     return [WeightedEdge(u, v, 4**i) for i, (u, v) in enumerate(pairs)]
 
 
-def _slot_kind(state, node):
-    """The node's queue layout: "empty", "one" (a row alone in its slot of
-    the one-row column) or "array" (its rows in ``_queues``)."""
-    if state._queues[node] is not None:
-        return "array"
-    return "empty" if state._one[node] == state._empty else "one"
+def _circle(state, node):
+    """The node's circle of arena rows, oldest first, as ``(row, live)``:
+    walked through the link columns from the row after its newest row,
+    ``_tail``, back to it. The node's live count is its live rows."""
+    newest = state._tail[node]
+    circle = []
+    if newest != state._empty:
+        row = newest
+        while True:
+            links = state._next_u if state._us[row] == node else state._next_v
+            row = links[row]
+            circle.append((row, state._reduced[row] != 0))
+            if row == newest:
+                break
+    assert state._count[node] == sum(live for _, live in circle)
+    return circle
 
 
 def _assert_queues_match_naive_after_each_edge(params, edges):
@@ -586,24 +600,29 @@ def _assert_queues_match_naive_after_each_edge(params, edges):
 _SLOTS = compute_params(16, Fraction(59, 10))
 
 
-def test_a_slot_goes_from_empty_to_one_edge_to_a_list_that_evicts():
+def test_a_queue_grows_as_a_circle_of_rows_and_evicts_its_oldest():
     cap = _SLOTS.queue_cap
     edges = _doubling_edges([(0, leaf) for leaf in range(1, cap + 1)])
     s = StreamingState(_SLOTS)
-    kinds, lengths = [_slot_kind(s, 0)], [s.queue_len(0)]
+    circles, lengths = [_circle(s, 0)], [s.queue_len(0)]
     for e in edges:
         s.process_edge(e)
-        kinds.append(_slot_kind(s, 0))
+        circles.append(_circle(s, 0))
         lengths.append(s.queue_len(0))
-    assert kinds == ["empty", "one"] + ["array"] * (cap - 1)
-    # The cap-th push fills the queue, and its oldest edge is evicted.
+    # Row r is the r-th push. The cap-th push fills the queue, and its
+    # oldest row is evicted and leaves the centre's circle.
+    assert circles == [[(r, True) for r in range(k)] for k in range(cap)] + [
+        [(r, True) for r in range(1, cap)]
+    ]
     assert lengths == [*range(cap), cap - 1]
+    # The victim stays, dead, in its leaf's circle.
+    assert _circle(s, 1) == [(0, False)]
     assert s.stats.evictions_total == 1
     assert s.stats.max_queue_len == cap
     _assert_queues_match_naive_after_each_edge(_SLOTS, edges)
 
 
-def test_a_leaf_edge_evicted_from_the_centre_empties_the_leaf_slot():
+def test_a_leaf_edge_evicted_from_the_centre_stays_dead_in_the_leaf_circle():
     cap = _SLOTS.queue_cap
     star = [(0, leaf) for leaf in range(1, cap + 1)]
     # Leaf 1 is pushed again: on a fresh node, then back at the centre.
@@ -612,15 +631,18 @@ def test_a_leaf_edge_evicted_from_the_centre_empties_the_leaf_slot():
     for e in edges[:cap]:
         s.process_edge(e)
     assert s.stats.evictions_total == 1
-    assert _slot_kind(s, 1) == "empty" and s.queue_len(1) == 0
-    assert _slot_kind(s, 2) == "one" and s.queue_len(2) == 1
+    assert _circle(s, 1) == [(0, False)] and s.queue_len(1) == 0
+    assert _circle(s, 2) == [(1, True)] and s.queue_len(2) == 1
     s.process_edge(edges[cap])
-    assert _slot_kind(s, 1) == "one" and s.queue_len(1) == 1
+    assert _circle(s, 1) == [(0, False), (cap, True)] and s.queue_len(1) == 1
     s.process_edge(edges[cap + 1])
-    assert _slot_kind(s, 1) == "array" and s.queue_len(1) == 2
-    # The centre is full again and evicts leaf 2's edge, emptying its slot.
+    assert _circle(s, 1) == [(0, False), (cap, True), (cap + 1, True)]
+    assert s.queue_len(1) == 2
+    # The centre is full again and evicts leaf 2's edge, which stays dead
+    # in leaf 2's circle and leaves the centre's.
     assert s.stats.evictions_total == 2
-    assert _slot_kind(s, 2) == "empty" and s.queue_len(0) == cap - 1
+    assert _circle(s, 2) == [(1, False)] and s.queue_len(0) == cap - 1
+    assert _circle(s, 0) == [(r, True) for r in [*range(2, cap), cap + 1]]
     _assert_queues_match_naive_after_each_edge(_SLOTS, edges)
 
 
@@ -637,15 +659,19 @@ def test_an_eviction_at_u_shortens_the_queue_of_a_parallel_copy_at_v(v_holds):
     if v_holds == "list":
         pairs += [(1, a) for a in fillers]
     edges = _doubling_edges(pairs + [(0, 1)])
+    # Copy 2 is the last row; node 1's own fillers, if any, come before it.
+    copy_2 = len(edges) - 1
+    own = [(r, True) for r in range(cap - 1, copy_2)]
     s = StreamingState(_SLOTS)
     for e in edges[:-1]:
         s.process_edge(e)
-    assert _slot_kind(s, 1) == ("one" if v_holds == "alone" else "array")
+    assert _circle(s, 1) == [(0, True)] + own
     assert s.queue_len(0) == cap - 1
     assert s.queue_len(1) == (1 if v_holds == "alone" else cap - 1)
     s.process_edge(edges[-1])
     assert s.stats.evictions_total == 1
-    assert _slot_kind(s, 1) == "array"
+    # Copy 1 stays, dead, in node 1's circle, which did not evict.
+    assert _circle(s, 1) == [(0, False)] + own + [(copy_2, True)]
     assert s._queue(1)[-1] == edges[-1] and edges[0] not in s._queue(1)
     assert s.queue_len(0) == cap - 1
     assert s.queue_len(1) == (1 if v_holds == "alone" else cap - 1)
@@ -657,6 +683,24 @@ def test_node_ids_are_32_bit_up_to_two_to_the_32_nodes():
     assert _typecodes(2**32, 1)[0] == "I"
     assert _typecodes(2**32 + 1, 1)[0] == _ROW_TYPECODE
     assert array("I").itemsize == 4
+
+
+@pytest.mark.parametrize(
+    "budget, code",
+    [(255, "B"), (256, "H"), (392, "H"), (65_535, "H"), (65_536, "I"),
+     (174_717, "I"), (2**32 - 1, "I"), (2**32, _ROW_TYPECODE)],
+)
+def test_a_live_count_is_as_wide_as_the_push_budget(budget, code):
+    # A node owns at most as many live rows as it takes pushes, so its
+    # count cannot wrap before the queue-cap monitor sees a violation.
+    assert _count_typecode(budget) == code
+    assert 1 << 8 * array(code).itemsize > budget
+
+
+def test_a_live_count_is_16_bit_at_epsilon_one_half():
+    params = compute_params(30_000, "1/2")
+    assert _push_budget(params) == 392
+    assert StreamingState(params)._count.typecode == "H"
 
 
 @pytest.mark.parametrize(
@@ -685,16 +729,18 @@ def test_both_row_widths_match_the_naive_pass_after_every_chunk(n, row_code):
     assert _push_budget(params) == 174_717
     assert _typecodes(n, _push_budget(params)) == ("I", row_code)
     # A multigraph on the top node ids, in chunks of 7: nodes gain one row,
-    # then an array, and the highest id, n - 1, takes part.
+    # then more, and the highest id, n - 1, takes part.
     stream = random_multigraph_stream(3, max_n=12)
     edges = [(n - 1 - u, n - 1 - v, w) for u, v, w in stream.edges]
     chunks = [edges[start : start + 7] for start in range(0, len(edges), 7)]
     state, model = modelled_pass(params, chunks)
     assert n - 1 in state._us or n - 1 in state._vs
     assert state._us.typecode == state._vs.typecode == "I"
-    assert state._one.typecode == row_code
-    assert all(q.typecode == row_code for q in state._queues if q is not None)
-    assert any(q is not None for q in state._queues)
+    assert state._tail.typecode == row_code
+    assert state._next_u.typecode == state._next_v.typecode == row_code
+    # A live count holds up to the push budget, past 16 bits here.
+    assert state._count.typecode == "I"
+    assert max(state._count) >= 2
     matching, _ = state.finalize()
     assert matching.sorted_edges() == model.chosen
 
@@ -720,7 +766,7 @@ def test_potentials_reach_exactly_two_to_the_63_minus_1():
     params = compute_params(stream.n, "1/2")
     s = StreamingState(params)
     assert all(s.process_edge(e) for e in edges)
-    assert s.phi.typecode == "q"
+    assert s.phi.typecode == _ROW_TYPECODE
     assert s.phi[0] == s.phi[1] == s.phi[2] == I64_MAX
     assert s.phi[-1] == I64_MAX - chain[-2]
     matching, report = run_stream(stream, "1/2")

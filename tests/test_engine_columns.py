@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import checked_pass, modelled_pass, naive_pass, random_multigraph_stream
-from test_engine import _SLOTS, _chain, _doubling_edges, _heavy_chain_stars
+from test_engine import _SLOTS, _chain, _circle, _doubling_edges, _heavy_chain_stars
 from test_golden import HUB_EPS, _hub
 from test_trace_golden import _inputs
 from stream_mwm import streamio
@@ -108,6 +108,40 @@ def test_the_state_matches_the_naive_pass_after_every_chunk(tag, stream, eps, si
     # leaves the arena rows, the potentials, every counter and every queue
     # as the model's. At size 1 that is after every edge.
     _run_in_chunks(compute_params(stream.n, eps), list(stream.edges), size)
+
+
+#: Rows evicted at their other endpoint, then walked past, at a queue cap
+#: of 4. Row r is edge r; node 1 is B and node 5 is C.
+#: - Node 0 fills and evicts rows 0 and 1, the copies of (0, 1), at the
+#:   copies' u and then v: B loses every live row, and keeps both, dead.
+#: - B gains rows 5 and 6; node 6 fills and evicts row 6, so B's circle
+#:   holds a dead row behind its oldest live one.
+#: - B fills at row 12 and walks past rows 0 and 1 to evict row 5, the
+#:   first copy of (5, 1), at its v; at row 13 it walks past row 6 to
+#:   evict row 10, the second copy, at its u.
+#: - C, whose rows were both evicted at B, gains rows 14 to 17, fills, and
+#:   walks past rows 5 and 10 to evict row 14.
+DEAD_ROWS = _doubling_edges([
+    (0, 1), (1, 0), (0, 2), (0, 3), (0, 4),
+    (5, 1), (1, 6), (6, 7), (6, 8), (6, 9),
+    (1, 5), (1, 10), (1, 11), (1, 12),
+    (5, 13), (5, 14), (5, 15), (5, 16),
+])
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_an_eviction_walks_past_rows_evicted_at_their_other_endpoint(size):
+    params = dataclasses.replace(compute_params(17, Fraction(59, 10)), queue_cap=4)
+    state, model = _run_in_chunks(params, DEAD_ROWS, size)
+    victims = [edge for kind, edge, *_ in model.events if kind == "evicted"]
+    assert victims == [DEAD_ROWS[r] for r in (0, 1, 6, 5, 10, 14)]
+    # Each walk unlinked the dead rows it passed, with its victim.
+    assert _circle(state, 0) == [(2, True), (3, True), (4, True)]
+    assert _circle(state, 1) == [(11, True), (12, True), (13, True)]
+    assert _circle(state, 5) == [(15, True), (16, True), (17, True)]
+    assert _circle(state, 6) == [(7, True), (8, True), (9, True)]
+    matching, _ = state.finalize()
+    assert matching.sorted_edges() == model.chosen
 
 
 @pytest.mark.parametrize("cap", [4, 9])

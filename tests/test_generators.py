@@ -235,11 +235,18 @@ COMPLETE_CAP = "complete graph on 10 nodes has 45 > 44 edges"
          COMPLETE_CAP),
         (dict(kind="er", n=10, p=1.0), 44, CapacityError, COMPLETE_CAP),
         (dict(kind="er", n=40, p=0.3), 5, CapacityError, "stream exceeds 5 edges"),
+        (dict(kind="nope", n=5, order="nope"), None, ValueError,
+         "'nope' is not a valid GeneratorKind"),
+        (dict(kind="chain", n=10**9, base=0.5, order="nope"), None, ValueError,
+         "'nope' is not a valid StreamOrder"),
+        (dict(kind="complete", n=10, order="nope"), 44, ValueError,
+         "'nope' is not a valid StreamOrder"),
     ],
     ids=[
         "n-before-weight-max", "weight-max-before-p", "n-before-kind",
         "kind-before-recipe", "base-before-cap", "chain-weight-before-cap",
         "adversarial-cap-before-weight-max", "er-p1-complete-cap", "er-stream-cap",
+        "kind-before-order", "order-before-recipe", "order-before-cap",
     ],
 )
 def test_refusal_order(monkeypatch, fields, max_edges, error, message):
