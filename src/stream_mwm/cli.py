@@ -3,11 +3,11 @@
 ``run`` is one pipeline: read or generate the stream, decide once whether
 the oracle (n <= 22) applies, then run, check and emit the report. Every
 solver, the engine and the three reference ones alike, reads its input
-once, in order, so a file is parsed as it runs. A second step (the
-oracle, or the second read of ``--alg semi --monitors``, which needs no
-trace at any m) reads a file again, and reads stdin or a pipe, which can
-be read only once, from a copy. Every run's oracle is `optimum_weight`,
-the optimum's weight alone, so an exact run's oracle checks `exact_mwm`.
+once, in order, so a file or stdin is parsed as it runs, and nothing else
+reads it: ``--alg semi --monitors`` replays each chunk after the pass, in
+the engine, and the oracle's pair table is filled from each chunk as the
+solver reads it. Every run's oracle is `optimum_weight` on that table, the
+optimum's weight alone, so an exact run's oracle checks `exact_mwm`.
 Every ``--alg`` refuses an epsilon that the engine refuses, checked once,
 after the input is opened and before an edge is read. Any I/O, parse,
 capacity or epsilon error along the way, or a node count too large to
@@ -47,13 +47,14 @@ from .monitors import (  # noqa: F401
 )
 from .reference import (
     EXACT_MAX_NODES,
+    _heaviest_copies,
     exact_mwm,
     greedy_sorted,
     mwm_simple,
     optimum_weight,
 )
 from .report import RUN_CSV_HEADER, RunReport
-from .streamio import LazyEdgeStream, read_stream
+from .streamio import LazyEdgeStream, open_edges, read_stream
 
 __all__ = ["main", "cmd_run", "cmd_bench"]
 
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--monitors",
         action="store_true",
-        help="check the pass's invariants (--alg semi; reads the input twice)",
+        help="check the pass's invariants (--alg semi)",
     )
     run.add_argument("--timing", action="store_true", help="collect per-edge timings")
     run.add_argument("--report", choices=["json", "csv"], default="json")
@@ -172,15 +173,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         # is read.
         eps = _check_epsilon(parse_epsilon(args.eps))
         oracle = args.oracle and stream.n <= EXACT_MAX_NODES
-        # Only a semi run has monitors. A second step reads a one-shot input
-        # from a copy.
-        monitors = args.alg == "semi" and args.monitors
-        second_read = oracle or monitors
-        if second_read and isinstance(stream, LazyEdgeStream) and stream.one_shot:
-            stream = EdgeStream.from_stream(stream)
+        if oracle:
+            # The oracle keeps one edge per node pair, from the run's read.
+            pairs: dict = {}
+            chunks = functools.partial(_filling, open_edges(stream).chunks, pairs)
+            stream = LazyEdgeStream(stream.n, stream.m, chunks)
         if args.alg == "semi":
+            # Only a semi run has monitors.
             matching, report = run_stream(
-                stream, eps, monitors=monitors, collect_timing=args.timing
+                stream, eps, monitors=args.monitors, collect_timing=args.timing
             )
         else:
             solver = {"simple": mwm_simple, "greedy": greedy_sorted, "exact": exact_mwm}
@@ -196,7 +197,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         violation = False
         if oracle:
             got = matching.total_weight
-            best = optimum_weight(stream)
+            best = optimum_weight(EdgeStream(stream.n, list(pairs.values())))
             report.oracle_weight = best
             if got == 0:
                 report.ratio = 1.0 if best == 0 else float("inf")
@@ -225,6 +226,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("stream-mwm: monitor failure", file=sys.stderr)
         return 3
     return 0
+
+
+def _filling(chunks, pairs: dict):
+    """Each chunk of ``chunks()``, handed on once its edges are in the
+    oracle's pair table ``pairs``."""
+    for chunk in chunks():
+        _heaviest_copies(chunk, pairs)
+        yield chunk
+        del chunk  # the next chunk is parsed without this one
 
 
 def _as_csv(rows: list[list[str]]) -> str:

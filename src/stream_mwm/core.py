@@ -88,11 +88,11 @@ class EdgeStream:
     """A finite edge sequence plus the declared node count.
 
     Every reader of a stream (`engine.run_stream`, the `reference` solvers,
-    `monitors.check_terminal_weights`, `streamio.serialize_stream`) uses
-    only ``n``, ``m`` and one read of ``edges``, in arrival order, each
-    edge a ``(u, v, w)`` triple read by position, so an `EdgeStream` and a
-    `streamio.LazyEdgeStream`, which is read again for each reader, are
-    interchangeable for them. Here ``m`` is ``len(edges)``, and an edge
+    `streamio.serialize_stream`) uses only ``n``, ``m`` and one read of
+    ``edges``, in arrival order, each edge a ``(u, v, w)`` triple read by
+    position, so an `EdgeStream` and a `streamio.LazyEdgeStream`, a file
+    parsed as it is read, are interchangeable for them. Here ``m`` is
+    ``len(edges)``, and an edge
     may be a `WeightedEdge` or a plain tuple; `streamio.open_edges` checks
     each edge when `run_stream` or an exact solver reads it. A node pair
     may repeat, in either orientation, as parallel edges.
@@ -109,8 +109,7 @@ class EdgeStream:
 
     @classmethod
     def from_stream(cls, stream: "EdgeStream") -> "EdgeStream":
-        """A copy of ``stream`` whose edges are read into a list: the one
-        copy of a stream, for an input that can be read only once."""
+        """A copy of ``stream`` whose edges are read into a list."""
         return cls(stream.n, list(stream.edges))
 
 

@@ -74,9 +74,10 @@ chunk of one.
 
 The loop counts, at O(1) a push, each potential that grows by less than
 alpha, each queue past its cap and each eviction short of its weight gap.
-`run_stream` with ``monitors`` reads the counts and then the stream once
-more, to run the filter and the pushes again against ``rows()`` and
-``phi``.
+`run_stream` reads the stream once. With ``monitors`` it reads the counts,
+and hands each chunk, once the pass has read it, with the arena rows the
+pass pushed on it, to `check_terminal_weights`, which runs the filter and
+the pushes again on potentials of its own and ends on ``phi``.
 
 A light edge, most of a typical stream, leaves nothing behind, and an edge
 becomes a `WeightedEdge` only in `StreamingState.live_edges` or when a
@@ -94,6 +95,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from collections import deque
 from fractions import Fraction
 from itertools import compress
 from math import floor, isclose, log
@@ -109,6 +111,7 @@ from .core import (
 )
 from .monitors import (
     GAP_REL_TOL,
+    CheckVerdict,
     MonitorStats,
     check_eviction_gap,
     check_phi_growth,
@@ -227,10 +230,12 @@ class StreamingState:
                     break
         return [(us[r], self._vs[r], self._ws[r]) for r in rows]
 
-    def rows(self) -> Iterator[tuple[int, int, int, int]]:
-        """The arena rows ``(u, v, w, reduced weight)`` in push order; an
-        evicted row has reduced weight 0."""
-        return zip(self._us, self._vs, self._ws, self._reduced)
+    def rows(self, start: int = 0) -> Iterator[tuple[int, int, int, int]]:
+        """The arena rows ``(u, v, w, reduced weight)`` from row ``start``
+        on, in push order, as they stand now; an evicted row has reduced
+        weight 0."""
+        columns = self._us, self._vs, self._ws, self._reduced
+        return zip(*[column[start:] for column in columns])
 
     def live_edges(self) -> list[WeightedEdge]:
         """Live arena edges, oldest first (diagnostics and tests)."""
@@ -448,17 +453,14 @@ def run_stream(
     ``stream`` is read once, in order, through `open_edges`: a file is
     parsed, and an in-memory `EdgeStream` checked, as the pass runs. With
     ``monitors`` the report gets all four ``monitor_verdicts``, from the
-    pass's counters and one more read of ``stream``, at any m and in O(n)
-    more memory (see `monitors`); a one-shot stream is refused with
-    ``ValueError`` before its first edge is read.
+    pass's counters and a replay of each chunk after the pass, in the same
+    read, at any m and in O(n) more memory (see `monitors`).
     With ``collect_timing`` each edge is timed with a monotonic clock inside
     the pass (every 64th edge beyond the first million, to keep the
     observer cheap).
     """
     params = compute_params(stream.n, epsilon)
     stream = open_edges(stream)
-    if monitors and stream.one_shot:
-        raise ValueError("a one-shot stream can be read only once")
     samples: list[int] | None = [] if collect_timing else None
     state = StreamingState(params, samples=samples)
 
@@ -467,11 +469,18 @@ def run_stream(
     # pass's short-lived containers.
     with gc_paused():
         # The chunks are checked, and raise unless they hold exactly m edges.
-        for chunk in stream.chunks():
-            state.process_edges(chunk)
-            del chunk  # the next chunk is parsed without this one
+        if monitors:
+            chunks = _passed(stream, state)
+            terminal = check_terminal_weights(chunks, state.phi, params)
+            # A failed replay leaves the rest to the pass alone; a deque of
+            # length 0 keeps no chunk.
+            deque(chunks, maxlen=0)
+        else:
+            for chunk in stream.chunks():
+                state.process_edges(chunk)
+                del chunk  # the next chunk is parsed without this one
         matching, stats = state.finalize()
-        verdicts = _monitor_verdicts(stream, state) if monitors else {}
+        verdicts = _monitor_verdicts(state, terminal) if monitors else {}
         # Freed while the collector is paused, the state is not rescanned
         # when it resumes.
         del state
@@ -494,14 +503,23 @@ def run_stream(
     return matching, report
 
 
-def _monitor_verdicts(stream: LazyEdgeStream, state: StreamingState) -> dict[str, str]:
-    """The four verdicts on a finalized pass over ``stream``."""
+def _passed(stream: LazyEdgeStream, state: StreamingState) -> Iterator[tuple]:
+    """Each chunk of ``stream`` once the pass has read it, with the arena
+    rows that the pass pushed on it."""
+    for chunk in stream.chunks():
+        first = state.stats.heavy_edges_total
+        state.process_edges(chunk)
+        yield chunk, state.rows(first)
+        del chunk  # the next chunk is parsed without this one
+
+
+def _monitor_verdicts(state: StreamingState, terminal: CheckVerdict) -> dict[str, str]:
+    """The four verdicts on a finalized pass, given the replay's."""
     params, stats = state.params, state.stats
-    rows, phi = state.rows(), state.phi
     verdicts = {
         "phi_growth": check_phi_growth(stats),
         "eviction_gap": check_eviction_gap(stats),
-        "terminal_weights": check_terminal_weights(stream, stream.m, rows, phi, params),
+        "terminal_weights": terminal,
         "ratio_bound": check_ratio_bound(params, stats.heavy_edges_total),
     }
     return {name: "pass" if v.ok else "fail" for name, v in verdicts.items()}

@@ -2,10 +2,11 @@
 
 The engine counts, at O(1) a push, each invariant it breaks: a potential
 grown by less than alpha, an eviction short of its weight gap, a queue
-past its cap (`MonitorStats`). After the pass, `engine.run_stream` turns
-the counts into verdicts at any m: `check_phi_growth` and
-`check_eviction_gap` read them, `check_terminal_weights` runs the filter
-and the pushes again on a second read of the stream, and
+past its cap (`MonitorStats`). `engine.run_stream` turns the counts into
+verdicts at any m, in the pass's one read of the stream:
+`check_phi_growth` and `check_eviction_gap` read them,
+`check_terminal_weights` runs the filter and the pushes again on each
+chunk after the pass has read it, on potentials of its own, and
 `check_ratio_bound` bounds the approximation factor, `ratio_factor`. Each
 check returns a `CheckVerdict`.
 """
@@ -17,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import EdgeStream, Params
+from .core import Params
 
 __all__ = [
     "MonitorStats",
@@ -55,7 +56,7 @@ class MonitorStats:
 @dataclass(frozen=True)
 class CheckVerdict:
     """Outcome of a check: pass/fail, how much it checked and, for the
-    second read, the index of the first offending edge."""
+    replay, the index of the first offending edge."""
 
     ok: bool
     checked: int = 0
@@ -93,59 +94,52 @@ def _counted(bad: int, checked: int, what: str) -> CheckVerdict:
 
 
 def check_terminal_weights(
-    g: EdgeStream,
-    m: int,
-    rows: Iterable[tuple[int, int, int, int]],
-    phi: Sequence[int],
-    params: Params,
+    chunks: Iterable[tuple[Iterable, Iterable]], phi: Sequence[int], params: Params
 ) -> CheckVerdict:
-    """Verify a pass by running its filter and pushes again, on a second
-    read of the stream and potentials of its own.
+    """Verify a pass by running its filter and pushes again, chunk by chunk,
+    on potentials of its own.
 
     The pass is a function of the input and the potentials alone: an edge
     is light iff ``q * w**2 <= p * s**2`` (``alpha_sq = p/q``, ``s`` its
     endpoints' potential sum; equality is light), and a heavy one grows
-    both by its reduced weight ``w - s``. So ``g`` must hold the pass's
-    ``m`` edges; each heavy one must match the next of ``rows``, the pass's
-    arena rows ``(u, v, w, reduced)`` in push order, with reduced weight
-    ``w - s`` (0 if evicted); no row may be left; and the potentials must
-    end equal to ``phi``, n of them. ``g`` is read once, through ``edges``:
-    a file stream opens its file again.
+    both by its reduced weight ``w - s``. ``chunks`` yields each chunk of
+    the stream's edges once the pass has read it, with the arena rows
+    ``(u, v, w, reduced)`` that the pass pushed on it, in push order. Each
+    heavy edge must match the chunk's next row, with reduced weight
+    ``w - s`` (0 if evicted); no row of a chunk may be left; and the
+    potentials must end equal to ``phi``, n of them. The first fault ends
+    the replay, and the rest of ``chunks`` is left unread.
     """
     p = params.alpha_sq.numerator
     q = params.alpha_sq.denominator
     fresh = array("q", [0]) * params.n
-    rows = iter(rows)
     i = -1
-    for i, (u, v, w) in enumerate(g.edges):
-        if i == m:
+    for edges, rows in chunks:
+        rows = iter(rows)
+        for i, (u, v, w) in enumerate(edges, i + 1):
+            s = fresh[u] + fresh[v]
+            if q * w * w <= p * s * s:
+                continue
+            reduced = w - s
+            row = next(rows, None)
+            if row is None or row[:3] != (u, v, w) or row[3] not in (reduced, 0):
+                return CheckVerdict(
+                    ok=False, checked=i, event_index=i,
+                    detail=f"edge {(u, v, w)} pushes with reduced weight {reduced}, "
+                    f"but the next arena row is {row}",
+                )
+            fresh[u] += reduced
+            fresh[v] += reduced
+        if (row := next(rows, None)) is not None:
             return CheckVerdict(
-                ok=False, checked=i, event_index=i,
-                detail=f"the second read holds more than the pass's {m} edges",
+                ok=False, checked=i + 1,
+                detail=f"arena row {row} was not pushed by the replay",
             )
-        s = fresh[u] + fresh[v]
-        if q * w * w <= p * s * s:
-            continue
-        reduced = w - s
-        row = next(rows, None)
-        if row is None or row[:3] != (u, v, w) or row[3] not in (reduced, 0):
-            return CheckVerdict(
-                ok=False, checked=i, event_index=i,
-                detail=f"edge {(u, v, w)} pushes with reduced weight {reduced}, "
-                f"but the next arena row is {row}",
-            )
-        fresh[u] += reduced
-        fresh[v] += reduced
-    checked = i + 1
     detail = None
-    if checked < m:
-        detail = f"the second read holds {checked} edges, the pass read {m}"
-    elif (row := next(rows, None)) is not None:
-        detail = f"arena row {row} was not pushed by the second read"
-    elif fresh != array("q", phi):
+    if fresh != array("q", phi):
         node = next(x for x, (a, b) in enumerate(zip(fresh, phi)) if a != b)
         detail = f"potential at node {node} is {phi[node]}, not {fresh[node]}"
-    return CheckVerdict(ok=detail is None, checked=checked, detail=detail)
+    return CheckVerdict(ok=detail is None, checked=i + 1, detail=detail)
 
 
 def ratio_factor(params: Params, k: int) -> float:

@@ -21,7 +21,7 @@ the earlier exponential oracle put them.
 Every solver reads its input as the engine does: ``n``, then one read of
 ``edges``, in arrival order, each a ``(u, v, w)`` triple read by position.
 So an `EdgeStream` (`Graph` is another name for it) and a `LazyEdgeStream`,
-which a file opens again for each read, are interchangeable. What a solver
+a file parsed as it is read, are interchangeable. What a solver
 keeps is its own: `mwm_simple` its stack, `greedy_sorted` the sorted edge
 list, the exact ones one edge per node pair. Repeated node pairs, in
 either orientation, are parallel edges. The exact solvers read their input
@@ -31,7 +31,7 @@ two baselines read it unchecked, and assume a valid stream.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
 
 from .core import CapacityError, EdgeStream, Matching, WeightedEdge, gc_paused
@@ -124,7 +124,7 @@ def exact_mwm(g: EdgeStream) -> Matching:
         raise CapacityError(
             f"exact solver handles at most {EXACT_MAX_NODES} nodes, got {g.n}"
         )
-    edges = _heaviest_copies(g)
+    edges = list(_heaviest_copies(open_edges(g).edges, {}).values())
     k = len(edges)
     perturbed = [
         (u, v, (w << k) | (1 << (k - 1 - r))) for r, (u, v, w) in enumerate(edges)
@@ -149,25 +149,25 @@ def optimum_weight(g: EdgeStream) -> int:
     and no cap on the node count. Equal to ``exact_mwm(g).total_weight``
     wherever that is defined.
     """
-    edges = _heaviest_copies(g)
+    edges = list(_heaviest_copies(open_edges(g).edges, {}).values())
     return sum(edges[k][2] for k in _max_weight_matching(g.n, edges))
 
 
-def _heaviest_copies(g: EdgeStream) -> list[tuple[int, int, int]]:
-    """One edge per node pair, in input order: the heaviest copy, and among
-    copies of equal weight the first. Reads ``g`` once, checked by
-    `open_edges`."""
-    # pair -> (index, weight, edge) of its kept copy; a later copy replaces
-    # it only if strictly heavier.
-    kept: dict[tuple[int, int], tuple[int, int, tuple[int, int, int]]] = {}
-    for i, e in enumerate(open_edges(g).edges):
+def _heaviest_copies(edges: Iterable[tuple[int, int, int]], kept: dict) -> dict:
+    """Keep in ``kept`` one edge per node pair, in input order: the heaviest
+    copy, and among copies of equal weight the first. ``edges`` are checked
+    edges, all of a stream or the chunk after those that filled ``kept``;
+    returns ``kept``."""
+    for e in edges:
         u, v, w = e
         pair = (u, v) if u < v else (v, u)
         copy = kept.get(pair)
-        if copy is None or w > copy[1]:
-            kept[pair] = (i, w, e)
-    # The indices are distinct, so the sort never compares two edges.
-    return [e for _, _, e in sorted(kept.values())]
+        if copy is None or w > copy[2]:
+            # A heavier copy goes to the end, where it arrived: the table
+            # stays in input order.
+            kept.pop(pair, None)
+            kept[pair] = e
+    return kept
 
 
 def _max_weight_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> list[int]:

@@ -11,22 +11,23 @@ The header declares the node count (needed before the first edge) and the
 edge count, which must match the body exactly. Blank lines and lines
 starting with ``c`` are ignored. Line order is arrival order.
 
-A stream is a source that can be read again: each call of
-`LazyEdgeStream.chunks()` starts a fresh, checked, in-order read of
-``(u, v, w)`` int triples. `read_stream` reads a file's header when it
-opens it, and the first read goes on from there; a later read opens the
-file again, and refuses it if its header, its size or its modification
-time changed. Stdin or a pipe can be read only once. A read takes the body a
-block at a time (``_CHUNK_BYTES`` characters and the rest of the line
-after them), so a run holds one block of input, not all m edges. A block
-of canonical lines (``<u> <v> <w>`` in ASCII digits, one space apart,
-newline-terminated) becomes ints in one C call (a JSON array) and is
-checked in bulk: without its digits it must be ``"  \n"`` once per line,
-and JSON refuses what that lets through (an empty field, ``1  2``) and a
-leading zero. Any other block, or one that fails a bulk check, is parsed
-line by line, so every accepted input and every error message is the same
-either way. `parse_stream` joins any iterable of lines into blocks that
-take the same path.
+A parsed input is read once, in order: `read_stream` reads the header of a
+file or of stdin when it opens it, and the stream's
+`LazyEdgeStream.chunks()` goes on from there as a checked, in-order read
+of ``(u, v, w)`` int triples; a second call raises ``ValueError``. A read
+takes the body a block at a time (``_CHUNK_BYTES`` characters and the rest
+of the line after them), so a run holds one block of input, not all m
+edges. A block of canonical lines (``<u> <v> <w>`` in ASCII digits, one
+space apart, newline-terminated) becomes ints in one C call (a JSON array)
+and is checked in bulk: without its digits it must be ``"  \n"`` once per
+line, and JSON refuses what that lets through (an empty field, ``1  2``)
+and a leading zero. Its chunk is a view of the int list, three to an edge,
+that can be iterated again, so a pass and the checks that ride on it read
+the same chunk, and the block is never copied into tuples. Any other
+block, or one that fails a bulk check, is parsed line by line, so every
+accepted input and every error message is the same either way.
+`parse_stream` joins any iterable of lines into blocks that take the same
+path.
 
 Every check of an edge lives in `check_edge`: endpoints below n and
 distinct, weight in ``[0, 2^63-1]``, each an int (a bool or a numpy integer
@@ -34,15 +35,14 @@ becomes an exact ``int``). The parser adds only what the text needs (the
 header, three int fields a line, no more edges than declared), so a bad
 edge reads ``line N: ...`` from a file as from memory. `open_edges` is the
 one way to checked edges: it hands a `LazyEdgeStream` on as it is and
-opens an `EdgeStream` as one, whose reads check ``_CHUNK_EDGES`` edges a
-chunk. The engine's pass checks nothing again, and makes no
-`WeightedEdge`. `EdgeStream.from_stream` copies one read.
+opens an `EdgeStream` as one, which can be read again, each read checking
+``_CHUNK_EDGES`` edges a chunk. The engine's pass checks nothing again,
+and makes no `WeightedEdge`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -71,21 +71,20 @@ Triple = tuple[int, int, int]
 
 @dataclass
 class LazyEdgeStream:
-    """A stream parsed as it is read, which can be read again.
+    """A stream parsed as it is read.
 
     Like an `EdgeStream` it has ``n``, ``m`` (from the header; the body must
     hold exactly ``m`` edges) and ``edges``, plain ``(u, v, w)`` int triples
-    in arrival order. Each call of ``chunks()`` starts a fresh read of the
-    body, as chunks of checked triples, and ``edges`` is one such read. A
-    malformed line raises `StreamFormatError` from the read, and each read
-    closes its own file. A ``one_shot`` input (stdin, a pipe) can be read
-    once; a second read raises ``ValueError``.
+    in arrival order. ``chunks()`` reads the body as chunks of checked
+    triples, each of which can be iterated more than once, and ``edges`` is
+    that read. A malformed line raises `StreamFormatError` from the read,
+    which closes its file. A parsed input (`read_stream`) can be read once;
+    a second read raises ``ValueError``.
     """
 
     n: int
     m: int
     chunks: Callable[[], Iterator[Iterable[Triple]]]
-    one_shot: bool = False
 
     @property
     def edges(self) -> Iterator[Triple]:
@@ -192,25 +191,19 @@ def serialize_stream(stream: EdgeStream | LazyEdgeStream) -> str:
 
 
 def read_stream(path: str) -> LazyEdgeStream:
-    """Open a stream from a file path, or stdin when path is '-'; read its
-    header now. A regular file is opened again for each read after the
-    first, and refused by `StreamFormatError` unless its header, size and
-    modification time are as before. Stdin and any other path (a FIFO, a
-    pipe) are one-shot."""
-    if path == "-":
-        return _open(_parse(_blocks(sys.stdin)), "stdin", None)
-    if not os.path.isfile(path):
-        return _open(_read_file(path), path, None)
-    stamp = _stamp(path)
-    return _open(
-        _read_file(path), path, partial(_read_file, path), lambda: _stamp(path) == stamp
-    )
+    """Open a stream from a file path, or stdin when path is '-', and read
+    its header now. The stream can be read once."""
+    name = "stdin" if path == "-" else path
+    parser = _parse(_blocks(sys.stdin)) if path == "-" else _read_file(path)
+    header = next(parser)
+    first = [parser]
 
+    def read() -> Iterator:
+        if not first:
+            raise ValueError(f"{name} can be read only once")
+        return first.pop()
 
-def _stamp(path: str) -> tuple[int, int]:
-    """A file's size and modification time, in nanoseconds."""
-    st = os.stat(path)
-    return st.st_size, st.st_mtime_ns
+    return LazyEdgeStream(*header, read)
 
 
 def _read_file(path: str) -> Iterator:
@@ -238,32 +231,16 @@ def _lines(block: str) -> list[str]:
     return lines
 
 
-def _open(
-    parser: Iterator, name: str, reopen: Callable | None, unchanged: Callable | None = None
-) -> LazyEdgeStream:
-    """The stream whose first read goes on from ``parser``, past the header's
-    ``(n, m)``; ``reopen``, if any, starts each later read, which the header
-    and ``unchanged()`` must let through."""
-    header = next(parser)
-    first = [parser]
+@dataclass(slots=True)
+class _Triples:
+    """A canonical block's edges: each iteration reads the block's ints
+    afresh, three to an edge, so the block is never copied into tuples."""
 
-    def read() -> Iterator:
-        if first:
-            return first.pop()
-        if reopen is None:
-            raise ValueError(f"{name} can be read only once")
-        again = reopen()
-        try:
-            same = next(again) == header
-        except StreamFormatError:
-            same = False
-        if same and unchanged():
-            return again
-        again.close()
-        what = "file" if same else "header"
-        raise StreamFormatError(f"{name}: {what} changed since the first read")
+    ints: list[int]
 
-    return LazyEdgeStream(*header, read, one_shot=reopen is None)
+    def __iter__(self) -> Iterator[Triple]:
+        it = iter(self.ints)
+        return zip(it, it, it)
 
 
 def _parse(blocks: Iterator[str]) -> Iterator:
@@ -282,8 +259,8 @@ def _parse(blocks: Iterator[str]) -> Iterator:
             lineno += len(lines)
             count += len(rows)
         else:
-            # Three ints to an edge, off one iterator: no column copies.
-            rows = zip(*[iter(ints)] * 3)
+            # Three ints to an edge, off the one list: no column copies.
+            rows = _Triples(ints)
             # A canonical block is one edge per line.
             lineno += len(ints) // 3
             count += len(ints) // 3

@@ -196,17 +196,17 @@ def test_criterion_4_runtime_monitors():
     chain_state.process_edges(chain.edges)
     assert not check_eviction_gap(chain_state.stats).ok
 
-    # The second read re-runs the pass: a changed input, a wrong arena row
-    # or a wrong final potential each fail it.
+    # The replay re-runs the pass: a changed input, a wrong arena row or a
+    # wrong final potential each fail it.
     rows = list(state.rows())
-    assert check_terminal_weights(stream, 2, rows, state.phi, params).ok
-    heavier = Graph(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 80)])
-    assert not check_terminal_weights(heavier, 2, rows, state.phi, params).ok
+    assert check_terminal_weights([(stream.edges, rows)], state.phi, params).ok
+    heavier = [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 80)]
+    assert not check_terminal_weights([(heavier, rows)], state.phi, params).ok
     bumped = rows[:1] + [rows[1][:3] + (rows[1][3] + 1,)]
-    assert not check_terminal_weights(stream, 2, bumped, state.phi, params).ok
+    assert not check_terminal_weights([(stream.edges, bumped)], state.phi, params).ok
     off = state.phi[:]
     off[1] += 1
-    assert not check_terminal_weights(stream, 2, rows, off, params).ok
+    assert not check_terminal_weights([(stream.edges, rows)], off, params).ok
 
     print("ACCEPTANCE 4 (runtime monitors, 200 runs + corruption fixtures): PASS")
 

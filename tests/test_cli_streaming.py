@@ -1,8 +1,8 @@
 """`run --input` streams the file through the engine: memory does not grow
-with the edge count, with or without the second read of the oracle or of
-the monitors, every edge
-passes through `process_edges`, a read that fails mid-run is an input
-error, and each read closes its file in every case."""
+with the edge count, with or without the oracle or the monitors, from a
+path or from stdin; a run opens its input once, every edge passes through
+`process_edges`, a read that fails mid-run is an input error, and each
+read closes its file in every case."""
 
 import builtins
 import io
@@ -26,6 +26,8 @@ def _write_repeated(path, n, lines, repeats):
 
 
 def _traced_run(path, out, *flags):
+    """Run on ``path`` (a file path, or '-' for stdin) under tracemalloc;
+    return the run's traced peak and its report."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -35,6 +37,22 @@ def _traced_run(path, out, *flags):
         tracemalloc.stop()
     assert code == 0
     return peak, json.loads(out.read_text())
+
+
+@pytest.fixture(params=["path", "stdin"])
+def source(request, monkeypatch):
+    """The ``--input`` of a run on a file: its path, or '-' with the file
+    as stdin."""
+
+    def input_of(path):
+        if request.param == "path":
+            return path
+        fp = open(path, encoding="utf-8")
+        request.addfinalizer(fp.close)
+        monkeypatch.setattr("sys.stdin", fp)
+        return "-"
+
+    return input_of
 
 
 def test_run_input_memory_is_flat_in_edge_count(tmp_path):
@@ -64,10 +82,11 @@ def test_run_input_memory_is_flat_in_edge_count(tmp_path):
     assert peaks[1] < 1.25 * peaks[0], peaks
 
 
-def test_run_input_oracle_memory_is_flat_in_edge_count(tmp_path):
-    # The oracle reads the file a second time instead of a copy: the pass
-    # holds O(n * queue_cap) and the oracle one edge per node pair, so at 22
-    # nodes the peak does not grow with the repeats.
+def test_run_input_oracle_memory_is_flat_in_edge_count(tmp_path, source):
+    # The oracle's table fills from the run's one read, with no copy of
+    # the input: the pass holds O(n * queue_cap) and the oracle one edge
+    # per node pair, so at 22 nodes the peak does not grow with the
+    # repeats, from a path as from stdin.
     n = 22
     rng = random.Random(2025)
     lines = []
@@ -79,7 +98,7 @@ def test_run_input_oracle_memory_is_flat_in_edge_count(tmp_path):
         path = tmp_path / f"repeat{repeats}.mwm"
         _write_repeated(path, n, lines, repeats)
         out = tmp_path / f"report{repeats}.json"
-        peak, report = _traced_run(path, out, "--oracle")
+        peak, report = _traced_run(source(path), out, "--oracle")
         peaks.append(peak)
         reports.append(report)
 
@@ -91,10 +110,11 @@ def test_run_input_oracle_memory_is_flat_in_edge_count(tmp_path):
     assert peaks[1] < 1.25 * peaks[0], peaks
 
 
-def test_run_input_monitors_memory_is_flat_in_edge_count(tmp_path):
-    # The monitors read the file a second time and record no trace: the
-    # counters are O(1) and the second read holds O(n) potentials, so at 22
-    # nodes the peak does not grow with the repeats.
+def test_run_input_monitors_memory_is_flat_in_edge_count(tmp_path, source):
+    # The monitors ride on the run's one read and record no trace: the
+    # counters are O(1) and the replay holds O(n) potentials, so at 22
+    # nodes the peak does not grow with the repeats, from a path as from
+    # stdin.
     n = 22
     rng = random.Random(2025)
     lines = []
@@ -106,7 +126,7 @@ def test_run_input_monitors_memory_is_flat_in_edge_count(tmp_path):
         path = tmp_path / f"repeat{repeats}.mwm"
         _write_repeated(path, n, lines, repeats)
         out = tmp_path / f"report{repeats}.json"
-        peak, report = _traced_run(path, out, "--monitors")
+        peak, report = _traced_run(source(path), out, "--monitors")
         peaks.append(peak)
         reports.append(report)
 
@@ -128,7 +148,7 @@ def test_run_input_passes_every_edge_once_through_process_edges(tmp_path, monkey
 
     def bucketed(state, edges):
         nonlocal evicted
-        # A chunk may be a one-shot iterator (a canonical block's zip).
+        # A canonical block's chunk is a view of its ints, with no len.
         edges = list(edges)
         before = state.stats.evictions_total
         pushed = process_edges(state, edges)
@@ -172,26 +192,6 @@ def test_run_exit_2_when_a_read_fails_mid_run(monkeypatch, capsys):
     assert "stream-mwm: error: device went away" in captured.err
 
 
-def test_run_exit_2_when_the_file_changes_before_the_monitors_read_it(
-    tmp_path, monkeypatch, capsys
-):
-    # The body is rewritten after the pass: the second read refuses the
-    # file, an input error, not a monitor failure.
-    path = tmp_path / "s.mwm"
-    path.write_text("p mwm 4 2\n0 1 5\n2 3 8\n", encoding="utf-8")
-    finalize = StreamingState.finalize
-
-    def rewrite_then_finalize(state):
-        path.write_text("p mwm 4 2\n0 1 500\n2 3 800\n", encoding="utf-8")
-        return finalize(state)
-
-    monkeypatch.setattr(StreamingState, "finalize", rewrite_then_finalize)
-    assert cli.main(["run", "--input", str(path), "--monitors"]) == 2
-    assert capsys.readouterr().err == (
-        f"stream-mwm: error: {path}: file changed since the first read\n"
-    )
-
-
 def test_run_exit_2_on_bad_utf8_past_the_first_chunk(tmp_path, capsys):
     path = tmp_path / "bad.mwm"
     body = b"0 1 5\n" * 20_000
@@ -219,16 +219,17 @@ def test_lazy_stream_closes_its_file(tmp_path, opened):
     path = tmp_path / "s.mwm"
     path.write_text("p mwm 3 2\n0 1 5\n1 2 8\n")
 
-    # The first read goes on from the header's open; each later read opens
-    # the file again, and each closes its own file at its end.
+    # The one read goes on from the header's open and closes the file at
+    # its end; a second read is refused and opens nothing.
     stream = read_stream(str(path))
     assert len(opened) == 1 and not opened[0].closed
-    for reads in (1, 2):
-        assert list(stream.edges) == [(0, 1, 5), (1, 2, 8)]
-        assert len(opened) == reads and all(fp.closed for fp in opened)
+    assert list(stream.edges) == [(0, 1, 5), (1, 2, 8)]
+    assert len(opened) == 1 and opened[0].closed
+    with pytest.raises(ValueError, match="can be read only once$"):
+        stream.chunks()
     # A read dropped before its end closes its file too.
     next(iter(read_stream(str(path)).chunks()))
-    assert len(opened) == 3 and all(fp.closed for fp in opened)
+    assert len(opened) == 2 and all(fp.closed for fp in opened)
 
     path.write_text("p mwm 3 2\n0 1 5\n1 1 8\n")
     failing = read_stream(str(path))
@@ -237,7 +238,26 @@ def test_lazy_stream_closes_its_file(tmp_path, opened):
     path.write_text("q mwm 3 2\n")
     with pytest.raises(StreamFormatError, match="expected header"):
         read_stream(str(path))
-    assert len(opened) == 5 and all(fp.closed for fp in opened)
+    assert len(opened) == 4 and all(fp.closed for fp in opened)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--alg", "semi", "--oracle", "--monitors"], ["--alg", "exact", "--oracle"]],
+    ids=["semi-oracle-monitors", "exact-oracle"],
+)
+def test_a_checked_run_opens_its_input_once(tmp_path, opened, flags):
+    # The oracle and the monitors take their edges from the run's one
+    # read: the file is opened once, and closed.
+    path = tmp_path / "s.mwm"
+    path.write_text("p mwm 6 7\n0 1 5\n1 2 8\n2 3 7\n3 4 9\n4 5 4\n0 5 6\n1 4 10\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--input", str(path), "--out", str(out), *flags]) == 0
+    report = json.loads(out.read_text())
+    assert report["oracle_weight"] == 23
+    assert set(report["monitor_verdicts"].values()) <= {"pass"}
+    inputs = [fp for fp in opened if fp.name == str(path)]
+    assert len(inputs) == 1 and inputs[0].closed
 
 
 def test_cli_closes_the_input_on_every_exit(tmp_path, opened):

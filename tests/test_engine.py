@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -339,8 +340,10 @@ def _heavy_chain_stars(stars, eps):
     return EdgeStream(stars * size, edges)
 
 
+@functools.cache
 def _stars_bytes_per_live_entry():
-    """The tracemalloc peak of a pass over 20 evicting stars, per live entry."""
+    """The tracemalloc peak of a pass over 20 evicting stars, per live entry,
+    measured once per session for the four tests that bound it."""
     stream = _heavy_chain_stars(20, "1/2")
     tracemalloc.start()
     try:

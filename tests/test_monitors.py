@@ -20,7 +20,7 @@ from stream_mwm.monitors import (
     ratio_factor,
 )
 from stream_mwm.reference import Graph
-from stream_mwm.streamio import LazyEdgeStream, open_edges, read_stream
+from stream_mwm.streamio import LazyEdgeStream, open_edges, read_stream, serialize_stream
 
 
 def _finalized(stream: EdgeStream, eps):
@@ -31,13 +31,14 @@ def _finalized(stream: EdgeStream, eps):
     return state
 
 
-def _reread(g, stream: EdgeStream, eps, rows=None, phi=None):
-    """`check_terminal_weights` of a second read ``g`` against the pass over
-    ``stream``, with its arena rows or potentials replaced if given."""
+def _replay(g, stream: EdgeStream, eps, rows=None, phi=None):
+    """`check_terminal_weights` of ``g``'s edges, as one chunk, against the
+    pass over ``stream``, with its arena rows or potentials replaced if
+    given."""
     state = _finalized(stream, eps)
     rows = list(state.rows()) if rows is None else rows
     phi = state.phi if phi is None else phi
-    return check_terminal_weights(g, stream.m, rows, phi, state.params)
+    return check_terminal_weights([(g.edges, rows)], phi, state.params)
 
 
 def _two_push_stream():
@@ -104,16 +105,16 @@ def test_eviction_gap_counts_evictions_under_a_forced_cap():
 
 def test_terminal_weights_path_example():
     stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5)])
-    verdict = _reread(Graph.from_stream(stream), stream, 2)
+    verdict = _replay(Graph.from_stream(stream), stream, 2)
     assert verdict.ok and verdict.checked == 2
 
 
 def test_terminal_weights_single_edge_and_empty():
     stream = EdgeStream(2, [WeightedEdge(0, 1, 7)])
-    assert _reread(Graph.from_stream(stream), stream, 2).ok
+    assert _replay(Graph.from_stream(stream), stream, 2).ok
 
     empty = EdgeStream(2, [])
-    verdict = _reread(Graph.from_stream(empty), empty, 2)
+    verdict = _replay(Graph.from_stream(empty), empty, 2)
     assert verdict.ok and verdict.checked == 0
 
 
@@ -122,7 +123,7 @@ def test_terminal_weights_detects_underreduced_light_edge():
     # beats the filter and needs an arena row the pass never pushed.
     stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5)])
     g = Graph(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 50)])
-    verdict = _reread(g, stream, 2)
+    verdict = _replay(g, stream, 2)
     assert not verdict.ok
     assert (verdict.event_index, verdict.checked) == (1, 1)
     assert verdict.detail == (
@@ -146,7 +147,7 @@ EPS_ALPHA_3_2 = Fraction(5, 2)
     ids=["light-at-threshold", "light-above", "push-at-threshold", "push-above"],
 )
 def test_terminal_weights_count_equality_as_light(w, rows, phi, ok):
-    """The re-read makes `is_heavy`'s test, ties included: after a first
+    """The replay makes `is_heavy`'s test, ties included: after a first
     push of weight 1 leaves both potentials at 1, a forged pass over a
     second edge of weight ``w`` passes exactly when `is_heavy` says it
     should."""
@@ -154,7 +155,7 @@ def test_terminal_weights_count_equality_as_light(w, rows, phi, ok):
     assert params.alpha_sq == Fraction(9, 4)
     assert is_heavy(w, 2, params) is (w == 4)
     g = Graph(2, [WeightedEdge(0, 1, 1), WeightedEdge(0, 1, w)])
-    verdict = check_terminal_weights(g, 2, rows, array("q", [phi, phi]), params)
+    verdict = check_terminal_weights([(g.edges, rows)], array("q", [phi, phi]), params)
     assert verdict.ok is ok
     # A dropped heavy edge fails at its index; a pushed light one leaves
     # its row over at the end.
@@ -162,20 +163,22 @@ def test_terminal_weights_count_equality_as_light(w, rows, phi, ok):
     assert verdict.checked == (1 if w == 4 and not ok else 2)
 
 
-def test_terminal_weights_detects_missing_edges():
-    # The missing edge is light: only the count finds it.
-    stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5)])
-    verdict = _reread(Graph(3, stream.edges[:1]), stream, 2)
-    assert not verdict.ok and verdict.checked == 1
-    assert verdict.detail == "the second read holds 1 edges, the pass read 2"
-
-
-def test_terminal_weights_detects_an_extra_edge():
-    stream = EdgeStream(3, [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 5)])
-    g = Graph(3, [*stream.edges, WeightedEdge(0, 1, 1)])
-    verdict = _reread(g, stream, 2)
-    assert not verdict.ok
-    assert (verdict.event_index, verdict.checked) == (2, 2)
+def test_terminal_weights_match_each_chunk_to_the_rows_pushed_on_it():
+    # Each chunk comes with the rows the pass pushed while it read that
+    # chunk: the right rows with the wrong chunk fail, at the first push
+    # that finds none, or as a row that the chunk's replay left over.
+    stream = _two_push_stream()
+    state = _finalized(stream, 2)
+    rows = list(state.rows())
+    (e0, e1), phi, params = stream.edges, state.phi, state.params
+    assert rows == [(0, 1, 5, 5), (1, 2, 8, 3)]
+    verdict = check_terminal_weights([([e0], rows[:1]), ([e1], rows[1:])], phi, params)
+    assert verdict.ok and verdict.checked == 2
+    late = check_terminal_weights([([e0], []), ([e1], rows)], phi, params)
+    assert (late.ok, late.event_index, late.checked) == (False, 0, 0)
+    early = check_terminal_weights([([e0], rows), ([e1], [])], phi, params)
+    assert (early.ok, early.event_index, early.checked) == (False, None, 1)
+    assert early.detail == "arena row (1, 2, 8, 3) was not pushed by the replay"
 
 
 def test_terminal_weights_detects_swapped_edges():
@@ -183,7 +186,7 @@ def test_terminal_weights_detects_swapped_edges():
     # the fault, at the first swapped position.
     edges = [WeightedEdge(0, 1, 5), WeightedEdge(1, 2, 8), WeightedEdge(2, 3, 4)]
     swapped = Graph(4, [edges[0], edges[2], edges[1]])
-    verdict = _reread(swapped, EdgeStream(4, edges), 2)
+    verdict = _replay(swapped, EdgeStream(4, edges), 2)
     assert verdict.ok is False
     assert not verdict
     assert (verdict.event_index, verdict.checked) == (1, 1)
@@ -198,8 +201,8 @@ def test_terminal_weights_detects_a_wrong_reduced_weight():
     rows = list(_finalized(stream, 2).rows())
     assert rows == [(0, 1, 5, 5), (1, 2, 8, 3)]
     # An evicted row reads 0 and passes; any other wrong value fails.
-    assert _reread(stream, stream, 2, rows=[rows[0], (1, 2, 8, 0)]).ok
-    verdict = _reread(stream, stream, 2, rows=[rows[0], (1, 2, 8, 2)])
+    assert _replay(stream, stream, 2, rows=[rows[0], (1, 2, 8, 0)]).ok
+    verdict = _replay(stream, stream, 2, rows=[rows[0], (1, 2, 8, 2)])
     assert not verdict.ok and verdict.event_index == 1
 
 
@@ -209,16 +212,16 @@ def test_terminal_weights_detects_a_potential_off_by_one(node):
     phi = array("q", _finalized(stream, 2).phi)
     assert list(phi) == [5, 8, 3]
     phi[node] += 1
-    verdict = _reread(stream, stream, 2, phi=phi)
+    verdict = _replay(stream, stream, 2, phi=phi)
     assert not verdict.ok and verdict.event_index is None
     assert verdict.detail == (
         f"potential at node {node} is {phi[node]}, not {phi[node] - 1}"
     )
 
 
-def test_run_stream_gives_every_verdict_from_one_reread():
-    # The chain evicts; every verdict passes, and the checks read the
-    # stream once after the pass.
+def test_run_stream_gives_every_verdict_from_its_one_read():
+    # The chain evicts; every verdict passes, and the checks ride on the
+    # pass's read of the stream.
     opened = open_edges(_chain_stream())
     reads = []
 
@@ -233,24 +236,24 @@ def test_run_stream_gives_every_verdict_from_one_reread():
     assert report.monitor_verdicts == dict.fromkeys(
         ("phi_growth", "eviction_gap", "terminal_weights", "ratio_bound"), "pass"
     )
-    assert reads == [0, 1, 2]
+    assert reads == [0, 1]
     assert report.evictions_total >= 1
 
 
-def test_run_stream_refuses_a_one_shot_stream_before_its_first_edge(monkeypatch):
-    reads = []
-
-    class CountedStdin(io.StringIO):
-        def read(self, *args):
-            reads.append(args)
-            return super().read(*args)
-
-    monkeypatch.setattr("sys.stdin", CountedStdin("p mwm 3 2\n0 1 5\n1 2 8\n"))
+def test_a_one_shot_stream_gets_all_four_verdicts(monkeypatch):
+    # Stdin can be read once, and its one read serves the pass and every
+    # check: the chain evicts, and each verdict passes.
+    chain = _chain_stream()
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_stream(chain)))
     stream = read_stream("-")
-    header_reads = len(reads)
-    with pytest.raises(ValueError, match="a one-shot stream can be read only once"):
-        run_stream(stream, 2, monitors=True)
-    assert len(reads) == header_reads
+    _, report = run_stream(stream, 2, monitors=True)
+    assert report.monitor_verdicts == dict.fromkeys(
+        ("phi_growth", "eviction_gap", "terminal_weights", "ratio_bound"), "pass"
+    )
+    assert report.evictions_total >= 1
+    assert report == run_stream(chain, 2, monitors=True)[1]
+    with pytest.raises(ValueError, match="^stdin can be read only once$"):
+        stream.chunks()
 
 
 def test_ratio_bound_k_zero_is_two_alpha():

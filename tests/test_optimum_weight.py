@@ -157,8 +157,9 @@ def test_plain_tuples_and_a_streamed_file_are_read_once(seed, tmp_path):
     path.write_text(serialize_stream(stream), encoding="utf-8")
     lazy = read_stream(str(path))
     assert optimum_weight(lazy) == want
-    # A second read of the file gives the same edges.
-    assert list(lazy.edges) == [tuple(e) for e in stream.edges]
+    # The file is read once.
+    with pytest.raises(ValueError, match="can be read only once$"):
+        lazy.chunks()
 
 
 @pytest.mark.parametrize(

@@ -270,52 +270,24 @@ def test_open_edges_is_the_one_door_to_checked_edges(tmp_path):
     assert list(opened.chunks()) == [[(0, 1, 1), (1, 2, 8)]]
 
 
-def test_each_read_of_a_stream_reads_it_again(tmp_path):
+def test_a_file_is_read_once_and_each_of_its_chunks_twice(tmp_path):
+    # A parsed file gives one read, whose chunks, canonical blocks and
+    # line-parsed ones alike, each iterate again as they did first, so
+    # checks can ride on the pass's read. An in-memory edge list opens
+    # anew for each read.
     text = serialize_stream(_er_blocks())
     path = tmp_path / "er.mwm"
-    path.write_text(text, encoding="utf-8")
+    # Two comment lines send the first block down the line-by-line parse.
+    path.write_text(text.replace("\n", "\nc a comment\n", 2), encoding="utf-8")
     lazy = read_stream(str(path))
     want = [tuple(e) for e in _er_blocks().edges]
-    assert list(lazy.edges) == list(lazy.edges) == want
+    chunks = list(lazy.chunks())
+    assert [type(c) for c in chunks] == [list, streamio._Triples]
+    assert [e for c in chunks for e in c] == [e for c in chunks for e in c] == want
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} can be read only once$"):
+        lazy.chunks()
     opened = streamio.open_edges(_er_blocks())
     assert list(opened.edges) == list(opened.edges) == want
-
-
-def test_a_file_whose_header_changed_is_not_read_again(tmp_path):
-    path = tmp_path / "s.mwm"
-    path.write_text("p mwm 3 2\n0 1 5\n1 2 8\n", encoding="utf-8")
-    lazy = read_stream(str(path))
-    assert list(lazy.edges) == [(0, 1, 5), (1, 2, 8)]
-    for header in ("p mwm 4 2\n0 1 5\n1 2 8\n", "", "q mwm 3 2\n"):
-        path.write_text(header, encoding="utf-8")
-        with pytest.raises(StreamFormatError) as exc:
-            lazy.chunks()
-        assert str(exc.value) == f"{path}: header changed since the first read"
-
-
-def test_a_file_whose_body_changed_is_not_read_again(tmp_path):
-    # The header stays; the weights 5 and 8 become 500 and 800.
-    path = tmp_path / "s.mwm"
-    path.write_text("p mwm 4 2\n0 1 5\n2 3 8\n", encoding="utf-8")
-    lazy = read_stream(str(path))
-    assert sum(w for _, _, w in lazy.edges) == 13
-    path.write_text("p mwm 4 2\n0 1 500\n2 3 800\n", encoding="utf-8")
-    with pytest.raises(StreamFormatError) as exc:
-        lazy.chunks()
-    assert str(exc.value) == f"{path}: file changed since the first read"
-
-
-def test_a_file_whose_mtime_changed_is_not_read_again(tmp_path):
-    path = tmp_path / "s.mwm"
-    path.write_text("p mwm 3 2\n0 1 5\n1 2 8\n", encoding="utf-8")
-    lazy = read_stream(str(path))
-    # Untouched, the file reads again as it read first.
-    assert list(lazy.edges) == list(lazy.edges) == [(0, 1, 5), (1, 2, 8)]
-    st = os.stat(path)
-    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
-    with pytest.raises(StreamFormatError) as exc:
-        lazy.chunks()
-    assert str(exc.value) == f"{path}: file changed since the first read"
 
 
 def test_stdin_is_read_once(monkeypatch):
@@ -326,13 +298,15 @@ def test_stdin_is_read_once(monkeypatch):
         lazy.chunks()
 
 
-def test_only_a_regular_file_is_read_again(tmp_path, monkeypatch):
+def test_every_parsed_input_is_read_once(tmp_path):
     text = "p mwm 3 2\n0 1 5\n1 2 8\n"
     path = tmp_path / "s.mwm"
     path.write_text(text, encoding="utf-8")
-    assert read_stream(str(path)).one_shot is False
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    assert read_stream("-").one_shot is True
+    lazy = read_stream(str(path))
+    assert list(lazy.edges) == [(0, 1, 5), (1, 2, 8)]
+    with pytest.raises(ValueError) as exc:
+        lazy.chunks()
+    assert str(exc.value) == f"{path} can be read only once"
 
     fifo = tmp_path / "s.fifo"
     os.mkfifo(fifo)
@@ -341,7 +315,6 @@ def test_only_a_regular_file_is_read_again(tmp_path, monkeypatch):
     writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
     writer.start()
     lazy = read_stream(str(fifo))
-    assert lazy.one_shot is True
     assert list(lazy.edges) == [(0, 1, 5), (1, 2, 8)]
     writer.join(timeout=10)
     assert not writer.is_alive()
