@@ -15,7 +15,6 @@ from .core import (
     StreamFormatError,
     WeightedEdge,
     compute_params,
-    is_heavy,
     parse_epsilon,
 )
 from .engine import StreamingState, run_stream
@@ -68,7 +67,6 @@ __all__ = [
     "exact_mwm",
     "generate",
     "greedy_sorted",
-    "is_heavy",
     "mwm_simple",
     "optimum_weight",
     "parse_epsilon",

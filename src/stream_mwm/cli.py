@@ -9,11 +9,11 @@ the engine, and the oracle's pair table is filled from each chunk as the
 solver reads it. Every run's oracle is `optimum_weight` on that table, the
 optimum's weight alone, so an exact run's oracle checks `exact_mwm`.
 Every ``--alg`` refuses an epsilon that the engine refuses, checked once,
-after the input is opened and before an edge is read. Any I/O, parse,
+before the input is opened or generated. Any I/O, parse,
 capacity or epsilon error along the way, or a node count too large to
 allocate, ends it with exit code 2.
-``bench`` runs each row as its own pass, in up to min(rows, CPUs) worker
-processes, and ends with exit code 2 on the same errors.
+``bench`` checks epsilon before it generates, then runs each row as its own
+pass, in up to min(rows, CPUs) worker processes; it exits 2 on the same errors.
 
 Exit codes for ``run``: 0 success, 1 approximation-ratio violation (with
 --oracle), 2 input/IO errors, 3 monitor failure.
@@ -164,14 +164,14 @@ def _fail(message: str) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     n = args.n
     try:
+        # The engine's epsilon rule holds for every --alg, before the input
+        # is opened or generated.
+        eps = _check_epsilon(parse_epsilon(args.eps))
         if args.input is not None:
             stream = read_stream(args.input)
         else:
             stream = generate(_spec_from_args(args))
         n = stream.n
-        # The engine's epsilon rule holds for every --alg, before any edge
-        # is read.
-        eps = _check_epsilon(parse_epsilon(args.eps))
         oracle = args.oracle and stream.n <= EXACT_MAX_NODES
         if oracle:
             # The oracle keeps one edge per node pair, from the run's read.
@@ -292,7 +292,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"--ns lists no node count: {args.ns!r}")
         if args.reps < 1:
             raise ValueError(f"--reps must be at least 1, got {args.reps}")
-        task = functools.partial(_bench_task, parse_epsilon(args.eps))
+        task = functools.partial(_bench_task, _check_epsilon(parse_epsilon(args.eps)))
         specs, reps = [], []
         for n in ns:
             if n < 2:

@@ -34,7 +34,6 @@ __all__ = [
     "Matching",
     "parse_epsilon",
     "compute_params",
-    "is_heavy",
     "gc_paused",
 ]
 
@@ -225,10 +224,6 @@ class Matching:
     def __repr__(self) -> str:
         return f"Matching(edges={self.edges!r}, total_weight={self._total!r})"
 
-    def sorted_edges(self) -> list[WeightedEdge]:
-        """Edges in a deterministic order, for reports and tests."""
-        return sorted(self.edges)
-
 
 def parse_epsilon(text: str) -> Fraction:
     """Convert a CLI epsilon literal to an exact rational.
@@ -299,16 +294,3 @@ def compute_params(n: int, epsilon: Fraction | int | str) -> Params:
         ratio_bound=2 + epsilon,
     )
 
-
-def is_heavy(weight: int, potential_sum: int, params: Params) -> bool:
-    """Exact filter test: does ``weight`` strictly exceed alpha times
-    ``potential_sum``?
-
-    For non-negative operands ``w > alpha * s`` is equivalent to
-    ``q * w*w > p * s*s`` with ``alpha_sq = p/q`` in lowest terms, so the
-    comparison never touches floating point. Equality (a weight landing
-    exactly on the threshold) counts as light.
-    """
-    p = params.alpha_sq.numerator
-    q = params.alpha_sq.denominator
-    return q * weight * weight > p * potential_sum * potential_sum

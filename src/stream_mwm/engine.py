@@ -80,9 +80,8 @@ pass pushed on it, to `check_terminal_weights`, which runs the filter and
 the pushes again on potentials of its own and ends on ``phi``.
 
 A light edge, most of a typical stream, leaves nothing behind, and an edge
-becomes a `WeightedEdge` only in `StreamingState.live_edges` or when a
-matching's ``edges`` is read. `run_stream` pauses the cyclic
-garbage collector for the pass, which makes no cycles.
+becomes a `WeightedEdge` only when a matching's ``edges`` is read. The pass
+makes no cycles, so `run_stream` pauses the cyclic garbage collector for it.
 
 Node potentials never exceed the largest edge weight seen, so they stay in
 64 bits: a push sets ``phi(x)`` to ``w - phi(other) <= w <= 2^63 - 1``, as
@@ -105,7 +104,6 @@ from .core import (
     EdgeStream,
     Matching,
     Params,
-    WeightedEdge,
     compute_params,
     gc_paused,
 )
@@ -210,36 +208,12 @@ class StreamingState:
     def live_entries(self) -> int:
         return self.stats.heavy_edges_total - self.stats.evictions_total
 
-    def queue_len(self, node: int) -> int:
-        return len(self._queue(node))
-
-    def _queue(self, node: int) -> list[tuple[int, int, int]]:
-        """The node's queued edges as ``(u, v, w)``, oldest first."""
-        if self._finalized:
-            raise RuntimeError("state already finalized")
-        us, next_u, next_v = self._us, self._next_u, self._next_v
-        rows = []
-        tail = row = self._tail[node]
-        if tail != self._empty:
-            # Walk the circle once from the oldest row; a dead row is skipped.
-            while True:
-                row = next_u[row] if us[row] == node else next_v[row]
-                if self._reduced[row]:
-                    rows.append(row)
-                if row == tail:
-                    break
-        return [(us[r], self._vs[r], self._ws[r]) for r in rows]
-
     def rows(self, start: int = 0) -> Iterator[tuple[int, int, int, int]]:
         """The arena rows ``(u, v, w, reduced weight)`` from row ``start``
         on, in push order, as they stand now; an evicted row has reduced
         weight 0."""
         columns = self._us, self._vs, self._ws, self._reduced
         return zip(*[column[start:] for column in columns])
-
-    def live_edges(self) -> list[WeightedEdge]:
-        """Live arena edges, oldest first (diagnostics and tests)."""
-        return [WeightedEdge(u, v, w) for u, v, w, reduced in self.rows() if reduced]
 
     def process_edge(self, edge: tuple[int, int, int]) -> bool:
         """Check one arriving edge, run the pass over it, and return whether
@@ -427,9 +401,8 @@ class StreamingState:
         """Release the queues (the links, tails and counts), then unwind the
         live arena rows newest-first into a greedy matching.
 
-        Single-shot: the state is consumed, and the queues can no longer be
-        read. ``phi``, ``stats`` and the arena (``live_edges``) stay. The
-        matching carries original input weights.
+        Single-shot: the state is consumed. ``phi``, ``stats`` and the arena
+        (``rows``) stay. The matching carries original input weights.
         """
         if self._finalized:
             raise RuntimeError("state already finalized")

@@ -42,6 +42,7 @@ and makes no `WeightedEdge`.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -192,9 +193,10 @@ def serialize_stream(stream: EdgeStream | LazyEdgeStream) -> str:
 
 def read_stream(path: str) -> LazyEdgeStream:
     """Open a stream from a file path, or stdin when path is '-', and read
-    its header now. The stream can be read once."""
+    its header now. Either is strict UTF-8, with universal newlines, from
+    its bytes. The stream can be read once."""
     name = "stdin" if path == "-" else path
-    parser = _parse(_blocks(sys.stdin)) if path == "-" else _read_file(path)
+    parser = _read_file(path)
     header = next(parser)
     first = [parser]
 
@@ -207,8 +209,13 @@ def read_stream(path: str) -> LazyEdgeStream:
 
 
 def _read_file(path: str) -> Iterator:
-    with open(path, "r", encoding="utf-8") as fp:
+    # Stdin's bytes are decoded as a file's are, and stdin stays open.
+    stdin = path == "-"
+    fp = io.TextIOWrapper(sys.stdin.buffer, "utf-8") if stdin else open(path, encoding="utf-8")
+    try:
         yield from _parse(_blocks(fp))
+    finally:
+        fp.detach() if stdin else fp.close()
 
 
 def _blocks(fp) -> Iterator[str]:

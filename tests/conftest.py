@@ -1,10 +1,11 @@
-"""Shared test helpers: the reference pass, independent oracles, input
-strategies and fixtures."""
+"""Shared test helpers: the reference pass, the readers of a pass's queues,
+independent oracles, input strategies and fixtures."""
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import io
 import math
 import random
 
@@ -25,6 +26,69 @@ def gc_state():
         gc.enable()
     else:
         gc.disable()
+
+
+def is_heavy(weight: int, potential_sum: int, params) -> bool:
+    """The exact filter as a spec: does ``weight`` strictly exceed alpha
+    times ``potential_sum``?
+
+    For non-negative operands ``w > alpha * s`` is equivalent to
+    ``q * w*w > p * s*s`` with ``alpha_sq = p/q`` in lowest terms, so the
+    comparison never touches floating point. Equality (a weight landing
+    exactly on the threshold) counts as light.
+    """
+    p = params.alpha_sq.numerator
+    q = params.alpha_sq.denominator
+    return q * weight * weight > p * potential_sum * potential_sum
+
+
+def circle(state, node):
+    """The node's circle of arena rows, oldest first, as ``(row, live)``:
+    walked through the link columns from the row after its newest row,
+    ``_tail``, back to it. Asserts that the node's live count is its live
+    rows, and that the links are as wide as the tails. Once `finalize` has
+    released the queue columns, asserts that all four are gone and returns
+    None.
+
+    The one reader of the link columns in the tests.
+    """
+    next_u, next_v, tail = state._next_u, state._next_v, state._tail
+    if tail is None:
+        assert next_u is next_v is state._count is None
+        return None
+    assert next_u.typecode == next_v.typecode == tail.typecode
+    newest = tail[node]
+    rows = []
+    if newest != state._empty:
+        row = newest
+        while True:
+            row = (next_u if state._us[row] == node else next_v)[row]
+            rows.append((row, state._reduced[row] != 0))
+            if row == newest:
+                break
+    assert state._count[node] == sum(live for _, live in rows)
+    return rows
+
+
+def queues(state) -> list[list[tuple[int, int, int]]]:
+    """Each node's queued edges as ``(u, v, w)``, oldest first: the live
+    rows of its circle."""
+    rows = list(state.rows())
+    return [
+        [rows[r][:3] for r, live in circle(state, x) if live]
+        for x in range(state.params.n)
+    ]
+
+
+def live_edges(state) -> list[tuple[int, int, int]]:
+    """The live arena rows as ``(u, v, w)``, oldest first."""
+    return [(u, v, w) for u, v, w, reduced in state.rows() if reduced]
+
+
+def byte_stdin(text: str) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` that holds ``text`` as UTF-8 bytes, as
+    the process's stdin does."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
 
 
 class NaivePass:
@@ -56,7 +120,7 @@ class NaivePass:
         for u, v, w in edges:
             edge = (u, v, w)
             s = phi[u] + phi[v]
-            if q * w * w <= p * s * s:
+            if not is_heavy(w, s, params):
                 events.append(("light", edge, None, phi[u], phi[v]))
                 continue
             reduced = w - s
@@ -129,8 +193,8 @@ def naive_pass(params, edges) -> NaivePass:
 def modelled_pass(params, chunks):
     """Run the pass over ``chunks`` and the model beside it, and assert
     after every chunk that the state is the model's: arena rows,
-    potentials, counters and every node's queue. Return the state, not yet
-    finalized, and the model."""
+    potentials, counters, and every node's queue and live count. Return
+    the state, not yet finalized, and the model."""
     state, model = StreamingState(params), NaivePass(params)
     for chunk in chunks:
         chunk = list(chunk)
@@ -139,7 +203,7 @@ def modelled_pass(params, chunks):
         assert list(state.rows()) == model.rows
         assert list(state.phi) == model.phi
         assert dataclasses.asdict(state.stats) == model.counters
-        assert [state._queue(x) for x in range(params.n)] == model.queued
+        assert queues(state) == model.queued
     return state, model
 
 

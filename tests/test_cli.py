@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import byte_stdin
 from stream_mwm import cli, engine
 from stream_mwm.cli import main
 from stream_mwm.core import I64_MAX, EdgeStream, Matching, WeightedEdge
@@ -23,7 +24,7 @@ def run_to_file(tmp_path, name, argv):
 
 
 def test_run_exact_on_stdin_example(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 3 2\n0 1 5\n1 2 8\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin("p mwm 3 2\n0 1 5\n1 2 8\n"))
     assert main(["run", "--input", "-", "--eps", "2", "--alg", "exact"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["output_weight"] == 8
@@ -32,7 +33,7 @@ def test_run_exact_on_stdin_example(monkeypatch, capsys):
 
 def test_oracle_is_exact_on_parallel_edges(monkeypatch, capsys):
     # The heavier copy of pair (0, 1) arrives second; the optimum takes it.
-    monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 4 3\n0 1 1\n0 1 100\n2 3 5\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin("p mwm 4 3\n0 1 1\n0 1 100\n2 3 5\n"))
     assert main(["run", "--input", "-", "--oracle"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["output_weight"] == 105
@@ -185,7 +186,7 @@ def test_no_run_copies_its_input(streamed_file, monkeypatch, capsys, stdin, flag
     source = streamed_file
     if stdin:
         with open(streamed_file, encoding="utf-8") as fp:
-            monkeypatch.setattr("sys.stdin", io.StringIO(fp.read()))
+            monkeypatch.setattr("sys.stdin", byte_stdin(fp.read()))
         source = "-"
     assert main(["run", "--input", source] + flags) == 0
     assert calls == []
@@ -272,7 +273,7 @@ def test_run_exit_2_on_missing_file(capsys):
 
 
 def test_run_exit_2_on_malformed_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 2 1\n0 0 3\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin("p mwm 2 1\n0 0 3\n"))
     assert main(["run", "--input", "-"]) == 2
     assert "line 2: self-loop at node 0" in capsys.readouterr().err
 
@@ -282,7 +283,7 @@ def test_run_exit_2_on_a_node_count_too_large_to_allocate(alg, monkeypatch, caps
     """Each solver's per-node array fails its allocation at once for 2**62
     nodes, without allocating anything; the run reports it, no traceback."""
     n = 2**62
-    monkeypatch.setattr("sys.stdin", io.StringIO(f"p mwm {n} 1\n0 1 5\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin(f"p mwm {n} 1\n0 1 5\n"))
     start = time.monotonic()
     assert main(["run", "--input", "-", "--alg", alg]) == 2
     assert time.monotonic() - start < 1
@@ -296,7 +297,7 @@ def test_run_exit_2_on_a_node_count_past_an_index(alg, monkeypatch, capsys):
     """A node count of 2**63 or more is no array size at all (OverflowError,
     not MemoryError); the run reports it as the same error."""
     n = 10**20
-    monkeypatch.setattr("sys.stdin", io.StringIO(f"p mwm {n} 1\n0 1 5\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin(f"p mwm {n} 1\n0 1 5\n"))
     assert main(["run", "--input", "-", "--alg", alg]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"stream-mwm: error: out of memory for a graph of {n} nodes\n"
@@ -382,7 +383,7 @@ def test_an_oracle_and_monitor_run_leaves_no_cyclic_garbage(capsys):
 
 
 def test_oracle_ratio_is_one_on_all_zero_weights(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 3 2\n0 1 0\n1 2 0\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin("p mwm 3 2\n0 1 0\n1 2 0\n"))
     assert main(["run", "--input", "-", "--oracle"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["output_weight"] == report["oracle_weight"] == 0

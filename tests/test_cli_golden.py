@@ -105,7 +105,12 @@ def matrix(paths):
         yield ["run"] + portable + flags, *run_cli(["run"] + real + flags)
 
 
-MATRIX_DIGEST = "4f73a1dab078e7c3f72bceeb93df3837583ced83c40770f5ead20f5a5a1d0953"
+# Re-pinned when --eps came to be checked before the input is opened or
+# generated: of the 1,408 cells, only the 192 with a bad --eps ("7", "x")
+# and an input that fails before its first edge (the missing file, the
+# failing generator, --gen without --n) changed, each in stderr alone, which
+# now names the --eps. Exit codes and stdout stayed the same.
+MATRIX_DIGEST = "0798129176ad29c2a9c8e1b08117175ca179d1069a49dff0ccd8f41bd2b37808"
 
 
 def test_run_matrix_digest(paths):
@@ -200,6 +205,12 @@ def test_missing_file_and_failing_generator():
     assert run_cli(["run", "--gen", "path"]) == (
         2, "", "stream-mwm: error: --gen requires --n\n"
     )
+    # A bad --eps is reported first: it is checked before the input is
+    # opened or generated.
+    for source in (["--input", MISSING], ["--gen", "chain", "--n", "80"], ["--gen", "path"]):
+        assert run_cli(["run", *source, "--eps", "7"]) == (
+            2, "", "stream-mwm: error: epsilon must be below 6, got 7\n"
+        )
 
 
 def test_unwritable_out_exits_2(paths):

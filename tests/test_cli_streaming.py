@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from stream_mwm import cli
+from stream_mwm import cli, streamio
 from stream_mwm.core import EdgeStream
 from stream_mwm.engine import StreamingState
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
@@ -172,20 +172,22 @@ def test_run_input_passes_every_edge_once_through_process_edges(tmp_path, monkey
     assert evicted == report["evictions_total"]
 
 
-class _FailingStdin(io.StringIO):
-    """Stdin whose second block read fails."""
+class _FailingBytes(io.BytesIO):
+    """Stdin's bytes, whose reads fail past the first two blocks."""
 
-    reads = 0
-
-    def read(self, size=-1):
-        self.reads += 1
-        if self.reads > 1:
+    def read1(self, size=-1):
+        if self.tell() >= 2 * streamio._CHUNK_BYTES:
             raise OSError("device went away")
-        return super().read(size)
+        return super().read1(size)
+
+    read = read1
 
 
 def test_run_exit_2_when_a_read_fails_mid_run(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", _FailingStdin("p mwm 3 2\n0 1 5\n1 2 8\n"))
+    # The header and the first block are read before the failing read.
+    m = 3 * streamio._CHUNK_BYTES // len("0 1 5\n")
+    data = f"p mwm 3 {m}\n".encode() + b"0 1 5\n" * m
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(_FailingBytes(data)))
     assert cli.main(["run", "--input", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -265,6 +267,9 @@ def test_cli_closes_the_input_on_every_exit(tmp_path, opened):
     path.write_text("p mwm 3 2\n0 1 5\n1 2 8\n")
     out = str(tmp_path / "r.json")
     assert cli.main(["run", "--input", str(path), "--out", out]) == 0
+    # A bad --eps is refused before the input is opened.
     assert cli.main(["run", "--input", str(path), "--eps", "7", "--out", out]) == 2
+    path.write_text("p mwm 3 2\n0 1 5\n1 1 8\n")
+    assert cli.main(["run", "--input", str(path), "--out", out]) == 2
     inputs = [fp for fp in opened if fp.name == str(path)]
     assert len(inputs) == 2 and all(fp.closed for fp in inputs)

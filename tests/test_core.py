@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_heavy
 from stream_mwm.core import (
     I64_MAX,
     Matching,
     WeightedEdge,
     compute_params,
     gc_paused,
-    is_heavy,
     parse_epsilon,
 )
 
@@ -184,7 +184,7 @@ def test_matching_weight_examples():
 def test_matching_greedy_takes_each_edge_whose_endpoints_are_free():
     order = [(0, 1, 5), (1, 2, 9), (2, 3, 1), (0, 3, 7), (2, 3, 8)]
     m = Matching.greedy(4, order)
-    assert m.sorted_edges() == [WeightedEdge(0, 1, 5), WeightedEdge(2, 3, 1)]
+    assert sorted(m.edges) == [WeightedEdge(0, 1, 5), WeightedEdge(2, 3, 1)]
     assert m.total_weight == 6
     assert all(type(e) is WeightedEdge for e in m.edges)
     assert Matching.greedy(3, iter([])) == Matching.of([])
@@ -194,7 +194,7 @@ def test_matching_greedy_copies_tuples_that_its_input_reuses():
     # zip hands back the same result tuple whenever nobody else holds it.
     us, vs, ws = [0, 2, 1, 4], [1, 3, 2, 5], [5, 6, 7, 8]
     m = Matching.greedy(6, zip(us, vs, ws))
-    assert m.sorted_edges() == [
+    assert sorted(m.edges) == [
         WeightedEdge(0, 1, 5), WeightedEdge(2, 3, 6), WeightedEdge(4, 5, 8)
     ]
     assert all(type(e) is WeightedEdge for e in m.edges)

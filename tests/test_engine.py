@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    NaivePass,
     checked_pass,
+    circle,
     enumerate_best_weight,
+    is_heavy,
+    live_edges,
     modelled_pass,
-    naive_pass,
+    queues,
     random_multigraph_stream,
     random_simple_stream,
 )
@@ -28,7 +30,6 @@ from stream_mwm.core import (
     StreamFormatError,
     WeightedEdge,
     compute_params,
-    is_heavy,
 )
 from stream_mwm.engine import (
     _ROW_TYPECODE,
@@ -71,7 +72,7 @@ def test_process_edge_hand_trace():
     assert list(s.phi) == [5, 8, 3]
 
     matching, stats = s.finalize()
-    assert matching.sorted_edges() == [WeightedEdge(1, 2, 8)]
+    assert sorted(matching.edges) == [WeightedEdge(1, 2, 8)]
     assert matching.total_weight == 8
     assert stats.peak_live_entries == 2
     assert stats.evictions_total == 0
@@ -116,7 +117,7 @@ def test_a_heavy_weight_that_is_not_an_int_leaves_the_state_as_it_was(weight):
         clean.process_edge(edge)
     assert state.stats == clean.stats
     assert list(state.phi) == list(clean.phi)
-    assert state.live_edges() == clean.live_edges() == [WeightedEdge(*e) for e in good]
+    assert live_edges(state) == live_edges(clean) == good
     assert state.finalize() == clean.finalize()
     stream = EdgeStream(4, [WeightedEdge(0, 1, 5), WeightedEdge(2, 3, weight)])
     with pytest.raises(StreamFormatError, match="^line 3: weight "):
@@ -141,7 +142,7 @@ def test_duplicate_arrival_sees_updated_potentials():
 def test_filter_shortcuts_agree_with_the_exact_test(eps, pot_sum):
     # The engine decides w <= s and w > 2s without squaring; the band
     # between, and both sides of ceil(alpha * s) in it, must still agree
-    # with core.is_heavy. Nodes 0 and 2 get potentials summing to s.
+    # with the exact test. Nodes 0 and 2 get potentials summing to s.
     params = compute_params(4, eps)
     p, q = params.alpha_sq.numerator, params.alpha_sq.denominator
     last_light = math.isqrt(p * pot_sum * pot_sum // q)
@@ -184,14 +185,12 @@ def test_finalize_releases_the_queues_and_keeps_the_potentials_and_arena():
     s = fresh(4)
     s.process_edge(WeightedEdge(0, 1, 5))
     s.process_edge(WeightedEdge(1, 2, 8))
-    live = s.live_edges()
+    live = live_edges(s)
     s.finalize()
-    for read in (s.queue_len, s._queue):
-        with pytest.raises(RuntimeError, match="state already finalized"):
-            read(1)
-    assert s._next_u is s._next_v is s._tail is s._count is None
+    # The walker asserts that the links, tails and counts are all released.
+    assert circle(s, 1) is None
     assert list(s.phi) == [5, 8, 3, 0]
-    assert s.live_edges() == live and s.live_entries == 2
+    assert live_edges(s) == live and s.live_entries == 2
     assert s.stats.heavy_edges_total == 2
 
 
@@ -225,9 +224,8 @@ def test_process_edge_accepts_plain_triples_and_stores_weighted_edges():
     assert s.process_edge((0, 1, 5)) is True
     assert s.process_edge([1, 2, 8]) is True
     assert s.process_edge((0, 1, 5)) is False
-    assert all(type(e) is WeightedEdge for e in s.live_edges())
     matching, _ = s.finalize()
-    assert matching.sorted_edges() == [WeightedEdge(1, 2, 8)]
+    assert sorted(matching.edges) == [WeightedEdge(1, 2, 8)]
     assert all(type(e) is WeightedEdge for e in matching.edges)
 
 
@@ -261,7 +259,7 @@ def test_run_stream_single_edge():
     stream = EdgeStream(2, [WeightedEdge(0, 1, 9)])
     for eps in (Fraction(1, 10), Fraction(1, 2), 2):
         matching, _ = run_stream(stream, eps)
-        assert matching.sorted_edges() == [WeightedEdge(0, 1, 9)]
+        assert sorted(matching.edges) == [WeightedEdge(0, 1, 9)]
 
 
 @pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
@@ -398,11 +396,11 @@ def test_queue_invariants_after_each_edge():
     s = StreamingState(params)
     for e in _chain(64).edges:
         s.process_edge(e)
-        assert s.queue_len(0) < params.queue_cap
+        assert len(queues(s)[0]) < params.queue_cap
     # White-box: queues hold only live edges.
-    live = set(s.live_edges())
-    for x in range(params.n):
-        assert all(edge in live for edge in s._queue(x))
+    live = set(live_edges(s))
+    for queue in queues(s):
+        assert all(edge in live for edge in queue)
 
 
 def test_compact_preserves_finalize_result():
@@ -415,7 +413,7 @@ def test_compact_preserves_finalize_result():
         if i % 7 == 0:
             b.compact()
     b.compact()
-    assert a.live_edges() == b.live_edges()
+    assert live_edges(a) == live_edges(b)
     matching_a, _ = a.finalize()
     matching_b, _ = b.finalize()
     assert matching_a == matching_b
@@ -427,12 +425,12 @@ def test_finalize_is_maximal_on_live_edges():
         s = StreamingState(compute_params(stream.n, Fraction(1, 2)))
         for e in stream.edges:
             s.process_edge(e)
-        live = s.live_edges()
+        live = live_edges(s)
         matching, _ = s.finalize()
         matched_nodes = {x for e in matching.edges for x in (e.u, e.v)}
-        for e in live:
-            if e not in matching.edges:
-                assert e.u in matched_nodes or e.v in matched_nodes
+        for u, v, w in live:
+            if (u, v, w) not in matching.edges:
+                assert u in matched_nodes or v in matched_nodes
 
 
 @settings(max_examples=60, deadline=None)
@@ -463,20 +461,13 @@ def test_engine_invariants_on_random_streams(seed, eps):
     assert matching.total_weight * bound.numerator >= opt * bound.denominator
 
 
-def _assert_matches_naive(params, edges):
-    s = StreamingState(params)
-    for e in edges:
-        s.process_edge(e)
-    live = s.live_edges()
-    queued = [list(s._queue(x)) for x in range(params.n)]
-    lengths = [s.queue_len(x) for x in range(params.n)]
-    matching, _ = s.finalize()
-    naive = naive_pass(params, edges)
-    assert list(s.phi) == naive.phi
-    assert live == naive.live
-    assert queued == naive.queued
-    assert lengths == [len(q) for q in naive.queued]
-    assert matching.sorted_edges() == naive.chosen
+def _assert_matches_naive(params, chunks):
+    """`modelled_pass` over ``chunks``, then the unwind against the
+    model's; return the pass's counters."""
+    state, model = modelled_pass(params, chunks)
+    matching, stats = state.finalize()
+    assert sorted(matching.edges) == model.chosen
+    return stats
 
 
 @settings(max_examples=40, deadline=None)
@@ -486,11 +477,11 @@ def _assert_matches_naive(params, edges):
 )
 def test_engine_matches_naive_simulation(seed, eps):
     stream = random_simple_stream(seed, max_n=12, p=0.8)
-    _assert_matches_naive(compute_params(stream.n, eps), stream.edges)
+    _assert_matches_naive(compute_params(stream.n, eps), [stream.edges])
 
 
 def test_engine_matches_naive_simulation_under_eviction_churn():
-    _assert_matches_naive(compute_params(64, 2), _chain(64).edges)
+    _assert_matches_naive(compute_params(64, 2), [_chain(64).edges])
 
 
 def _contended_hub_edges(seed):
@@ -513,7 +504,7 @@ def test_engine_matches_naive_on_contended_hubs(seed):
     for e in edges:
         probe.process_edge(e)
     assert probe.stats.evictions_total >= 1
-    _assert_matches_naive(params, edges)
+    _assert_matches_naive(params, [edges])
 
 
 @pytest.mark.parametrize(
@@ -529,13 +520,13 @@ def test_stack_holds_exactly_the_queued_edges(params, edges):
     s = StreamingState(params)
     for e in edges:
         s.process_edge(e)
-        queued = set().union(*(s._queue(x) for x in range(params.n)))
-        assert set(s.live_edges()) == queued
-        for live in s.live_edges():
-            assert live in s._queue(live[0]) and live in s._queue(live[1])
-        assert s.live_entries == len(s.live_edges()) <= params.n * params.queue_cap
+        queued, live = queues(s), live_edges(s)
+        assert set(live) == set().union(*queued)
+        for edge in live:
+            assert edge in queued[edge[0]] and edge in queued[edge[1]]
+        assert s.live_entries == len(live) <= params.n * params.queue_cap
     assert s.stats.evictions_total >= 1
-    _assert_matches_naive(params, edges)
+    _assert_matches_naive(params, [edges])
 
 
 @pytest.mark.parametrize(
@@ -571,33 +562,10 @@ def _doubling_edges(pairs):
     return [WeightedEdge(u, v, 4**i) for i, (u, v) in enumerate(pairs)]
 
 
-def _circle(state, node):
-    """The node's circle of arena rows, oldest first, as ``(row, live)``:
-    walked through the link columns from the row after its newest row,
-    ``_tail``, back to it. The node's live count is its live rows."""
-    newest = state._tail[node]
-    circle = []
-    if newest != state._empty:
-        row = newest
-        while True:
-            links = state._next_u if state._us[row] == node else state._next_v
-            row = links[row]
-            circle.append((row, state._reduced[row] != 0))
-            if row == newest:
-                break
-    assert state._count[node] == sum(live for _, live in circle)
-    return circle
-
-
 def _assert_queues_match_naive_after_each_edge(params, edges):
-    s, naive = StreamingState(params), NaivePass(params)
-    for e in edges:
-        assert s.process_edge(e)
-        naive.feed([e])
-        naive_queued = naive.queued
-        assert [s._queue(x) for x in range(params.n)] == naive_queued
-        assert [s.queue_len(x) for x in range(params.n)] == [len(q) for q in naive_queued]
-    _assert_matches_naive(params, edges)
+    """`_assert_matches_naive` in chunks of one edge, every one pushed."""
+    stats = _assert_matches_naive(params, [[e] for e in edges])
+    assert stats.heavy_edges_total == len(edges)
 
 
 _SLOTS = compute_params(16, Fraction(59, 10))
@@ -607,11 +575,11 @@ def test_a_queue_grows_as_a_circle_of_rows_and_evicts_its_oldest():
     cap = _SLOTS.queue_cap
     edges = _doubling_edges([(0, leaf) for leaf in range(1, cap + 1)])
     s = StreamingState(_SLOTS)
-    circles, lengths = [_circle(s, 0)], [s.queue_len(0)]
+    circles, lengths = [circle(s, 0)], [len(queues(s)[0])]
     for e in edges:
         s.process_edge(e)
-        circles.append(_circle(s, 0))
-        lengths.append(s.queue_len(0))
+        circles.append(circle(s, 0))
+        lengths.append(len(queues(s)[0]))
     # Row r is the r-th push. The cap-th push fills the queue, and its
     # oldest row is evicted and leaves the centre's circle.
     assert circles == [[(r, True) for r in range(k)] for k in range(cap)] + [
@@ -619,7 +587,7 @@ def test_a_queue_grows_as_a_circle_of_rows_and_evicts_its_oldest():
     ]
     assert lengths == [*range(cap), cap - 1]
     # The victim stays, dead, in its leaf's circle.
-    assert _circle(s, 1) == [(0, False)]
+    assert circle(s, 1) == [(0, False)]
     assert s.stats.evictions_total == 1
     assert s.stats.max_queue_len == cap
     _assert_queues_match_naive_after_each_edge(_SLOTS, edges)
@@ -634,18 +602,18 @@ def test_a_leaf_edge_evicted_from_the_centre_stays_dead_in_the_leaf_circle():
     for e in edges[:cap]:
         s.process_edge(e)
     assert s.stats.evictions_total == 1
-    assert _circle(s, 1) == [(0, False)] and s.queue_len(1) == 0
-    assert _circle(s, 2) == [(1, True)] and s.queue_len(2) == 1
+    assert circle(s, 1) == [(0, False)] and len(queues(s)[1]) == 0
+    assert circle(s, 2) == [(1, True)] and len(queues(s)[2]) == 1
     s.process_edge(edges[cap])
-    assert _circle(s, 1) == [(0, False), (cap, True)] and s.queue_len(1) == 1
+    assert circle(s, 1) == [(0, False), (cap, True)] and len(queues(s)[1]) == 1
     s.process_edge(edges[cap + 1])
-    assert _circle(s, 1) == [(0, False), (cap, True), (cap + 1, True)]
-    assert s.queue_len(1) == 2
+    assert circle(s, 1) == [(0, False), (cap, True), (cap + 1, True)]
+    assert len(queues(s)[1]) == 2
     # The centre is full again and evicts leaf 2's edge, which stays dead
     # in leaf 2's circle and leaves the centre's.
     assert s.stats.evictions_total == 2
-    assert _circle(s, 2) == [(1, False)] and s.queue_len(0) == cap - 1
-    assert _circle(s, 0) == [(r, True) for r in [*range(2, cap), cap + 1]]
+    assert circle(s, 2) == [(1, False)] and len(queues(s)[0]) == cap - 1
+    assert circle(s, 0) == [(r, True) for r in [*range(2, cap), cap + 1]]
     _assert_queues_match_naive_after_each_edge(_SLOTS, edges)
 
 
@@ -668,16 +636,16 @@ def test_an_eviction_at_u_shortens_the_queue_of_a_parallel_copy_at_v(v_holds):
     s = StreamingState(_SLOTS)
     for e in edges[:-1]:
         s.process_edge(e)
-    assert _circle(s, 1) == [(0, True)] + own
-    assert s.queue_len(0) == cap - 1
-    assert s.queue_len(1) == (1 if v_holds == "alone" else cap - 1)
+    assert circle(s, 1) == [(0, True)] + own
+    lengths = [len(queue) for queue in queues(s)[:2]]
+    assert lengths == [cap - 1, 1 if v_holds == "alone" else cap - 1]
     s.process_edge(edges[-1])
     assert s.stats.evictions_total == 1
     # Copy 1 stays, dead, in node 1's circle, which did not evict.
-    assert _circle(s, 1) == [(0, False)] + own + [(copy_2, True)]
-    assert s._queue(1)[-1] == edges[-1] and edges[0] not in s._queue(1)
-    assert s.queue_len(0) == cap - 1
-    assert s.queue_len(1) == (1 if v_holds == "alone" else cap - 1)
+    assert circle(s, 1) == [(0, False)] + own + [(copy_2, True)]
+    queue_0, queue_1 = queues(s)[:2]
+    assert queue_1[-1] == edges[-1] and edges[0] not in queue_1
+    assert [len(queue_0), len(queue_1)] == lengths
     _assert_queues_match_naive_after_each_edge(_SLOTS, edges)
 
 
@@ -739,13 +707,13 @@ def test_both_row_widths_match_the_naive_pass_after_every_chunk(n, row_code):
     state, model = modelled_pass(params, chunks)
     assert n - 1 in state._us or n - 1 in state._vs
     assert state._us.typecode == state._vs.typecode == "I"
+    # The walker holds the links to the width of the tails.
     assert state._tail.typecode == row_code
-    assert state._next_u.typecode == state._next_v.typecode == row_code
     # A live count holds up to the push budget, past 16 bits here.
     assert state._count.typecode == "I"
     assert max(state._count) >= 2
     matching, _ = state.finalize()
-    assert matching.sorted_edges() == model.chosen
+    assert sorted(matching.edges) == model.chosen
 
 
 def _heavy_chain_down_from(top, eps):
@@ -773,7 +741,7 @@ def test_potentials_reach_exactly_two_to_the_63_minus_1():
     assert s.phi[0] == s.phi[1] == s.phi[2] == I64_MAX
     assert s.phi[-1] == I64_MAX - chain[-2]
     matching, report = run_stream(stream, "1/2")
-    assert matching.sorted_edges() == [
+    assert sorted(matching.edges) == [
         WeightedEdge(0, 1, I64_MAX), WeightedEdge(2, 2 + len(chain), I64_MAX)
     ]
     # The report of the engine that kept potentials as a list of ints.
@@ -816,7 +784,7 @@ def test_each_edge_value_is_pushed_at_most_once(stream, eps):
     # The arena keeps one row per push, evicted or not.
     pushed = [row[:3] for row in s.rows()]
     assert len(pushed) == len(set(pushed))
-    _assert_matches_naive(params, edges)
+    _assert_matches_naive(params, [edges])
 
 
 @settings(max_examples=15, deadline=None)

@@ -13,8 +13,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import checked_pass, modelled_pass, naive_pass, random_multigraph_stream
-from test_engine import _SLOTS, _chain, _circle, _doubling_edges, _heavy_chain_stars
+from conftest import (
+    checked_pass,
+    circle,
+    live_edges,
+    modelled_pass,
+    naive_pass,
+    random_multigraph_stream,
+)
+from test_engine import _SLOTS, _chain, _doubling_edges, _heavy_chain_stars
 from test_golden import HUB_EPS, _hub
 from test_trace_golden import _inputs
 from stream_mwm import streamio
@@ -83,9 +90,9 @@ def test_column_loop_matches_the_naive_pass_at_any_chunk_size(tag, stream, eps, 
     assert pushed == counters["heavy_edges_total"]
     assert dataclasses.asdict(state.stats) == counters
     assert list(state.phi) == naive.phi
-    assert state.live_edges() == naive.live
+    assert live_edges(state) == naive.live
     matching, stats = state.finalize()
-    assert matching.sorted_edges() == naive.chosen
+    assert sorted(matching.edges) == naive.chosen
     assert stats is state.stats
 
     # run_stream cuts an in-memory stream into chunks of the same size, and
@@ -136,12 +143,12 @@ def test_an_eviction_walks_past_rows_evicted_at_their_other_endpoint(size):
     victims = [edge for kind, edge, *_ in model.events if kind == "evicted"]
     assert victims == [DEAD_ROWS[r] for r in (0, 1, 6, 5, 10, 14)]
     # Each walk unlinked the dead rows it passed, with its victim.
-    assert _circle(state, 0) == [(2, True), (3, True), (4, True)]
-    assert _circle(state, 1) == [(11, True), (12, True), (13, True)]
-    assert _circle(state, 5) == [(15, True), (16, True), (17, True)]
-    assert _circle(state, 6) == [(7, True), (8, True), (9, True)]
+    assert circle(state, 0) == [(2, True), (3, True), (4, True)]
+    assert circle(state, 1) == [(11, True), (12, True), (13, True)]
+    assert circle(state, 5) == [(15, True), (16, True), (17, True)]
+    assert circle(state, 6) == [(7, True), (8, True), (9, True)]
     matching, _ = state.finalize()
-    assert matching.sorted_edges() == model.chosen
+    assert sorted(matching.edges) == model.chosen
 
 
 @pytest.mark.parametrize("cap", [4, 9])

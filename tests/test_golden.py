@@ -43,7 +43,7 @@ def _observe(stream, eps):
     matching, report = run_stream(stream, eps)
     obs = report.to_dict()
     del obs["per_edge_ns"]
-    obs["matching"] = [list(e) for e in matching.sorted_edges()]
+    obs["matching"] = [list(e) for e in sorted(matching.edges)]
     return obs
 
 

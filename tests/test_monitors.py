@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 import warnings
 from array import array
@@ -7,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import checked_pass
-from stream_mwm.core import EdgeStream, Params, WeightedEdge, compute_params, is_heavy
+from conftest import byte_stdin, checked_pass, is_heavy
+from stream_mwm.core import EdgeStream, Params, WeightedEdge, compute_params
 from stream_mwm.engine import StreamingState, run_stream
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
 from stream_mwm.monitors import (
@@ -244,7 +243,7 @@ def test_a_one_shot_stream_gets_all_four_verdicts(monkeypatch):
     # Stdin can be read once, and its one read serves the pass and every
     # check: the chain evicts, and each verdict passes.
     chain = _chain_stream()
-    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_stream(chain)))
+    monkeypatch.setattr("sys.stdin", byte_stdin(serialize_stream(chain)))
     stream = read_stream("-")
     _, report = run_stream(stream, 2, monitors=True)
     assert report.monitor_verdicts == dict.fromkeys(

@@ -25,7 +25,7 @@ def _path(weights):
 def test_mwm_simple_path_example():
     # Processing (0,1,3) drives the residual of (1,2,2) to -1.
     m = mwm_simple(_path([3, 2]))
-    assert m.sorted_edges() == [WeightedEdge(0, 1, 3)]
+    assert sorted(m.edges) == [WeightedEdge(0, 1, 3)]
     assert m.total_weight == 3
 
 
@@ -40,7 +40,7 @@ def test_mwm_simple_empty():
 
 def test_greedy_path_example():
     m = greedy_sorted(_path([2, 3, 2]))
-    assert m.sorted_edges() == [WeightedEdge(1, 2, 3)]
+    assert sorted(m.edges) == [WeightedEdge(1, 2, 3)]
     assert m.total_weight == 3
 
 
@@ -61,7 +61,7 @@ def test_exact_triangle():
 def test_exact_path_example():
     m = exact_mwm(_path([2, 3, 2]))
     assert m.total_weight == 4
-    assert m.sorted_edges() == [WeightedEdge(0, 1, 2), WeightedEdge(2, 3, 2)]
+    assert sorted(m.edges) == [WeightedEdge(0, 1, 2), WeightedEdge(2, 3, 2)]
 
 
 def test_exact_empty():
@@ -155,7 +155,7 @@ def test_greedy_matches_the_lambda_sort_on_ties(weight_max, seed):
     assert sorted(g.edges, key=itemgetter(2), reverse=True) == old_order
     expected = Matching.greedy(g.n, old_order)
     got = greedy_sorted(g)
-    assert got.sorted_edges() == expected.sorted_edges()
+    assert sorted(got.edges) == sorted(expected.edges)
     assert got.total_weight == expected.total_weight
 
 

@@ -1,14 +1,17 @@
-import io
 import os
 import random
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import byte_stdin
 from stream_mwm import streamio
 from stream_mwm.core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
@@ -177,7 +180,7 @@ def test_file_and_stdin_lines_end_at_newline_only(tmp_path, monkeypatch, mark, w
 
     with pytest.raises(StreamFormatError, match=f"^line {bad}: self-loop at node 1$"):
         list(read_stream(str(path)).edges)
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", byte_stdin(text))
     with pytest.raises(StreamFormatError, match=f"^line {bad}: self-loop at node 1$"):
         list(read_stream("-").edges)
 
@@ -291,7 +294,7 @@ def test_a_file_is_read_once_and_each_of_its_chunks_twice(tmp_path):
 
 
 def test_stdin_is_read_once(monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("p mwm 3 2\n0 1 5\n1 2 8\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin("p mwm 3 2\n0 1 5\n1 2 8\n"))
     lazy = read_stream("-")
     assert list(lazy.edges) == [(0, 1, 5), (1, 2, 8)]
     with pytest.raises(ValueError, match="^stdin can be read only once$"):
@@ -322,3 +325,38 @@ def test_every_parsed_input_is_read_once(tmp_path):
     with pytest.raises(ValueError) as exc:
         lazy.chunks()
     assert str(exc.value) == f"{fifo} can be read only once"
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize(
+    "text, encoding, code",
+    [
+        (b"p mwm 3 2\nc caf\xe9\n0 1 5\n1 2 8\n", None, 2),
+        ("p mwm 3 2\nc café\n0 1 5\n1 2 8\n".encode(), "ascii", 0),
+        (b"p mwm 3 2\r0 1 5\r1 2 8\r", None, 0),
+    ],
+    ids=["latin-1", "utf-8-under-ascii", "cr-lines"],
+)
+def test_stdin_is_decoded_as_a_path_is(tmp_path, text, encoding, code):
+    # A run's report is a function of its input bytes, from stdin as from a
+    # path: strict UTF-8 and universal newlines, whatever the environment's
+    # encoding. In-process tests replace sys.stdin, so these runs are
+    # processes of their own, with the file as their real stdin.
+    path = tmp_path / "in.mwm"
+    path.write_bytes(text)
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    if encoding:
+        env["PYTHONIOENCODING"] = encoding
+    runs = []
+    for source in (str(path), "-"):
+        with open(path, "rb") as stdin:
+            runs.append(subprocess.run(
+                [sys.executable, "-m", "stream_mwm.cli", "run", "--input", source],
+                stdin=stdin, capture_output=True, env=env, timeout=60,
+            ))
+    from_path, from_stdin = runs
+    assert from_path.returncode == from_stdin.returncode == code
+    assert from_path.stdout == from_stdin.stdout
+    assert from_path.stderr == from_stdin.stderr

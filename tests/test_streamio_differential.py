@@ -2,7 +2,6 @@
 replaced, on inputs that mix canonical edge lines with every line form that
 leaves the bulk path, with faults on both sides of chunk boundaries."""
 
-import io
 import random
 from unittest import mock
 
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import byte_stdin
 from stream_mwm import streamio
 from stream_mwm.core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
 from stream_mwm.streamio import parse_stream, read_stream
@@ -155,13 +155,15 @@ def _assert_same_everywhere(text, path):
     expected = _outcome(lambda: reference_parse_stream(text.splitlines(keepends=True)))
     for lines in (text.splitlines(keepends=True), text.splitlines()):
         assert _outcome(lambda: parse_stream(lines)) == expected
-    with mock.patch("sys.stdin", io.StringIO(text)):
-        assert _outcome(lambda: _drain(read_stream("-"))) == expected
 
+    # A file and stdin are read alike, with universal newlines, so a "\r"
+    # ends a line in either.
     path.write_text(text, encoding="utf-8", newline="")
     with open(path, encoding="utf-8") as fp:
         from_file = _outcome(lambda: reference_parse_stream(fp))
     assert _outcome(lambda: _drain(read_stream(str(path)))) == from_file
+    with mock.patch("sys.stdin", byte_stdin(text)):
+        assert _outcome(lambda: _drain(read_stream("-"))) == from_file
     return expected
 
 
