@@ -74,10 +74,12 @@ chunk of one.
 
 The loop counts, at O(1) a push, each potential that grows by less than
 alpha, each queue past its cap and each eviction short of its weight gap.
-`run_stream` reads the stream once. With ``monitors`` it reads the counts,
-and hands each chunk, once the pass has read it, with the arena rows the
-pass pushed on it, to `check_terminal_weights`, which runs the filter and
-the pushes again on potentials of its own and ends on ``phi``.
+`run_stream` reads the stream once, through one feed, `_passed`: each
+chunk once the pass has read it, with the number of its first pushed row.
+With ``monitors`` it reads the counts, and `check_terminal_weights` reads
+the feed first, each chunk with its arena rows, runs the filter and the
+pushes again on potentials of its own and ends on ``phi``. An unmonitored
+run only drains the feed, and reads no row.
 
 A light edge, most of a typical stream, leaves nothing behind, and an edge
 becomes a `WeightedEdge` only when a matching's ``edges`` is read. The pass
@@ -424,10 +426,11 @@ def run_stream(
     """Run the full pass over ``stream`` and build the run report.
 
     ``stream`` is read once, in order, through `open_edges`: a file is
-    parsed, and an in-memory `EdgeStream` checked, as the pass runs. With
-    ``monitors`` the report gets all four ``monitor_verdicts``, from the
-    pass's counters and a replay of each chunk after the pass, in the same
-    read, at any m and in O(n) more memory (see `monitors`).
+    parsed, and an in-memory `EdgeStream` checked, as the pass runs, all
+    through one feed of chunks. With ``monitors`` the report gets all four
+    ``monitor_verdicts``, from the pass's counters and a replay of each
+    chunk after the pass, in the same read, at any m and in O(n) more
+    memory (see `monitors`).
     With ``collect_timing`` each edge is timed with a monotonic clock inside
     the pass (every 64th edge beyond the first million, to keep the
     observer cheap).
@@ -442,16 +445,14 @@ def run_stream(
     # pass's short-lived containers.
     with gc_paused():
         # The chunks are checked, and raise unless they hold exactly m edges.
+        chunks = _passed(stream, state)
         if monitors:
-            chunks = _passed(stream, state)
-            terminal = check_terminal_weights(chunks, state.phi, params)
-            # A failed replay leaves the rest to the pass alone; a deque of
-            # length 0 keeps no chunk.
-            deque(chunks, maxlen=0)
-        else:
-            for chunk in stream.chunks():
-                state.process_edges(chunk)
-                del chunk  # the next chunk is parsed without this one
+            # Only the replay reads the rows the pass pushed on a chunk.
+            replay = ((chunk, state.rows(first)) for chunk, first in chunks)
+            terminal = check_terminal_weights(replay, state.phi, params)
+        # What the replay left, or the whole stream, goes to the pass alone;
+        # a deque of length 0 keeps no chunk.
+        deque(chunks, maxlen=0)
         matching, stats = state.finalize()
         verdicts = _monitor_verdicts(state, terminal) if monitors else {}
         # Freed while the collector is paused, the state is not rescanned
@@ -477,12 +478,12 @@ def run_stream(
 
 
 def _passed(stream: LazyEdgeStream, state: StreamingState) -> Iterator[tuple]:
-    """Each chunk of ``stream`` once the pass has read it, with the arena
-    rows that the pass pushed on it."""
+    """Each chunk of ``stream`` once the pass has read it, with the number
+    of the first arena row that the pass pushed on it."""
     for chunk in stream.chunks():
         first = state.stats.heavy_edges_total
         state.process_edges(chunk)
-        yield chunk, state.rows(first)
+        yield chunk, first
         del chunk  # the next chunk is parsed without this one
 
 

@@ -24,9 +24,9 @@ So an `EdgeStream` (`Graph` is another name for it) and a `LazyEdgeStream`,
 a file parsed as it is read, are interchangeable. What a solver
 keeps is its own: `mwm_simple` its stack, `greedy_sorted` the sorted edge
 list, the exact ones one edge per node pair. Repeated node pairs, in
-either orientation, are parallel edges. The exact solvers read their input
-through `streamio.open_edges`, so they refuse what the engine refuses; the
-two baselines read it unchecked, and assume a valid stream.
+either orientation, are parallel edges. Every solver reads its input
+through `streamio.open_edges`, so it refuses what the engine refuses, with
+the engine's ``line N: ...`` message.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ def mwm_simple(g: EdgeStream) -> Matching:
     """
     phi = [0] * g.n
     on_pair: dict[tuple[int, int], int] = {}
-    stack: list[WeightedEdge] = []
+    stack: list[tuple[int, int, int]] = []
     with gc_paused():  # the pair keys are tuples of ints, in no cycle
-        for e in g.edges:
+        for e in open_edges(g).edges:
             u, v, w = e
             pair = (u, v) if u < v else (v, u)
             stacked = on_pair.get(pair, 0)
@@ -91,7 +91,8 @@ def greedy_sorted(g: EdgeStream) -> Matching:
     from them with `Matching.greedy`.
     """
     with gc_paused():
-        return Matching.greedy(g.n, sorted(g.edges, key=itemgetter(2), reverse=True))
+        edges = open_edges(g).edges
+        return Matching.greedy(g.n, sorted(edges, key=itemgetter(2), reverse=True))
 
 
 def exact_mwm(g: EdgeStream) -> Matching:

@@ -11,23 +11,25 @@ The header declares the node count (needed before the first edge) and the
 edge count, which must match the body exactly. Blank lines and lines
 starting with ``c`` are ignored. Line order is arrival order.
 
-A parsed input is read once, in order: `read_stream` reads the header of a
-file or of stdin when it opens it, and the stream's
-`LazyEdgeStream.chunks()` goes on from there as a checked, in-order read
-of ``(u, v, w)`` int triples; a second call raises ``ValueError``. A read
-takes the body a block at a time (``_CHUNK_BYTES`` characters and the rest
-of the line after them), so a run holds one block of input, not all m
-edges. A block of canonical lines (``<u> <v> <w>`` in ASCII digits, one
-space apart, newline-terminated) becomes ints in one C call (a JSON array)
-and is checked in bulk: without its digits it must be ``"  \n"`` once per
-line, and JSON refuses what that lets through (an empty field, ``1  2``)
-and a leading zero. Its chunk is a view of the int list, three to an edge,
-that can be iterated again, so a pass and the checks that ride on it read
-the same chunk, and the block is never copied into tuples. Any other
-block, or one that fails a bulk check, is parsed line by line, so every
-accepted input and every error message is the same either way.
-`parse_stream` joins any iterable of lines into blocks that take the same
-path.
+A parsed input is read once, in order, front to back: `read_stream` reads
+the header of a file or of stdin when it opens it, line by line up to the
+header's own line, and the stream's `LazyEdgeStream.chunks()` goes on from
+the next line as a checked, in-order read of ``(u, v, w)`` int triples; a
+second call raises ``ValueError``. A read takes the body a block at a time
+(``_CHUNK_BYTES`` characters and the rest of the line after them), the
+first block starting after the header, so a run holds one block of input,
+not all m edges. A block of canonical lines (``<u> <v> <w>`` in ASCII
+digits, one space apart, newline-terminated) becomes ints in one C call (a
+JSON array) and is checked in bulk: without its digits it must be
+``"  \n"`` once per line, and JSON refuses what that lets through (an
+empty field, ``1  2``) and a leading zero. Its chunk is a view of the int
+list, three to an edge, that can be iterated again, so a pass and the
+checks that ride on it read the same chunk, and the block is never copied
+into tuples. Any other block, or one that fails a bulk check, is parsed
+line by line, so every accepted input and every error message is the same
+either way.
+`parse_stream` reads its header from its elements in the same way, and
+joins the elements after it into blocks that take the same path.
 
 Every check of an edge lives in `check_edge`: endpoints below n and
 distinct, weight in ``[0, 2^63-1]``, each an int (a bool or a numpy integer
@@ -157,16 +159,11 @@ def parse_stream(lines: Iterable[str]) -> EdgeStream:
     "\n" is dropped and any other becomes a space, which the parser reads
     as the same whitespace.
     """
-    parser = _parse(_line_blocks(lines))
+    lines = (s.removesuffix("\n").replace("\n", " ") + "\n" for s in lines)
+    blocks = iter(lambda: "".join(islice(lines, _CHUNK_LINES)), "")
+    parser = _parse(lines, blocks)
     n, _ = next(parser)
     return EdgeStream(n, list(map(WeightedEdge._make, chain.from_iterable(parser))))
-
-
-def _line_blocks(lines: Iterable[str]) -> Iterator[str]:
-    """Join ``_CHUNK_LINES`` elements at a time, each made one line."""
-    it = iter(lines)
-    while chunk := list(islice(it, _CHUNK_LINES)):
-        yield "".join([s.removesuffix("\n").replace("\n", " ") + "\n" for s in chunk])
 
 
 def serialize_stream(stream: EdgeStream | LazyEdgeStream) -> str:
@@ -209,33 +206,29 @@ def read_stream(path: str) -> LazyEdgeStream:
 
 
 def _read_file(path: str) -> Iterator:
-    # Stdin's bytes are decoded as a file's are, and stdin stays open.
+    # Stdin's bytes are decoded as a file's are, and stdin stays open. A
+    # process started with its stdin closed has no sys.stdin.
     stdin = path == "-"
+    if stdin and sys.stdin is None:
+        raise OSError("stdin is closed")
     fp = io.TextIOWrapper(sys.stdin.buffer, "utf-8") if stdin else open(path, encoding="utf-8")
     try:
-        yield from _parse(_blocks(fp))
+        # The header is read line by line; the body's blocks start after it.
+        yield from _parse(iter(fp.readline, ""), _blocks(fp))
     finally:
         fp.detach() if stdin else fp.close()
 
 
 def _blocks(fp) -> Iterator[str]:
-    """Read a text stream in blocks of whole lines: ``_CHUNK_BYTES``
-    characters, then the rest of the line after them."""
+    """Read a text stream in blocks of whole lines, each ended by a "\n":
+    ``_CHUNK_BYTES`` characters, then the rest of the line after them."""
     # A text stream with the default newline handling (our files, stdin)
     # ends each line at its one "\n", as readlines does. Even after a "\n",
     # readline makes a file's text wrapper drop its copies of the block.
     for block in iter(partial(fp.read, _CHUNK_BYTES), ""):
         block += fp.readline()
-        yield block
-
-
-def _lines(block: str) -> list[str]:
-    """A block's lines, split after each "\n" only (str.splitlines splits
-    on more)."""
-    lines = block.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
+        # Only the input's last line can be unended.
+        yield block if block.endswith("\n") else block + "\n"
 
 
 @dataclass(slots=True)
@@ -250,18 +243,18 @@ class _Triples:
         return zip(it, it, it)
 
 
-def _parse(blocks: Iterator[str]) -> Iterator:
-    """Yield the header's ``(n, m)``, then the checked ``(u, v, w)``
-    triples of each block of whole body lines."""
-    n, declared_m, rest, lineno = _read_header(blocks)
+def _parse(head: Iterator[str], blocks: Iterable[str]) -> Iterator:
+    """Yield the header's ``(n, m)``, read from the lines of ``head``, then
+    the checked ``(u, v, w)`` triples of each block of whole body lines,
+    each ended by a "\n", from the line after the header on."""
+    n, declared_m, lineno = _read_header(head)
     yield n, declared_m
     count = 0
-    for block in chain([rest], blocks):
-        if not block:
-            continue
+    for block in blocks:
         ints = _bulk_ints(block, n, declared_m - count)
         if ints is None:
-            lines = _lines(block)
+            # Split after each "\n" only (str.splitlines splits on more).
+            lines = block[:-1].split("\n")
             rows = _parse_lines(lines, n, declared_m, count, lineno)
             lineno += len(lines)
             count += len(rows)
@@ -280,30 +273,25 @@ def _parse(blocks: Iterator[str]) -> Iterator:
         )
 
 
-def _read_header(blocks: Iterator[str]) -> tuple[int, int, str, int]:
-    """Find the header; return ``(n, m, rest of its block, its line number)``."""
-    lineno = 0
-    for block in blocks:
-        lines = _lines(block)
-        for i, raw in enumerate(lines):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            lineno += i + 1
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "mwm":
-                raise StreamFormatError(
-                    f"expected header 'p mwm <n> <m>' at line {lineno}"
-                )
-            try:
-                n, declared_m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise StreamFormatError(f"malformed header at line {lineno}") from None
-            if n < 0 or declared_m < 0:
-                raise StreamFormatError(f"negative header counts at line {lineno}")
-            # The block resumes after the header's newline.
-            return n, declared_m, block[sum(map(len, lines[: i + 1])) + i + 1 :], lineno
-        lineno += len(lines)
+def _read_header(lines: Iterable[str]) -> tuple[int, int, int]:
+    """Read ``lines`` up to the header's line, and no further; return
+    ``(n, m, its line number)``."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "p" or parts[1] != "mwm":
+            raise StreamFormatError(
+                f"expected header 'p mwm <n> <m>' at line {lineno}"
+            )
+        try:
+            n, declared_m = int(parts[2]), int(parts[3])
+        except ValueError:
+            raise StreamFormatError(f"malformed header at line {lineno}") from None
+        if n < 0 or declared_m < 0:
+            raise StreamFormatError(f"negative header counts at line {lineno}")
+        return n, declared_m, lineno
     raise StreamFormatError("missing header 'p mwm <n> <m>'")
 
 
@@ -312,14 +300,10 @@ def _bulk_ints(block: str, n: int, room: int) -> list[int] | None:
     each line's ``u, v, w`` in turn, or None when the block needs the
     line-by-line parse, which names any fault."""
     # Without its digits a canonical line is two spaces and a newline. The
-    # block must end in a newline: a last line of digits alone, unended,
-    # adds no separator. The comparison also lets through a line with an
-    # empty field ("1  2"), which JSON refuses below, as it refuses a
-    # leading zero; int() refuses more digits than it accepts. Each leaves
-    # the block to the line path.
-    if not block.endswith("\n") or (
-        block.translate(_SEPARATORS) != "  \n" * block.count("\n")
-    ):
+    # comparison also lets through a line with an empty field ("1  2"),
+    # which JSON refuses below, as it refuses a leading zero; int() refuses
+    # more digits than it accepts. Each leaves the block to the line path.
+    if block.translate(_SEPARATORS) != "  \n" * block.count("\n"):
         return None
     # One C call turns the block into ints. The JSON text costs a slice,
     # one translate (spaces and newlines to commas) and one format.

@@ -42,7 +42,7 @@ from stream_mwm.engine import (
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 from stream_mwm.monitors import ratio_factor
 from stream_mwm.report import RunReport
-from stream_mwm.streamio import parse_stream, read_stream, serialize_stream
+from stream_mwm.streamio import open_edges, parse_stream, read_stream, serialize_stream
 
 
 def fresh(n=3, eps=2):
@@ -284,6 +284,26 @@ def test_traced_run_over_a_lazy_stream_matches_the_parsed_stream(tmp_path):
     lazy = run_stream(read_stream(str(path)), 2, monitors=True)
     assert lazy == run_stream(parse_stream(text.splitlines(keepends=True)), 2, monitors=True)
     assert set(lazy[1].monitor_verdicts.values()) == {"pass"}
+
+
+def test_only_a_monitored_run_reads_the_arena_rows(monkeypatch):
+    # Both runs take their chunks from one feed; the replay alone reads the
+    # rows the pass pushed on each, once per chunk.
+    stream = _chain(40)
+    want = run_stream(stream, 2)
+    calls = []
+    real_rows = StreamingState.rows
+
+    def counted_rows(self, start=0):
+        calls.append(start)
+        return real_rows(self, start)
+
+    monkeypatch.setattr(StreamingState, "rows", counted_rows)
+    assert run_stream(stream, 2) == want
+    assert calls == []
+    _, report = run_stream(stream, 2, monitors=True)
+    assert set(report.monitor_verdicts.values()) == {"pass"}
+    assert len(calls) == len(list(open_edges(stream).chunks()))
 
 
 @pytest.mark.parametrize("n, m", [(4, 100_001)], ids=["m100001"])

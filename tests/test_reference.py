@@ -9,9 +9,10 @@ from conftest import (
     random_multigraph_stream,
     random_simple_stream,
 )
-from stream_mwm.core import CapacityError, Matching, WeightedEdge
+from stream_mwm.core import CapacityError, Matching, StreamFormatError, WeightedEdge
 from stream_mwm import generators
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
+from stream_mwm.engine import run_stream
 from stream_mwm.reference import Graph, exact_mwm, greedy_sorted, mwm_simple
 
 
@@ -145,6 +146,30 @@ def test_two_approximations_meet_their_guarantee(seed):
     assert exact.total_weight >= greedy.total_weight
 
 
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((0, 1, -4), "line 2: weight -4 outside [0, 2^63-1]"),
+        ((1, 1, 5), "line 2: self-loop at node 1"),
+        ((-1, 1, 3), "line 2: endpoint out of range for n=3: (-1, 1)"),
+        ((0, 1, 2.5), "line 2: weight 2.5 is not an int"),
+        ((0, 5, 3), "line 2: endpoint out of range for n=3: (0, 5)"),
+    ],
+    ids=["negative", "self-loop", "node-minus-1", "float", "out-of-range"],
+)
+@pytest.mark.parametrize("solver", [mwm_simple, greedy_sorted], ids=lambda f: f.__name__)
+def test_the_baselines_refuse_what_the_engine_refuses(solver, edge, message):
+    # Unchecked, these give greedy_sorted a weight of -4, put the self-loop
+    # or node -1 in a matching, or raise a bare TypeError or IndexError.
+    g = Graph(3, [edge])
+    with pytest.raises(StreamFormatError) as engine:
+        run_stream(g, "1/2")
+    assert str(engine.value) == message
+    with pytest.raises(StreamFormatError) as info:
+        solver(g)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("weight_max", [1, 2])
 def test_greedy_matches_the_lambda_sort_on_ties(weight_max, seed):
@@ -180,10 +205,10 @@ def test_generate_and_the_baselines_leave_the_collector_as_they_found_it(
         generate(spec)
     assert gc.isenabled() is enabled
     bad = Graph(2, [WeightedEdge(0, 5, 1)])
-    with pytest.raises(IndexError):
+    with pytest.raises(StreamFormatError, match="^line 2: endpoint out of range"):
         greedy_sorted(bad)
     assert gc.isenabled() is enabled
-    with pytest.raises(IndexError):
+    with pytest.raises(StreamFormatError, match="^line 2: endpoint out of range"):
         mwm_simple(bad)
     assert gc.isenabled() is enabled
 

@@ -360,3 +360,18 @@ def test_stdin_is_decoded_as_a_path_is(tmp_path, text, encoding, code):
     assert from_path.returncode == from_stdin.returncode == code
     assert from_path.stdout == from_stdin.stdout
     assert from_path.stderr == from_stdin.stderr
+
+
+def test_a_closed_stdin_is_an_input_error():
+    # A process started with fd 0 closed has no sys.stdin. Reading "-"
+    # there is refused as an input error, exit code 2 with one error line,
+    # not a traceback with exit code 1, which means a ratio violation.
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    argv = [sys.executable, "-m", "stream_mwm.cli", "run", "--input", "-"]
+    run = subprocess.run(
+        ["sh", "-c", 'exec "$@" <&-', "sh", *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == b""
+    assert run.stderr == b"stream-mwm: error: stdin is closed\n"

@@ -173,8 +173,8 @@ def scratch_file(tmp_path_factory):
 
 
 #: Filler lengths: a few lines; around the first boundary of a list of
-#: lines (4096 lines); or anywhere up to past the first boundary of a file
-#: (64 KiB, about 3,600 of these lines).
+#: lines (4096 lines after the header); or anywhere up to past the first
+#: boundary of a file (64 KiB after the header, about 3,600 of these lines).
 _FILLER = st.one_of(
     st.integers(0, 4),
     st.integers(4088, 4100),
@@ -208,8 +208,13 @@ def test_chunked_parser_matches_line_by_line(
 
 
 def _file_chunk_lengths(path):
+    """The line counts of the blocks a file is read in: the header's line
+    alone, then ``_CHUNK_BYTES`` characters and the rest of their line at a
+    time."""
     with open(path, encoding="utf-8") as fp:
-        return [len(c) for c in iter(lambda: fp.readlines(streamio._CHUNK_BYTES), [])]
+        fp.readline()
+        blocks = iter(lambda: fp.readlines(streamio._CHUNK_BYTES), [])
+        return [1] + [len(c) for c in blocks]
 
 
 @pytest.mark.parametrize(
@@ -218,10 +223,18 @@ def _file_chunk_lengths(path):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_special_line_at_each_side_of_a_chunk_boundary(scratch_file, special, offset):
     rng = random.Random(7)
-    # The header is line 1; the body runs a few lines past both boundaries.
+    # The header is line 1, read alone; the body runs a few lines past both
+    # boundaries.
     body = _canonical_lines(rng, streamio._CHUNK_LINES + 8)
     scratch_file.write_text(_document([], body, 0, True), encoding="utf-8")
-    for boundary in (streamio._CHUNK_LINES, _file_chunk_lengths(scratch_file)[0]):
+    lengths = _file_chunk_lengths(scratch_file)
+    file_boundary = sum(lengths[:2])
+    # The reader's first block of the file ends at that line: each edge of
+    # its first chunk is one line, after the header's.
+    chunks = read_stream(str(scratch_file)).chunks()
+    assert 1 + len(list(next(chunks))) == file_boundary < 1 + len(body)
+    chunks.close()
+    for boundary in (1 + streamio._CHUNK_LINES, file_boundary):
         # Line numbers count from 1 and the header is line 1, so body index
         # i is line i + 2; put the special line at line boundary + offset.
         at = boundary + offset - 2
@@ -247,6 +260,52 @@ def test_header_after_a_full_chunk_of_comments(scratch_file):
     body = _canonical_lines(random.Random(5), 100)
     n, edges = _assert_same_everywhere(_document(prefix, body, 0, True), scratch_file)
     assert len(edges) == 100
+
+
+def test_header_after_more_than_a_file_block_of_comments(scratch_file):
+    # The header is found past the first block of a file or of stdin, and
+    # past the first two blocks of a list of lines.
+    prefix = ["c filler"] * (2 * streamio._CHUNK_BYTES // len("c filler\n"))
+    assert len(prefix) > 2 * streamio._CHUNK_LINES
+    body = _canonical_lines(random.Random(5), 100)
+    n, edges = _assert_same_everywhere(_document(prefix, body, 0, True), scratch_file)
+    assert len(edges) == 100
+    body[40] = "3 3 1"
+    expected = _assert_same_everywhere(_document(prefix, body, 0, True), scratch_file)
+    assert expected == ("error", f"line {len(prefix) + 42}: self-loop at node 3")
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("p mwm 3 0", (3, [])),
+        ("p mwm 3 1", ("error", "header declared 1 edges but found 0 by line 1")),
+        ("p mwm 3 2\r\n0 1 5\r\n1 2 8\r\n", (3, [(0, 1, 5), (1, 2, 8)])),
+        ("p mwm 3 2\r\n0 1 5\r\n1 1 8\r\n", ("error", "line 3: self-loop at node 1")),
+        ("\n  \nc a comment\n\np mwm 3 2\n0 1 5\n1 2 8\n", (3, [(0, 1, 5), (1, 2, 8)])),
+        ("\nc a comment\np mwm 3 1\n1 1 8\n", ("error", "line 4: self-loop at node 1")),
+    ],
+    ids=["unended", "unended-short", "crlf", "crlf-fault", "blank-and-comment",
+         "comment-fault"],
+)
+def test_each_header_shape_reads_the_same_everywhere(scratch_file, text, want):
+    assert _assert_same_everywhere(text, scratch_file) == want
+
+
+def test_a_canonical_body_after_the_header_never_parses_line_by_line(
+    scratch_file, monkeypatch
+):
+    # The body's first block starts on the line after the header, so a
+    # canonical body is bulk-parsed from its first line on, from a list of
+    # lines, a file and stdin.
+    def line_path(*args):
+        raise AssertionError("a canonical block took the line path")
+
+    monkeypatch.setattr(streamio, "_parse_lines", line_path)
+    for count in (1, 100, streamio._CHUNK_LINES + 100):
+        body = _canonical_lines(random.Random(count), count)
+        n, edges = _assert_same_everywhere(_document([], body, 0, True), scratch_file)
+        assert len(edges) == count
 
 
 @pytest.mark.parametrize(
