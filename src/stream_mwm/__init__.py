@@ -4,74 +4,64 @@ A streaming engine that keeps O(n * queue_cap) pushed edges while
 guaranteeing a (2 + epsilon)-approximation, plus sequential reference
 solvers, an exact small-instance oracle, runtime monitors, seeded stream
 generators, and a benchmark CLI.
+
+Each exported name is imported from its module on first use (a
+module-level ``__getattr__``), so importing the package, or one of its
+modules, loads only what that code imports.
 """
 
-from .core import (
-    I64_MAX,
-    CapacityError,
-    EdgeStream,
-    Matching,
-    Params,
-    StreamFormatError,
-    WeightedEdge,
-    compute_params,
-    parse_epsilon,
-)
-from .engine import StreamingState, run_stream
-from .generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
-from .monitors import (
-    CheckVerdict,
-    MonitorStats,
-    check_eviction_gap,
-    check_phi_growth,
-    check_ratio_bound,
-    check_terminal_weights,
-)
-from .reference import (
-    EXACT_MAX_NODES,
-    Graph,
-    exact_mwm,
-    greedy_sorted,
-    mwm_simple,
-    optimum_weight,
-)
-from .report import RunReport, TimingStats
-from .streamio import LazyEdgeStream, parse_stream, read_stream, serialize_stream
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "I64_MAX",
-    "CapacityError",
-    "CheckVerdict",
-    "EdgeStream",
-    "EXACT_MAX_NODES",
-    "GeneratorKind",
-    "GeneratorSpec",
-    "Graph",
-    "LazyEdgeStream",
-    "Matching",
-    "MonitorStats",
-    "Params",
-    "RunReport",
-    "StreamFormatError",
-    "StreamOrder",
-    "StreamingState",
-    "TimingStats",
-    "WeightedEdge",
-    "check_eviction_gap",
-    "check_phi_growth",
-    "check_ratio_bound",
-    "check_terminal_weights",
-    "compute_params",
-    "exact_mwm",
-    "generate",
-    "greedy_sorted",
-    "mwm_simple",
-    "optimum_weight",
-    "parse_epsilon",
-    "parse_stream",
-    "read_stream",
-    "run_stream",
-    "serialize_stream",
-]
+#: Each exported name, and the module that defines it.
+_EXPORTS = {
+    "I64_MAX": "core",
+    "EXACT_MAX_NODES": "core",
+    "CapacityError": "core",
+    "EdgeStream": "core",
+    "Matching": "core",
+    "Params": "core",
+    "StreamFormatError": "core",
+    "WeightedEdge": "core",
+    "compute_params": "core",
+    "parse_epsilon": "core",
+    "StreamingState": "engine",
+    "run_stream": "engine",
+    "GeneratorKind": "generators",
+    "GeneratorSpec": "generators",
+    "StreamOrder": "generators",
+    "generate": "generators",
+    "CheckVerdict": "monitors",
+    "MonitorStats": "monitors",
+    "check_eviction_gap": "monitors",
+    "check_phi_growth": "monitors",
+    "check_ratio_bound": "monitors",
+    "check_terminal_weights": "monitors",
+    "Graph": "reference",
+    "exact_mwm": "reference",
+    "greedy_sorted": "reference",
+    "mwm_simple": "reference",
+    "optimum_weight": "reference",
+    "RunReport": "report",
+    "TimingStats": "report",
+    "LazyEdgeStream": "streamio",
+    "parse_stream": "streamio",
+    "read_stream": "streamio",
+    "serialize_stream": "streamio",
+}
+
+__all__ = sorted(_EXPORTS, key=str.lower)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -8,6 +8,8 @@ reads it: ``--alg semi --monitors`` replays each chunk after the pass, in
 the engine, and the oracle's pair table is filled from each chunk as the
 solver reads it. Every run's oracle is `optimum_weight` on that table, the
 optimum's weight alone, so an exact run's oracle checks `exact_mwm`.
+`reference` is imported only by a run that calls it, with the oracle or
+a baseline ``--alg``; a plain semi run does not load it.
 Every ``--alg`` refuses an epsilon that the engine refuses, checked once,
 before the input is opened or generated. Any I/O, parse,
 capacity or epsilon error along the way, or a node count too large to
@@ -22,8 +24,6 @@ Exit codes for ``run``: 0 success, 1 approximation-ratio violation (with
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
 import io
 import math
@@ -31,8 +31,9 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .core import EdgeStream, _check_epsilon, parse_epsilon
+from .core import EXACT_MAX_NODES, EdgeStream, _check_epsilon, parse_epsilon
 from .engine import run_stream
 from .generators import GeneratorKind, GeneratorSpec, StreamOrder, generate
 
@@ -45,18 +46,48 @@ from .monitors import (  # noqa: F401
     check_ratio_bound,
     check_terminal_weights,
 )
-from .reference import (
-    EXACT_MAX_NODES,
-    _heaviest_copies,
-    exact_mwm,
-    greedy_sorted,
-    mwm_simple,
-    optimum_weight,
-)
 from .report import RUN_CSV_HEADER, RunReport
 from .streamio import LazyEdgeStream, open_edges, read_stream
 
+if TYPE_CHECKING:
+    from .reference import (
+        _heaviest_copies,
+        exact_mwm,
+        greedy_sorted,
+        mwm_simple,
+        optimum_weight,
+    )
+
 __all__ = ["main", "cmd_run", "cmd_bench"]
+
+#: The names of `reference` that `run` calls: its baselines, its exact
+#: solver and its oracle, bound here by the first run that calls one.
+_REFERENCE = (
+    "_heaviest_copies",
+    "exact_mwm",
+    "greedy_sorted",
+    "mwm_simple",
+    "optimum_weight",
+)
+
+
+def _import_reference() -> None:
+    """Import `reference` and bind the names of `_REFERENCE` here, each one
+    not bound already: perfbench's tracer binds its wrappers in their place,
+    and a run calls those."""
+    from . import reference
+
+    for name in _REFERENCE:
+        globals().setdefault(name, getattr(reference, name))
+
+
+def __getattr__(name: str):
+    # A lookup on the module, as the tracer's, imports `reference` too.
+    if name not in _REFERENCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _import_reference()
+    return globals()[name]
+
 
 _GUARANTEE = {"simple": Fraction(2), "greedy": Fraction(2), "exact": Fraction(1)}
 
@@ -173,6 +204,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             stream = generate(_spec_from_args(args))
         n = stream.n
         oracle = args.oracle and stream.n <= EXACT_MAX_NODES
+        if oracle or args.alg != "semi":
+            _import_reference()
         if oracle:
             # The oracle keeps one edge per node pair, from the run's read.
             pairs: dict = {}
@@ -198,11 +231,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         if oracle:
             got = matching.total_weight
             best = optimum_weight(EdgeStream(stream.n, list(pairs.values())))
-            report.oracle_weight = best
             if got == 0:
-                report.ratio = 1.0 if best == 0 else float("inf")
+                ratio = 1.0 if best == 0 else float("inf")
             else:
-                report.ratio = best / got
+                ratio = best / got
+            report = report._replace(oracle_weight=best, ratio=ratio)
             violation = best > got * Fraction(report.ratio_bound)
         if args.report == "json":
             _emit(args, report.to_json())
@@ -238,6 +271,9 @@ def _filling(chunks, pairs: dict):
 
 
 def _as_csv(rows: list[list[str]]) -> str:
+    # Imported here: only a CSV report or a sweep writes CSV.
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -266,9 +302,7 @@ def _rep_spec(spec: GeneratorSpec, rep: int) -> GeneratorSpec:
     """Give repetition ``rep`` its own stream; rep 0 keeps ``--seed``."""
     if rep == 0:
         return spec
-    return dataclasses.replace(
-        spec, seed=random.Random(f"{spec.seed}/rep/{rep}").getrandbits(63)
-    )
+    return spec._replace(seed=random.Random(f"{spec.seed}/rep/{rep}").getrandbits(63))
 
 
 def _bench_task(eps: Fraction, spec: GeneratorSpec, rep: int) -> dict[str, str]:
@@ -302,7 +336,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 # min(1.0, nan) is 1.0: a NaN degree would sweep complete graphs.
                 if math.isnan(args.degree):
                     raise ValueError(f"--degree must be a number, got {args.degree}")
-                spec = dataclasses.replace(spec, p=min(1.0, args.degree / (n - 1)))
+                spec = spec._replace(p=min(1.0, args.degree / (n - 1)))
             for rep in range(args.reps):
                 specs.append(_rep_spec(spec, rep))
                 reps.append(rep)

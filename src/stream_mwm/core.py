@@ -18,7 +18,6 @@ import gc
 import math
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from operator import eq, itemgetter
@@ -26,6 +25,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "I64_MAX",
+    "EXACT_MAX_NODES",
     "CapacityError",
     "StreamFormatError",
     "WeightedEdge",
@@ -39,6 +39,11 @@ __all__ = [
 
 #: Largest representable edge weight / node potential (signed 64-bit).
 I64_MAX = 2**63 - 1
+
+#: Node-count ceiling of `reference.exact_mwm` and of the CLI's ``--oracle``
+#: gate (`reference.optimum_weight` has none). It lives here so that the
+#: CLI reads it without importing `reference`.
+EXACT_MAX_NODES = 22
 
 
 @contextmanager
@@ -82,8 +87,7 @@ class WeightedEdge(NamedTuple):
     weight: int
 
 
-@dataclass(frozen=True)
-class EdgeStream:
+class EdgeStream(NamedTuple):
     """A finite edge sequence plus the declared node count.
 
     Every reader of a stream (`engine.run_stream`, the `reference` solvers,
@@ -112,8 +116,7 @@ class EdgeStream:
         return cls(stream.n, list(stream.edges))
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     """Derived run parameters for a given node count and epsilon.
 
     ``alpha_sq`` and ``ratio_bound`` are exact rationals; ``gamma`` and

@@ -258,8 +258,8 @@ class StreamingState:
             dense = _TIMING_DENSE_LIMIT
             index = self._timed_edges
             start = 0
-        # The counters live in locals for the chunk and go back to the
-        # stats object however the loop ends.
+        # The counters live in locals for the chunk, and a new snapshot of
+        # them becomes the stats however the loop ends.
         stats = self.stats
         heavy = first_heavy = stats.heavy_edges_total
         evicted = stats.evictions_total
@@ -386,13 +386,15 @@ class StreamingState:
                 if start:
                     samples.append(clock() - start)
                 self._timed_edges = index
-            stats.heavy_edges_total = heavy
-            stats.evictions_total = evicted
-            stats.peak_live_entries = max(peak, heavy - evicted)
-            stats.max_queue_len = longest_queue
-            stats.phi_growth_violations = growth_violations
-            stats.queue_cap_violations = cap_violations
-            stats.eviction_gap_violations = gap_violations
+            self.stats = MonitorStats(
+                peak_live_entries=max(peak, heavy - evicted),
+                heavy_edges_total=heavy,
+                phi_growth_violations=growth_violations,
+                queue_cap_violations=cap_violations,
+                max_queue_len=longest_queue,
+                evictions_total=evicted,
+                eviction_gap_violations=gap_violations,
+            )
         return heavy - first_heavy
 
     def compact(self) -> None:

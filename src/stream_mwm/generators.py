@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, pairwise, repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from .core import I64_MAX, CapacityError, EdgeStream, WeightedEdge, gc_paused
 
@@ -48,8 +48,7 @@ class StreamOrder(str, Enum):
     DECREASING_WEIGHT = "dec-weight"
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """Deterministic description of a generated stream.
 
     ``p`` applies to Erdos-Renyi graphs, ``base`` to the geometric chain.

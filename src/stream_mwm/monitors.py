@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Params
 
@@ -35,9 +34,10 @@ __all__ = [
 GAP_REL_TOL = 1e-6
 
 
-@dataclass(slots=True)
-class MonitorStats:
-    """O(1)-space counters kept by the engine at any scale.
+class MonitorStats(NamedTuple):
+    """O(1)-space counters kept by the engine at any scale: a snapshot,
+    which `StreamingState.process_edges` takes anew at the end of each
+    chunk.
 
     ``heavy_edges_total`` counts the heavy (pushed) edges so far; it feeds
     no engine decision and is the ``k`` of the ratio-bound check. The
@@ -53,8 +53,7 @@ class MonitorStats:
     eviction_gap_violations: int = 0
 
 
-@dataclass(frozen=True)
-class CheckVerdict:
+class CheckVerdict(NamedTuple):
     """Outcome of a check: pass/fail, how much it checked and, for the
     replay, the index of the first offending edge."""
 

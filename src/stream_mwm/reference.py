@@ -14,8 +14,9 @@ time, on doubled integer duals, so no float enters. The perturbation is
 rank in input order, so that the maximum is unique and carries the
 lexicographically smallest optimum matching with it. `optimum_weight`
 runs on the plain weights, whose duals stay the size of the weights. The
-algorithm has no size limit; `EXACT_MAX_NODES` only keeps `exact_mwm`'s
-cap and the CLI's oracle gate, and so every report and exit code, where
+algorithm has no size limit; `EXACT_MAX_NODES` (defined in `core`, so
+that the CLI reads it without this module) only keeps `exact_mwm`'s cap
+and the CLI's oracle gate, and so every report and exit code, where
 the earlier exponential oracle put them.
 
 Every solver reads its input as the engine does: ``n``, then one read of
@@ -34,7 +35,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import itemgetter
 
-from .core import CapacityError, EdgeStream, Matching, WeightedEdge, gc_paused
+from .core import (
+    EXACT_MAX_NODES,
+    CapacityError,
+    EdgeStream,
+    Matching,
+    WeightedEdge,
+    gc_paused,
+)
 from .streamio import open_edges
 
 __all__ = [
@@ -45,10 +53,6 @@ __all__ = [
     "exact_mwm",
     "optimum_weight",
 ]
-
-#: Node-count ceiling of `exact_mwm`, which the CLI's ``--oracle`` gate reads
-#: (`optimum_weight` has none).
-EXACT_MAX_NODES = 22
 
 #: The reference solvers' graph: any stream of ``n`` nodes and its ``edges``.
 Graph = EdgeStream

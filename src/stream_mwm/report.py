@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-import statistics
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["TimingStats", "RunReport", "RUN_CSV_HEADER"]
 
@@ -35,8 +34,7 @@ RUN_CSV_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class TimingStats:
+class TimingStats(NamedTuple):
     """Per-edge processing time percentiles, in nanoseconds."""
 
     p50: float
@@ -49,22 +47,14 @@ class TimingStats:
         if len(samples) == 1:
             only = float(samples[0])
             return cls(p50=only, p99=only, max=samples[0], samples=1)
+        # Imported here: only a timed run needs it.
+        import statistics
+
         q = statistics.quantiles(samples, n=100, method="inclusive")
         return cls(p50=q[49], p99=q[98], max=max(samples), samples=len(samples))
 
 
-@dataclass
-class RunReport:
-    """Metrics of one run. Oracle fields are present only if the oracle ran.
-
-    ``ratio`` is oracle weight over output weight (>= 1 by oracle
-    dominance; defined as 1.0 when both weights are zero). The streaming
-    fields (queue cap, peak live entries, heavy edge count, evictions) are
-    None for the non-streaming reference algorithms. All fields except
-    ``per_edge_ns`` are deterministic functions of (input bytes, epsilon,
-    algorithm).
-    """
-
+class _RunFields(NamedTuple):
     algorithm: str
     n: int
     m: int
@@ -79,12 +69,33 @@ class RunReport:
     max_queue_len: int | None = None
     evictions_total: int | None = None
     per_edge_ns: TimingStats | None = None
-    monitor_verdicts: dict[str, str] = field(default_factory=dict)
+    monitor_verdicts: dict[str, str] | None = None
+
+
+class RunReport(_RunFields):
+    """Metrics of one run. Oracle fields are present only if the oracle ran.
+
+    ``ratio`` is oracle weight over output weight (>= 1 by oracle
+    dominance; defined as 1.0 when both weights are zero). The streaming
+    fields (queue cap, peak live entries, heavy edge count, evictions) are
+    None for the non-streaming reference algorithms. All fields except
+    ``per_edge_ns`` are deterministic functions of (input bytes, epsilon,
+    algorithm). ``monitor_verdicts`` left out is a new empty dict, one per
+    report.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RunReport":
+        report = super().__new__(cls, *args, **kwargs)
+        if report.monitor_verdicts is None:
+            return report._replace(monitor_verdicts={})
+        return report
 
     def to_dict(self) -> dict:
-        d = dict(self.__dict__)
+        d = self._asdict()
         if self.per_edge_ns is not None:
-            d["per_edge_ns"] = dict(self.per_edge_ns.__dict__)
+            d["per_edge_ns"] = self.per_edge_ns._asdict()
         return d
 
     def to_json(self) -> str:

@@ -47,11 +47,10 @@ from __future__ import annotations
 import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
 from operator import eq, index
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
 
@@ -72,8 +71,7 @@ _COMMAS = str.maketrans(" \n", ",,")
 Triple = tuple[int, int, int]
 
 
-@dataclass
-class LazyEdgeStream:
+class LazyEdgeStream(NamedTuple):
     """A stream parsed as it is read.
 
     Like an `EdgeStream` it has ``n``, ``m`` (from the header; the body must
@@ -191,7 +189,8 @@ def serialize_stream(stream: EdgeStream | LazyEdgeStream) -> str:
 def read_stream(path: str) -> LazyEdgeStream:
     """Open a stream from a file path, or stdin when path is '-', and read
     its header now. Either is strict UTF-8, with universal newlines, from
-    its bytes. The stream can be read once."""
+    its bytes, and a byte that is not UTF-8 is named by its line, as any
+    other fault is. The stream can be read once."""
     name = "stdin" if path == "-" else path
     parser = _read_file(path)
     header = next(parser)
@@ -211,7 +210,15 @@ def _read_file(path: str) -> Iterator:
     stdin = path == "-"
     if stdin and sys.stdin is None:
         raise OSError("stdin is closed")
-    fp = io.TextIOWrapper(sys.stdin.buffer, "utf-8") if stdin else open(path, encoding="utf-8")
+    # A byte that is not UTF-8 is read as a lone surrogate, which strict
+    # UTF-8 never gives, and refused by the parser with its line
+    # (`_check_decoded`): the decoder's own error names an offset into its
+    # current read.
+    errors = "surrogateescape"
+    if stdin:
+        fp = io.TextIOWrapper(sys.stdin.buffer, "utf-8", errors)
+    else:
+        fp = open(path, encoding="utf-8", errors=errors)
     try:
         # The header is read line by line; the body's blocks start after it.
         yield from _parse(iter(fp.readline, ""), _blocks(fp))
@@ -231,12 +238,14 @@ def _blocks(fp) -> Iterator[str]:
         yield block if block.endswith("\n") else block + "\n"
 
 
-@dataclass(slots=True)
 class _Triples:
     """A canonical block's edges: each iteration reads the block's ints
     afresh, three to an edge, so the block is never copied into tuples."""
 
-    ints: list[int]
+    __slots__ = ("ints",)
+
+    def __init__(self, ints: list[int]) -> None:
+        self.ints = ints
 
     def __iter__(self) -> Iterator[Triple]:
         it = iter(self.ints)
@@ -277,6 +286,8 @@ def _read_header(lines: Iterable[str]) -> tuple[int, int, int]:
     """Read ``lines`` up to the header's line, and no further; return
     ``(n, m, its line number)``."""
     for lineno, raw in enumerate(lines, start=1):
+        if not raw.isascii():
+            _check_decoded(raw, lineno)
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -332,6 +343,8 @@ def _parse_lines(
     precede them."""
     rows: list[Triple] = []
     for lineno, raw in enumerate(lines, start=lineno + 1):
+        if not raw.isascii():
+            _check_decoded(raw + "\n", lineno)
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -351,3 +364,22 @@ def _parse_lines(
         except StreamFormatError as exc:
             raise StreamFormatError(f"line {lineno}: {exc}") from None
     return rows
+
+
+def _check_decoded(line: str, lineno: int) -> None:
+    """Refuse a line, given with its newline, that holds a byte UTF-8 could
+    not decode: a lone surrogate from U+DC80 to U+DCFF (`_read_file`).
+
+    The line's bytes are decoded again, so the message names the byte and
+    the fault as the decoder does, at the line's number. A line with any
+    other lone surrogate, which only an in-memory line can hold, passes.
+    """
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeEncodeError:
+        return
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(
+            f"line {lineno}: 'utf-8' codec can't decode byte "
+            f"0x{exc.object[exc.start]:02x}: {exc.reason}"
+        ) from None

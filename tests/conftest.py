@@ -3,7 +3,6 @@ independent oracles, input strategies and fixtures."""
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import io
 import math
@@ -106,7 +105,7 @@ class NaivePass:
         self.phi = [0] * params.n
         self.stack = []  # [(u, v, w), reduced, alive], in push order
         self.queues = [[] for _ in range(params.n)]  # stack indices, oldest first
-        self.counters = dict.fromkeys((f.name for f in dataclasses.fields(MonitorStats)), 0)
+        self.counters = dict.fromkeys(MonitorStats._fields, 0)
         self.events = []
         self._live = 0
 
@@ -202,7 +201,7 @@ def modelled_pass(params, chunks):
         assert pushed == model.feed(chunk)
         assert list(state.rows()) == model.rows
         assert list(state.phi) == model.phi
-        assert dataclasses.asdict(state.stats) == model.counters
+        assert state.stats._asdict() == model.counters
         assert queues(state) == model.queued
     return state, model
 

@@ -6,7 +6,6 @@ the exact oracle evaluated once per instance.
 """
 
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -187,11 +186,11 @@ def test_criterion_4_runtime_monitors():
     state.finalize()
     stats = state.stats
     assert check_phi_growth(stats).ok
-    assert not check_phi_growth(dataclasses.replace(stats, phi_growth_violations=1)).ok
+    assert not check_phi_growth(stats._replace(phi_growth_violations=1)).ok
 
     # Below the paper's queue_cap a chain evicts before the weight gap.
     chain = generate(GeneratorSpec(kind=GeneratorKind.GEOMETRIC_CHAIN, n=64))
-    forced = dataclasses.replace(compute_params(64, 2), queue_cap=4)
+    forced = compute_params(64, 2)._replace(queue_cap=4)
     chain_state = StreamingState(forced)
     chain_state.process_edges(chain.edges)
     assert not check_eviction_gap(chain_state.stats).ok

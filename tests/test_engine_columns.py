@@ -6,7 +6,6 @@ stream whose bad edge sits in a later chunk fails with the message and line
 number of the edge-by-edge path. A run over the corpus holds at most
 ``n * queue_cap / 2`` live edges."""
 
-import dataclasses
 import re
 import warnings
 from fractions import Fraction
@@ -88,7 +87,7 @@ def test_column_loop_matches_the_naive_pass_at_any_chunk_size(tag, stream, eps, 
         for start in range(0, len(edges), size)
     )
     assert pushed == counters["heavy_edges_total"]
-    assert dataclasses.asdict(state.stats) == counters
+    assert state.stats._asdict() == counters
     assert list(state.phi) == naive.phi
     assert live_edges(state) == naive.live
     matching, stats = state.finalize()
@@ -138,7 +137,7 @@ DEAD_ROWS = _doubling_edges([
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
 def test_an_eviction_walks_past_rows_evicted_at_their_other_endpoint(size):
-    params = dataclasses.replace(compute_params(17, Fraction(59, 10)), queue_cap=4)
+    params = compute_params(17, Fraction(59, 10))._replace(queue_cap=4)
     state, model = _run_in_chunks(params, DEAD_ROWS, size)
     victims = [edge for kind, edge, *_ in model.events if kind == "evicted"]
     assert victims == [DEAD_ROWS[r] for r in (0, 1, 6, 5, 10, 14)]
@@ -155,7 +154,7 @@ def test_an_eviction_walks_past_rows_evicted_at_their_other_endpoint(size):
 def test_gap_violations_match_the_naive_pass_under_a_forced_cap(cap):
     # Below the paper's queue_cap, evictions come before the weight gap.
     # _run_in_chunks holds every counter to the model after every chunk.
-    params = dataclasses.replace(compute_params(64, 2), queue_cap=cap)
+    params = compute_params(64, 2)._replace(queue_cap=cap)
     _, naive = _run_in_chunks(params, list(_chain(64).edges), 7)
     assert naive.counters["eviction_gap_violations"] > 0
 
@@ -252,7 +251,7 @@ def test_a_weight_that_is_not_an_int_is_refused_light_or_heavy(weight, before):
 def test_process_edge_refuses_a_light_float_and_leaves_the_state_as_it_was():
     state = StreamingState(compute_params(3, 2))
     assert state.process_edge((0, 1, 9))
-    phi, stats = list(state.phi), dataclasses.replace(state.stats)
+    phi, stats = list(state.phi), state.stats._replace()
     with pytest.raises(StreamFormatError, match="^weight 5.0 is not an int$"):
         state.process_edge((0, 1, 5.0))
     assert list(state.phi) == phi

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 from array import array
@@ -71,7 +70,7 @@ def test_phi_growth_vacuous_with_one_push_per_node():
 def test_a_counted_violation_fails_its_check(check, counter):
     stats = _finalized(_chain_stream(), 2).stats
     assert check(stats).ok
-    verdict = check(dataclasses.replace(stats, **{counter: 1}))
+    verdict = check(stats._replace(**{counter: 1}))
     assert not verdict.ok and verdict.detail.startswith("1 ")
 
 
@@ -93,7 +92,7 @@ def test_eviction_gap_counts_evictions_under_a_forced_cap():
     # push outweighs the victim by 2 * alpha * gamma.
     params = compute_params(64, 2)
     for cap in (4, params.queue_cap // 2):
-        forced = dataclasses.replace(params, queue_cap=cap)
+        forced = params._replace(queue_cap=cap)
         state = StreamingState(forced)
         state.process_edges(_chain_stream().edges)
         assert state.stats.eviction_gap_violations >= 1, cap

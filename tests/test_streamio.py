@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import re
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import byte_stdin
-from stream_mwm import streamio
+from stream_mwm import cli, streamio
 from stream_mwm.core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
 from stream_mwm.streamio import parse_stream, read_stream, serialize_stream
@@ -375,3 +376,47 @@ def test_a_closed_stdin_is_an_input_error():
     assert run.returncode == 2, run.stderr
     assert run.stdout == b""
     assert run.stderr == b"stream-mwm: error: stdin is closed\n"
+
+
+#: 20,000 canonical lines of 6 bytes: line 11,000 starts past 64 KiB.
+_BODY = [b"0 1 5\n"] * 20_000
+
+
+@pytest.mark.parametrize(
+    "lineno, line, message",
+    [
+        (1, b"p mwm\xff 2 20000\n", "0xff: invalid start byte"),
+        (1, b"c \xe9t\xe9\n", "0xe9: invalid continuation byte"),
+        (3, b"c caf\xe9\n", "0xe9: invalid continuation byte"),
+        (100, b"0 1 \xff\n", "0xff: invalid start byte"),
+        (15_000, b"0 \xe9 5\n", "0xe9: invalid continuation byte"),
+        (19_999, b"0 1 \xed\xa0\x80\n", "0xed: invalid continuation byte"),
+    ],
+    ids=["header", "comment-before-header", "comment", "first-block", "past-64k",
+         "encoded-surrogate"],
+)
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_a_byte_that_is_not_utf8_is_named_by_its_line(
+    tmp_path, monkeypatch, capsys, lineno, line, message, newline
+):
+    # The decoder's error named an offset into its current read, which moved
+    # with the read pattern; the line is the same from a path and from
+    # stdin, whatever the newlines and wherever the block boundaries fall.
+    lines = [b"p mwm 2 20000\n", *_BODY]
+    if lineno == 1 and not line.startswith(b"p"):
+        lines.insert(0, line)
+    else:
+        lines[lineno - 1] = line
+    data = b"".join(lines).replace(b"\n", newline)
+    path = tmp_path / "bad.mwm"
+    path.write_bytes(data)
+    error = f"line {lineno}: 'utf-8' codec can't decode byte {message}"
+    assert cli.main(["run", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"stream-mwm: error: {error}\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert cli.main(["run", "--input", "-"]) == 2
+    assert capsys.readouterr() == ("", f"stream-mwm: error: {error}\n")
+    # Lines decoded with surrogateescape, as os.fsdecode does, read the same.
+    text = data.decode("utf-8", "surrogateescape").splitlines(keepends=True)
+    with pytest.raises(StreamFormatError, match=f"^{re.escape(error)}$"):
+        parse_stream(text)
