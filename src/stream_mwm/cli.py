@@ -3,11 +3,13 @@
 ``run`` is one pipeline: read or generate the stream, decide once whether
 the oracle (n <= 22) applies, then run, check and emit the report. Every
 solver, the engine and the three reference ones alike, reads its input
-once, in order, so a file or stdin is parsed as it runs, and nothing else
-reads it: ``--alg semi --monitors`` replays each chunk after the pass, in
-the engine, and the oracle's pair table is filled from each chunk as the
-solver reads it. Every run's oracle is `optimum_weight` on that table, the
-optimum's weight alone, so an exact run's oracle checks `exact_mwm`.
+once, in order, so a file or stdin is parsed as it runs (from its second
+block on by a forked worker, when the process may use a second CPU; see
+`streamio`), and nothing else reads it: ``--alg semi --monitors`` replays
+each chunk after the pass, in the engine, and the oracle's pair table is
+filled from each chunk as the solver reads it. Every run's oracle is
+`optimum_weight` on that table, the optimum's weight alone, so an exact
+run's oracle checks `exact_mwm`.
 `reference` is imported only by a run that calls it, with the oracle or
 a baseline ``--alg``; a plain semi run does not load it.
 Every ``--alg`` refuses an epsilon that the engine refuses, checked once,

@@ -76,6 +76,10 @@ The loop counts, at O(1) a push, each potential that grows by less than
 alpha, each queue past its cap and each eviction short of its weight gap.
 `run_stream` reads the stream once, through one feed, `_passed`: each
 chunk once the pass has read it, with the number of its first pushed row.
+The feed closes its read however the run ends, so the worker process that
+may parse a file or stdin (`streamio`) is reaped before `run_stream`
+returns or raises; a worker's chunks are views of packed ints, which the
+pass and the replay read as they read a chunk parsed in this process.
 With ``monitors`` it reads the counts, and `check_terminal_weights` reads
 the feed first, each chunk with its arena rows, runs the filter and the
 pushes again on potentials of its own and ends on ``phi``. An unmonitored
@@ -97,6 +101,7 @@ from __future__ import annotations
 import time
 from array import array
 from collections import deque
+from contextlib import closing
 from fractions import Fraction
 from itertools import compress
 from math import floor, isclose, log
@@ -444,10 +449,10 @@ def run_stream(
 
     # A pass makes no reference cycles (the state is int arrays and ints),
     # so the cyclic collector could free nothing and would only rescan the
-    # pass's short-lived containers.
-    with gc_paused():
+    # pass's short-lived containers. The feed is closed however the run
+    # ends, so a run that fails or is interrupted ends its read at once.
+    with gc_paused(), closing(_passed(stream, state)) as chunks:
         # The chunks are checked, and raise unless they hold exactly m edges.
-        chunks = _passed(stream, state)
         if monitors:
             # Only the replay reads the rows the pass pushed on a chunk.
             replay = ((chunk, state.rows(first)) for chunk, first in chunks)
@@ -481,12 +486,19 @@ def run_stream(
 
 def _passed(stream: LazyEdgeStream, state: StreamingState) -> Iterator[tuple]:
     """Each chunk of ``stream`` once the pass has read it, with the number
-    of the first arena row that the pass pushed on it."""
-    for chunk in stream.chunks():
-        first = state.stats.heavy_edges_total
-        state.process_edges(chunk)
-        yield chunk, first
-        del chunk  # the next chunk is parsed without this one
+    of the first arena row that the pass pushed on it. The read is closed
+    when this ends, however it ends, so a read's worker process is reaped
+    then (`streamio`)."""
+    chunks = stream.chunks()
+    try:
+        for chunk in chunks:
+            first = state.stats.heavy_edges_total
+            state.process_edges(chunk)
+            yield chunk, first
+            del chunk  # the next chunk is parsed without this one
+    finally:
+        if hasattr(chunks, "close"):
+            chunks.close()
 
 
 def _monitor_verdicts(state: StreamingState, terminal: CheckVerdict) -> dict[str, str]:

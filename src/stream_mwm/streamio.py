@@ -31,6 +31,24 @@ either way.
 `parse_stream` reads its header from its elements in the same way, and
 joins the elements after it into blocks that take the same path.
 
+A read of a file or of stdin that reaches its second block hands the rest
+of its parse to a worker process when the process may run on two or more
+CPUs and runs one thread, native ones counted (`_may_fork`, Linux only):
+it forks there, and the worker goes on with the same read, every check and
+message unchanged, while the pass runs on the chunks before. The worker
+writes each chunk down a pipe as its ints packed into an ``array('Q')`` (a
+node id below n, a weight below 2^63), and what the read raised, named by
+its type, in stream order; the parent reads each chunk as a `_Triples`
+view, so the checks that ride on the pass read it as they read one parsed
+here. A block waits in the pipe until the pass has read the one before it,
+so the worker runs at most one block and a pipe buffer ahead: each process
+holds one block of input. However the read ends (its end, a fault, a pass
+that raises or drops it, an interrupt, the end of the process) the parent
+kills and reaps the worker, which has sent its last record or is no longer
+wanted, and the worker itself ends with ``os._exit``. A one-block input,
+one CPU, a second thread, an n past 2^64 and every in-memory input stay in
+this process.
+
 Every check of an edge lives in `check_edge`: endpoints below n and
 distinct, weight in ``[0, 2^63-1]``, each an int (a bool or a numpy integer
 becomes an exact ``int``). The parser adds only what the text needs (the
@@ -46,7 +64,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
+import weakref
+from array import array
 from functools import partial
 from itertools import chain, islice, repeat
 from operator import eq, index
@@ -67,6 +88,14 @@ _CHUNK_EDGES = 1 << 9
 _SEPARATORS = str.maketrans("", "", "0123456789")
 #: Makes a canonical block's separators the commas of a JSON list.
 _COMMAS = str.maketrans(" \n", ",,")
+#: The kinds of a worker's records: a chunk's packed ints, the end of the
+#: read, or what the read raised, as its type's name, a NUL and its message.
+_ROWS, _END, _ERROR = range(3)
+#: The exceptions a read raises that a worker's parent raises by name; any
+#: other is a RuntimeError that names it.
+_FORWARDED = {
+    error.__name__: error for error in (StreamFormatError, OSError, MemoryError)
+}
 
 Triple = tuple[int, int, int]
 
@@ -190,21 +219,24 @@ def read_stream(path: str) -> LazyEdgeStream:
     """Open a stream from a file path, or stdin when path is '-', and read
     its header now. Either is strict UTF-8, with universal newlines, from
     its bytes, and a byte that is not UTF-8 is named by its line, as any
-    other fault is. The stream can be read once."""
+    other fault is. The stream can be read once; from its second block on,
+    a worker process may parse it (see the module notes)."""
     name = "stdin" if path == "-" else path
-    parser = _read_file(path)
+    worker = _Worker()
+    parser = _read_file(path, worker.fork)
     header = next(parser)
+    worker.n = header[0]
     first = [parser]
 
     def read() -> Iterator:
         if not first:
             raise ValueError(f"{name} can be read only once")
-        return first.pop()
+        return worker.chunks(first.pop())
 
     return LazyEdgeStream(*header, read)
 
 
-def _read_file(path: str) -> Iterator:
+def _read_file(path: str, at_second: Callable[[], None]) -> Iterator:
     # Stdin's bytes are decoded as a file's are, and stdin stays open. A
     # process started with its stdin closed has no sys.stdin.
     stdin = path == "-"
@@ -221,21 +253,177 @@ def _read_file(path: str) -> Iterator:
         fp = open(path, encoding="utf-8", errors=errors)
     try:
         # The header is read line by line; the body's blocks start after it.
-        yield from _parse(iter(fp.readline, ""), _blocks(fp))
+        yield from _parse(iter(fp.readline, ""), _blocks(fp, at_second))
     finally:
         fp.detach() if stdin else fp.close()
 
 
-def _blocks(fp) -> Iterator[str]:
+def _blocks(fp, at_second: Callable[[], None]) -> Iterator[str]:
     """Read a text stream in blocks of whole lines, each ended by a "\n":
-    ``_CHUNK_BYTES`` characters, then the rest of the line after them."""
+    ``_CHUNK_BYTES`` characters, then the rest of the line after them.
+    ``at_second`` is called when the second block has been read."""
     # A text stream with the default newline handling (our files, stdin)
     # ends each line at its one "\n", as readlines does. Even after a "\n",
     # readline makes a file's text wrapper drop its copies of the block.
-    for block in iter(partial(fp.read, _CHUNK_BYTES), ""):
+    for index, block in enumerate(iter(partial(fp.read, _CHUNK_BYTES), "")):
         block += fp.readline()
+        if index == 1:
+            at_second()
         # Only the input's last line can be unended.
         yield block if block.endswith("\n") else block + "\n"
+
+
+def _may_fork() -> bool:
+    """Whether a read may fork a worker to parse its rest: when the process
+    may run on two or more CPUs, so that the parse and the pass overlap, and
+    runs one thread, so that the fork copies no lock another thread holds."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    return _threads() == 1
+
+
+def _threads() -> int:
+    """The threads of this process, as Linux counts them, those a C
+    extension started (a BLAS pool, say) included; or else as `threading`
+    counts them."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        threading = sys.modules.get("threading")
+        return 1 if threading is None else threading.active_count()
+
+
+class _Forked(Exception):
+    """Raised in the parent by `_Worker.fork`: it ends the parent's own read,
+    whose rest the worker parses."""
+
+
+class _Worker:
+    """The worker process of one read of a file or of stdin, if it forks.
+
+    ``fork`` is the read's call at its second block. When `_may_fork` allows
+    it, it forks: in the parent it raises `_Forked`, and ``pid`` is the
+    worker's; in the worker it returns, ``pid`` is 0 and the read goes on.
+    ``chunks`` hands on the read's chunks in the parent, and in the worker
+    sends them down ``pipe`` (the read end's file in the parent, the write
+    end's descriptor in the worker) and exits.
+    """
+
+    __slots__ = ("n", "pid", "pipe", "reap", "__weakref__")
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.pid: int | None = None
+        self.pipe = None
+        self.reap: Callable[[], None] | None = None
+
+    def fork(self) -> None:
+        """Fork the worker, at the read's second block, if it may."""
+        # A node id is below n, and a worker packs each int in 64 bits.
+        if self.n > 1 << 64 or not _may_fork():
+            return
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            # No process to spare: the read stays here.
+            os.close(read_end)
+            os.close(write_end)
+            return
+        if pid:
+            os.close(write_end)
+            self.pid, self.pipe = pid, os.fdopen(read_end, "rb")
+            # Called when the read ends, or else when this object is freed or
+            # the process ends, as after an interrupt.
+            self.reap = weakref.finalize(self, _reap, pid, self.pipe)
+            raise _Forked
+        os.close(read_end)
+        self.pid, self.pipe = 0, write_end
+
+    def chunks(self, parser: Iterator) -> Iterator:
+        """The chunks of ``parser``: those read here, then the worker's."""
+        try:
+            yield from self._parsed(parser)
+            if self.pid:
+                yield from self._received()
+        finally:
+            if self.reap:
+                self.reap()
+
+    def _parsed(self, parser: Iterator) -> Iterator:
+        """Yield the chunks that ``parser`` gives here, up to the fork if it
+        forks. In the worker, send each chunk of ``parser`` from the fork
+        on, then its end or what it raised, and exit."""
+        try:
+            for rows in parser:
+                if self.pid == 0:
+                    self._send(_ROWS, _packed(rows))
+                else:
+                    yield rows
+                del rows  # the next block is parsed without this one
+            if self.pid == 0:
+                self._send(_END, b"")
+        except _Forked:
+            pass
+        except Exception as exc:
+            if self.pid != 0:
+                raise
+            message = f"{type(exc).__name__}\0{exc}"
+            self._send(_ERROR, message.encode("utf-8", "surrogatepass"))
+        finally:
+            if self.pid == 0:
+                # The worker ends here, at once: no cleanup or buffered
+                # output of the parent's runs twice.
+                os._exit(0)
+
+    def _send(self, kind: int, data) -> None:
+        """Write one record down the pipe: its kind, its length in bytes,
+        and ``data``."""
+        view = memoryview(data).cast("B")
+        for part in (memoryview(array("Q", (kind, len(view)))).cast("B"), view):
+            while part:
+                part = part[os.write(self.pipe, part):]
+
+    def _received(self) -> Iterator[_Triples]:
+        """Yield each chunk the worker sends, a view of its packed ints, up
+        to the end of the read; raise here what the worker's read raised."""
+        while True:
+            kind, size = array("Q", self._read(16))
+            if kind == _ROWS:
+                yield _Triples(array("Q", self._read(size)))
+                continue
+            if kind == _END:
+                return
+            text = self._read(size).decode("utf-8", "surrogatepass")
+            name, _, message = text.partition("\0")
+            error = _FORWARDED.get(name)
+            raise error(message) if error else RuntimeError(f"{name}: {message}")
+
+    def _read(self, size: int) -> bytes:
+        data = self.pipe.read(size)
+        if len(data) < size:
+            raise OSError("the parse worker stopped before the end of the input")
+        return data
+
+
+def _reap(pid: int, pipe) -> None:
+    """Close the parent's end of the pipe, then kill and reap the worker
+    ``pid``: it has sent its last record, or it is no longer wanted."""
+    # Imported here: only a read that forked needs it.
+    from signal import SIGKILL
+
+    pipe.close()
+    try:
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass  # reaped already, where SIGCHLD is ignored
+
+
+def _packed(rows: Iterable[Triple]) -> array:
+    """A chunk's ints, three to an edge, each in an unsigned 64-bit item."""
+    ints = rows.ints if type(rows) is _Triples else chain.from_iterable(rows)
+    return array("Q", ints)
 
 
 class _Triples:

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from stream_mwm import streamio
 from stream_mwm.core import EdgeStream, WeightedEdge, compute_params
 from stream_mwm.engine import StreamingState
 from stream_mwm.monitors import MonitorStats
@@ -25,6 +26,19 @@ def gc_state():
         gc.enable()
     else:
         gc.disable()
+
+
+#: The two ways a read of a file or of stdin is parsed: here, or from its
+#: second block on by a forked worker.
+READ_PATHS = ("in-process", "worker")
+
+
+@pytest.fixture(params=READ_PATHS)
+def read_path(request, monkeypatch):
+    """Run the test once for each read path, chosen by the read's gate,
+    which the test sets in place of the process's CPUs and threads."""
+    monkeypatch.setattr(streamio, "_may_fork", lambda: request.param == "worker")
+    return request.param
 
 
 def is_heavy(weight: int, potential_sum: int, params) -> bool:

@@ -3,7 +3,10 @@
 NamedTuples, not dataclasses, so `dataclasses` and the `inspect` it pulls
 in stay out; `csv` and `statistics` are imported by the one function
 that uses each; and `reference` by a run that calls one of its solvers,
-whose report is the same as when it was loaded up front."""
+whose report is the same as when it was loaded up front. A file of
+several blocks, parsed by a forked worker from its second block on, loads
+no process or serialization module (`pickle`, `subprocess`,
+`multiprocessing`) either."""
 
 import json
 import os
@@ -12,11 +15,16 @@ import sys
 from pathlib import Path
 
 from stream_mwm import cli, reference
+from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
+from stream_mwm.streamio import serialize_stream
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: Modules that neither the import nor a plain file run may load.
-_UNUSED = ["dataclasses", "inspect", "csv", "statistics", "stream_mwm.reference"]
+_UNUSED = [
+    "dataclasses", "inspect", "csv", "statistics", "stream_mwm.reference",
+    "pickle", "subprocess", "multiprocessing",
+]
 
 _SCRIPT = """
 import json
@@ -32,13 +40,29 @@ def loaded():
 import stream_mwm.cli
 
 steps = {"import": loaded()}
+# Every read that reaches its second block forks its worker, whatever the
+# CPUs here; the pids show that one did.
+from stream_mwm import streamio
+import os
+
+streamio._may_fork = lambda: True
+fork, workers = os.fork, []
+
+
+def recorded():
+    pid = fork()
+    workers.append(pid)
+    return pid
+
+
+os.fork = recorded
 reports = {}
 for name, argv in runs.items():
     code = stream_mwm.cli.main([*argv, "--out", out])
     with open(out, encoding="utf-8") as fp:
         reports[name] = (code, fp.read())
     steps[name] = loaded()
-print(json.dumps({"steps": steps, "reports": reports}))
+print(json.dumps({"steps": steps, "reports": reports, "workers": len(workers)}))
 """
 
 
@@ -48,8 +72,12 @@ def test_a_plain_run_loads_only_what_it_runs(tmp_path):
         "p mwm 6 8\n0 1 5\n1 2 9\n2 3 4\nc a comment\n3 4 8\n4 5 2\n5 0 7\n0 3 6\n1 4 3\n",
         encoding="utf-8",
     )
+    blocks = tmp_path / "er.mwm"
+    spec = GeneratorSpec(kind=GeneratorKind.ERDOS_RENYI, n=300, p=0.5, seed=6)
+    blocks.write_text(serialize_stream(generate(spec)), encoding="utf-8")
     runs = {
         "plain": ["run", "--input", str(path)],
+        "blocks": ["run", "--input", str(blocks)],
         "oracle": ["run", "--input", str(path), "--oracle", "--monitors"],
         "greedy": ["run", "--input", str(path), "--alg", "greedy"],
     }
@@ -62,7 +90,8 @@ def test_a_plain_run_loads_only_what_it_runs(tmp_path):
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
     steps = got["steps"]
-    assert steps["import"] == [] and steps["plain"] == []
+    assert steps["import"] == steps["plain"] == steps["blocks"] == []
+    assert got["workers"] == 1
     assert steps["oracle"] == steps["greedy"] == ["stream_mwm.reference"]
 
     # The same runs here, where `reference` is loaded from the start.

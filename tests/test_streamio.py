@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import byte_stdin
+from conftest import READ_PATHS, byte_stdin
 from stream_mwm import cli, streamio
 from stream_mwm.core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
 from stream_mwm.generators import GeneratorKind, GeneratorSpec, generate
@@ -161,8 +161,20 @@ def test_serialize_of_a_generated_stream_matches_the_fstring_join():
 @pytest.mark.parametrize(
     "mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 )
-@pytest.mark.parametrize("where", ["first block", "block boundary", "later block"])
-def test_file_and_stdin_lines_end_at_newline_only(tmp_path, monkeypatch, mark, where):
+@pytest.mark.parametrize(
+    "read_path, where",
+    [
+        ("in-process", "first block"),
+        # Only here is the fault in a second block, which a worker may read.
+        ("in-process", "block boundary"),
+        ("worker", "block boundary"),
+        ("in-process", "later block"),
+    ],
+    indirect=["read_path"],
+)
+def test_file_and_stdin_lines_end_at_newline_only(
+    tmp_path, monkeypatch, read_path, mark, where
+):
     # str.splitlines ends a line at each of these marks too; readlines, and
     # so every line number the parser gives, does not. A comment holding a
     # mark comes just before a self-loop.
@@ -274,7 +286,7 @@ def test_open_edges_is_the_one_door_to_checked_edges(tmp_path):
     assert list(opened.chunks()) == [[(0, 1, 1), (1, 2, 8)]]
 
 
-def test_a_file_is_read_once_and_each_of_its_chunks_twice(tmp_path):
+def test_a_file_is_read_once_and_each_of_its_chunks_twice(tmp_path, read_path):
     # A parsed file gives one read, whose chunks, canonical blocks and
     # line-parsed ones alike, each iterate again as they did first, so
     # checks can ride on the pass's read. An in-memory edge list opens
@@ -286,6 +298,7 @@ def test_a_file_is_read_once_and_each_of_its_chunks_twice(tmp_path):
     lazy = read_stream(str(path))
     want = [tuple(e) for e in _er_blocks().edges]
     chunks = list(lazy.chunks())
+    # A worker sends each chunk as packed ints, read as a view too.
     assert [type(c) for c in chunks] == [list, streamio._Triples]
     assert [e for c in chunks for e in c] == [e for c in chunks for e in c] == want
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))} can be read only once$"):
@@ -294,10 +307,11 @@ def test_a_file_is_read_once_and_each_of_its_chunks_twice(tmp_path):
     assert list(opened.edges) == list(opened.edges) == want
 
 
-def test_stdin_is_read_once(monkeypatch):
-    monkeypatch.setattr("sys.stdin", byte_stdin("p mwm 3 2\n0 1 5\n1 2 8\n"))
+def test_stdin_is_read_once(monkeypatch, read_path):
+    # Several blocks: a worker may parse all but the first.
+    monkeypatch.setattr("sys.stdin", byte_stdin(serialize_stream(_er_blocks())))
     lazy = read_stream("-")
-    assert list(lazy.edges) == [(0, 1, 5), (1, 2, 8)]
+    assert list(lazy.edges) == [tuple(e) for e in _er_blocks().edges]
     with pytest.raises(ValueError, match="^stdin can be read only once$"):
         lazy.chunks()
 
@@ -382,22 +396,32 @@ def test_a_closed_stdin_is_an_input_error():
 _BODY = [b"0 1 5\n"] * 20_000
 
 
+#: Each line that is not UTF-8: its number, its bytes, the decoder's words
+#: and the case's id.
+_UNDECODABLE = [
+    (1, b"p mwm\xff 2 20000\n", "0xff: invalid start byte", "header"),
+    (1, b"c \xe9t\xe9\n", "0xe9: invalid continuation byte", "comment-before-header"),
+    (3, b"c caf\xe9\n", "0xe9: invalid continuation byte", "comment"),
+    (100, b"0 1 \xff\n", "0xff: invalid start byte", "first-block"),
+    (15_000, b"0 \xe9 5\n", "0xe9: invalid continuation byte", "past-64k"),
+    (19_999, b"0 1 \xed\xa0\x80\n", "0xed: invalid continuation byte", "encoded-surrogate"),
+]
+
+
 @pytest.mark.parametrize(
-    "lineno, line, message",
+    "read_path, lineno, line, message",
     [
-        (1, b"p mwm\xff 2 20000\n", "0xff: invalid start byte"),
-        (1, b"c \xe9t\xe9\n", "0xe9: invalid continuation byte"),
-        (3, b"c caf\xe9\n", "0xe9: invalid continuation byte"),
-        (100, b"0 1 \xff\n", "0xff: invalid start byte"),
-        (15_000, b"0 \xe9 5\n", "0xe9: invalid continuation byte"),
-        (19_999, b"0 1 \xed\xa0\x80\n", "0xed: invalid continuation byte"),
+        pytest.param(path, lineno, line, message, id=f"{path}-{name}")
+        for lineno, line, message, name in _UNDECODABLE
+        # A fault in the first block ends the read before a worker could
+        # start: only a later one is read on both paths.
+        for path in (READ_PATHS if lineno > 11_000 else READ_PATHS[:1])
     ],
-    ids=["header", "comment-before-header", "comment", "first-block", "past-64k",
-         "encoded-surrogate"],
+    indirect=["read_path"],
 )
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 def test_a_byte_that_is_not_utf8_is_named_by_its_line(
-    tmp_path, monkeypatch, capsys, lineno, line, message, newline
+    tmp_path, monkeypatch, capsys, read_path, lineno, line, message, newline
 ):
     # The decoder's error named an offset into its current read, which moved
     # with the read pattern; the line is the same from a path and from

@@ -1,6 +1,9 @@
 """Differential tests: the chunked parser against the line-by-line parser it
 replaced, on inputs that mix canonical edge lines with every line form that
-leaves the bulk path, with faults on both sides of chunk boundaries."""
+leaves the bulk path, with faults on both sides of chunk boundaries. A file
+is read on both read paths, parsed in the process and by a worker from the
+second block on, and stdin in the process: all three must give the same
+chunks."""
 
 import random
 from unittest import mock
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import byte_stdin
+from conftest import READ_PATHS, byte_stdin
 from stream_mwm import streamio
 from stream_mwm.core import I64_MAX, EdgeStream, StreamFormatError, WeightedEdge
 from stream_mwm.streamio import parse_stream, read_stream
@@ -146,8 +149,17 @@ def _outcome(parse):
     return stream.n, [tuple(e) for e in stream.edges]
 
 
-def _drain(lazy):
-    return EdgeStream(lazy.n, list(lazy.edges))
+def _chunked_read(source):
+    """One read of a file path, or of stdin ("-"): its outcome, as `_outcome`
+    gives it, and the chunks it gave before that, each a list of triples."""
+    chunks = []
+    try:
+        lazy = read_stream(source)
+        # extend keeps the chunks read before a fault.
+        chunks.extend(map(list, lazy.chunks()))
+    except StreamFormatError as exc:
+        return ("error", str(exc)), chunks
+    return (lazy.n, [edge for chunk in chunks for edge in chunk]), chunks
 
 
 def _assert_same_everywhere(text, path):
@@ -161,9 +173,19 @@ def _assert_same_everywhere(text, path):
     path.write_text(text, encoding="utf-8", newline="")
     with open(path, encoding="utf-8") as fp:
         from_file = _outcome(lambda: reference_parse_stream(fp))
-    assert _outcome(lambda: _drain(read_stream(str(path)))) == from_file
-    with mock.patch("sys.stdin", byte_stdin(text)):
-        assert _outcome(lambda: _drain(read_stream("-"))) == from_file
+    # Parsed here or, from its second block on, by a worker, a file's read
+    # gives the same chunks, and a fault only after every chunk before it.
+    # A text of one block at most has no second block to hand over.
+    reads = []
+    for path_taken in READ_PATHS[: 1 + (len(text) > streamio._CHUNK_BYTES)]:
+        with mock.patch.object(streamio, "_may_fork", lambda: path_taken == "worker"):
+            reads.append(_chunked_read(str(path)))
+    assert reads[0] == reads[-1]
+    assert reads[0][0] == from_file
+    with mock.patch.object(streamio, "_may_fork", lambda: False), mock.patch(
+        "sys.stdin", byte_stdin(text)
+    ):
+        assert _chunked_read("-") == reads[0]
     return expected
 
 
